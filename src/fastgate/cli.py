@@ -201,7 +201,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
             print(f"num_ions={n}: ideal {result.report.ideal_infidelity:.3e}")
     elif variable == "repetition_rate":
         chain = build_chain(config.trap)
-        candidates, _ = stage1(chain, config.stage1_config(), seed=config.seed, threads=threads)
+        stage1_config = config.stage1_config()
+        candidates, _ = stage1(chain, stage1_config, seed=config.seed, threads=threads)
         for value in config.sweep_values:
             stage2_config = Stage2Config(
                 repetition_rate=value * 1e6,
@@ -209,8 +210,10 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
                 local_restarts=config.stage2.local_restarts,
             )
             results = [
-                stage2(c, chain, stage2_config, config.thermal,
-                       config.stage1_config().epsilon, seed=config.seed)
+                stage2(c, chain, stage2_config, config.thermal, stage1_config.epsilon,
+                       seed=config.seed, counting=stage1_config.pulse_counting,
+                       max_sdks=stage1_config.max_sdks,
+                       z_bound=stage1_config.z_bound_schedule[-1])
                 for c in candidates
             ]
             best = min(results, key=lambda r: 1.0 - r.adjusted_fidelity)
@@ -280,14 +283,27 @@ def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
     return 0
 
 
+def _read_result_document(path: str):
+    """The chain, train, thermal spec, stored report and epsilon of a result.json."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        chain = ChainModel.from_json_dict(document["chain"])
+        train = KickTrain.from_json_dict(document["train"])
+        thermal = ThermalSpec.from_json_dict(document["thermal"])
+        stored = {key: float(document["report_ideal"][key])
+                  for key in ("ideal_inf", "motional_inf", "dphi")}
+        epsilon = float(document["epsilon"])
+    except KeyError as exc:
+        raise ConfigError(f"stored result {path} lacks key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read stored result {path}: {exc}") from exc
+    return chain, train, thermal, stored, epsilon
+
+
 def cmd_evaluate(args, out_dir: Path) -> int:
-    with open(args.result, encoding="utf-8") as handle:
-        document = json.load(handle)
-    chain = ChainModel.from_json_dict(document["chain"])
-    train = KickTrain.from_json_dict(document["train"])
-    thermal = ThermalSpec.from_json_dict(document["thermal"])
+    chain, train, thermal, stored, epsilon = _read_result_document(args.result)
     report = evaluate_train(train, chain, thermal)
-    stored = document["report_ideal"]
     fields = [
         ("ideal_inf", stored["ideal_inf"], report.ideal_infidelity),
         ("motional_inf", stored["motional_inf"], report.motional_infidelity),
@@ -298,8 +314,8 @@ def cmd_evaluate(args, out_dir: Path) -> int:
         drift = abs(now - was) / max(abs(was), 1e-300)
         worst = max(worst, drift)
         print(f"{name:14s} stored {was:+.12e}   re-evaluated {now:+.12e}")
-    adjusted = report.adjusted_fidelity(document["epsilon"])
-    print(f"adjusted fidelity at eps={document['epsilon']:g}: {adjusted:.9f}")
+    adjusted = report.adjusted_fidelity(epsilon)
+    print(f"adjusted fidelity at eps={epsilon:g}: {adjusted:.9f}")
     if worst > 1e-12:
         print(f"MISMATCH: stored report drifts by {worst:.3e} (> 1e-12 relative)")
         return 3

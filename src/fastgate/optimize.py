@@ -8,7 +8,10 @@ bound.  Stage 2 refines the group timings on the repetition-rate grid
 against the trajectory-based cost, each inter-group gap constrained to
 within a fraction of its Stage-1 value; integer moves re-scored by quick
 timing refinement let it escape the stiff uniform-timing lattice before the
-final on-grid coordinate descent.  Both stages are deterministic under a
+final on-grid coordinate descent.  The timing refinement is a small
+projected Levenberg-Marquardt solver on the box-bounded gaps, written here
+in numpy because the fits are tiny: one gap per group against one residual
+per mode plus the phase.  Both stages are deterministic under a
 seed, and parallel work is merged in a fixed order so serial and parallel
 runs produce identical output.
 """
@@ -42,7 +45,7 @@ from .sequence import (
 
 DEFAULT_GATE_TIME_SCAN = tuple(0.5e-6 + 50e-9 * k for k in range(21))  # 0.5-1.5 us
 DEFAULT_BOUND_SCHEDULE = tuple(range(1, 11))
-_GAP_UNIT = 1e-7  # seconds; rescales timing variables to O(1) for L-BFGS-B
+_GAP_UNIT = 1e-7  # seconds; rescales the stage-2 gap variables to O(1)
 
 
 def default_group_count(num_ions: int, targets: tuple) -> int:
@@ -497,7 +500,7 @@ class _BoundTimingCost:
 
     Residual entry 0 is the weighted phase mismatch, the rest are the
     weighted per-mode displacement residuals; the least-squares structure is
-    what the trust-region timing refinement exploits.
+    what the Levenberg-Marquardt timing refinement exploits.
     """
 
     def __init__(self, parent: _TimingCost, z_half: np.ndarray):
@@ -516,73 +519,125 @@ class _BoundTimingCost:
         self.alpha_scale = (2.0 * parent.eta * np.sqrt(parent.weights))[:, None]
 
     def _phasors(self, t_half):
+        """Weighted slot phasors and their products with the conjugated
+        prefix sums over the earlier slots."""
         t = np.concatenate([-t_half[::-1], t_half])
         weighted = np.exp(1j * np.outer(self.parent.w, t)) * self.effective
-        return weighted
-
-    def theta_and_weighted(self, t_half):
-        weighted = self._phasors(t_half)
         prefix = np.cumsum(weighted, axis=1) - weighted
-        pair_sums = np.imag(np.sum(weighted * np.conj(prefix), axis=1))
-        theta = float(np.sum(self.parent.phase_scale * pair_sums)) + self.within_theta
-        return theta, weighted
+        return weighted, weighted * np.conj(prefix)
 
-    def residuals(self, t_half) -> np.ndarray:
-        theta, weighted = self.theta_and_weighted(t_half)
-        d = len(t_half)
-        half = weighted[:, d:]
+    def _residuals_from(self, weighted, cross, d):
+        pair_sums = np.imag(np.sum(cross, axis=1))
+        theta = float(np.sum(self.parent.phase_scale * pair_sums)) + self.within_theta
         out = np.empty(1 + weighted.shape[0])
         out[0] = math.sqrt(2.0 / 3.0) * (abs(theta) - PHASE_TARGET)
         # antisymmetry doubles the positive-half imaginary part
-        out[1:] = 2.0 * self.alpha_scale[:, 0] * np.imag(np.sum(half, axis=1))
-        return out
+        out[1:] = 2.0 * self.alpha_scale[:, 0] * np.imag(np.sum(weighted[:, d:], axis=1))
+        return out, theta
 
-    def jacobian(self, t_half) -> np.ndarray:
-        """d residuals / d t_half, analytic (modes+1) x d matrix."""
-        theta, weighted = self.theta_and_weighted(t_half)
+    def residuals(self, t_half) -> np.ndarray:
+        weighted, cross = self._phasors(t_half)
+        return self._residuals_from(weighted, cross, len(t_half))[0]
+
+    def residuals_and_jacobian(self, t_half) -> tuple:
+        """Residuals and their analytic (modes+1) x d Jacobian with respect to
+        t_half, both from one set of phasors."""
+        weighted, cross = self._phasors(t_half)
         w = self.parent.w
         d = len(t_half)
-        # prefix/suffix sums over the full slot list, excluding the slot itself
-        prefix = np.cumsum(weighted, axis=1) - weighted
+        out, theta = self._residuals_from(weighted, cross, d)
+        # suffix sums over the full slot list, excluding the slot itself
         suffix = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1] - weighted
         # dS_m/dt_k over full slots: w * Re[w_k conj(prefix) - conj(w_k) suffix]
-        slot_grad = w[:, None] * (
-            np.real(weighted * np.conj(prefix)) - np.real(np.conj(weighted) * suffix)
-        )
+        slot_grad = w[:, None] * (np.real(cross) - np.real(np.conj(weighted) * suffix))
         # chain rule through the mirror: t_{-j} = -t_j
         theta_grad = (
             self.parent.phase_scale @ (slot_grad[:, d:] - slot_grad[:, :d][:, ::-1])
         )
-        out = np.empty((1 + len(w), d))
-        out[0] = math.sqrt(2.0 / 3.0) * math.copysign(1.0, theta) * theta_grad
-        out[1:] = 2.0 * self.alpha_scale * (w[:, None] * np.real(weighted[:, d:]))
-        return out
+        jac = np.empty((1 + len(w), d))
+        jac[0] = math.sqrt(2.0 / 3.0) * math.copysign(1.0, theta) * theta_grad
+        jac[1:] = 2.0 * self.alpha_scale * (w[:, None] * np.real(weighted[:, d:]))
+        return out, jac
+
+
+_LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
+
+
+def _box_least_squares(fun, x0, lower, upper, budget):
+    """Minimise sum r(x)^2 subject to lower <= x <= upper.
+
+    Projected Levenberg-Marquardt (More 1978) with an active set: a variable
+    at a bound whose gradient points out of the box is frozen for the step,
+    and the Marquardt-damped normal equations are solved over the free
+    variables only; the trial point is projected back into the box.  The
+    damping is scaled by the diagonal of J^T J, so underdetermined fits
+    (fewer residuals than variables) need no special case.  `fun(x)` returns
+    the residuals and their Jacobian; each call counts against `budget`.
+    Stops when the relative cost decrease (ftol), the relative step length
+    (xtol) or the projected gradient (gtol) falls to `_LM_TOL`, or when the
+    budget runs out.  Returns (sum r^2, x).
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r, jac = fun(x)
+    evaluations = 1
+    cost = float(r @ r)
+    damping, growth = 1e-3, 2.0
+    while evaluations < budget and cost > 0.0:
+        grad = jac.T @ r
+        free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        if not np.any(free) or np.max(np.abs(grad[free])) <= _LM_TOL:
+            break
+        jac_free = jac[:, free]
+        normal = jac_free.T @ jac_free
+        scale = np.diag(normal)
+        # floor keeps the damped system definite when a column of J vanishes
+        scale = np.maximum(scale, 1e-12 * np.max(scale))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad[free])
+        x_new = np.clip(x + step, lower, upper)
+        delta = x_new - x
+        if np.linalg.norm(delta) <= _LM_TOL * (_LM_TOL + np.linalg.norm(x)):
+            break
+        linear = r + jac @ delta
+        predicted = cost - float(linear @ linear)
+        r_new, jac_new = fun(x_new)
+        evaluations += 1
+        cost_new = float(r_new @ r_new)
+        # Nielsen's damping rule, floored because J^T J is singular when the
+        # fit has fewer residuals than free variables
+        if predicted > 0.0 and cost_new < cost:
+            ratio = (cost - cost_new) / predicted
+            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
+            growth = 2.0
+            converged = cost - cost_new <= _LM_TOL * cost
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            if converged:
+                break
+        else:
+            damping *= growth
+            growth *= 2.0
+    return cost, x
 
 
 def _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
-    """Trust-region least-squares refinement of the gaps inside the windows.
+    """Bounded least-squares refinement of the gaps inside the windows.
 
     The cost is a sum of squared residuals (phase mismatch plus weighted
-    per-mode displacements), which Levenberg-Marquardt-class solvers handle
-    far better than generic quasi-Newton descent.  Gap variables are
-    rescaled to O(1).  Optional extra starts jitter the initial gaps inside
-    the windows (deterministic under `rng`); all distinct solutions are
-    returned, best first.
+    per-mode displacements), minimised by `_box_least_squares` over the
+    inter-group gaps rescaled to O(1), each held inside its window.
+    Optional extra starts jitter the initial gaps inside the windows
+    (deterministic under `rng`); all solutions are returned as
+    (sum r^2, half times), best first.
     """
-    from scipy.optimize import least_squares
-
     gaps0 = np.clip(np.diff(np.concatenate([[0.0], t_start])), gap_lo, gap_hi)
     lower = gap_lo / _GAP_UNIT
     upper = gap_hi / _GAP_UNIT
     bound_cost = timing_cost.bind(z)
 
-    def residuals(scaled_gaps):
-        return bound_cost.residuals(np.cumsum(scaled_gaps * _GAP_UNIT))
-
-    def jacobian(scaled_gaps):
+    def residuals_and_jacobian(scaled_gaps):
+        r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT))
         # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
-        per_time = bound_cost.jacobian(np.cumsum(scaled_gaps * _GAP_UNIT))
-        return np.cumsum(per_time[:, ::-1], axis=1)[:, ::-1] * _GAP_UNIT
+        return r, np.cumsum(per_time[:, ::-1], axis=1)[:, ::-1] * _GAP_UNIT
 
     solutions = []
     for attempt in range(starts):
@@ -591,22 +646,12 @@ def _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1,
         else:
             jitter = rng.uniform(-0.15, 0.15, size=len(gaps0))
             start = np.clip(gaps0 * (1.0 + jitter), gap_lo, gap_hi)
-        fit = least_squares(
-            residuals,
-            start / _GAP_UNIT,
-            jac=jacobian,
-            bounds=(lower, upper),
-            method="trf",
-            max_nfev=budget,
+        cost, scaled = _box_least_squares(
+            residuals_and_jacobian, start / _GAP_UNIT, lower, upper, budget
         )
-        # least_squares cost is 0.5 * sum r^2
-        solutions.append((float(2.0 * fit.cost), np.cumsum(fit.x * _GAP_UNIT)))
+        solutions.append((cost, np.cumsum(scaled * _GAP_UNIT)))
     solutions.sort(key=lambda item: item[0])
     return solutions
-
-
-def _best_refined(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
-    return _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget, starts, rng)[0]
 
 
 def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
@@ -618,9 +663,9 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     selection pressure.
     """
     z = np.asarray(z0, dtype=float)
-    ideal, t = _best_refined(
+    ideal, t = _refine_times(
         timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
-    )
+    )[0]
     cost = scorer(ideal, z)
     moves = _descent_moves(len(z))
     for _ in range(6):
@@ -634,14 +679,14 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             if np.sum(np.abs(trial)) > cap_half:
                 continue
             # cheap scoring pass; accepted moves get a full refinement below
-            c, tt = _best_refined(timing_cost, trial, t, gap_lo, gap_hi, budget=60)
+            c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
             c = scorer(c, trial)
             if c < cost:
                 z, t, cost = trial, tt, c
                 improved = True
         if not improved:
             break
-    ideal, t = _best_refined(timing_cost, z, t, gap_lo, gap_hi, budget=500)
+    ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
     return scorer(ideal, z), z.astype(int), t
 
 
@@ -670,6 +715,8 @@ def stage2(
     epsilon: float,
     seed: int = 0,
     counting: str = "pi_pulses",
+    max_sdks: int = 100,
+    z_bound: int = DEFAULT_BOUND_SCHEDULE[-1],
 ) -> OptimizationResult:
     """Refine one candidate on the repetition-rate grid.
 
@@ -680,7 +727,8 @@ def stage2(
     gap stays within +-`timing_variation` of its Stage-1 value and the
     negative-time half mirrors the positive half throughout.  The result is
     never worse than the grid-snapped Stage-1 seed under the trajectory
-    objective.
+    objective.  Integer moves keep every group within `z_bound` and the gate
+    within `max_sdks` SDKs, the limits stage 1 searched under.
     """
     period = 1.0 / config.repetition_rate
     base = candidate.sequence.trimmed()
@@ -706,7 +754,7 @@ def stage2(
     gap_lo = (1.0 - config.timing_variation) * gaps0
     gap_hi = (1.0 + config.timing_variation) * gaps0
     bound = int(np.max(np.abs(sizes0)))
-    cap_half = 50  # keeps the 100-SDK ceiling: sum over both halves <= 100
+    cap_half = max_sdks // 2  # the SDK count is twice the half-sum of |z|
 
     snapped = _snap_half_times(sizes0, times0, config.repetition_rate)
     seed_seq, seed_train = _expand_or_none(
@@ -739,8 +787,8 @@ def stage2(
         for scale in _RESTART_SCALES[: 1 + config.local_restarts]
     ]
     envelope = np.sin(math.pi * (np.arange(d) + 0.5) / d)
-    starts.append(np.rint(1.3 * envelope))
-    starts.append(np.rint(2.2 * envelope))
+    starts.append(_clip_to_sdk_cap(np.rint(1.3 * envelope), cap_half))
+    starts.append(_clip_to_sdk_cap(np.rint(2.2 * envelope), cap_half))
     seen_starts = set()
     joint_paths = []
     for z_start in starts:
@@ -750,7 +798,7 @@ def stage2(
         seen_starts.add(key)
         cost, z_refined, t_refined = _joint_refine(
             timing_cost, z_start, np.asarray(times0, dtype=float),
-            gap_lo, gap_hi, bound=max(bound, 10), cap_half=cap_half, scorer=adjusted,
+            gap_lo, gap_hi, bound=max(bound, z_bound), cap_half=cap_half, scorer=adjusted,
             rng=rng,
         )
         joint_paths.append((cost, [int(v) for v in z_refined], t_refined))
@@ -938,7 +986,8 @@ def optimize_gate(
 
     tasks = [
         (c, chain, stage2_config, stage1_config.thermal, stage1_config.epsilon,
-         seed, stage1_config.pulse_counting)
+         seed, stage1_config.pulse_counting, stage1_config.max_sdks,
+         stage1_config.z_bound_schedule[-1])
         for c in candidates
     ]
     results = _map_ordered(_stage2_task, tasks, threads)

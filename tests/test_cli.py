@@ -154,6 +154,32 @@ class TestOptimizeCommand:
         assert main(["evaluate", str(tampered)]) == 3
 
 
+class TestEvaluateInputErrors:
+    def _exit_and_message(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        return code, err.strip().splitlines()
+
+    def test_missing_file(self, tmp_path, capsys):
+        code, lines = self._exit_and_message(["evaluate", str(tmp_path / "nope.json")], capsys)
+        assert code == 2
+        assert len(lines) == 1 and "nope.json" in lines[0]
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, lines = self._exit_and_message(["evaluate", str(path)], capsys)
+        assert code == 2
+        assert len(lines) == 1 and "broken.json" in lines[0]
+
+    def test_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"epsilon": 1e-5, "thermal": {"nbar": 0.1}}))
+        code, lines = self._exit_and_message(["evaluate", str(path)], capsys)
+        assert code == 2
+        assert len(lines) == 1 and "'chain'" in lines[0]
+
+
 class TestSweepCommand:
     def test_epsilon_sweep(self, tmp_path):
         data = dict(FAST_OPTIMIZE)
@@ -181,6 +207,20 @@ class TestSweepCommand:
         column = header.index("motional_infidelity")
         values = [float(line.split(",")[column]) for line in lines[2:]]
         assert values == sorted(values)
+
+    def test_repetition_rate_sweep_uses_pulse_counting(self, tmp_path):
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["stage1"].update(top_k=1, pulse_counting="sdks")
+        data["sweep"] = {"variable": "repetition_rate", "values": [300.0, 600.0]}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[header.index("pulse_count")] == row[header.index("sdk_count")]
 
     def test_sweep_without_block_fails(self, tmp_path):
         config = write_config(tmp_path, FAST_OPTIMIZE)

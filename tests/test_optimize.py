@@ -12,7 +12,10 @@ from fastgate.optimize import (
     OptimizationResult,
     Stage1Config,
     Stage2Config,
+    _GAP_UNIT,
     _TimingCost,
+    _box_least_squares,
+    _refine_times,
     default_group_count,
     jitter_sensitivity,
     optimize_gate,
@@ -102,6 +105,108 @@ class TestTimingCostSurrogate:
         assert surrogate.cost(np.array(z, float), np.array(times)) == pytest.approx(
             analytic_cost(seq, chain5, NBAR), rel=1e-12
         )
+
+    def test_jacobian_matches_finite_differences(self, chain5):
+        rng = np.random.default_rng(7)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        for _ in range(5):
+            z = rng.integers(-4, 5, size=6)
+            z[z == 0] = 1
+            bound = surrogate.bind(z)
+            t = np.cumsum(rng.uniform(50e-9, 80e-9, size=6))
+            r, jac = bound.residuals_and_jacobian(t)
+            assert np.array_equal(r, bound.residuals(t))
+            step = 1e-13
+            numeric = np.empty_like(jac)
+            for k in range(len(t)):
+                shift = np.zeros_like(t)
+                shift[k] = step
+                numeric[:, k] = (bound.residuals(t + shift) - bound.residuals(t - shift)) / (2 * step)
+            assert np.allclose(jac, numeric, rtol=1e-5, atol=1e-6 * np.max(np.abs(jac)))
+
+
+def gap_fit(bound_cost, offset):
+    """Gap-space residuals of `bound_cost` minus `offset`, with the Jacobian."""
+    def fun(scaled_gaps):
+        r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT))
+        return r - offset, np.cumsum(per_time[:, ::-1], axis=1)[:, ::-1] * _GAP_UNIT
+    return fun
+
+
+def solvable_fit(chain, targets, rng, d=8):
+    """A fit whose residuals vanish at known gaps, plus a start and a box
+    around those gaps."""
+    surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / 300e6)
+    z = rng.integers(1, 4, size=d) * rng.choice([-1, 1], size=d)
+    bound = surrogate.bind(z)
+    true_gaps = (1e-6 / 16) * (1.0 + rng.uniform(-0.1, 0.1, size=d)) / _GAP_UNIT
+    offset = bound.residuals(np.cumsum(true_gaps * _GAP_UNIT))
+    lower, upper = 0.75 * true_gaps, 1.25 * true_gaps
+    start = true_gaps * (1.0 + rng.uniform(-0.1, 0.1, size=d))
+    return gap_fit(bound, offset), true_gaps, start, lower, upper
+
+
+class TestBoxLeastSquares:
+    def test_reaches_zero_residual_on_solvable_fit(self, chain5, chain20):
+        # N=5 is underdetermined (6 residuals, 8 gaps); N=20 is not.
+        rng = np.random.default_rng(4)
+        for chain, targets in ((chain5, (2, 3)), (chain20, (0, 1))):
+            fun, _, start, lower, upper = solvable_fit(chain, targets, rng)
+            start_cost = float(np.sum(fun(start)[0] ** 2))
+            cost, _ = _box_least_squares(fun, start, lower, upper, budget=400)
+            assert cost <= 1e-12 * start_cost
+
+    def test_projected_gradient_vanishes_at_bound(self, chain20):
+        rng = np.random.default_rng(5)
+        fun, true_gaps, start, lower, upper = solvable_fit(chain20, (0, 1), rng)
+        # move the box so the zero-residual point lies outside it
+        upper = upper.copy()
+        upper[2] = 0.9 * true_gaps[2]
+        start = np.minimum(start, upper)
+        cost, x = _box_least_squares(fun, start, lower, upper, budget=400)
+        r, jac = fun(x)
+        grad = jac.T @ r
+        assert cost > 0.0
+        at_lower, at_upper = x <= lower, x >= upper
+        assert np.any(at_lower | at_upper)
+        scale = 1e-6 * np.max(np.abs(jac.T @ fun(start)[0]))
+        assert np.all(grad[at_lower] >= -scale)
+        assert np.all(grad[at_upper] <= scale)
+        assert np.all(np.abs(grad[~(at_lower | at_upper)]) <= scale)
+
+    def test_never_leaves_box(self, chain5):
+        rng = np.random.default_rng(6)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        for _ in range(20):
+            d = int(rng.integers(3, 9))
+            gaps = (1e-6 / 16) * np.ones(d) / _GAP_UNIT
+            lower, upper = 0.75 * gaps, 1.25 * gaps
+            fun = gap_fit(surrogate.bind(rng.integers(-4, 5, size=d)), 0.0)
+            visited = []
+
+            def recording(x, fun=fun):
+                visited.append(x.copy())
+                return fun(x)
+
+            start = gaps * (1.0 + rng.uniform(-0.4, 0.4, size=d))
+            _box_least_squares(recording, start, lower, upper, budget=60)
+            assert 1 <= len(visited) <= 60
+            for x in visited:
+                assert np.all(x >= lower) and np.all(x <= upper)
+
+    def test_repeats_bit_for_bit(self, chain5):
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        z = np.array([1.0, -2.0, 3.0, 2.0, -1.0, 1.0])
+        t_start = np.cumsum(np.full(6, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], t_start]))
+        runs = [
+            _refine_times(surrogate, z, t_start, 0.75 * gaps, 1.25 * gaps, starts=3,
+                          rng=np.random.default_rng(8))
+            for _ in range(2)
+        ]
+        assert [c for c, _ in runs[0]] == [c for c, _ in runs[1]]
+        for (_, a), (_, b) in zip(*runs):
+            assert np.array_equal(a, b)
 
 
 class TestDefaults:
@@ -264,6 +369,11 @@ class TestOptimizeGate:
     def test_sdk_ceiling(self, chain2):
         result = optimize_gate(chain2, small_stage1_config(), Stage2Config(local_restarts=0), seed=1)
         assert result.report.sdk_count <= 100
+
+    def test_stage2_honours_max_sdks(self, chain2):
+        config = Stage1Config(targets=(0, 1), max_sdks=8, gate_time_scan=(1e-6,), top_k=1)
+        result = optimize_gate(chain2, config, Stage2Config(), seed=0)
+        assert result.report.sdk_count <= 8
 
     def test_json_omits_wall_time(self, chain2):
         result = optimize_gate(chain2, small_stage1_config(top_k=1),
