@@ -57,7 +57,7 @@ NUMERICAL_ERRORS = (
 
 def _provenance(config: RunConfig) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "package": f"fastgate {__version__}",
         "seed": config.seed,
         "config": normalized_config_dict(config),

@@ -4,20 +4,25 @@ Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
-bound.  Stage 2 refines the group timings on the repetition-rate grid
-against the trajectory-based cost, each inter-group gap constrained to
-within a fraction of its Stage-1 value; integer moves re-scored by quick
-timing refinement let it escape the stiff uniform-timing lattice before the
-final on-grid coordinate descent.  The timing refinement is a small
-projected Levenberg-Marquardt solver on the box-bounded gaps, written here
-in numpy because the fits are tiny: one gap per group against one residual
-per mode plus the phase.  Both stages are deterministic under a
+bound.  Each descent pass applies a precomputed move matrix to the current
+sizes and scores every feasible trial in one batch; the relaxations are
+minimised by BFGS with the exact gradient of the quadratic-form cost.
+
+Stage 2 refines the group timings on the repetition-rate grid against the
+trajectory-based cost, each inter-group gap constrained to within a fraction
+of its Stage-1 value; integer moves from the same move matrix, re-scored by
+quick timing refinement, let it escape the stiff uniform-timing lattice
+before the final on-grid coordinate descent.  The timing refinement is a
+small projected Levenberg-Marquardt solver on the box-bounded gaps, written
+here in numpy because the fits are tiny: one gap per group against one
+residual per mode plus the phase.  Both stages are deterministic under a
 seed, and parallel work is merged in a fixed order so serial and parallel
 runs produce identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -146,6 +151,19 @@ class CostModel:
         motional = float(z @ self.residual_quadratic @ z)
         return (2.0 / 3.0) * (abs(theta) - PHASE_TARGET) ** 2 + motional
 
+    def ideal_infidelity_gradient(self, z: np.ndarray) -> np.ndarray:
+        """Exact gradient of `ideal_infidelity` with respect to z.
+
+        Both forms are symmetric, so with theta = z.K.z it is
+        (8/3)(|theta| - pi/4) sign(theta) K z + 2 G z.
+        """
+        kz = self.phase_quadratic @ z
+        theta = float(z @ kz)
+        return (
+            (8.0 / 3.0) * (abs(theta) - PHASE_TARGET) * np.sign(theta) * kz
+            + 2.0 * (self.residual_quadratic @ z)
+        )
+
     def selection_cost(self, z: np.ndarray) -> float:
         """Pulse-error-adjusted infidelity used to rank candidates."""
         self.evaluations += 1
@@ -163,8 +181,14 @@ class CostModel:
         return 1.0 - (1.0 - factor * sdks * self.epsilon) ** 2 * (1.0 - ideal)
 
 
+@functools.lru_cache(maxsize=None)
 def _descent_moves(d: int):
-    """Single +-1/+-2 moves plus paired +-1 moves on adjacent coordinates."""
+    """Single +-1/+-2 moves plus paired +-1 moves on adjacent coordinates.
+
+    Returned as a read-only (moves x d) delta matrix and the mask of the
+    coordinates each move touches, in the fixed move order both stages
+    search in.
+    """
     singles = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     pairs = [
         ((i, i + 1), (di, dj))
@@ -172,32 +196,46 @@ def _descent_moves(d: int):
         for di in (1, -1)
         for dj in (1, -1)
     ]
-    return singles + pairs
+    moves = singles + pairs
+    deltas = np.zeros((len(moves), d))
+    touched = np.zeros((len(moves), d), dtype=bool)
+    for row, (idx, steps) in enumerate(moves):
+        deltas[row, list(idx)] = steps
+        touched[row, list(idx)] = True
+    deltas.flags.writeable = False
+    touched.flags.writeable = False
+    return deltas, touched
+
+
+def _neighbourhood(z: np.ndarray, bound: int, cap_half: int):
+    """Every move applied to z, and which of the trials are feasible.
+
+    A trial is feasible when each coordinate the move touches stays within
+    `bound` and the half-sum of |z| stays within `cap_half`.
+    """
+    deltas, touched = _descent_moves(len(z))
+    trials = z + deltas
+    magnitude = np.abs(trials)
+    feasible = ~np.any(touched & (magnitude > bound), axis=1)
+    feasible &= np.sum(magnitude, axis=1) <= cap_half
+    return trials, feasible
 
 
 def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes: int = 400):
     """Greedy integer descent over single and adjacent-pair moves.
 
-    Each pass evaluates the full move neighbourhood in one vectorised batch
-    and takes the best strictly improving move until none remains.
+    Each pass applies the whole move matrix to z at once, drops the
+    infeasible trials, scores the rest in move order in one batch, and takes
+    the best strictly improving move (the first on ties) until none remains.
     """
     z = z0.astype(float).copy()
     cost = model.selection_cost(z)
-    moves = _descent_moves(len(z))
     for _ in range(max_passes):
-        trials = []
-        for idx, deltas in moves:
-            trial = z.copy()
-            for i, delta in zip(idx, deltas):
-                trial[i] += delta
-            if np.max(np.abs(trial[list(idx)])) > bound:
-                continue
-            if np.sum(np.abs(trial)) > model.max_sdk_half:
-                continue
-            trials.append(trial)
-        if not trials:
+        trials, feasible = _neighbourhood(z, bound, model.max_sdk_half)
+        trials = trials[feasible]
+        if not len(trials):
             break
-        costs = model.selection_cost_batch(np.asarray(trials))
+        costs = model.selection_cost_batch(trials)
         best = int(np.argmin(costs))
         if costs[best] >= cost:
             break
@@ -224,14 +262,14 @@ def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     from scipy.optimize import minimize
 
     d = model.phase_quadratic.shape[0]
-    K, G = model.phase_quadratic, model.residual_quadratic
-
-    def f(z):
-        return (2.0 / 3.0) * (abs(z @ K @ z) - PHASE_TARGET) ** 2 + z @ G @ z
+    K = model.phase_quadratic
 
     optima = []
     for _ in range(starts):
-        result = minimize(f, rng.uniform(-0.6 * bound, 0.6 * bound, size=d), method="BFGS")
+        result = minimize(
+            model.ideal_infidelity, rng.uniform(-0.6 * bound, 0.6 * bound, size=d),
+            jac=model.ideal_infidelity_gradient, method="BFGS",
+        )
         optima.append((result.fun, result.x))
     optima.sort(key=lambda p: p[0])
 
@@ -491,7 +529,7 @@ class _TimingCost:
         return self.bind(z_half).residuals(np.asarray(t_half, dtype=float))
 
     def cost(self, z_half: np.ndarray, t_half: np.ndarray) -> float:
-        return float(np.sum(self.residuals(z_half, t_half) ** 2))
+        return self.bind(z_half).cost(np.asarray(t_half, dtype=float))
 
 
 class _BoundTimingCost:
@@ -538,6 +576,10 @@ class _BoundTimingCost:
     def residuals(self, t_half) -> np.ndarray:
         weighted, cross = self._phasors(t_half)
         return self._residuals_from(weighted, cross, len(t_half))[0]
+
+    def cost(self, t_half) -> float:
+        """Sum of squared residuals: the surrogate ideal infidelity."""
+        return float(np.sum(self.residuals(t_half) ** 2))
 
     def residuals_and_jacobian(self, t_half) -> tuple:
         """Residuals and their analytic (modes+1) x d Jacobian with respect to
@@ -667,16 +709,12 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
         timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
     )[0]
     cost = scorer(ideal, z)
-    moves = _descent_moves(len(z))
     for _ in range(6):
         improved = False
-        for idx, deltas in moves:
-            trial = z.copy()
-            for i, delta in zip(idx, deltas):
-                trial[i] += delta
-            if np.max(np.abs(trial[list(idx)])) > bound or not np.any(trial):
-                continue
-            if np.sum(np.abs(trial)) > cap_half:
+        trials, feasible = _neighbourhood(z, bound, cap_half)
+        for move in range(len(trials)):
+            trial = trials[move]
+            if not feasible[move] or not np.any(trial):
                 continue
             # cheap scoring pass; accepted moves get a full refinement below
             c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
@@ -684,6 +722,8 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             if c < cost:
                 z, t, cost = trial, tt, c
                 improved = True
+                # first improvement: the rest of the pass moves from the new z
+                trials, feasible = _neighbourhood(z, bound, cap_half)
         if not improved:
             break
     ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
@@ -824,12 +864,13 @@ def stage2(
         single-slot moves plus paired shifts of adjacent groups.
         """
         nonlocal evaluations
-        z_arr = np.asarray(half_sizes, dtype=float)
         active = [i for i, zval in enumerate(half_sizes) if zval != 0]
         times = list(start_times)
         if not (times == sorted(times) and burst_fits(half_sizes, times)):
             return math.inf, times
-        cost = timing_cost.cost(z_arr, np.asarray(times))
+        # the sizes are fixed for the whole descent: bind them once
+        bound_cost = timing_cost.bind(half_sizes)
+        cost = bound_cost.cost(np.asarray(times))
         evaluations += 1
 
         def windowed(trial, index):
@@ -856,7 +897,7 @@ def stage2(
                     trial[index] = position
                     if trial != sorted(trial) or not burst_fits(half_sizes, trial):
                         continue
-                    c = timing_cost.cost(z_arr, np.asarray(trial))
+                    c = bound_cost.cost(np.asarray(trial))
                     evaluations += 1
                     if c < best[0]:
                         best = (c, position)
@@ -871,7 +912,7 @@ def stage2(
                     trial[partner] += step * period
                     if trial != sorted(trial) or not burst_fits(half_sizes, trial):
                         continue
-                    c = timing_cost.cost(z_arr, np.asarray(trial))
+                    c = bound_cost.cost(np.asarray(trial))
                     evaluations += 1
                     if c < cost:
                         cost, times = c, trial

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chain import TrapConfig
 from .constants import CONSTANTS
@@ -283,6 +283,19 @@ def load_run_config_file(path: str | None) -> RunConfig:
 def normalized_config_dict(config: RunConfig) -> dict:
     """SI echo of the effective configuration, for provenance headers."""
     trap = config.trap
+    # Stage-1 defaults come from the dataclass itself, not a resolved config:
+    # the targets need not fit the configured chain (a num_ions sweep, modes).
+    stage1 = {f.name: f.default for f in fields(Stage1Config)}
+    stage1.update(config.stage1_kwargs)
+    sweep = None
+    if config.sweep_variable is not None:
+        # repetition rates are swept in MHz; the other variables are in SI
+        scale = 1e6 if config.sweep_variable == "repetition_rate" else 1
+        sweep = {
+            "variable": config.sweep_variable,
+            "values": [value * scale for value in config.sweep_values],
+            "samples": config.jitter_samples,
+        }
     return {
         "trap": {
             "num_ions": trap.num_ions,
@@ -294,10 +307,22 @@ def normalized_config_dict(config: RunConfig) -> dict:
         },
         "thermal": config.thermal.to_json_dict(),
         "targets": list(config.targets) if not isinstance(config.targets, str) else config.targets,
+        "stage1": {
+            "group_count": stage1["group_count"],
+            "gate_time_scan_s": list(stage1["gate_time_scan"]),
+            "z_bound_schedule": list(stage1["z_bound_schedule"]),
+            "epsilon": stage1["epsilon"],
+            "top_k": stage1["top_k"],
+            "restarts": stage1["restarts"],
+            "exhaustive_limit": stage1["exhaustive_limit"],
+            "max_sdks": stage1["max_sdks"],
+            "pulse_counting": stage1["pulse_counting"],
+        },
         "stage2": {
             "repetition_rate_hz": config.stage2.repetition_rate,
             "timing_variation": config.stage2.timing_variation,
             "local_restarts": config.stage2.local_restarts,
         },
+        "sweep": sweep,
         "seed": config.seed,
     }

@@ -91,6 +91,31 @@ class TestModesCommand:
         assert len(data["mode_freqs_rad_s"]) == 5
         assert data["provenance"]["seed"] == 0
 
+    def test_provenance_records_stage1_and_sweep(self, tmp_path):
+        variants = {
+            "base": {},
+            "max_sdks": {"stage1": {"max_sdks": 40}},
+            "epsilon": {"stage1": {"epsilon": 1e-4}},
+            "sweep": {"sweep": {"variable": "repetition_rate", "values": [100, 300]}},
+        }
+        provenance = {}
+        for name, data in variants.items():
+            config = write_config(tmp_path, data, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["--config", config, "--out", str(out), "modes"]) == 0
+            provenance[name] = json.loads((out / "modes.json").read_text())["provenance"]
+        assert len({json.dumps(p, sort_keys=True) for p in provenance.values()}) == 4
+        assert provenance["base"]["schema_version"] == 2
+        stage1 = provenance["base"]["config"]["stage1"]
+        assert stage1["max_sdks"] == 100
+        assert stage1["gate_time_scan_s"][0] == pytest.approx(0.5e-6)
+        assert provenance["max_sdks"]["config"]["stage1"]["max_sdks"] == 40
+        assert provenance["epsilon"]["config"]["stage1"]["epsilon"] == 1e-4
+        assert provenance["base"]["config"]["sweep"] is None
+        assert provenance["sweep"]["config"]["sweep"] == {
+            "variable": "repetition_rate", "values": [100e6, 300e6], "samples": 100,
+        }
+
     def test_config_error_exit_code(self, tmp_path):
         config = write_config(tmp_path, {"trap": {"num_ions": -1}})
         assert main(["--config", config, "modes"]) == 2

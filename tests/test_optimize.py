@@ -15,6 +15,9 @@ from fastgate.optimize import (
     _GAP_UNIT,
     _TimingCost,
     _box_least_squares,
+    _clip_to_sdk_cap,
+    _coordinate_descent,
+    _joint_refine,
     _refine_times,
     default_group_count,
     jitter_sensitivity,
@@ -62,6 +65,131 @@ class TestCostModel:
         batch = model.selection_cost_batch(grid)
         for row, value in zip(grid, batch):
             assert model.selection_cost(row) == pytest.approx(value, rel=1e-12)
+
+
+    def test_gradient_matches_central_differences(self, chain5):
+        rng = np.random.default_rng(4)
+        half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
+        model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+        samples = [rng.uniform(-3.0, 3.0, size=8) for _ in range(200)]
+        thetas = np.array([z @ model.phase_quadratic @ z for z in samples])
+        assert thetas.min() < 0.0 < thetas.max()
+        # both branches of |theta|, each well away from the kink at theta = 0
+        points = [samples[i] for i in np.argsort(thetas)[[0, 1, 2, -3, -2, -1]]]
+        step = 1e-6
+        for z in points:
+            numeric = np.array([
+                (model.ideal_infidelity(z + step * e) - model.ideal_infidelity(z - step * e))
+                / (2.0 * step)
+                for e in np.eye(8)
+            ])
+            analytic = model.ideal_infidelity_gradient(z)
+            scale = np.max(np.abs(numeric))
+            assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9 * scale)
+        assert model.evaluations == 0
+
+
+def _reference_coordinate_descent(model, z0, bound, max_passes=400):
+    """The per-move descent loop: one trial array per move, checked in turn."""
+    d = len(z0)
+    moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
+    moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
+    z = z0.astype(float).copy()
+    cost = model.selection_cost(z)
+    for _ in range(max_passes):
+        trials = []
+        for idx, deltas in moves:
+            trial = z.copy()
+            for i, delta in zip(idx, deltas):
+                trial[i] += delta
+            if np.max(np.abs(trial[list(idx)])) > bound:
+                continue
+            if np.sum(np.abs(trial)) > model.max_sdk_half:
+                continue
+            trials.append(trial)
+        if not trials:
+            break
+        costs = model.selection_cost_batch(np.asarray(trials))
+        best = int(np.argmin(costs))
+        if costs[best] >= cost:
+            break
+        z, cost = trials[best], float(costs[best])
+    return z.astype(int), cost
+
+
+class TestCoordinateDescent:
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_matches_per_move_reference(self, chain5, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(12):
+            gate_time = float(rng.uniform(0.6e-6, 1.4e-6))
+            half_times = [gate_time * (j + 1) / (2 * d) for j in range(d)]
+            bound = int(rng.integers(1, 8))
+            max_sdks = int(rng.integers(4, 60))
+            models = [
+                CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", max_sdks)
+                for _ in range(2)
+            ]
+            z0 = _clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
+            z_ref, cost_ref = _reference_coordinate_descent(models[0], z0, bound)
+            z_new, cost_new = _coordinate_descent(models[1], z0, bound)
+            assert np.array_equal(z_new, z_ref)
+            assert cost_new == cost_ref
+            assert models[1].evaluations == models[0].evaluations
+
+
+def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
+    """The per-move first-improvement loop of the stage-2 integer moves."""
+    d = len(z0)
+    moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
+    moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
+    z = np.asarray(z0, dtype=float)
+    ideal, t = _refine_times(
+        timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
+    )[0]
+    cost = scorer(ideal, z)
+    for _ in range(6):
+        improved = False
+        for idx, deltas in moves:
+            trial = z.copy()
+            for i, delta in zip(idx, deltas):
+                trial[i] += delta
+            if np.max(np.abs(trial[list(idx)])) > bound or not np.any(trial):
+                continue
+            if np.sum(np.abs(trial)) > cap_half:
+                continue
+            c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
+            c = scorer(c, trial)
+            if c < cost:
+                z, t, cost = trial, tt, c
+                improved = True
+        if not improved:
+            break
+    ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
+    return scorer(ideal, z), z.astype(int), t
+
+
+class TestJointRefine:
+    def test_matches_per_move_reference(self, chain5):
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.array([0.12e-6, 0.24e-6, 0.36e-6])
+        gaps = np.diff(np.concatenate([[0.0], times]))
+
+        def scorer(ideal, z):
+            return ideal + 1e-4 * float(np.sum(np.abs(z)))
+
+        for z0, bound, cap_half in (([1, -2, 1], 3, 50), ([2, -1, 0], 2, 3)):
+            outcomes = []
+            for joint in (_reference_joint_refine, _joint_refine):
+                rng = np.random.default_rng(21)
+                cost, z, t = joint(surrogate, np.array(z0), times, 0.75 * gaps, 1.25 * gaps,
+                                   bound, cap_half, scorer, rng)
+                outcomes.append((cost, z, t, rng.random()))
+            (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
+            assert c_new == c_ref
+            assert np.array_equal(z_new, z_ref)
+            assert np.array_equal(t_new, t_ref)
+            assert draw_new == draw_ref
 
 
 class TestTimingCostSurrogate:
@@ -276,6 +404,24 @@ class TestStage1:
     def test_rejects_non_adjacent_targets(self, chain5):
         with pytest.raises(ValueError):
             stage1(chain5, small_stage1_config(targets=(0, 2)), seed=0)
+
+    def test_threads_do_not_change_result(self, chain5):
+        # a small exhaustive limit sends every bound through the descent and
+        # the continuous seeds
+        config = small_stage1_config(targets=(2, 3), gate_time_scan=(0.8e-6, 0.9e-6, 1.0e-6),
+                                     z_bound_schedule=(1, 2, 3), exhaustive_limit=30)
+        runs = [stage1(chain5, config, seed=6, threads=threads) for threads in (1, 2)]
+
+        def fingerprint(candidates):
+            return [
+                (c.sequence.group_sizes, c.sequence.group_times, c.ideal_infidelity,
+                 c.adjusted_infidelity, c.sdk_count, c.design_gate_time, c.bound_found)
+                for c in candidates
+            ]
+
+        (serial, serial_telemetry), (parallel, parallel_telemetry) = runs
+        assert fingerprint(parallel) == fingerprint(serial)
+        assert parallel_telemetry == serial_telemetry
 
     def test_deterministic(self, chain2):
         a, _ = stage1(chain2, small_stage1_config(), seed=7)
