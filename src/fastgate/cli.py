@@ -10,6 +10,7 @@ file drives everything; flags win over the file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -33,8 +34,8 @@ from .optimize import (
     Stage2Config,
     jitter_sensitivity,
     optimize_gate,
+    refine_candidates,
     stage1,
-    stage2,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config_file, normalized_config_dict
 from .sequence import BurstOverlap, GridResolutionError, KickTrain
@@ -71,13 +72,19 @@ def _write_json(path: Path, data: dict):
         handle.write("\n")
 
 
-def _write_csv(path: Path, provenance: dict, header: list, rows: list):
+@contextlib.contextmanager
+def _csv_file(path: Path, provenance: dict, header: list):
+    """An open CSV file with the provenance line and the header written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        yield handle
+
+
+def _write_csv(path: Path, provenance: dict, header: list, rows: list):
+    with _csv_file(path, provenance, header) as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def cmd_modes(config: RunConfig, out_dir: Path) -> int:
@@ -133,16 +140,14 @@ def cmd_optimize(config: RunConfig, out_dir: Path, threads: int) -> int:
     chain, result = _optimize_once(config, threads)
     _write_json(out_dir / "result.json", _result_document(config, chain, result))
 
-    rows = []
-    for basis in ((1, 1), (1, -1)):
-        for t, m, q, v in trajectory_samples(result.train, chain, basis):
-            rows.append([f"{t:.12e}", m, f"{q:.12e}", f"{v:.12e}", f"{basis[0]}", f"{basis[1]}"])
-    _write_csv(
-        out_dir / "trajectory.csv",
-        _provenance(config),
-        ["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"],
-        rows,
-    )
+    header = ["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"]
+    with _csv_file(out_dir / "trajectory.csv", _provenance(config), header) as handle:
+        for basis in ((1, 1), (1, -1)):
+            # the bytes csv.writer would write for these rows, one format per row
+            row_format = "%.12e,%d,%.12e,%.12e," + "%d,%d\r\n" % basis
+            handle.writelines(
+                row_format % row for row in trajectory_samples(result.train, chain, basis)
+            )
     summary = _summary_lines(result)
     (out_dir / "summary.txt").write_text(
         "\n".join(["# " + json.dumps(_provenance(config), sort_keys=True)] + summary) + "\n",
@@ -209,13 +214,10 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
                 timing_variation=config.stage2.timing_variation,
                 local_restarts=config.stage2.local_restarts,
             )
-            results = [
-                stage2(c, chain, stage2_config, config.thermal, stage1_config.epsilon,
-                       seed=config.seed, counting=stage1_config.pulse_counting,
-                       max_sdks=stage1_config.max_sdks,
-                       z_bound=stage1_config.z_bound_schedule[-1])
-                for c in candidates
-            ]
+            results, _ = refine_candidates(
+                candidates, chain, stage1_config, stage2_config,
+                seed=config.seed, threads=threads,
+            )
             best = min(results, key=lambda r: 1.0 - r.adjusted_fidelity)
             rows.append(_sweep_row(variable, value, best.report,
                                    1.0 - best.adjusted_fidelity, best))

@@ -236,7 +236,12 @@ def trajectory_samples(
     basis_state: tuple,
     points_per_segment: int = 12,
 ) -> list:
-    """Sampled (time_s, mode, Q_m, V_m) rows for phase-space plotting."""
+    """Sampled (time_s, mode, Q_m, V_m) rows for phase-space plotting.
+
+    Each free segment is sampled at `points_per_segment` even steps, all
+    samples of a segment computed together; every sample time gives one row
+    per mode.
+    """
     n = chain.num_ions
     w = chain.mode_frequencies
     mu, nu = train.target_ions
@@ -250,25 +255,28 @@ def trajectory_samples(
     q = np.zeros(n)
     v = np.zeros(n)
     t_cur = train.kick_times[0]
+    modes = list(range(n))
+    steps = np.arange(1, points_per_segment)
 
-    def emit(t, qv, vv):
-        for m in range(n):
-            rows.append((t, m, qv[m], vv[m]))
+    def emit(times, qs, vs):
+        rows.extend(zip(
+            np.repeat(times, n).tolist(), modes * len(times),
+            qs.ravel().tolist(), vs.ravel().tolist(),
+        ))
 
-    emit(t_cur, q, v)
+    emit([t_cur], q, v)
     for t_k, sign in zip(train.kick_times, train.kick_signs):
         tau = t_k - t_cur
         if tau > 0.0:
-            for step in range(1, points_per_segment):
-                dt = tau * step / points_per_segment
-                c, s = np.cos(w * dt), np.sin(w * dt)
-                emit(t_cur + dt, q * c + (v / w) * s, v * c - w * q * s)
+            dt = tau * steps / points_per_segment
+            c, s = np.cos(dt[:, None] * w), np.sin(dt[:, None] * w)
+            emit(t_cur + dt, q * c + (v / w) * s, v * c - w * q * s)
             c, s = np.cos(w * tau), np.sin(w * tau)
             q, v = q * c + (v / w) * s, v * c - w * q * s
             t_cur = t_k
-            emit(t_cur, q, v)
+            emit([t_cur], q, v)
         v = v + sign * dv_unit
-        emit(t_cur, q, v)
+        emit([t_cur], q, v)
     return rows
 
 

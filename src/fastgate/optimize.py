@@ -15,7 +15,14 @@ quick timing refinement, let it escape the stiff uniform-timing lattice
 before the final on-grid coordinate descent.  The timing refinement is a
 small projected Levenberg-Marquardt solver on the box-bounded gaps, written
 here in numpy because the fits are tiny: one gap per group against one
-residual per mode plus the phase.  Both stages are deterministic under a
+residual per mode plus the phase.  Independent fits run as lanes of one
+stack (the starts of one refinement, or a batch of integer moves), each
+lane doing exactly the arithmetic it would do alone, so the numpy call
+overhead is paid once per batch.  A batch of moves stops once every lane up
+to the first improving move has finished: that move is taken, the lanes
+after it are abandoned, and the next batch starts after it, which keeps the
+decisions of scoring the moves one at a time.  The lane count follows from
+the mode count (`_lane_count`).  Both stages are deterministic under a
 seed, and parallel work is merged in a fixed order so serial and parallel
 runs produce identical output.
 """
@@ -538,127 +545,273 @@ class _BoundTimingCost:
 
     Residual entry 0 is the weighted phase mismatch, the rest are the
     weighted per-mode displacement residuals; the least-squares structure is
-    what the Levenberg-Marquardt timing refinement exploits.
+    what the Levenberg-Marquardt timing refinement exploits.  Every method
+    takes the half times as one (d,) row or as a (lanes, d) stack and
+    answers in the same shape, each lane computed exactly as it would be
+    alone.  The sizes are one (d,) row shared by every lane or a (lanes, d)
+    stack, one row per lane.
     """
 
     def __init__(self, parent: _TimingCost, z_half: np.ndarray):
         self.parent = parent
-        self.z_half = z_half
-        d = len(z_half)
-        z_full = np.concatenate([-z_half[::-1], z_half])
-        n_modes = len(parent.w)
-        self.effective = np.empty((n_modes, 2 * d))
-        within_total = np.zeros(n_modes)
-        for i, zi in enumerate(z_full):
-            form, within = parent._burst_terms(abs(int(zi)))
-            self.effective[:, i] = math.copysign(1.0, zi) * form if zi else 0.0
-            within_total += within
-        self.within_theta = float(np.sum(parent.phase_scale * within_total))
+        counts = np.abs(z_half).astype(int)
+        terms = [parent._burst_terms(c) for c in range(int(np.max(counts, initial=0)) + 1)]
+        forms = np.array([form for form, _ in terms])
+        withins = np.array([within for _, within in terms])
+        # positive-half slots only: a group's mirrored slot has the opposite sign
+        self.effective = np.ascontiguousarray(
+            np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
+        )
+        # accumulated slot by slot over the full slot list, mirrored half first
+        full_counts = np.concatenate([counts[..., ::-1], counts], axis=-1)
+        within_total = np.zeros(full_counts.shape[:-1] + (len(parent.w),))
+        for slot in range(full_counts.shape[-1]):
+            within_total += withins[full_counts[..., slot]]
+        self.within_theta = np.sum(parent.phase_scale * within_total, axis=-1)
         self.alpha_scale = (2.0 * parent.eta * np.sqrt(parent.weights))[:, None]
 
-    def _phasors(self, t_half):
-        """Weighted slot phasors and their products with the conjugated
-        prefix sums over the earlier slots."""
-        t = np.concatenate([-t_half[::-1], t_half])
-        weighted = np.exp(1j * np.outer(self.parent.w, t)) * self.effective
-        prefix = np.cumsum(weighted, axis=1) - weighted
-        return weighted, weighted * np.conj(prefix)
+    def _lane_terms(self, lanes):
+        """Effective kick sizes and within-burst phase of the given lanes."""
+        if lanes is None or self.effective.ndim == 2:
+            return self.effective, self.within_theta
+        return self.effective[lanes], self.within_theta[lanes]
 
-    def _residuals_from(self, weighted, cross, d):
-        pair_sums = np.imag(np.sum(cross, axis=1))
-        theta = float(np.sum(self.parent.phase_scale * pair_sums)) + self.within_theta
-        out = np.empty(1 + weighted.shape[0])
-        out[0] = math.sqrt(2.0 / 3.0) * (abs(theta) - PHASE_TARGET)
+    def _phasors(self, t_half, effective):
+        """Weighted slot phasors of a (lanes, d) stack of half times and their
+        products with the conjugated prefix sums over the earlier slots.
+
+        Only the positive half is exponentiated: slot -t_j carries
+        exp(-i w t_j) = conj(exp(i w t_j)) and the opposite sign, so the
+        mirrored half is the negated conjugate of the positive half, reversed.
+        """
+        half = np.exp(1j * (self.parent.w[:, None] * t_half[:, None, :])) * effective
+        weighted = np.concatenate([-half[..., ::-1].conj(), half], axis=-1)
+        prefix = weighted.cumsum(axis=-1) - weighted
+        return weighted, weighted * prefix.conj()
+
+    def _residuals_from(self, weighted, cross, within_theta):
+        d = weighted.shape[-1] // 2
+        pair_sums = cross.sum(axis=-1).imag
+        theta = (self.parent.phase_scale * pair_sums).sum(axis=-1) + within_theta
+        out = np.empty((len(theta), 1 + weighted.shape[-2]))
+        out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
         # antisymmetry doubles the positive-half imaginary part
-        out[1:] = 2.0 * self.alpha_scale[:, 0] * np.imag(np.sum(weighted[:, d:], axis=1))
+        out[:, 1:] = 2.0 * self.alpha_scale[:, 0] * weighted[..., d:].sum(axis=-1).imag
         return out, theta
 
     def residuals(self, t_half) -> np.ndarray:
-        weighted, cross = self._phasors(t_half)
-        return self._residuals_from(weighted, cross, len(t_half))[0]
+        t, single = _as_lanes(t_half)
+        effective, within_theta = self._lane_terms(None)
+        out = self._residuals_from(*self._phasors(t, effective), within_theta)[0]
+        return out[0] if single else out
 
-    def cost(self, t_half) -> float:
+    def cost(self, t_half):
         """Sum of squared residuals: the surrogate ideal infidelity."""
-        return float(np.sum(self.residuals(t_half) ** 2))
+        costs = (self.residuals(t_half) ** 2).sum(axis=-1)
+        return float(costs) if np.ndim(t_half) == 1 else costs
 
-    def residuals_and_jacobian(self, t_half) -> tuple:
+    def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
         """Residuals and their analytic (modes+1) x d Jacobian with respect to
-        t_half, both from one set of phasors."""
-        weighted, cross = self._phasors(t_half)
+        t_half, both from one set of phasors.  `lanes` picks the rows of a
+        per-lane binding that the stack of times belongs to."""
+        t, single = _as_lanes(t_half)
+        effective, within_theta = self._lane_terms(lanes)
+        weighted, cross = self._phasors(t, effective)
         w = self.parent.w
-        d = len(t_half)
-        out, theta = self._residuals_from(weighted, cross, d)
+        d = t.shape[-1]
+        out, theta = self._residuals_from(weighted, cross, within_theta)
         # suffix sums over the full slot list, excluding the slot itself
-        suffix = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1] - weighted
+        suffix = weighted[..., ::-1].cumsum(axis=-1)[..., ::-1] - weighted
         # dS_m/dt_k over full slots: w * Re[w_k conj(prefix) - conj(w_k) suffix]
-        slot_grad = w[:, None] * (np.real(cross) - np.real(np.conj(weighted) * suffix))
+        slot_grad = w[:, None] * (cross.real - (weighted.conj() * suffix).real)
         # chain rule through the mirror: t_{-j} = -t_j
         theta_grad = (
-            self.parent.phase_scale @ (slot_grad[:, d:] - slot_grad[:, :d][:, ::-1])
+            self.parent.phase_scale @ (slot_grad[..., d:] - slot_grad[..., :d][..., ::-1])
         )
-        jac = np.empty((1 + len(w), d))
-        jac[0] = math.sqrt(2.0 / 3.0) * math.copysign(1.0, theta) * theta_grad
-        jac[1:] = 2.0 * self.alpha_scale * (w[:, None] * np.real(weighted[:, d:]))
-        return out, jac
+        jac = np.empty(out.shape + (d,))
+        jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * theta_grad
+        jac[:, 1:] = 2.0 * self.alpha_scale * (w[:, None] * weighted[..., d:].real)
+        return (out[0], jac[0]) if single else (out, jac)
+
+
+def _as_lanes(t_half):
+    """A (lanes, d) view of one row or a stack of half times, and whether it
+    was one row."""
+    t = np.asarray(t_half, dtype=float)
+    return (t[None], True) if t.ndim == 1 else (t, False)
 
 
 _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
+# Lanes times modes in one batch of speculative stage-2 fits.  With few modes
+# an LM iteration is almost all numpy call overhead, paid once per batch, so
+# many lanes are nearly free; with many modes the arithmetic dominates and
+# lanes abandoned after an accepted move are wasted work.
+_LANE_BUDGET = 400
 
 
-def _box_least_squares(fun, x0, lower, upper, budget):
-    """Minimise sum r(x)^2 subject to lower <= x <= upper.
+def _lane_count(modes: int) -> int:
+    """Lanes per batch of speculative stage-2 work (joint-refinement moves,
+    paired grid shifts) for a chain with `modes` modes."""
+    return max(1, _LANE_BUDGET // modes)
+
+
+def _rowdot(a, b):
+    """Per-lane dot products of two (lanes, n) stacks, each a 1-D dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _damped_steps(jac, grad, free, damping):
+    """Marquardt-damped Gauss-Newton steps over each lane's free variables.
+
+    Lanes are grouped by how many variables they have free, so every lane
+    solves the same f x f system, column for column, that it would alone.
+    """
+    residuals = jac.shape[1]
+    step = np.zeros_like(grad)
+    counts = free.sum(axis=1)
+    for f in set(counts.tolist()):
+        rows = counts == f
+        picked = free & rows[:, None]  # lane by lane, the free columns in order
+        # the free columns of each lane's J as the rows of a C-ordered block
+        block = jac.swapaxes(1, 2)[picked].reshape(-1, f, residuals)
+        normal = block @ block.swapaxes(1, 2)
+        scale = normal.diagonal(axis1=1, axis2=2)
+        # floor keeps the damped system definite when a column of J vanishes
+        scale = np.maximum(scale, 1e-12 * scale.max(axis=1, keepdims=True))
+        normal.reshape(len(normal), -1)[:, :: f + 1] += damping[rows][:, None] * scale
+        step[picked] = np.linalg.solve(normal, -grad[picked].reshape(-1, f, 1)).ravel()
+    return step
+
+
+def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
+    """Minimise sum r(x)^2 subject to lower <= x <= upper, for a stack of
+    independent fits.
 
     Projected Levenberg-Marquardt (More 1978) with an active set: a variable
     at a bound whose gradient points out of the box is frozen for the step,
     and the Marquardt-damped normal equations are solved over the free
     variables only; the trial point is projected back into the box.  The
     damping is scaled by the diagonal of J^T J, so underdetermined fits
-    (fewer residuals than variables) need no special case.  `fun(x)` returns
-    the residuals and their Jacobian; each call counts against `budget`.
-    Stops when the relative cost decrease (ftol), the relative step length
-    (xtol) or the projected gradient (gtol) falls to `_LM_TOL`, or when the
-    budget runs out.  Returns (sum r^2, x).
+    (fewer residuals than variables) need no special case.  Each fit stops
+    when the relative cost decrease (ftol), the relative step length (xtol)
+    or the projected gradient (gtol) falls to `_LM_TOL`, or when the budget
+    runs out.
+
+    The fits run as lanes.  `x0` is one (d,) start, for which `fun(x)`
+    returns the residuals and their Jacobian, or a (lanes, d) stack of
+    starts sharing the box, for which `fun(x, lanes)` gets the rows still
+    running with their lane indices and returns (rows, residuals) residuals
+    and a (rows, residuals, d) Jacobian.  All lanes advance one iteration at
+    a time, each doing exactly the arithmetic it would do alone, and a lane
+    that stops drops out of the stack.  Every running lane evaluates once
+    per iteration, so the lanes share one count against `budget`.
+    `stop(finished, cost)`, if given, is called before each iteration and
+    once every lane has stopped, with which lanes have stopped and their
+    final costs; returning True abandons the lanes still running, whose
+    results are then NaN.  Returns (sum r^2, x), per lane for a stack.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    r, jac = fun(x)
+    single = np.ndim(x0) == 1
+    if single:
+        one_fit = fun
+
+        def fun(x, lanes):
+            r, jac = one_fit(x[0])
+            return r[None], jac[None]
+
+    x = np.clip(np.atleast_2d(np.asarray(x0, dtype=float)), lower, upper)
+    best_cost = np.full(len(x), np.nan)
+    best_x = np.full_like(x, np.nan)
+    finished = np.zeros(len(x), dtype=bool)
+    lanes = np.arange(len(x))
+    r, jac = fun(x, lanes)
     evaluations = 1
-    cost = float(r @ r)
-    damping, growth = 1e-3, 2.0
-    while evaluations < budget and cost > 0.0:
-        grad = jac.T @ r
+    cost = _rowdot(r, r)
+    damping = np.full(len(x), 1e-3)
+    growth = np.full(len(x), 2.0)
+
+    def retire(done):
+        stopped = lanes[done]
+        finished[stopped] = True
+        best_cost[stopped] = cost[done]
+        best_x[stopped] = x[done]
+        return ~done
+
+    while not (stop is not None and stop(finished, best_cost)) and len(lanes):
+        grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
         free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
-        if not np.any(free) or np.max(np.abs(grad[free])) <= _LM_TOL:
-            break
-        jac_free = jac[:, free]
-        normal = jac_free.T @ jac_free
-        scale = np.diag(normal)
-        # floor keeps the damped system definite when a column of J vanishes
-        scale = np.maximum(scale, 1e-12 * np.max(scale))
-        step = np.zeros_like(x)
-        step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad[free])
-        x_new = np.clip(x + step, lower, upper)
+        done = (cost <= 0.0) | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
+        if evaluations >= budget:
+            done[:] = True
+        if done.any():
+            keep = retire(done)
+            lanes, x, r, jac, cost, damping, growth, grad, free = (
+                a[keep] for a in (lanes, x, r, jac, cost, damping, growth, grad, free)
+            )
+            if not len(lanes):
+                continue
+        x_new = np.minimum(np.maximum(x + _damped_steps(jac, grad, free, damping), lower), upper)
         delta = x_new - x
-        if np.linalg.norm(delta) <= _LM_TOL * (_LM_TOL + np.linalg.norm(x)):
-            break
-        linear = r + jac @ delta
-        predicted = cost - float(linear @ linear)
-        r_new, jac_new = fun(x_new)
+        done = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
+        if done.any():
+            keep = retire(done)
+            lanes, x, r, jac, cost, damping, growth, x_new, delta = (
+                a[keep] for a in (lanes, x, r, jac, cost, damping, growth, x_new, delta)
+            )
+            if not len(lanes):
+                continue
+        linear = r + (jac @ delta[:, :, None])[:, :, 0]
+        predicted = cost - _rowdot(linear, linear)
+        r_new, jac_new = fun(x_new, lanes)
         evaluations += 1
-        cost_new = float(r_new @ r_new)
+        cost_new = _rowdot(r_new, r_new)
         # Nielsen's damping rule, floored because J^T J is singular when the
         # fit has fewer residuals than free variables
-        if predicted > 0.0 and cost_new < cost:
-            ratio = (cost - cost_new) / predicted
-            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
-            growth = 2.0
-            converged = cost - cost_new <= _LM_TOL * cost
-            x, r, jac, cost = x_new, r_new, jac_new, cost_new
-            if converged:
-                break
-        else:
-            damping *= growth
-            growth *= 2.0
-    return cost, x
+        accepted = (predicted > 0.0) & (cost_new < cost)
+        gain = cost - cost_new
+        ratio = np.divide(gain, predicted, out=np.zeros_like(gain), where=accepted)
+        # Python's float power, as a lone fit computes it: numpy's vectorised
+        # power can differ in the last bit
+        cube = np.array([u**3 for u in (2.0 * ratio - 1.0).tolist()])
+        damping = np.where(
+            accepted,
+            np.maximum(damping * np.maximum(1.0 / 3.0, 1.0 - cube), 1e-12),
+            damping * growth,
+        )
+        growth = np.where(accepted, 2.0, 2.0 * growth)
+        converged = accepted & (gain <= _LM_TOL * cost)
+        x = np.where(accepted[:, None], x_new, x)
+        r = np.where(accepted[:, None], r_new, r)
+        jac = np.where(accepted[:, None, None], jac_new, jac)
+        cost = np.where(accepted, cost_new, cost)
+        if converged.any():
+            keep = retire(converged)
+            lanes, x, r, jac, cost, damping, growth = (
+                a[keep] for a in (lanes, x, r, jac, cost, damping, growth)
+            )
+    if single:
+        return float(best_cost[0]), best_x[0]
+    return best_cost, best_x
+
+
+def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget, stop=None):
+    """Timing fits of a stack of lanes, each from its own (d,) row of start
+    gaps, every gap held inside [gap_lo, gap_hi].
+
+    The gaps are rescaled to O(1) for `_box_least_squares`; `stop` is passed
+    on to it.  Returns the per-lane sum r^2 and refined half times.
+    """
+    def residuals_and_jacobian(scaled_gaps, lanes):
+        r, per_time = bound_cost.residuals_and_jacobian(
+            (scaled_gaps * _GAP_UNIT).cumsum(axis=1), lanes
+        )
+        # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
+        return r, per_time[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
+
+    costs, scaled = _box_least_squares(
+        residuals_and_jacobian, start_gaps / _GAP_UNIT, gap_lo / _GAP_UNIT,
+        gap_hi / _GAP_UNIT, budget, stop,
+    )
+    return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
 
 
 def _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
@@ -666,34 +819,47 @@ def _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1,
 
     The cost is a sum of squared residuals (phase mismatch plus weighted
     per-mode displacements), minimised by `_box_least_squares` over the
-    inter-group gaps rescaled to O(1), each held inside its window.
-    Optional extra starts jitter the initial gaps inside the windows
-    (deterministic under `rng`); all solutions are returned as
-    (sum r^2, half times), best first.
+    inter-group gaps, each held inside its window.  Optional extra starts
+    jitter the initial gaps inside the windows (deterministic under `rng`,
+    drawn in start order); all starts run as lanes of one stack, and all
+    solutions are returned as (sum r^2, half times), best first.
     """
     gaps0 = np.clip(np.diff(np.concatenate([[0.0], t_start])), gap_lo, gap_hi)
-    lower = gap_lo / _GAP_UNIT
-    upper = gap_hi / _GAP_UNIT
-    bound_cost = timing_cost.bind(z)
+    start_gaps = [gaps0] + [
+        np.clip(gaps0 * (1.0 + rng.uniform(-0.15, 0.15, size=len(gaps0))), gap_lo, gap_hi)
+        for _ in range(starts - 1)
+    ]
+    costs, times = _fit_gaps(timing_cost.bind(z), np.array(start_gaps), gap_lo, gap_hi, budget)
+    return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
 
-    def residuals_and_jacobian(scaled_gaps):
-        r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT))
-        # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
-        return r, np.cumsum(per_time[:, ::-1], axis=1)[:, ::-1] * _GAP_UNIT
 
-    solutions = []
-    for attempt in range(starts):
-        if attempt == 0:
-            start = gaps0
-        else:
-            jitter = rng.uniform(-0.15, 0.15, size=len(gaps0))
-            start = np.clip(gaps0 * (1.0 + jitter), gap_lo, gap_hi)
-        cost, scaled = _box_least_squares(
-            residuals_and_jacobian, start / _GAP_UNIT, lower, upper, budget
-        )
-        solutions.append((cost, np.cumsum(scaled * _GAP_UNIT)))
-    solutions.sort(key=lambda item: item[0])
-    return solutions
+def _first_improving(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer):
+    """The first of `trials`, in order, whose quick timing fit from `t`
+    scores below `cost`, as (index, score, half times); None if none does.
+
+    Every trial is one lane of a budget-60 fit.  The fits stop as soon as
+    every lane up to the first improving one has finished; the lanes after
+    it are abandoned unscored.
+    """
+    gaps = np.clip(np.diff(np.concatenate([[0.0], t])), gap_lo, gap_hi)
+    taken = []
+    scored = 0  # the lanes before this one finished without improving
+
+    def first_improvement(finished, fit_costs):
+        nonlocal scored
+        while not taken and scored < len(trials) and finished[scored]:
+            score = scorer(float(fit_costs[scored]), trials[scored])
+            if score < cost:
+                taken.append(score)
+            else:
+                scored += 1
+        return bool(taken)
+
+    _, times = _fit_gaps(
+        timing_cost.bind(trials), np.tile(gaps, (len(trials), 1)), gap_lo, gap_hi,
+        budget=60, stop=first_improvement,
+    )
+    return (scored, taken[0], times[scored]) if taken else None
 
 
 def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
@@ -702,28 +868,36 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     Escapes the uniform-timing lattice: each candidate z is judged by the
     best analytic cost reachable inside the timing windows, not by its cost
     at the current timings.  `scorer(ideal, z)` folds in the pulse-error
-    selection pressure.
+    selection pressure.  The moves are scored in move order, a batch of
+    lanes at a time (`_lane_count`), with first improvement: the first
+    improving move of a batch is taken, and the next batch starts after it
+    from the new sizes and timings, so the decisions are those of scoring
+    the moves one at a time.
     """
     z = np.asarray(z0, dtype=float)
     ideal, t = _refine_times(
         timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
     )[0]
     cost = scorer(ideal, z)
+    lanes = _lane_count(len(timing_cost.w))
     for _ in range(6):
         improved = False
-        trials, feasible = _neighbourhood(z, bound, cap_half)
-        for move in range(len(trials)):
-            trial = trials[move]
-            if not feasible[move] or not np.any(trial):
+        move = 0
+        while True:
+            trials, feasible = _neighbourhood(z, bound, cap_half)
+            batch = np.flatnonzero(feasible & np.any(trials, axis=1))
+            batch = batch[batch >= move][:lanes]
+            if not len(batch):
+                break
+            taken = _first_improving(timing_cost, trials[batch], t, gap_lo, gap_hi, cost, scorer)
+            if taken is None:
+                move = batch[-1] + 1
                 continue
-            # cheap scoring pass; accepted moves get a full refinement below
-            c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
-            c = scorer(c, trial)
-            if c < cost:
-                z, t, cost = trial, tt, c
-                improved = True
-                # first improvement: the rest of the pass moves from the new z
-                trials, feasible = _neighbourhood(z, bound, cap_half)
+            # first improvement: the rest of the pass moves from the new z
+            lane, cost, t = taken
+            z = trials[batch[lane]]
+            move = batch[lane] + 1
+            improved = True
         if not improved:
             break
     ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
@@ -731,6 +905,111 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
 
 
 _RESTART_SCALES = (1.0, 0.5, 0.7, 0.35, 0.85, 0.25, 0.6, 0.2)
+
+
+def _burst_fits(half_sizes, times, period):
+    """Whether every group's burst fits its gap on the grid of `period`."""
+    kept = [(abs(z), t) for z, t in zip(half_sizes, times) if z != 0]
+    if not kept:
+        return False
+    if kept[0][1] < ((kept[0][0] - 1) / 2 + 0.5) * period * (1 - 1e-9):
+        return False
+    for (na, ta), (nb, tb) in zip(kept, kept[1:]):
+        if tb - ta < ((na - 1) / 2 + (nb - 1) / 2 + 1) * period * (1 - 1e-9):
+            return False
+    return True
+
+
+def _grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
+                  max_slots=5):
+    """On-grid coordinate descent over the group times.
+
+    Runs on the analytic surrogate, which matches the expanded-train
+    trajectory cost to float precision for valid on-grid configurations;
+    single-slot moves plus paired shifts of adjacent groups.  Each group's
+    single-slot scan is scored as one batch and takes the cheapest strictly
+    improving slot, the earliest on ties.  The paired shifts take the first
+    improvement in order; they are scored a batch of lanes at a time
+    (`_lane_count`), and the shifts after an improving one are scored again
+    from the new times, so only the shifts a one-at-a-time scan would score
+    count as evaluations.  Returns (cost, times, surrogate evaluations); the
+    cost is infinite when the start times are infeasible.
+    """
+    period = timing_cost.period
+    active = [i for i, zval in enumerate(half_sizes) if zval != 0]
+    times = list(start_times)
+    if not (times == sorted(times) and _burst_fits(half_sizes, times, period)):
+        return math.inf, times, 0
+    # the sizes are fixed for the whole descent: bind them once
+    bound_cost = timing_cost.bind(half_sizes)
+    cost = bound_cost.cost(np.asarray(times))
+    evaluations = 1
+    lanes = _lane_count(len(timing_cost.w))
+
+    def windowed(trial, index):
+        prev_t = trial[index - 1] if index > 0 else 0.0
+        low = prev_t + anchor_gap_lo[index]
+        high = prev_t + anchor_gap_hi[index]
+        if index + 1 < len(trial):
+            low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
+            high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
+        return low - 0.25 * period, high + 0.25 * period
+
+    for _ in range(40):
+        moved = False
+        for index in active:
+            low, high = windowed(times, index)
+            positions, trials = [], []
+            for step in range(-max_slots, max_slots + 1):
+                if step == 0:
+                    continue
+                position = times[index] + step * period
+                if position < low or position > high:
+                    continue
+                trial = list(times)
+                trial[index] = position
+                if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
+                    continue
+                positions.append(position)
+                trials.append(trial)
+            if not trials:
+                continue
+            costs = bound_cost.cost(np.array(trials))
+            evaluations += len(trials)
+            best = int(np.argmin(costs))
+            if costs[best] < cost:
+                cost, times[index] = float(costs[best]), positions[best]
+                moved = True
+        shifts = [(index, partner, step) for index, partner in zip(active, active[1:])
+                  for step in (-2, -1, 1, 2)]
+        first = 0
+        while first < len(shifts):
+            # speculative batch: the next feasible shifts, each from the current times
+            batch, trials = [], []
+            for shift in range(first, len(shifts)):
+                if len(trials) == lanes:
+                    break
+                index, partner, step = shifts[shift]
+                trial = list(times)
+                trial[index] += step * period
+                trial[partner] += step * period
+                if trial == sorted(trial) and _burst_fits(half_sizes, trial, period):
+                    batch.append(shift)
+                    trials.append(trial)
+            if not trials:
+                break
+            costs = bound_cost.cost(np.array(trials))
+            first = batch[-1] + 1
+            for shift, trial, c in zip(batch, trials, costs.tolist()):
+                evaluations += 1
+                if c < cost:
+                    # first improvement: later shifts move from the new times
+                    cost, times, first = c, trial, shift + 1
+                    moved = True
+                    break
+        if not moved:
+            break
+    return cost, times, evaluations
 
 
 def _snap_half_times(half_sizes, half_times, rate):
@@ -844,103 +1123,30 @@ def stage2(
         joint_paths.append((cost, [int(v) for v in z_refined], t_refined))
     joint_paths.sort(key=lambda p: (p[0], tuple(p[1])))
 
-    def burst_fits(half_sizes, times):
-        kept = [(abs(z), t) for z, t in zip(half_sizes, times) if z != 0]
-        if not kept:
-            return False
-        if kept[0][1] < ((kept[0][0] - 1) / 2 + 0.5) * period * (1 - 1e-9):
-            return False
-        for (na, ta), (nb, tb) in zip(kept, kept[1:]):
-            if tb - ta < ((na - 1) / 2 + (nb - 1) / 2 + 1) * period * (1 - 1e-9):
-                return False
-        return True
-
-    def grid_descent(half_sizes, start_times, anchor_gap_lo, anchor_gap_hi, phase,
-                     max_slots=5):
-        """On-grid coordinate descent over the group times.
-
-        Runs on the analytic surrogate, which matches the expanded-train
-        trajectory cost to float precision for valid on-grid configurations;
-        single-slot moves plus paired shifts of adjacent groups.
-        """
-        nonlocal evaluations
-        active = [i for i, zval in enumerate(half_sizes) if zval != 0]
-        times = list(start_times)
-        if not (times == sorted(times) and burst_fits(half_sizes, times)):
-            return math.inf, times
-        # the sizes are fixed for the whole descent: bind them once
-        bound_cost = timing_cost.bind(half_sizes)
-        cost = bound_cost.cost(np.asarray(times))
-        evaluations += 1
-
-        def windowed(trial, index):
-            prev_t = trial[index - 1] if index > 0 else 0.0
-            low = prev_t + anchor_gap_lo[index]
-            high = prev_t + anchor_gap_hi[index]
-            if index + 1 < len(trial):
-                low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
-                high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
-            return low - 0.25 * period, high + 0.25 * period
-
-        for _ in range(40):
-            moved = False
-            for index in active:
-                low, high = windowed(times, index)
-                best = (cost, times[index])
-                for step in range(-max_slots, max_slots + 1):
-                    if step == 0:
-                        continue
-                    position = times[index] + step * period
-                    if position < low or position > high:
-                        continue
-                    trial = list(times)
-                    trial[index] = position
-                    if trial != sorted(trial) or not burst_fits(half_sizes, trial):
-                        continue
-                    c = bound_cost.cost(np.asarray(trial))
-                    evaluations += 1
-                    if c < best[0]:
-                        best = (c, position)
-                if best[1] != times[index]:
-                    cost, times[index] = best[0], best[1]
-                    moved = True
-            for pos, index in enumerate(active[:-1]):
-                partner = active[pos + 1]
-                for step in (-2, -1, 1, 2):
-                    trial = list(times)
-                    trial[index] += step * period
-                    trial[partner] += step * period
-                    if trial != sorted(trial) or not burst_fits(half_sizes, trial):
-                        continue
-                    c = bound_cost.cost(np.asarray(trial))
-                    evaluations += 1
-                    if c < cost:
-                        cost, times = c, trial
-                        moved = True
-            if not moved:
-                break
-        return cost, times
-
     solutions = []  # (adjusted cost, sizes, times, phase, tag)
 
     def add_grid_solutions(half_sizes, t_continuous, anchor_lo, anchor_hi, tag):
+        """Snap to both grid phases and polish; returns the evaluations spent."""
         z_arr = np.asarray(half_sizes, dtype=float)
+        spent = 0
         for phase in phases:
             snapped_times = [
                 snap_group_time(t, z, rate, phase) if z != 0 else t
                 for z, t in zip(half_sizes, t_continuous)
             ]
-            cost, polished = grid_descent(
-                half_sizes, snapped_times, anchor_lo, anchor_hi, phase
+            cost, polished, used = _grid_descent(
+                timing_cost, half_sizes, snapped_times, anchor_lo, anchor_hi
             )
+            spent += used
             if math.isfinite(cost):
                 solutions.append(
                     (adjusted(cost, z_arr), list(half_sizes), polished, phase, tag)
                 )
+        return spent
 
     # Seed path: pure Stage-1 sizes and timings, snapped and polished within
     # the stage-1 windows (the never-worse-than-seed guarantee).
-    add_grid_solutions(sizes0, times0, gap_lo, gap_hi, "seed")
+    evaluations += add_grid_solutions(sizes0, times0, gap_lo, gap_hi, "seed")
 
     # Joint paths: each refined solution (and nearby multistart solutions)
     # snapped on both grid phases and polished inside windows re-anchored
@@ -959,7 +1165,9 @@ def stage2(
             anchor_hi = np.minimum(slack_hi, gap_hi)
             if np.any(anchor_hi < anchor_lo):
                 continue
-            add_grid_solutions(z_final, list(t_solution), anchor_lo, anchor_hi, "joint")
+            evaluations += add_grid_solutions(
+                z_final, list(t_solution), anchor_lo, anchor_hi, "joint"
+            )
 
     if not solutions:
         raise GridResolutionError(
@@ -1004,7 +1212,42 @@ def stage2(
 
 
 def _stage2_task(args):
-    return stage2(*args)
+    """Stage 2 of one candidate, returning rather than raising the error of a
+    candidate the repetition rate cannot express, in a worker as in-process."""
+    try:
+        return stage2(*args)
+    except GridResolutionError as exc:
+        return exc
+
+
+def refine_candidates(
+    candidates: list,
+    chain: ChainModel,
+    stage1_config: Stage1Config,
+    stage2_config: Stage2Config,
+    seed: int = 0,
+    threads: int = 1,
+) -> tuple:
+    """Stage 2 of every stage-1 candidate, results in candidate order.
+
+    A candidate whose timings the repetition rate cannot express is dropped
+    instead of aborting the batch.  Returns the results and the number of
+    candidates dropped; raises `GridResolutionError` when none is left.
+    """
+    tasks = [
+        (c, chain, stage2_config, stage1_config.thermal, stage1_config.epsilon,
+         seed, stage1_config.pulse_counting, stage1_config.max_sdks,
+         stage1_config.z_bound_schedule[-1])
+        for c in candidates
+    ]
+    outcomes = _map_ordered(_stage2_task, tasks, threads)
+    results = [o for o in outcomes if isinstance(o, OptimizationResult)]
+    if not results:
+        raise GridResolutionError(
+            f"all {len(outcomes)} stage-1 candidates are infeasible at "
+            f"{stage2_config.repetition_rate:.3g} Hz; first: {outcomes[0]}"
+        )
+    return results, len(outcomes) - len(results)
 
 
 def optimize_gate(
@@ -1018,20 +1261,16 @@ def optimize_gate(
 
     Stage-1 top-K candidates are refined independently by Stage 2 and the
     winner is selected by pulse-error-adjusted fidelity (ties: fewer SDKs,
-    shorter gate, lexicographic sizes).
+    shorter gate, lexicographic sizes).  Candidates stage 2 finds infeasible
+    are dropped and counted as `stage2_infeasible`.
     """
     started = time.perf_counter()
     candidates, telemetry = stage1(chain, stage1_config, seed=seed, threads=threads)
     if not candidates:
         raise RuntimeError("stage 1 produced no candidates")
-
-    tasks = [
-        (c, chain, stage2_config, stage1_config.thermal, stage1_config.epsilon,
-         seed, stage1_config.pulse_counting, stage1_config.max_sdks,
-         stage1_config.z_bound_schedule[-1])
-        for c in candidates
-    ]
-    results = _map_ordered(_stage2_task, tasks, threads)
+    results, infeasible = refine_candidates(
+        candidates, chain, stage1_config, stage2_config, seed=seed, threads=threads
+    )
 
     def final_key(result: OptimizationResult):
         return (
@@ -1045,7 +1284,8 @@ def optimize_gate(
     merged = dict(best.telemetry)
     merged.update(telemetry)
     merged["stage2_evaluations"] = sum(r.telemetry.get("stage2_evaluations", 0) for r in results)
-    merged["stage2_candidates"] = len(results)
+    merged["stage2_candidates"] = len(candidates)
+    merged["stage2_infeasible"] = infeasible
     merged["wall_time_s"] = time.perf_counter() - started
     return replace(best, telemetry=merged)
 

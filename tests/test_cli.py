@@ -267,3 +267,69 @@ class TestStarkCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["--out", str(tmp_path), "stark", "--atomic-data", str(bad)]) == 2
+
+
+class TestInfeasibleCandidates:
+    def test_optimize_exits_3_when_no_candidate_is_left(self, tmp_path, capsys, monkeypatch):
+        from fastgate import optimize
+        from fastgate.sequence import GridResolutionError
+
+        def never(*args, **kwargs):
+            raise GridResolutionError("rate cannot express the timings")
+
+        monkeypatch.setattr(optimize, "stage2", never)
+        config = write_config(tmp_path, FAST_OPTIMIZE)
+        assert main(["--config", config, "--out", str(tmp_path / "o"), "optimize"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "all 2 stage-1 candidates are infeasible" in err
+
+    def test_repetition_rate_sweep_drops_an_infeasible_candidate(self, tmp_path, monkeypatch):
+        from fastgate import optimize
+        from fastgate.sequence import GridResolutionError
+
+        real = optimize.stage2
+        calls = []
+
+        def failing_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise GridResolutionError("rate cannot express the timings")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "stage2", failing_first)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "repetition_rate", "values": [300.0, 600.0]}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 0
+        assert len(calls) == 4
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+class TestTrajectoryCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        import csv
+        import io
+
+        from fastgate.chain import ChainModel
+        from fastgate.dynamics import trajectory_samples
+        from fastgate.sequence import KickTrain
+
+        config = write_config(tmp_path, FAST_OPTIMIZE)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "optimize"]) == 0
+        document = json.loads((out / "result.json").read_text())
+        chain = ChainModel.from_json_dict(document["chain"])
+        train = KickTrain.from_json_dict(document["train"])
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"])
+        for basis in ((1, 1), (1, -1)):
+            for t, m, q, v in trajectory_samples(train, chain, basis):
+                writer.writerow([f"{t:.12e}", m, f"{q:.12e}", f"{v:.12e}",
+                                 f"{basis[0]}", f"{basis[1]}"])
+        written = (out / "trajectory.csv").read_bytes()
+        provenance, body = written.split(b"\n", 1)
+        assert provenance.startswith(b"# provenance: ")
+        assert body == expected.getvalue().encode("utf-8")

@@ -318,3 +318,59 @@ class TestNonlinearOracle:
         config = TrapConfig(num_ions=4)
         with pytest.raises(ValueError):
             propagate_nonlinear(KickTrain((0.0,), (1,), (0, 1)), config, (1, 1))
+
+
+def _reference_trajectory_samples(train, chain, basis_state, points_per_segment=12):
+    """The per-sample loop that `trajectory_samples` vectorises."""
+    n = chain.num_ions
+    w = chain.mode_frequencies
+    mu, nu = train.target_ions
+    s_mu, s_nu = basis_state
+    coupling = s_mu * chain.mode_couplings[:, mu] + s_nu * chain.mode_couplings[:, nu]
+    dv_unit = (2.0 * CONSTANTS.hbar * chain.wavenumber / chain.ion_mass) * coupling
+
+    rows = []
+    if train.num_kicks == 0:
+        return rows
+    q = np.zeros(n)
+    v = np.zeros(n)
+    t_cur = train.kick_times[0]
+
+    def emit(t, qv, vv):
+        for m in range(n):
+            rows.append((t, m, qv[m], vv[m]))
+
+    emit(t_cur, q, v)
+    for t_k, sign in zip(train.kick_times, train.kick_signs):
+        tau = t_k - t_cur
+        if tau > 0.0:
+            for step in range(1, points_per_segment):
+                dt = tau * step / points_per_segment
+                c, s = np.cos(w * dt), np.sin(w * dt)
+                emit(t_cur + dt, q * c + (v / w) * s, v * c - w * q * s)
+            c, s = np.cos(w * tau), np.sin(w * tau)
+            q, v = q * c + (v / w) * s, v * c - w * q * s
+            t_cur = t_k
+            emit(t_cur, q, v)
+        v = v + sign * dv_unit
+        emit(t_cur, q, v)
+    return rows
+
+
+class TestTrajectorySamplesVectorised:
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_matches_per_sample_loop(self, small_chains, n):
+        rng = np.random.default_rng(70 + n)
+        chain = small_chains[n]
+        for points in (2, 5, 12):
+            train = random_train(rng, targets=(0, 1), kicks=int(rng.integers(1, 15)))
+            # repeated kick times give zero-length segments
+            train = KickTrain(train.kick_times[:1] + train.kick_times[:-1],
+                              train.kick_signs, train.target_ions)
+            for basis in ((1, 1), (1, -1)):
+                rows = trajectory_samples(train, chain, basis, points_per_segment=points)
+                expected = _reference_trajectory_samples(train, chain, basis, points)
+                assert rows == expected
+
+    def test_empty_train(self, chain2):
+        assert trajectory_samples(KickTrain((), (), (0, 1)), chain2, (1, 1)) == []

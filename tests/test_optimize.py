@@ -15,17 +15,27 @@ from fastgate.optimize import (
     _GAP_UNIT,
     _TimingCost,
     _box_least_squares,
+    _burst_fits,
     _clip_to_sdk_cap,
     _coordinate_descent,
+    _grid_descent,
     _joint_refine,
+    _lane_count,
     _refine_times,
     default_group_count,
     jitter_sensitivity,
     optimize_gate,
+    refine_candidates,
     stage1,
     stage2,
 )
-from fastgate.sequence import KickTrain, PulseGroupSequence, instantaneous_train
+from fastgate.sequence import (
+    GridResolutionError,
+    KickTrain,
+    PulseGroupSequence,
+    instantaneous_train,
+    snap_group_time,
+)
 
 NBAR = ThermalSpec(nbar=0.1)
 
@@ -190,6 +200,62 @@ class TestJointRefine:
             assert np.array_equal(z_new, z_ref)
             assert np.array_equal(t_new, t_ref)
             assert draw_new == draw_ref
+
+    def test_batches_straddling_accepted_moves_match_per_move_loop(self, chain20, monkeypatch):
+        from fastgate import optimize
+
+        surrogate = _TimingCost(chain20, (0, 1), NBAR, period=1.0 / 300e6)
+        d = 8
+        times = np.cumsum(np.full(d, 1e-6 / 18))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+
+        def scorer(ideal, z):
+            return ideal + 2e-5 * float(np.sum(np.abs(z)))
+
+        batches = []
+        first_improving = optimize._first_improving
+
+        def recording(timing_cost, trials, *args):
+            taken = first_improving(timing_cost, trials, *args)
+            batches.append((len(trials), None if taken is None else taken[0]))
+            return taken
+
+        monkeypatch.setattr(optimize, "_first_improving", recording)
+        outcomes = []
+        for joint in (_reference_joint_refine, _joint_refine):
+            rng = np.random.default_rng(22)
+            cost, z, t = joint(surrogate, np.array([1, 2, -1, 1, 0, -2, 1, 1]), times,
+                               0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
+            outcomes.append((cost, z, t, rng.random()))
+        (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
+        assert c_new == c_ref
+        assert np.array_equal(z_new, z_ref)
+        assert np.array_equal(t_new, t_ref)
+        assert draw_new == draw_ref
+        # several moves were taken part-way through a batch of lanes
+        cut_short = [lane for size, lane in batches if lane is not None and lane < size - 1]
+        assert len(cut_short) >= 2
+        assert max(size for size, _ in batches) == _lane_count(20)
+
+    def test_equal_scores_are_not_improvements(self, chain5):
+        # a score blind to the timing fit ties every move that keeps sum |z|
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+
+        def scorer(ideal, z):
+            return float(np.sum(np.abs(z - 1.0)))
+
+        outcomes = []
+        for joint in (_reference_joint_refine, _joint_refine):
+            rng = np.random.default_rng(23)
+            cost, z, t = joint(surrogate, np.array([3, -2, 0, 1, 2]), times,
+                               0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
+            outcomes.append((cost, z, t))
+        (c_ref, z_ref, t_ref), (c_new, z_new, t_new) = outcomes
+        assert c_new == c_ref
+        assert np.array_equal(z_new, z_ref)
+        assert np.array_equal(t_new, t_ref)
 
 
 class TestTimingCostSurrogate:
@@ -558,3 +624,308 @@ class TestJitter:
             jitter_sensitivity(quick_result, chain2, -0.1)
         with pytest.raises(ValueError):
             jitter_sensitivity(quick_result, chain2, 0.1, samples=0)
+
+
+def lane_fit(bound_cost, offsets, evaluations):
+    """The stacked form of `gap_fit`: one lane per row of a per-lane binding,
+    each with its own residual offset; counts the evaluations of every lane."""
+    def fun(scaled_gaps, lanes):
+        evaluations[lanes] += 1
+        r, per_time = bound_cost.residuals_and_jacobian(
+            np.cumsum(scaled_gaps * _GAP_UNIT, axis=1), lanes
+        )
+        return r - offsets[lanes], np.cumsum(per_time[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
+    return fun
+
+
+class TestLanes:
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_stacked_fits_match_lone_fits(self, n, chain5, chain20):
+        chain, targets = {5: (chain5, (2, 3)), 20: (chain20, (0, 1))}[n]
+        rng = np.random.default_rng(30 + n)
+        d, lanes, budget = 8, 9, 12
+        surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / 300e6)
+        sizes = rng.integers(1, 4, size=(lanes, d)) * rng.choice([-1, 1], size=(lanes, d))
+        sizes[3, 5] = 0
+        nominal = (1e-6 / 16) * np.ones(d) / _GAP_UNIT
+        lower, upper = 0.75 * nominal, 1.25 * nominal
+        true_gaps = nominal * (1.0 + rng.uniform(-0.1, 0.1, size=(lanes, d)))
+        true_gaps[1, 2] = 1.4 * nominal[2]  # optimum outside the box: pinned at a bound
+        offsets = np.array([
+            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)) for z, g in zip(sizes, true_gaps)
+        ])
+        offsets[5:] = 0.0  # no exact solution: these lanes run out their budget
+        starts = true_gaps * (1.0 + rng.uniform(-0.1, 0.1, size=(lanes, d)))
+        starts[0] = true_gaps[0]  # zero residual at the start
+        starts[2] = true_gaps[2] * (1.0 + 1e-7)  # one step from the solution
+        starts = np.clip(starts, lower, upper)
+
+        evaluations = np.zeros(lanes, dtype=int)
+        costs, xs = _box_least_squares(
+            lane_fit(surrogate.bind(sizes), offsets, evaluations), starts, lower, upper, budget
+        )
+        assert evaluations[0] == 1 and evaluations[2] == 2
+        assert evaluations.max() == budget
+        assert xs[1, 2] == upper[2]
+        for lane in range(lanes):
+            fun = gap_fit(surrogate.bind(sizes[lane]), offsets[lane])
+            cost, x = _box_least_squares(fun, starts[lane], lower, upper, budget)
+            assert cost == costs[lane]
+            assert np.array_equal(x, xs[lane])
+
+    def test_stop_abandons_running_lanes(self, chain5):
+        rng = np.random.default_rng(40)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        sizes = rng.integers(1, 4, size=(4, 6))
+        gaps = (1e-6 / 12) * np.ones(6) / _GAP_UNIT
+        seen = []
+
+        def stop(finished, cost):
+            seen.append(finished.copy())
+            return bool(finished[0])
+
+        starts = np.tile(gaps, (4, 1))
+        starts[0] *= 1.01
+        costs, xs = _box_least_squares(
+            lane_fit(surrogate.bind(sizes), np.zeros((4, 1)), np.zeros(4, dtype=int)),
+            starts, 0.75 * gaps, 1.25 * gaps, 60, stop,
+        )
+        assert seen[-1][0] and not seen[-2][0]
+        running = ~seen[-1]
+        assert np.all(np.isnan(costs[running])) and np.all(np.isnan(xs[running]))
+        assert np.all(np.isfinite(costs[~running]))
+
+    def test_lane_count_scales_with_modes(self):
+        assert _lane_count(5) > _lane_count(20) > _lane_count(100) >= 1
+        assert _lane_count(10_000) == 1
+
+
+def full_slot_residuals_and_jacobian(surrogate, z, t):
+    """The timing kernel with both halves of the slot list exponentiated."""
+    d = len(z)
+    z_full = np.concatenate([-z[::-1], z])
+    t_full = np.concatenate([-t[::-1], t])
+    w = surrogate.w
+    effective = np.empty((len(w), 2 * d))
+    within_total = np.zeros(len(w))
+    for i, zi in enumerate(z_full):
+        form, within = surrogate._burst_terms(abs(int(zi)))
+        effective[:, i] = math.copysign(1.0, zi) * form if zi else 0.0
+        within_total += within
+    weighted = np.exp(1j * np.outer(w, t_full)) * effective
+    prefix = np.cumsum(weighted, axis=1) - weighted
+    cross = weighted * np.conj(prefix)
+    theta = (float(np.sum(surrogate.phase_scale * np.imag(np.sum(cross, axis=1))))
+             + float(np.sum(surrogate.phase_scale * within_total)))
+    alpha_scale = (2.0 * surrogate.eta * np.sqrt(surrogate.weights))[:, None]
+    r = np.empty(1 + len(w))
+    r[0] = math.sqrt(2.0 / 3.0) * (abs(theta) - math.pi / 4)
+    r[1:] = 2.0 * alpha_scale[:, 0] * np.imag(np.sum(weighted[:, d:], axis=1))
+    suffix = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1] - weighted
+    slot_grad = w[:, None] * (np.real(cross) - np.real(np.conj(weighted) * suffix))
+    theta_grad = surrogate.phase_scale @ (slot_grad[:, d:] - slot_grad[:, :d][:, ::-1])
+    jac = np.empty((1 + len(w), d))
+    jac[0] = math.sqrt(2.0 / 3.0) * math.copysign(1.0, theta) * theta_grad
+    jac[1:] = 2.0 * alpha_scale * (w[:, None] * np.real(weighted[:, d:]))
+    return r, jac, weighted
+
+
+class TestHalfPhasorKernel:
+    @pytest.mark.parametrize("period", [0.0, 1.0 / 300e6])
+    def test_matches_full_slot_construction(self, chain5, chain20, period):
+        rng = np.random.default_rng(50)
+        for chain, targets in ((chain5, (2, 3)), (chain20, (0, 1))):
+            surrogate = _TimingCost(chain, targets, NBAR, period=period)
+            for _ in range(20):
+                d = int(rng.integers(2, 10))
+                z = rng.integers(-5, 6, size=d).astype(float)
+                z[rng.integers(0, d)] = 0.0
+                if not np.any(z):
+                    z[0] = 2.0
+                t = np.cumsum(rng.uniform(40e-9, 90e-9, size=d))
+                r_ref, jac_ref, weighted_ref = full_slot_residuals_and_jacobian(surrogate, z, t)
+                bound = surrogate.bind(z)
+                weighted, _ = bound._phasors(t[None], bound.effective)
+                r, jac = bound.residuals_and_jacobian(t)
+                # equal values; an empty slot's zero may carry either sign
+                assert np.array_equal(weighted[0], weighted_ref)
+                assert r.tobytes() == r_ref.tobytes()
+                assert jac.tobytes() == jac_ref.tobytes()
+
+
+def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
+                            max_slots=5):
+    """The on-grid descent scoring one trial at a time."""
+    period = timing_cost.period
+    active = [i for i, zval in enumerate(half_sizes) if zval != 0]
+    times = list(start_times)
+    if not (times == sorted(times) and _burst_fits(half_sizes, times, period)):
+        return math.inf, times, 0
+    bound_cost = timing_cost.bind(half_sizes)
+    cost = bound_cost.cost(np.asarray(times))
+    evaluations = 1
+
+    def windowed(trial, index):
+        prev_t = trial[index - 1] if index > 0 else 0.0
+        low = prev_t + anchor_gap_lo[index]
+        high = prev_t + anchor_gap_hi[index]
+        if index + 1 < len(trial):
+            low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
+            high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
+        return low - 0.25 * period, high + 0.25 * period
+
+    for _ in range(40):
+        moved = False
+        for index in active:
+            low, high = windowed(times, index)
+            best = (cost, times[index])
+            for step in range(-max_slots, max_slots + 1):
+                if step == 0:
+                    continue
+                position = times[index] + step * period
+                if position < low or position > high:
+                    continue
+                trial = list(times)
+                trial[index] = position
+                if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
+                    continue
+                c = bound_cost.cost(np.asarray(trial))
+                evaluations += 1
+                if c < best[0]:
+                    best = (c, position)
+            if best[1] != times[index]:
+                cost, times[index] = best[0], best[1]
+                moved = True
+        for pos, index in enumerate(active[:-1]):
+            partner = active[pos + 1]
+            for step in (-2, -1, 1, 2):
+                trial = list(times)
+                trial[index] += step * period
+                trial[partner] += step * period
+                if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
+                    continue
+                c = bound_cost.cost(np.asarray(trial))
+                evaluations += 1
+                if c < cost:
+                    cost, times = c, trial
+                    moved = True
+        if not moved:
+            break
+    return cost, times, evaluations
+
+
+class TestGridDescent:
+    def test_batched_scan_matches_per_trial_loop(self, chain5, chain20):
+        rng = np.random.default_rng(60)
+        rate = 300e6
+        checked = 0
+        for chain, targets in ((chain5, (2, 3)), (chain20, (0, 1))):
+            surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / rate)
+            for _ in range(8):
+                d = int(rng.integers(3, 8))
+                sizes = [int(v) for v in rng.integers(-3, 4, size=d)]
+                if not any(sizes):
+                    sizes[0] = 1
+                times = np.cumsum(rng.uniform(45e-9, 80e-9, size=d))
+                gaps = np.diff(np.concatenate([[0.0], times]))
+                snapped = [snap_group_time(t, z, rate) if z else t for z, t in zip(sizes, times)]
+                args = (surrogate, sizes, snapped, 0.75 * gaps, 1.25 * gaps)
+                cost_ref, times_ref, evals_ref = _reference_grid_descent(*args)
+                cost, polished, evals = _grid_descent(*args)
+                assert cost == cost_ref
+                assert polished == times_ref
+                assert evals == evals_ref
+                checked += math.isfinite(cost)
+        assert checked >= 8
+
+    def test_ties_keep_the_first_slot(self, chain5):
+        class CoarseCost:
+            """A surrogate rounded so coarsely that many slots tie."""
+
+            def __init__(self, period):
+                self.period = period
+                self.w = chain5.mode_frequencies
+
+            def bind(self, half_sizes):
+                return self
+
+            def cost(self, t_half):
+                t = np.asarray(t_half) / self.period
+                costs = np.round(np.sum(np.abs(t - np.round(t / 7.0) * 7.0), axis=-1) / 3.0)
+                return float(costs) if t.ndim == 1 else costs
+
+        rng = np.random.default_rng(61)
+        rate = 300e6
+        for _ in range(10):
+            d = int(rng.integers(3, 7))
+            sizes = [int(v) for v in rng.integers(1, 3, size=d)]
+            times = np.cumsum(rng.uniform(50e-9, 80e-9, size=d))
+            gaps = np.diff(np.concatenate([[0.0], times]))
+            snapped = [snap_group_time(t, z, rate) for z, t in zip(sizes, times)]
+            args = (CoarseCost(1.0 / rate), sizes, snapped, 0.75 * gaps, 1.25 * gaps)
+            assert _grid_descent(*args) == _reference_grid_descent(*args)
+
+
+class TestInfeasibleCandidates:
+    def failing_first(self, monkeypatch):
+        from fastgate import optimize
+
+        real = optimize.stage2
+        calls = []
+
+        def stage2_failing_first(candidate, *args, **kwargs):
+            calls.append(candidate)
+            if len(calls) == 1:
+                raise GridResolutionError("first candidate cannot be expressed")
+            return real(candidate, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "stage2", stage2_failing_first)
+        return calls
+
+    def test_dropped_and_counted(self, chain2, monkeypatch):
+        config = small_stage1_config(top_k=3)
+        s2 = Stage2Config(local_restarts=0)
+        candidates, _ = stage1(chain2, config, seed=3)
+        expected, _ = refine_candidates(candidates[1:], chain2, config, s2, seed=3)
+        calls = self.failing_first(monkeypatch)
+        result = optimize_gate(chain2, config, s2, seed=3)
+        assert len(calls) == 3
+        assert result.telemetry["stage2_infeasible"] == 1
+        assert result.telemetry["stage2_candidates"] == 3
+        best = min(expected, key=lambda r: (
+            1.0 - r.adjusted_fidelity, r.report.sdk_count, r.gate_duration,
+            r.sequence.group_sizes,
+        ))
+        assert result.train.to_json_dict() == best.train.to_json_dict()
+        assert result.telemetry["stage2_evaluations"] == sum(
+            r.telemetry["stage2_evaluations"] for r in expected
+        )
+
+    def test_raises_when_none_left(self, chain2, monkeypatch):
+        from fastgate import optimize
+
+        def never(*args, **kwargs):
+            raise GridResolutionError("cannot be expressed")
+
+        monkeypatch.setattr(optimize, "stage2", never)
+        with pytest.raises(GridResolutionError, match="all 2 stage-1 candidates"):
+            optimize_gate(chain2, small_stage1_config(top_k=2), Stage2Config(), seed=1)
+
+    def test_threads_drop_the_same_candidates(self, chain2):
+        from fastgate.optimize import Stage1Candidate
+
+        config = small_stage1_config(top_k=1)
+        good, _ = stage1(chain2, config, seed=2)
+        seq = PulseGroupSequence.from_half([3, 3], [0.05e-6, 0.1e-6], (0, 1), 0.2e-6)
+        bad = Stage1Candidate(
+            sequence=seq, ideal_infidelity=0.1, adjusted_infidelity=0.1,
+            sdk_count=seq.total_sdks, design_gate_time=0.2e-6, bound_found=3,
+        )
+        s2 = Stage2Config(repetition_rate=20e6, local_restarts=0)
+        runs = [refine_candidates([bad, good[0], bad], chain2, config, s2, seed=2, threads=t)
+                for t in (1, 2)]
+        for results, infeasible in runs:
+            assert infeasible == 2 and len(results) == 1
+        assert json.dumps(runs[0][0][0].to_json_dict(), sort_keys=True) == json.dumps(
+            runs[1][0][0].to_json_dict(), sort_keys=True
+        )
