@@ -29,6 +29,7 @@ from .dynamics import (
     entangling_phase,
     free_evolution,
     propagate,
+    propagate_lanes,
     propagate_linear_ode,
     propagate_nonlinear,
 )
@@ -39,6 +40,7 @@ from .fidelity import (
     analytic_report,
     apply_pulse_error,
     evaluate_train,
+    evaluate_trains,
     infidelity,
     thermal_occupation,
 )

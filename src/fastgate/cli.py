@@ -30,6 +30,7 @@ from .chain import (
 from .dynamics import PhaseSymmetryError, trajectory_samples
 from .fidelity import ThermalSpec, evaluate_train
 from .optimize import (
+    NoCandidatesError,
     OptimizationResult,
     Stage2Config,
     jitter_sensitivity,
@@ -52,6 +53,7 @@ NUMERICAL_ERRORS = (
     NonConfiningPotential,
     BurstOverlap,
     GridResolutionError,
+    NoCandidatesError,
     PhaseSymmetryError,
 )
 
@@ -135,6 +137,20 @@ def _summary_lines(result: OptimizationResult) -> list:
     return lines
 
 
+def _write_trajectory_rows(handle, rows: list, num_modes: int, basis: tuple):
+    """The bytes csv.writer would write for `trajectory_samples` rows.
+
+    Each sample time heads a block of `num_modes` rows, one per mode, and
+    is formatted once per block.
+    """
+    row_format = ",%d,%.12e,%.12e," + "%d,%d\r\n" % basis
+    for start in range(0, len(rows), num_modes):
+        time_text = "%.12e" % rows[start][0]
+        handle.writelines(
+            [time_text + row_format % (m, q, v) for _, m, q, v in rows[start:start + num_modes]]
+        )
+
+
 def cmd_optimize(config: RunConfig, out_dir: Path, threads: int) -> int:
     started = time.perf_counter()
     chain, result = _optimize_once(config, threads)
@@ -143,10 +159,8 @@ def cmd_optimize(config: RunConfig, out_dir: Path, threads: int) -> int:
     header = ["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"]
     with _csv_file(out_dir / "trajectory.csv", _provenance(config), header) as handle:
         for basis in ((1, 1), (1, -1)):
-            # the bytes csv.writer would write for these rows, one format per row
-            row_format = "%.12e,%d,%.12e,%.12e," + "%d,%d\r\n" % basis
-            handle.writelines(
-                row_format % row for row in trajectory_samples(result.train, chain, basis)
+            _write_trajectory_rows(
+                handle, trajectory_samples(result.train, chain, basis), chain.num_ions, basis
             )
     summary = _summary_lines(result)
     (out_dir / "summary.txt").write_text(

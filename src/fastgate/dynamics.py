@@ -7,6 +7,17 @@ two orders of magnitude faster than ODE stepping in the optimiser's inner
 loop; an adaptive ODE integrator is retained as a cross-check oracle, and a
 full nonlinear-Coulomb integrator serves as the small-N error oracle.
 
+`propagate_lanes` is the one per-kick loop.  It advances a (lanes x modes)
+stack: lanes share the kick count, the sign sequence and the target pair,
+and may differ in basis state, kick times and mode frequencies (a basis
+state of a gate evaluation, a jitter sample's scaled train and chain).
+Every lane does elementwise exactly the arithmetic of a lone propagation,
+so a lane's outputs are bit-identical to a stack of one (`propagate`).  The
+rotations cos/sin(w tau) and cos/sin(2 w tau) are computed once for each
+segment duration tau = t_k - t_(k-1) that is bitwise equal across all lanes;
+grid trains repeat a handful of gaps, so most segments reuse them.  Many
+lanes are cut into several stacks, to bound the rotation tables' memory.
+
 The entangling phase is accumulated kick-by-kick through the displacement
 composition rule, d(phase) = M * dV * Q / (2 hbar), which is exact for linear
 dynamics and independent of where the trajectory ends.  The classical action
@@ -123,21 +134,17 @@ class TrajectoryResult:
     actions: np.ndarray         # J s, free-segment Lagrangian integrals
     total_phase: float          # rad, sum of mode_phases
 
-    @property
-    def final_states(self) -> list:
-        return [
-            ModeState(q, v, a, p)
-            for q, v, a, p in zip(self.positions, self.velocities, self.actions, self.mode_phases)
-        ]
 
+def _midpoint_alphas(w, mass, positions, velocities, back_duration):
+    """Rotate final states back to the gate midpoint and form alpha_m.
 
-def _midpoint_alphas(chain, positions, velocities, back_duration):
-    """Rotate final states back to the gate midpoint and form alpha_m."""
-    w = chain.mode_frequencies
+    Arguments broadcast: one chain's (modes,) arrays or a lane stack's
+    (lanes, modes) arrays with (lanes, 1) masses and durations.
+    """
     c, s = np.cos(w * back_duration), np.sin(w * back_duration)
     q0 = positions * c - (velocities / w) * s
     v0 = velocities * c + w * positions * s
-    scale = np.sqrt(chain.ion_mass * w / (2.0 * CONSTANTS.hbar))
+    scale = np.sqrt(mass * w / (2.0 * CONSTANTS.hbar))
     return scale * (q0 + 1j * v0 / w)
 
 
@@ -146,59 +153,114 @@ def propagate(train: KickTrain, chain: ChainModel, basis_state: tuple) -> Trajec
 
     Alternates exact free evolution with velocity kicks in train order; the
     returned residuals and phase are invariant under further free evolution,
-    so the nominal trailing evolution to the gate end is omitted.
+    so the nominal trailing evolution to the gate end is omitted.  A stack
+    of one lane of `propagate_lanes`.
     """
-    n = chain.num_ions
-    w = chain.mode_frequencies
-    mu, nu = train.target_ions
+    return propagate_lanes([(train, chain, basis_state)])[0]
+
+
+# Entries (lanes x modes x distinct segments) of each of a stack's four
+# rotation tables, 2 MB: the lanes are cut into stacks that fit, so that a
+# 100-shot jitter study at N=100 holds about 8 MB of tables, not 55 MB.
+_ROTATION_ENTRIES = 1 << 18
+
+
+def propagate_lanes(lanes) -> list:
+    """Propagate (train, chain, basis_state) lanes as stacks, one kick loop each.
+
+    The lanes must share the kick signs (hence the kick count), the target
+    pair and the chain size, and agree on which consecutive kicks coincide
+    (zero-length segments are skipped); kick times, mode frequencies and
+    basis states may differ per lane.  Each lane's `TrajectoryResult` is
+    bit-identical to propagating that lane alone.
+    """
+    lanes = list(lanes)
+    train, chain, _ = lanes[0]
+    size = max(1, _ROTATION_ENTRIES // (chain.num_ions * max(1, train.num_kicks - 1)))
+    return [
+        result
+        for start in range(0, len(lanes), size)
+        for result in _propagate_stack(lanes[start:start + size])
+    ]
+
+
+def _propagate_stack(lanes) -> list:
+    """One (lanes x modes) stack through the per-kick loop."""
+    trains, chains, bases = zip(*lanes)
+    first = trains[0]
+    n = chains[0].num_ions
+    mu, nu = first.target_ions
     if mu == nu or mu >= n or nu >= n:
         raise ValueError("target ions must be distinct indices into the chain")
-    s_mu, s_nu = basis_state
-    coupling = s_mu * chain.mode_couplings[:, mu] + s_nu * chain.mode_couplings[:, nu]
-    dv_unit = (2.0 * CONSTANTS.hbar * chain.wavenumber / chain.ion_mass) * coupling
+    if any(c.num_ions != n for c in chains) or any(
+        t.target_ions != first.target_ions or t.kick_signs != first.kick_signs for t in trains
+    ):
+        raise ValueError("lanes must share the chain size, the target pair and the kick signs")
 
-    q = np.zeros(n)
-    v = np.zeros(n)
-    phase = np.zeros(n)
-    action = np.zeros(n)
-    if train.num_kicks == 0:
-        return TrajectoryResult(
+    # Per-lane (lanes, modes) rows and (lanes, 1) columns; every expression
+    # below is a lone lane's, evaluated elementwise.
+    w = np.array([c.mode_frequencies for c in chains])
+    mass = np.array([[c.ion_mass] for c in chains])
+    s_mu, s_nu = np.array(bases, dtype=float).T[:, :, None]
+    b_mu = np.array([c.mode_couplings[:, mu] for c in chains])
+    b_nu = np.array([c.mode_couplings[:, nu] for c in chains])
+    unit = np.array([[2.0 * CONSTANTS.hbar * c.wavenumber / c.ion_mass] for c in chains])
+    dv_unit = unit * (s_mu * b_mu + s_nu * b_nu)
+
+    shape = (len(trains), n)
+    q = np.zeros(shape)
+    v = np.zeros(shape)
+    phase = np.zeros(shape)
+    action = np.zeros(shape)
+    if first.num_kicks == 0:
+        alphas = np.zeros(shape, dtype=complex)
+    else:
+        times = np.array([t.kick_times for t in trains])
+        tau = np.diff(times, axis=1)   # t_k - t_(k-1), the free segment before kick k
+        moving = tau > 0.0
+        if np.any(moving != moving[0]):
+            raise ValueError("lanes disagree on which kicks coincide")
+        # Rotations once per segment column that is bitwise equal across the
+        # lanes: `segment[k]` indexes the tables for the segment before kick
+        # k, -1 where kick k coincides with the previous one.
+        distinct, column = np.unique(tau[:, moving[0]], axis=1, return_inverse=True)
+        segment = np.full(first.num_kicks, -1)
+        segment[1:][moving[0]] = column.ravel()
+        duration = distinct.T[:, :, None]
+        cos, sin = np.cos(w * duration), np.sin(w * duration)
+        cos2_minus_1 = np.cos(2.0 * w * duration) - 1.0
+        sin2 = np.sin(2.0 * w * duration)
+
+        w_sq = w**2
+        two_w = 2.0 * w
+        half_mass = 0.5 * mass
+        m_over_2h = mass / (2.0 * CONSTANTS.hbar)
+        kick = {sign: sign * dv_unit for sign in (1, -1)}
+        kick_phase = {sign: m_over_2h * dv for sign, dv in kick.items()}
+        for sign, u in zip(first.kick_signs, segment.tolist()):
+            if u >= 0:
+                c, s = cos[u], sin[u]
+                action += half_mass * (
+                    (v**2 - w_sq * q**2) * sin2[u] / two_w + q * v * cos2_minus_1[u]
+                )
+                q, v = q * c + (v / w) * s, v * c - w * q * s
+            phase += kick_phase[sign] * q
+            v = v + kick[sign]
+        back = np.array([[t.kick_times[-1] - t.midpoint] for t in trains])
+        alphas = _midpoint_alphas(w, mass, q, v, back)
+
+    return [
+        TrajectoryResult(
             basis_state=tuple(basis_state),
-            positions=q,
-            velocities=v,
-            alphas=np.zeros(n, dtype=complex),
-            mode_phases=phase,
-            actions=action,
-            total_phase=0.0,
+            positions=q[i],
+            velocities=v[i],
+            alphas=alphas[i],
+            mode_phases=phase[i],
+            actions=action[i],
+            total_phase=float(np.sum(phase[i])),
         )
-
-    t_cur = train.kick_times[0]
-    m_over_2h = chain.ion_mass / (2.0 * CONSTANTS.hbar)
-    for t_k, sign in zip(train.kick_times, train.kick_signs):
-        tau = t_k - t_cur
-        if tau > 0.0:
-            c, s = np.cos(w * tau), np.sin(w * tau)
-            c2, s2 = np.cos(2.0 * w * tau), np.sin(2.0 * w * tau)
-            action += 0.5 * chain.ion_mass * (
-                (v**2 - w**2 * q**2) * s2 / (2.0 * w) + q * v * (c2 - 1.0)
-            )
-            q, v = q * c + (v / w) * s, v * c - w * q * s
-            t_cur = t_k
-        dv = sign * dv_unit
-        phase += m_over_2h * dv * q
-        v = v + dv
-
-    back = t_cur - train.midpoint
-    alphas = _midpoint_alphas(chain, q, v, back)
-    return TrajectoryResult(
-        basis_state=tuple(basis_state),
-        positions=q,
-        velocities=v,
-        alphas=alphas,
-        mode_phases=phase,
-        actions=action,
-        total_phase=float(np.sum(phase)),
-    )
+        for i, basis_state in enumerate(bases)
+    ]
 
 
 BASIS_STATES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -334,7 +396,7 @@ def propagate_linear_ode(
     q = y[:n] * x0
     v = y[n : 2 * n] * x0 * w
     back = t_cur - train.midpoint
-    alphas = _midpoint_alphas(chain, q, v, back)
+    alphas = _midpoint_alphas(w, chain.ion_mass, q, v, back)
     return TrajectoryResult(
         basis_state=tuple(basis_state),
         positions=q,
@@ -419,7 +481,7 @@ def propagate_nonlinear(
     q = chain.mode_couplings @ ((y[:n] - u0) * ell)
     v = chain.mode_couplings @ (y[n:] * ell * wt)
     back = t_cur - train.midpoint
-    alphas = _midpoint_alphas(chain, q, v, back)
+    alphas = _midpoint_alphas(w, chain.ion_mass, q, v, back)
     return TrajectoryResult(
         basis_state=tuple(basis_state),
         positions=q,

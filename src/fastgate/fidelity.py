@@ -25,7 +25,8 @@ import numpy as np
 
 from .chain import ChainModel
 from .constants import CONSTANTS
-from .dynamics import BASIS_STATES, propagate
+from .dynamics import BASIS_STATES, entangling_phase, propagate_lanes
+from .dynamics import propagate  # noqa: F401  -- public here; perfbench's tracer wraps it
 from .sequence import KickTrain, PulseGroupSequence
 
 PHASE_TARGET = math.pi / 4.0
@@ -125,9 +126,13 @@ def infidelity(
     pair (the other two follow by symmetry).
     """
     nbar = thermal.occupations(chain.mode_frequencies)
-    mean_sq = _mean_square_residuals(residuals)
+    return _ideal_and_motional(phase_mismatch, _mean_square_residuals(residuals), nbar)[0]
+
+
+def _ideal_and_motional(phase_mismatch: float, mean_sq: np.ndarray, nbar: np.ndarray) -> tuple:
+    """The (ideal, motional) infidelity of the module docstring's formula."""
     motional = (4.0 / 3.0) * float(np.sum((0.5 + nbar) * mean_sq))
-    return (2.0 / 3.0) * phase_mismatch**2 + motional
+    return (2.0 / 3.0) * phase_mismatch**2 + motional, motional
 
 
 def apply_pulse_error(ideal_fidelity: float, pulse_count: int, epsilon: float) -> float:
@@ -223,8 +228,7 @@ def _build_report(
     coupling_sq = chain.mode_couplings[:, mu] ** 2 + chain.mode_couplings[:, nu] ** 2
     mean_sq = _mean_square_residuals(residuals)
     phase_mismatch = abs(theta) - PHASE_TARGET
-    motional = (4.0 / 3.0) * float(np.sum((0.5 + nbar) * mean_sq))
-    ideal = (2.0 / 3.0) * phase_mismatch**2 + motional
+    ideal, motional = _ideal_and_motional(phase_mismatch, mean_sq, nbar)
 
     # Effective per-mode residual: magnitude chosen so the breakdown below is
     # exact, phase carried over from the (+,+) trajectory as a convention.
@@ -256,20 +260,44 @@ def evaluate_train(
     """Trajectory-based gate evaluation.
 
     Propagates two basis states (four with `full_basis`, asserting the phase
-    symmetry between mirrored states) and assembles the infidelity breakdown.
+    symmetry between mirrored states) as one lane stack and assembles the
+    infidelity breakdown; see `evaluate_trains`.
+    """
+    return evaluate_trains([train], [chain], thermal, full_basis, counting)[0]
+
+
+def evaluate_trains(
+    trains,
+    chains,
+    thermal: ThermalSpec,
+    full_basis: bool = False,
+    counting: str = "pi_pulses",
+) -> list:
+    """`evaluate_train` for each (train, chain) pair, all from one propagation.
+
+    The pairs' basis states run as the lanes of `propagate_lanes`, so the
+    trains must share their kick signs and targets (a jitter study's scaled
+    copies of one train, each with its own scaled chain).  The lanes advance
+    together through one per-kick loop, which computes a segment's rotations
+    once when its duration is bitwise equal across the lanes.  Every report
+    is bit-identical to evaluating its pair alone.
     """
     bases = BASIS_STATES if full_basis else ((1, 1), (1, -1))
-    results = {b: propagate(train, chain, b) for b in bases}
-    if full_basis:
-        from .dynamics import entangling_phase as _theta_of
-
-        theta = _theta_of(list(results.values()))
-    else:
-        theta = 0.5 * (results[(1, 1)].total_phase - results[(1, -1)].total_phase)
-    residuals = {b: r.alphas for b, r in results.items()}
-    return _build_report(
-        chain, thermal, train.target_ions, theta, residuals, train.num_kicks, counting
+    results = propagate_lanes(
+        [(train, chain, b) for train, chain in zip(trains, chains) for b in bases]
     )
+    reports = []
+    for k, (train, chain) in enumerate(zip(trains, chains)):
+        lanes = dict(zip(bases, results[k * len(bases):(k + 1) * len(bases)]))
+        if full_basis:
+            theta = entangling_phase(list(lanes.values()))
+        else:
+            theta = 0.5 * (lanes[(1, 1)].total_phase - lanes[(1, -1)].total_phase)
+        residuals = {b: r.alphas for b, r in lanes.items()}
+        reports.append(_build_report(
+            chain, thermal, train.target_ions, theta, residuals, train.num_kicks, counting
+        ))
+    return reports
 
 
 def analytic_phase_and_residuals(

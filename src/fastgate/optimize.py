@@ -44,6 +44,7 @@ from .fidelity import (
     GateReport,
     ThermalSpec,
     evaluate_train,
+    evaluate_trains,
     pulse_count_for,
 )
 from .sequence import (
@@ -58,6 +59,10 @@ from .sequence import (
 DEFAULT_GATE_TIME_SCAN = tuple(0.5e-6 + 50e-9 * k for k in range(21))  # 0.5-1.5 us
 DEFAULT_BOUND_SCHEDULE = tuple(range(1, 11))
 _GAP_UNIT = 1e-7  # seconds; rescales the stage-2 gap variables to O(1)
+
+
+class NoCandidatesError(RuntimeError):
+    """Stage 1 found no candidate sequence to refine."""
 
 
 def default_group_count(num_ions: int, targets: tuple) -> int:
@@ -531,9 +536,6 @@ class _TimingCost:
     def bind(self, z_half) -> "_BoundTimingCost":
         """Freeze the group sizes, caching their burst form factors."""
         return _BoundTimingCost(self, np.asarray(z_half, dtype=float))
-
-    def residuals(self, z_half: np.ndarray, t_half: np.ndarray) -> np.ndarray:
-        return self.bind(z_half).residuals(np.asarray(t_half, dtype=float))
 
     def cost(self, z_half: np.ndarray, t_half: np.ndarray) -> float:
         return self.bind(z_half).cost(np.asarray(t_half, dtype=float))
@@ -1267,7 +1269,7 @@ def optimize_gate(
     started = time.perf_counter()
     candidates, telemetry = stage1(chain, stage1_config, seed=seed, threads=threads)
     if not candidates:
-        raise RuntimeError("stage 1 produced no candidates")
+        raise NoCandidatesError("stage 1 produced no candidates")
     results, infeasible = refine_candidates(
         candidates, chain, stage1_config, stage2_config, seed=seed, threads=threads
     )
@@ -1302,7 +1304,11 @@ def jitter_sensitivity(
     Each shot draws uniform fractional perturbations of the repetition rate
     and of the trap frequency (constant within the shot), re-evaluates the
     trajectory infidelity, and reports the mean and 95th percentile of the
-    added infidelity.
+    added infidelity.  The shifts are drawn shot by shot, rate before trap;
+    the shots' scaled trains and frequency-scaled chains are then evaluated
+    together (`evaluate_trains`), their 2 x `samples` basis-state lanes
+    sharing one per-kick loop, each report bit-identical to evaluating its
+    shot alone.
     """
     if fractional_instability < 0.0:
         raise ValueError("fractional_instability must be non-negative")
@@ -1313,16 +1319,15 @@ def jitter_sensitivity(
         return {"mean_added": 0.0, "p95_added": 0.0, "base_infidelity": base}
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
-    added = np.empty(samples)
-    for k in range(samples):
+    trains, chains = [], []
+    for _ in range(samples):
         rate_shift, trap_shift = rng.uniform(
             -fractional_instability, fractional_instability, size=2
         )
-        train = result.train.scaled_times(1.0 / (1.0 + rate_shift))
-        perturbed_chain = chain.with_frequency_scale(1.0 + trap_shift)
-        added[k] = (
-            evaluate_train(train, perturbed_chain, result.thermal).ideal_infidelity - base
-        )
+        trains.append(result.train.scaled_times(1.0 / (1.0 + rate_shift)))
+        chains.append(chain.with_frequency_scale(1.0 + trap_shift))
+    reports = evaluate_trains(trains, chains, result.thermal)
+    added = np.array([report.ideal_infidelity - base for report in reports])
     return {
         "mean_added": float(np.mean(added)),
         "p95_added": float(np.percentile(added, 95)),

@@ -78,12 +78,6 @@ class PulseGroupSequence:
     def total_sdks(self) -> int:
         return int(sum(abs(v) for v in self.group_sizes))
 
-    @property
-    def kick_span(self) -> float:
-        """Time span (s) covered by non-empty groups; 0.0 if all groups are empty."""
-        nonzero = [t for z, t in zip(self.group_sizes, self.group_times) if z != 0]
-        return 2.0 * max(abs(t) for t in nonzero) if nonzero else 0.0
-
     def trimmed(self) -> "PulseGroupSequence":
         """Drop empty trailing groups, shortening the reported gate time.
 

@@ -333,3 +333,18 @@ class TestTrajectoryCsv:
         provenance, body = written.split(b"\n", 1)
         assert provenance.startswith(b"# provenance: ")
         assert body == expected.getvalue().encode("utf-8")
+
+
+class TestNoCandidates:
+    def test_optimize_exits_3_when_stage1_finds_nothing(self, tmp_path, capsys, monkeypatch):
+        from fastgate import optimize
+
+        def empty(*args, **kwargs):
+            return [], {"stage1_evaluations": 0, "stage1_candidates": 0}
+
+        monkeypatch.setattr(optimize, "stage1", empty)
+        config = write_config(tmp_path, FAST_OPTIMIZE)
+        assert main(["--config", config, "--out", str(tmp_path / "o"), "optimize"]) == 3
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["numerical failure: stage 1 produced no candidates"]
+        assert not (tmp_path / "o" / "result.json").exists()

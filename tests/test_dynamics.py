@@ -10,15 +10,25 @@ from fastgate.dynamics import (
     BASIS_STATES,
     ModeState,
     PhaseSymmetryError,
+    TrajectoryResult,
     apply_kick,
     entangling_phase,
     free_evolution,
     propagate,
+    propagate_lanes,
     propagate_linear_ode,
     propagate_nonlinear,
     segment_action,
     trajectory_samples,
 )
+from fastgate.fidelity import (
+    GateReport,
+    ThermalSpec,
+    evaluate_train,
+    evaluate_trains,
+    pulse_count_for,
+)
+from fastgate.optimize import OptimizationResult, jitter_sensitivity
 from fastgate.sequence import KickTrain, PulseGroupSequence, instantaneous_train
 
 from conftest import random_half_sequence
@@ -374,3 +384,291 @@ class TestTrajectorySamplesVectorised:
 
     def test_empty_train(self, chain2):
         assert trajectory_samples(KickTrain((), (), (0, 1)), chain2, (1, 1)) == []
+
+
+def _reference_propagate(train, chain, basis_state):
+    """The lone per-kick loop that `propagate_lanes` stacks."""
+    n = chain.num_ions
+    w = chain.mode_frequencies
+    mu, nu = train.target_ions
+    s_mu, s_nu = basis_state
+    coupling = s_mu * chain.mode_couplings[:, mu] + s_nu * chain.mode_couplings[:, nu]
+    dv_unit = (2.0 * CONSTANTS.hbar * chain.wavenumber / chain.ion_mass) * coupling
+
+    q = np.zeros(n)
+    v = np.zeros(n)
+    phase = np.zeros(n)
+    action = np.zeros(n)
+    if train.num_kicks == 0:
+        return TrajectoryResult(tuple(basis_state), q, v, np.zeros(n, dtype=complex),
+                                phase, action, 0.0)
+
+    t_cur = train.kick_times[0]
+    m_over_2h = chain.ion_mass / (2.0 * CONSTANTS.hbar)
+    for t_k, sign in zip(train.kick_times, train.kick_signs):
+        tau = t_k - t_cur
+        if tau > 0.0:
+            c, s = np.cos(w * tau), np.sin(w * tau)
+            c2, s2 = np.cos(2.0 * w * tau), np.sin(2.0 * w * tau)
+            action += 0.5 * chain.ion_mass * (
+                (v**2 - w**2 * q**2) * s2 / (2.0 * w) + q * v * (c2 - 1.0)
+            )
+            q, v = q * c + (v / w) * s, v * c - w * q * s
+            t_cur = t_k
+        dv = sign * dv_unit
+        phase += m_over_2h * dv * q
+        v = v + dv
+
+    back = t_cur - train.midpoint
+    c, s = np.cos(w * back), np.sin(w * back)
+    q0 = q * c - (v / w) * s
+    v0 = v * c + w * q * s
+    scale = np.sqrt(chain.ion_mass * w / (2.0 * CONSTANTS.hbar))
+    alphas = scale * (q0 + 1j * v0 / w)
+    return TrajectoryResult(tuple(basis_state), q, v, alphas, phase, action,
+                            float(np.sum(phase)))
+
+
+def _assert_identical(result, expected):
+    assert result.basis_state == expected.basis_state
+    for field in ("positions", "velocities", "alphas", "mode_phases", "actions"):
+        assert np.array_equal(getattr(result, field), getattr(expected, field)), field
+    assert result.total_phase == expected.total_phase
+
+
+def grid_train(rng, targets=(0, 1), groups=6, rate=300e6):
+    """Antisymmetric grid train: bursts on integer slots, few distinct gaps."""
+    slots, signs, position = [], [], int(rng.integers(1, 4))
+    for _ in range(groups):
+        size = int(rng.integers(1, 5))
+        sign = int(rng.choice([-1, 1]))
+        slots += range(position, position + size)
+        signs += [sign] * size
+        position += size + int(rng.integers(1, 5))
+    times = np.asarray(slots, dtype=float) / rate
+    return KickTrain(
+        tuple(-times[::-1]) + tuple(times),
+        tuple(-s for s in reversed(signs)) + tuple(signs),
+        targets,
+        rate,
+    )
+
+
+@pytest.fixture(scope="module")
+def lane_chains(small_chains, chain20):
+    return {2: small_chains[2], 5: small_chains[5], 20: chain20,
+            100: build_chain(TrapConfig(num_ions=100))}
+
+
+class TestPropagateLanes:
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    def test_lone_lane_matches_reference_loop(self, lane_chains, n):
+        rng = np.random.default_rng(300 + n)
+        chain = lane_chains[n]
+        trains = [random_train(rng, targets=(0, n - 1), kicks=int(rng.integers(1, 30)))
+                  for _ in range(3)] + [grid_train(rng, targets=(n // 2 - 1, n // 2))]
+        for train in trains:
+            for basis in BASIS_STATES:
+                _assert_identical(propagate(train, chain, basis),
+                                  _reference_propagate(train, chain, basis))
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    def test_mixed_lanes_match_reference_loop(self, lane_chains, n):
+        # bases x scaled times x scaled chains in one stack
+        rng = np.random.default_rng(400 + n)
+        train = grid_train(rng, targets=(0, 1), groups=8)
+        lanes = [
+            (train.scaled_times(f), lane_chains[n].with_frequency_scale(g), basis)
+            for f in (1.0, 1.0 + 3e-4, 1.0 - 7e-4)
+            for g in (1.0, 1.0 - 2e-4, 1.0 + 5e-4)
+            for basis in BASIS_STATES
+        ]
+        results = propagate_lanes(lanes)
+        assert len(results) == len(lanes)
+        for lane, result in zip(lanes, results):
+            _assert_identical(result, _reference_propagate(*lane))
+
+    @pytest.mark.parametrize("stack", [1, 5, 7])
+    def test_lanes_cut_into_stacks_keep_order(self, lane_chains, monkeypatch, stack):
+        import fastgate.dynamics
+
+        rng = np.random.default_rng(45)
+        train = grid_train(rng, groups=3)
+        monkeypatch.setattr(fastgate.dynamics, "_ROTATION_ENTRIES",
+                            stack * 5 * (train.num_kicks - 1))
+        lanes = [(train.scaled_times(f), lane_chains[5].with_frequency_scale(g), basis)
+                 for f, g in ((1.0, 1.0), (1.0004, 0.9997), (0.9996, 1.0))
+                 for basis in BASIS_STATES]
+        results = propagate_lanes(iter(lanes))
+        assert len(results) == len(lanes)
+        for lane, result in zip(lanes, results):
+            _assert_identical(result, _reference_propagate(*lane))
+
+    def test_grid_trains_reuse_rotations_exactly(self, lane_chains):
+        # Grid gaps repeat, and equal slot gaps give durations that differ in
+        # the last bits; the rotations must be shared only between bitwise
+        # equal durations.
+        rng = np.random.default_rng(41)
+        chain = lane_chains[20]
+        near_equal_seen = False
+        for _ in range(6):
+            train = grid_train(rng, groups=8)
+            tau = np.diff(train.kick_times)
+            distinct = np.unique(tau)
+            assert len(distinct) < len(tau)
+            near_equal_seen |= bool(np.any(np.diff(distinct) < 1e-12 * distinct[1:]))
+            lanes = [(train, chain, basis) for basis in BASIS_STATES]
+            for lane, result in zip(lanes, propagate_lanes(lanes)):
+                _assert_identical(result, _reference_propagate(*lane))
+        assert near_equal_seen
+
+    def test_coincident_kicks(self, lane_chains):
+        rng = np.random.default_rng(43)
+        for n in (2, 5, 20):
+            train = random_train(rng, targets=(0, 1), kicks=14)
+            train = KickTrain(train.kick_times[:1] + train.kick_times[:1] + train.kick_times[1:-1],
+                              train.kick_signs, train.target_ions)
+            lanes = [(train.scaled_times(f), lane_chains[n], basis)
+                     for f in (1.0, 0.999) for basis in BASIS_STATES]
+            for lane, result in zip(lanes, propagate_lanes(lanes)):
+                _assert_identical(result, _reference_propagate(*lane))
+
+    def test_single_kick(self, lane_chains):
+        for n in (2, 5, 100):
+            train = KickTrain((1.3e-7,), (-1,), (0, 1))
+            lanes = [(train, lane_chains[n].with_frequency_scale(g), basis)
+                     for g in (1.0, 1.001) for basis in BASIS_STATES]
+            for lane, result in zip(lanes, propagate_lanes(lanes)):
+                _assert_identical(result, _reference_propagate(*lane))
+
+    def test_empty_train(self, lane_chains):
+        lanes = [(KickTrain((), (), (0, 1)), lane_chains[5], basis) for basis in BASIS_STATES]
+        for lane, result in zip(lanes, propagate_lanes(lanes)):
+            _assert_identical(result, _reference_propagate(*lane))
+            assert result.alphas.dtype == complex
+
+    def test_lanes_must_agree_on_coincident_kicks(self, chain2):
+        apart = KickTrain((0.0, 1e-7, 2e-7), (1, 1, -1), (0, 1))
+        together = KickTrain((0.0, 0.0, 2e-7), (1, 1, -1), (0, 1))
+        with pytest.raises(ValueError):
+            propagate_lanes([(apart, chain2, (1, 1)), (together, chain2, (1, 1))])
+
+    def test_lanes_must_share_signs_and_targets(self, chain5):
+        train = KickTrain((0.0, 1e-7), (1, -1), (0, 1))
+        with pytest.raises(ValueError):
+            propagate_lanes([(train, chain5, (1, 1)),
+                             (KickTrain((0.0, 1e-7), (1, 1), (0, 1)), chain5, (1, 1))])
+        with pytest.raises(ValueError):
+            propagate_lanes([(train, chain5, (1, 1)),
+                             (KickTrain((0.0, 1e-7), (1, -1), (1, 2)), chain5, (1, 1))])
+        with pytest.raises(ValueError):
+            propagate(KickTrain((0.0,), (1,), (0, 5)), chain5, (1, 1))
+
+
+def _reference_build_report(chain, thermal, targets, theta, residuals, sdk_count, counting):
+    mu, nu = targets
+    nbar = thermal.occupations(chain.mode_frequencies)
+    coupling_sq = chain.mode_couplings[:, mu] ** 2 + chain.mode_couplings[:, nu] ** 2
+    if len(residuals) == 4:
+        stack = [np.abs(np.asarray(residuals[b])) ** 2 for b in BASIS_STATES]
+    else:
+        stack = [np.abs(np.asarray(residuals[b])) ** 2 for b in ((1, 1), (1, -1))] * 2
+    mean_sq = np.mean(stack, axis=0)
+    phase_mismatch = abs(theta) - math.pi / 4.0
+    motional = (4.0 / 3.0) * float(np.sum((0.5 + nbar) * mean_sq))
+    ideal = (2.0 / 3.0) * phase_mismatch**2 + motional
+    safe = np.where(coupling_sq > 0.0, coupling_sq, 1.0)
+    magnitudes = np.sqrt(mean_sq / safe) * (coupling_sq > 0.0)
+    reference = np.asarray(residuals[(1, 1)]).astype(complex)
+    ref_abs = np.abs(reference)
+    phases = np.divide(reference, ref_abs, out=np.ones_like(reference), where=ref_abs > 0.0)
+    return GateReport(
+        entangling_phase=theta, phase_mismatch=phase_mismatch,
+        mode_frequencies=chain.mode_frequencies.copy(), residuals=magnitudes * phases,
+        weights=(0.5 + nbar) * coupling_sq, ideal_infidelity=ideal,
+        motional_infidelity=motional, sdk_count=sdk_count,
+        pulse_count=pulse_count_for(sdk_count, counting),
+    )
+
+
+def _reference_evaluate_train(train, chain, thermal, full_basis=False, counting="pi_pulses"):
+    """`evaluate_train` as a loop of lone propagations."""
+    bases = BASIS_STATES if full_basis else ((1, 1), (1, -1))
+    results = {b: _reference_propagate(train, chain, b) for b in bases}
+    if full_basis:
+        theta = entangling_phase(list(results.values()))
+    else:
+        theta = 0.5 * (results[(1, 1)].total_phase - results[(1, -1)].total_phase)
+    residuals = {b: r.alphas for b, r in results.items()}
+    return _reference_build_report(chain, thermal, train.target_ions, theta, residuals,
+                                   train.num_kicks, counting)
+
+
+def _reference_jitter_sensitivity(result, chain, fractional_instability, samples, seed):
+    """`jitter_sensitivity` as a loop of lone evaluations, drawing per shot."""
+    base = _reference_evaluate_train(result.train, chain, result.thermal).ideal_infidelity
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
+    added = np.empty(samples)
+    for k in range(samples):
+        rate_shift, trap_shift = rng.uniform(
+            -fractional_instability, fractional_instability, size=2
+        )
+        train = result.train.scaled_times(1.0 / (1.0 + rate_shift))
+        perturbed = chain.with_frequency_scale(1.0 + trap_shift)
+        added[k] = (
+            _reference_evaluate_train(train, perturbed, result.thermal).ideal_infidelity - base
+        )
+    return {
+        "mean_added": float(np.mean(added)),
+        "p95_added": float(np.percentile(added, 95)),
+        "base_infidelity": base,
+    }
+
+
+def _assert_same_report(report, expected):
+    for field in ("entangling_phase", "phase_mismatch", "ideal_infidelity",
+                  "motional_infidelity", "sdk_count", "pulse_count"):
+        assert getattr(report, field) == getattr(expected, field), field
+    for field in ("mode_frequencies", "residuals", "weights"):
+        assert np.array_equal(getattr(report, field), getattr(expected, field)), field
+
+
+class TestLaneCallers:
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    def test_evaluate_train_matches_lone_propagations(self, lane_chains, n):
+        rng = np.random.default_rng(500 + n)
+        chain = lane_chains[n]
+        thermals = (ThermalSpec(nbar=0.1), ThermalSpec(nbar=None, temperature=5e-4))
+        for train in (grid_train(rng, targets=(0, 1)), random_train(rng, targets=(0, n - 1))):
+            for thermal in thermals:
+                for full_basis in (False, True):
+                    _assert_same_report(
+                        evaluate_train(train, chain, thermal, full_basis=full_basis,
+                                       counting="sdks"),
+                        _reference_evaluate_train(train, chain, thermal, full_basis, "sdks"),
+                    )
+
+    def test_evaluate_trains_matches_each_pair_alone(self, lane_chains):
+        rng = np.random.default_rng(47)
+        train = grid_train(rng)
+        pairs = [(train.scaled_times(f), lane_chains[5].with_frequency_scale(g))
+                 for f, g in ((1.0, 1.0), (1.0002, 0.9995), (0.9993, 1.0004))]
+        thermal = ThermalSpec(nbar=None, temperature=2e-3)
+        reports = evaluate_trains([p[0] for p in pairs], [p[1] for p in pairs], thermal)
+        for (train_k, chain_k), report in zip(pairs, reports):
+            _assert_same_report(report, _reference_evaluate_train(train_k, chain_k, thermal))
+
+    @pytest.mark.parametrize("n, samples, seed", [(2, 1, 0), (5, 9, 3), (20, 25, 7)])
+    def test_jitter_sensitivity_matches_per_shot_loop(self, lane_chains, n, samples, seed):
+        rng = np.random.default_rng(600 + n)
+        chain = lane_chains[n]
+        train = grid_train(rng, targets=(0, 1))
+        thermal = ThermalSpec(nbar=0.1)
+        result = OptimizationResult(
+            sequence=None, train=train, report=evaluate_train(train, chain, thermal),
+            epsilon=0.0, adjusted_fidelity=0.0, thermal=thermal, seed=seed,
+        )
+        for instability in (1e-3, 2e-2):
+            stats = jitter_sensitivity(result, chain, instability, samples=samples, seed=seed)
+            assert stats == _reference_jitter_sensitivity(result, chain, instability,
+                                                          samples, seed)

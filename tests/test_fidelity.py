@@ -241,3 +241,20 @@ class TestGateReport:
         assert np.abs(analytic.residuals) == pytest.approx(
             np.abs(trajectory.residuals), abs=1e-12
         )
+
+
+class TestSharedFormula:
+    def test_infidelity_equals_report_bit_for_bit(self, small_chains):
+        from fastgate.dynamics import propagate
+
+        rng = np.random.default_rng(61)
+        for n in (2, 5, 9):
+            chain = small_chains[n]
+            sizes, times, gate_time = random_half_sequence(rng)
+            seq = PulseGroupSequence.from_half(sizes, times, (0, 1), gate_time)
+            train = instantaneous_train(seq)
+            for thermal in (NBAR, ThermalSpec(nbar=None, temperature=1e-3)):
+                report = evaluate_train(train, chain, thermal)
+                residuals = {b: propagate(train, chain, b).alphas for b in ((1, 1), (1, -1))}
+                assert infidelity(report.phase_mismatch, residuals, chain, thermal) == \
+                    report.ideal_infidelity
