@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -32,7 +33,7 @@ from .fidelity import ThermalSpec, evaluate_train
 from .optimize import (
     NoCandidatesError,
     OptimizationResult,
-    Stage2Config,
+    final_key,
     jitter_sensitivity,
     optimize_gate,
     refine_candidates,
@@ -223,16 +224,12 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
         stage1_config = config.stage1_config()
         candidates, _ = stage1(chain, stage1_config, seed=config.seed, threads=threads)
         for value in config.sweep_values:
-            stage2_config = Stage2Config(
-                repetition_rate=value * 1e6,
-                timing_variation=config.stage2.timing_variation,
-                local_restarts=config.stage2.local_restarts,
-            )
+            stage2_config = replace(config.stage2, repetition_rate=value * 1e6)
             results, _ = refine_candidates(
                 candidates, chain, stage1_config, stage2_config,
                 seed=config.seed, threads=threads,
             )
-            best = min(results, key=lambda r: 1.0 - r.adjusted_fidelity)
+            best = min(results, key=final_key)
             rows.append(_sweep_row(variable, value, best.report,
                                    1.0 - best.adjusted_fidelity, best))
             print(f"repetition_rate={value:g} MHz: ideal {best.report.ideal_infidelity:.3e}")
@@ -372,8 +369,6 @@ def main(argv=None) -> int:
             return cmd_evaluate(args, out_dir)
         config = load_run_config_file(args.config)
         if args.seed is not None:
-            from dataclasses import replace
-
             config = replace(config, seed=args.seed)
         if args.command == "modes":
             return cmd_modes(config, out_dir)

@@ -150,7 +150,13 @@ def apply_pulse_error(ideal_fidelity: float, pulse_count: int, epsilon: float) -
             f"pulse error model out of regime: N_p * eps = {pulse_count * epsilon:.3g} > 0.5",
             stacklevel=2,
         )
-    return (1.0 - pulse_count * epsilon) ** 2 * ideal_fidelity
+    return pulse_error_factor(pulse_count, epsilon) * ideal_fidelity
+
+
+def pulse_error_factor(pulse_count, epsilon: float):
+    """The fidelity factor of `apply_pulse_error`'s error model, for one
+    pulse count or an array of them."""
+    return (1.0 - pulse_count * epsilon) ** 2
 
 
 def pulse_count_for(sdk_count: int, counting: str = "pi_pulses") -> int:

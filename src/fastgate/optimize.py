@@ -10,21 +10,26 @@ minimised by BFGS with the exact gradient of the quadratic-form cost.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
-of its Stage-1 value; integer moves from the same move matrix, re-scored by
-quick timing refinement, let it escape the stiff uniform-timing lattice
-before the final on-grid coordinate descent.  The timing refinement is a
-small projected Levenberg-Marquardt solver on the box-bounded gaps, written
-here in numpy because the fits are tiny: one gap per group against one
-residual per mode plus the phase.  Independent fits run as lanes of one
-stack (the starts of one refinement, or a batch of integer moves), each
-lane doing exactly the arithmetic it would do alone, so the numpy call
-overhead is paid once per batch.  A batch of moves stops once every lane up
-to the first improving move has finished: that move is taken, the lanes
-after it are abandoned, and the next batch starts after it, which keeps the
-decisions of scoring the moves one at a time.  The lane count follows from
-the mode count (`_lane_count`).  Both stages are deterministic under a
-seed, and parallel work is merged in a fixed order so serial and parallel
-runs produce identical output.
+of its Stage-1 value.  `stage2` drives named steps.  `_joint_paths` lets
+integer moves from the same move matrix, re-scored by quick timing
+refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
+snaps a timing to both grid phases and polishes it by on-grid coordinate
+descent, returning the evaluations it spent; it runs for the stage-1 seed
+inside the stage-1 windows and for each refined joint solution inside its
+`_anchored_windows`.  `_expand` turns the best solution the grid expresses
+into the gate.  The timing refinement is a small projected
+Levenberg-Marquardt solver on the box-bounded gaps, written here in numpy
+because the fits are tiny: one gap per group against one residual per mode
+plus the phase.  Independent fits run as lanes of one stack (the starts of
+one refinement, or a batch of integer moves), each lane doing exactly the
+arithmetic it would do alone, so the numpy call overhead is paid once per
+batch.  A batch of moves stops once every lane up to the first improving
+move has finished: that move is taken, the lanes after it are abandoned, and
+the next batch starts after it, which keeps the decisions of scoring the
+moves one at a time.  The lane count follows from the mode count
+(`_lane_count`).  Both stages are deterministic under a seed, and parallel
+work is merged in a fixed order so serial and parallel runs produce
+identical output.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .fidelity import (
     evaluate_train,
     evaluate_trains,
     pulse_count_for,
+    pulse_error_factor,
 )
 from .sequence import (
     BurstOverlap,
@@ -98,6 +104,12 @@ class Stage1Config:
             raise ValueError("z_bound_schedule must be strictly increasing")
         if self.epsilon < 0.0 or self.top_k < 1 or self.restarts < 0:
             raise ValueError("invalid stage-1 configuration")
+        if self.pulse_counting not in ("pi_pulses", "sdks"):
+            raise ValueError('pulse_counting must be "pi_pulses" or "sdks"')
+
+
+# scales of the candidate's sizes that start stage 2's joint refinements
+_RESTART_SCALES = (1.0, 0.5, 0.7, 0.35, 0.85, 0.25, 0.6, 0.2)
 
 
 @dataclass(frozen=True)
@@ -106,15 +118,15 @@ class Stage2Config:
 
     repetition_rate: float = 300e6   # Hz
     timing_variation: float = 0.25   # allowed fractional change of each gap
-    local_restarts: int = 4          # extra scaled joint-refinement starts
+    local_restarts: int = 4          # extra scaled joint-refinement starts, at most 7
 
     def __post_init__(self):
         if not self.repetition_rate > 0.0:
             raise ValueError("repetition_rate must be positive")
         if not 0.0 < self.timing_variation <= 0.5:
             raise ValueError("timing_variation must be in (0, 0.5]")
-        if self.local_restarts < 0:
-            raise ValueError("local_restarts must be non-negative")
+        if not 0 <= self.local_restarts < len(_RESTART_SCALES):
+            raise ValueError(f"local_restarts must be in 0..{len(_RESTART_SCALES) - 1}")
 
 
 class CostModel:
@@ -126,7 +138,6 @@ class CostModel:
     """
 
     def __init__(self, chain, targets, half_times, thermal, epsilon, counting, max_sdks):
-        mu, nu = targets
         d = len(half_times)
         t_full = np.concatenate([-np.asarray(half_times)[::-1], np.asarray(half_times)])
         fold = np.zeros((2 * d, d))
@@ -134,24 +145,21 @@ class CostModel:
             fold[d - 1 - a, a] = -1.0
             fold[d + a, a] = 1.0
 
-        w = chain.mode_frequencies
-        eta = chain.lamb_dicke
-        b_mu = chain.mode_couplings[:, mu]
-        b_nu = chain.mode_couplings[:, nu]
-        nbar = thermal.occupations(w)
+        # the per-mode coefficients of the instantaneous-group surrogate
+        surrogate = _TimingCost(chain, targets, thermal)
+        w = surrogate.w
 
         dt = t_full[:, None] - t_full[None, :]
         phase_full = np.einsum(
             "m,mij->ij",
-            8.0 * eta**2 * b_mu * b_nu,
+            surrogate.phase_scale,
             np.tril(np.sin(w[:, None, None] * dt[None, :, :]), k=-1),
         )
         folded = fold.T @ phase_full @ fold
         self.phase_quadratic = 0.5 * (folded + folded.T)
 
-        weights = (4.0 / 3.0) * (0.5 + nbar) * (b_mu**2 + b_nu**2)
         sin_t = np.sin(np.outer(w, t_full)) @ fold     # modes x d
-        scaled = sin_t * (2.0 * eta * np.sqrt(weights))[:, None]
+        scaled = sin_t * surrogate.alpha_scale
         self.residual_quadratic = scaled.T @ scaled
         self.epsilon = epsilon
         self.counting = counting
@@ -179,18 +187,15 @@ class CostModel:
     def selection_cost(self, z: np.ndarray) -> float:
         """Pulse-error-adjusted infidelity used to rank candidates."""
         self.evaluations += 1
-        ideal = self.ideal_infidelity(z)
-        pulses = pulse_count_for(2 * int(np.sum(np.abs(z))), self.counting)
-        return 1.0 - (1.0 - pulses * self.epsilon) ** 2 * (1.0 - ideal)
+        return _adjusted_cost(self.ideal_infidelity(z), z, self.epsilon, self.counting)
 
     def selection_cost_batch(self, z_matrix: np.ndarray) -> np.ndarray:
         self.evaluations += len(z_matrix)
         theta = np.einsum("ni,ij,nj->n", z_matrix, self.phase_quadratic, z_matrix)
         motional = np.einsum("ni,ij,nj->n", z_matrix, self.residual_quadratic, z_matrix)
         ideal = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2 + motional
-        sdks = 2 * np.sum(np.abs(z_matrix), axis=1)
-        factor = 2 if self.counting == "pi_pulses" else 1
-        return 1.0 - (1.0 - factor * sdks * self.epsilon) ** 2 * (1.0 - ideal)
+        pulses = pulse_count_for(2 * np.sum(np.abs(z_matrix), axis=1), self.counting)
+        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - ideal)
 
 
 @functools.lru_cache(maxsize=None)
@@ -515,6 +520,7 @@ class _TimingCost:
         nbar = thermal.occupations(self.w)
         self.weights = (4.0 / 3.0) * (0.5 + nbar) * (self.b_mu**2 + self.b_nu**2)
         self.phase_scale = 8.0 * self.eta**2 * self.b_mu * self.b_nu
+        self.alpha_scale = (2.0 * self.eta * np.sqrt(self.weights))[:, None]
         self.period = period
         self._form_cache: dict[int, tuple] = {}
 
@@ -570,7 +576,6 @@ class _BoundTimingCost:
         for slot in range(full_counts.shape[-1]):
             within_total += withins[full_counts[..., slot]]
         self.within_theta = np.sum(parent.phase_scale * within_total, axis=-1)
-        self.alpha_scale = (2.0 * parent.eta * np.sqrt(parent.weights))[:, None]
 
     def _lane_terms(self, lanes):
         """Effective kick sizes and within-burst phase of the given lanes."""
@@ -598,7 +603,7 @@ class _BoundTimingCost:
         out = np.empty((len(theta), 1 + weighted.shape[-2]))
         out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
         # antisymmetry doubles the positive-half imaginary part
-        out[:, 1:] = 2.0 * self.alpha_scale[:, 0] * weighted[..., d:].sum(axis=-1).imag
+        out[:, 1:] = 2.0 * self.parent.alpha_scale[:, 0] * weighted[..., d:].sum(axis=-1).imag
         return out, theta
 
     def residuals(self, t_half) -> np.ndarray:
@@ -632,7 +637,7 @@ class _BoundTimingCost:
         )
         jac = np.empty(out.shape + (d,))
         jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * theta_grad
-        jac[:, 1:] = 2.0 * self.alpha_scale * (w[:, None] * weighted[..., d:].real)
+        jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w[:, None] * weighted[..., d:].real)
         return (out[0], jac[0]) if single else (out, jac)
 
 
@@ -906,9 +911,6 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     return scorer(ideal, z), z.astype(int), t
 
 
-_RESTART_SCALES = (1.0, 0.5, 0.7, 0.35, 0.85, 0.25, 0.6, 0.2)
-
-
 def _burst_fits(half_sizes, times, period):
     """Whether every group's burst fits its gap on the grid of `period`."""
     kept = [(abs(z), t) for z, t in zip(half_sizes, times) if z != 0]
@@ -1014,18 +1016,109 @@ def _grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_ga
     return cost, times, evaluations
 
 
-def _snap_half_times(half_sizes, half_times, rate):
-    return [snap_group_time(t, z, rate) for z, t in zip(half_sizes, half_times)]
+def _snapped(half_sizes, half_times, rate, phase=0.0):
+    """Each group's time snapped to its slot on the grid of `rate` at
+    `phase`; an empty group keeps its time."""
+    return [snap_group_time(t, z, rate, phase) if z != 0 else t
+            for z, t in zip(half_sizes, half_times)]
 
 
-def _expand_or_none(half_sizes, half_times, targets, rate):
+def _expand(half_sizes, half_times, targets, rate, phase=0.0):
+    """The sequence of the nonempty groups and its train on the grid of
+    `rate` at `phase`; None when the grid cannot express it."""
+    kept = [(z, t) for z, t in zip(half_sizes, half_times) if z != 0]
     try:
-        seq = PulseGroupSequence.from_half(
-            half_sizes, half_times, targets, 2.0 * half_times[-1]
+        sequence = PulseGroupSequence.from_half(
+            [z for z, _ in kept], [t for _, t in kept], targets, 2.0 * kept[-1][1]
         )
-        return seq, expand_groups(seq, rate)
+        return sequence, expand_groups(sequence, rate, grid_phase=phase)
     except (BurstOverlap, GridResolutionError, ValueError):
-        return None, None
+        return None
+
+
+def _adjusted_cost(ideal, z_half, epsilon, counting):
+    """Pulse-error-adjusted infidelity of the half sizes `z_half` at ideal
+    infidelity `ideal`."""
+    pulses = pulse_count_for(2 * int(np.sum(np.abs(z_half))), counting)
+    return 1.0 - pulse_error_factor(pulses, epsilon) * (1.0 - ideal)
+
+
+def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, restarts,
+                 scorer, rng):
+    """`_joint_refine` from scaled copies of the sizes and from two smooth
+    same-sign envelopes, as (adjusted cost, sizes, half times), best first.
+
+    The envelope starts matter because the exact-closure solutions at larger
+    N are gentle same-sign pushes that score terribly at uniform timings and
+    so never rank in stage 1.  The envelopes are clipped to +-`bound` per
+    group and to a half-sum of |z| of `cap_half` (half the SDK cap), which
+    the scaled copies already respect; an all-zero or repeated start is
+    skipped.
+    """
+    z = np.asarray(sizes, dtype=float)
+    envelope = np.sin(math.pi * (np.arange(len(z)) + 0.5) / len(z))
+    starts = [np.rint(scale * z) for scale in _RESTART_SCALES[: 1 + restarts]] + [
+        _clip_to_sdk_cap(np.clip(np.rint(scale * envelope), -bound, bound), cap_half)
+        for scale in (1.3, 2.2)
+    ]
+    paths, seen = [], set()
+    for start in starts:
+        key = tuple(int(v) for v in start)
+        if not np.any(start) or key in seen:
+            continue
+        seen.add(key)
+        cost, z_refined, t_refined = _joint_refine(
+            timing_cost, start, np.asarray(times, dtype=float), gap_lo, gap_hi,
+            bound, cap_half, scorer, rng,
+        )
+        paths.append((cost, [int(v) for v in z_refined], t_refined))
+    return sorted(paths, key=lambda p: (p[0], tuple(p[1])))
+
+
+def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
+    """`half_times` snapped to each grid phase and polished by `_grid_descent`
+    inside the gap windows [gap_lo, gap_hi].
+
+    Returns a (adjusted cost, sizes, half times, phase) tuple for each phase
+    whose snapped start is feasible, and the surrogate evaluations spent.
+    """
+    solutions, evaluations = [], 0
+    for phase in (0.0, 0.5 * timing_cost.period):
+        cost, polished, spent = _grid_descent(
+            timing_cost, half_sizes, _snapped(half_sizes, half_times, rate, phase),
+            gap_lo, gap_hi,
+        )
+        evaluations += spent
+        if math.isfinite(cost):
+            solutions.append((scorer(cost, half_sizes), tuple(half_sizes), tuple(polished), phase))
+    return solutions, evaluations
+
+
+def _anchored_windows(half_times, gap_lo, gap_hi, period):
+    """Gap windows of +-4 grid slots around the gaps of `half_times`, at
+    least a quarter slot wide and inside [gap_lo, gap_hi]; None when one
+    of them is empty."""
+    gaps = np.diff(np.concatenate([[0.0], half_times]))
+    low = np.maximum(np.maximum(gaps - 4.0 * period, 0.25 * period), gap_lo)
+    high = np.minimum(gaps + 4.0 * period, gap_hi)
+    return None if np.any(high < low) else (low, high)
+
+
+def _stage2_result(candidate, gate, evaluations, chain, thermal, epsilon, seed, counting):
+    """The `OptimizationResult` of a (sequence, train) gate refined from
+    `candidate`, scored on its trajectories."""
+    sequence, train = gate
+    report = evaluate_train(train, chain, thermal, counting=counting)
+    return OptimizationResult(
+        sequence=sequence, train=train, report=report, epsilon=epsilon,
+        adjusted_fidelity=report.adjusted_fidelity(epsilon), thermal=thermal, seed=seed,
+        telemetry={
+            "stage2_evaluations": evaluations,
+            "stage1_ideal_infidelity": candidate.ideal_infidelity,
+            "bound_at_optimum": candidate.bound_found,
+            "design_gate_time_s": candidate.design_gate_time,
+        },
+    )
 
 
 def stage2(
@@ -1042,175 +1135,70 @@ def stage2(
     """Refine one candidate on the repetition-rate grid.
 
     Continuous gap refinement and integer re-scoring against the analytic
-    surrogate come first; the refined gate is then snapped to the grid and
-    polished by coordinate descent over the group times with the
-    trajectory-based infidelity of the expanded train as objective.  Each
-    gap stays within +-`timing_variation` of its Stage-1 value and the
-    negative-time half mirrors the positive half throughout.  The result is
-    never worse than the grid-snapped Stage-1 seed under the trajectory
-    objective.  Integer moves keep every group within `z_bound` and the gate
-    within `max_sdks` SDKs, the limits stage 1 searched under.
+    surrogate come first (`_joint_paths`); the stage-1 timings and the
+    refined ones are then snapped to the grid and polished by coordinate
+    descent over the group times (`_grid_solutions`), and the best solution
+    the grid expresses is scored by the trajectory-based infidelity of its
+    expanded train.  Each gap stays within +-`timing_variation` of its
+    Stage-1 value and the negative-time half mirrors the positive half
+    throughout.  The result is never worse than the grid-snapped Stage-1
+    seed under the trajectory objective.  Integer moves keep every group
+    within `z_bound` and the gate within `max_sdks` SDKs, the limits stage 1
+    searched under.  `stage2_evaluations` counts the on-grid surrogate
+    evaluations.
     """
-    period = 1.0 / config.repetition_rate
+    rate = config.repetition_rate
     base = candidate.sequence.trimmed()
+    targets = base.target_ions
     sizes0 = [z for z in base.half_sizes if z != 0]
     times0 = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
-    evaluations = 0
-
     if not sizes0:
-        train = expand_groups(base, config.repetition_rate)
-        report = evaluate_train(train, chain, thermal, counting=counting)
-        return OptimizationResult(
-            sequence=base,
-            train=train,
-            report=report,
-            epsilon=epsilon,
-            adjusted_fidelity=report.adjusted_fidelity(epsilon),
-            thermal=thermal,
-            seed=seed,
-            telemetry={"stage2_evaluations": 0},
-        )
+        gate = (base, expand_groups(base, rate))
+        return _stage2_result(candidate, gate, 0, chain, thermal, epsilon, seed, counting)
 
-    gaps0 = np.diff(np.concatenate([[0.0], np.asarray(times0)]))
-    gap_lo = (1.0 - config.timing_variation) * gaps0
-    gap_hi = (1.0 + config.timing_variation) * gaps0
-    bound = int(np.max(np.abs(sizes0)))
-    cap_half = max_sdks // 2  # the SDK count is twice the half-sum of |z|
-
-    snapped = _snap_half_times(sizes0, times0, config.repetition_rate)
-    seed_seq, seed_train = _expand_or_none(
-        sizes0, snapped, base.target_ions, config.repetition_rate
-    )
-    if seed_train is None:
+    seed_gate = _expand(sizes0, _snapped(sizes0, times0, rate), targets, rate)
+    if seed_gate is None:
         raise GridResolutionError(
-            f"repetition rate {config.repetition_rate:.3g} Hz cannot express the "
+            f"repetition rate {rate:.3g} Hz cannot express the "
             f"stage-1 timings of gate time {candidate.design_gate_time:.3g} s"
         )
-
-    def adjusted(ideal, z_half):
-        pulses = pulse_count_for(2 * int(np.sum(np.abs(z_half))), counting)
-        return 1.0 - (1.0 - pulses * epsilon) ** 2 * (1.0 - ideal)
-
+    gaps0 = np.diff(np.concatenate([[0.0], times0]))
+    gap_lo = (1.0 - config.timing_variation) * gaps0
+    gap_hi = (1.0 + config.timing_variation) * gaps0
+    timing_cost = _TimingCost(chain, targets, thermal, period=1.0 / rate)
+    scorer = functools.partial(_adjusted_cost, epsilon=epsilon, counting=counting)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
-    timing_cost = _TimingCost(chain, base.target_ions, thermal, period=period)
-    rate = config.repetition_rate
-    phases = (0.0, 0.5 * period)
 
-    # Joint continuous refinement from scaled copies of the candidate plus
-    # smooth same-sign envelope patterns: integer moves re-scored by timing
-    # refinement, escaping the uniform-timing lattice before anything
-    # touches the grid.  The envelope starts matter because the exact-closure
-    # solutions at larger N are gentle same-sign pushes that score terribly
-    # at uniform timings and so never rank in stage 1.
-    d = len(sizes0)
-    starts = [
-        np.rint(scale * np.asarray(sizes0, dtype=float))
-        for scale in _RESTART_SCALES[: 1 + config.local_restarts]
-    ]
-    envelope = np.sin(math.pi * (np.arange(d) + 0.5) / d)
-    starts.append(_clip_to_sdk_cap(np.rint(1.3 * envelope), cap_half))
-    starts.append(_clip_to_sdk_cap(np.rint(2.2 * envelope), cap_half))
-    seen_starts = set()
-    joint_paths = []
-    for z_start in starts:
-        key = tuple(int(v) for v in z_start)
-        if not np.any(z_start) or key in seen_starts:
-            continue
-        seen_starts.add(key)
-        cost, z_refined, t_refined = _joint_refine(
-            timing_cost, z_start, np.asarray(times0, dtype=float),
-            gap_lo, gap_hi, bound=max(bound, z_bound), cap_half=cap_half, scorer=adjusted,
-            rng=rng,
-        )
-        joint_paths.append((cost, [int(v) for v in z_refined], t_refined))
-    joint_paths.sort(key=lambda p: (p[0], tuple(p[1])))
-
-    solutions = []  # (adjusted cost, sizes, times, phase, tag)
-
-    def add_grid_solutions(half_sizes, t_continuous, anchor_lo, anchor_hi, tag):
-        """Snap to both grid phases and polish; returns the evaluations spent."""
-        z_arr = np.asarray(half_sizes, dtype=float)
-        spent = 0
-        for phase in phases:
-            snapped_times = [
-                snap_group_time(t, z, rate, phase) if z != 0 else t
-                for z, t in zip(half_sizes, t_continuous)
-            ]
-            cost, polished, used = _grid_descent(
-                timing_cost, half_sizes, snapped_times, anchor_lo, anchor_hi
-            )
-            spent += used
-            if math.isfinite(cost):
-                solutions.append(
-                    (adjusted(cost, z_arr), list(half_sizes), polished, phase, tag)
-                )
-        return spent
-
-    # Seed path: pure Stage-1 sizes and timings, snapped and polished within
-    # the stage-1 windows (the never-worse-than-seed guarantee).
-    evaluations += add_grid_solutions(sizes0, times0, gap_lo, gap_hi, "seed")
-
-    # Joint paths: each refined solution (and nearby multistart solutions)
-    # snapped on both grid phases and polished inside windows re-anchored
-    # around the refined gaps.
-    for _, z_final, t_joint in joint_paths[:3]:
-        z_arr = np.asarray(z_final, dtype=float)
+    joint = _joint_paths(
+        timing_cost, sizes0, times0, gap_lo, gap_hi, max(max(map(abs, sizes0)), z_bound),
+        max_sdks // 2, config.local_restarts, scorer, rng,
+    )
+    # Seed path: the stage-1 sizes and timings polished within the stage-1
+    # windows (the never-worse-than-seed guarantee).
+    polished = [_grid_solutions(timing_cost, rate, sizes0, times0, gap_lo, gap_hi, scorer)]
+    # Joint paths: the best three refined again from three starts, each
+    # solution polished inside windows re-anchored around its gaps.
+    for _, sizes, t_joint in joint[:3]:
         refined = _refine_times(
-            timing_cost, z_arr, np.asarray(t_joint, dtype=float),
-            gap_lo, gap_hi, budget=600, starts=3, rng=rng,
+            timing_cost, np.asarray(sizes, dtype=float), t_joint, gap_lo, gap_hi,
+            budget=600, starts=3, rng=rng,
         )
         for _, t_solution in refined[:3]:
-            gaps = np.diff(np.concatenate([[0.0], t_solution]))
-            slack_lo = np.maximum(gaps - 4.0 * period, 0.25 * period)
-            slack_hi = gaps + 4.0 * period
-            anchor_lo = np.maximum(slack_lo, gap_lo)
-            anchor_hi = np.minimum(slack_hi, gap_hi)
-            if np.any(anchor_hi < anchor_lo):
-                continue
-            evaluations += add_grid_solutions(
-                z_final, list(t_solution), anchor_lo, anchor_hi, "joint"
-            )
-
+            windows = _anchored_windows(t_solution, gap_lo, gap_hi, timing_cost.period)
+            if windows is not None:
+                polished.append(_grid_solutions(
+                    timing_cost, rate, sizes, list(t_solution), *windows, scorer
+                ))
+    solutions = [solution for found, _ in polished for solution in found]
+    evaluations = sum(spent for _, spent in polished)
     if not solutions:
         raise GridResolutionError(
             f"repetition rate {rate:.3g} Hz admits no feasible timing assignment "
             f"for gate time {candidate.design_gate_time:.3g} s"
         )
-    solutions.sort(key=lambda s: (s[0], tuple(s[1]), tuple(s[2]), s[3]))
-
-    seq = train = report = None
-    for _, half_sizes, times, phase, _tag in solutions:
-        kept = [(z, t) for z, t in zip(half_sizes, times) if z != 0]
-        try:
-            candidate_seq = PulseGroupSequence.from_half(
-                [z for z, _ in kept], [t for _, t in kept],
-                base.target_ions, 2.0 * kept[-1][1],
-            )
-            candidate_train = expand_groups(candidate_seq, rate, grid_phase=phase)
-        except (BurstOverlap, GridResolutionError, ValueError):
-            continue
-        seq, train = candidate_seq, candidate_train
-        report = evaluate_train(train, chain, thermal, counting=counting)
-        break
-    if report is None:
-        seq, train = seed_seq, seed_train
-        report = evaluate_train(train, chain, thermal, counting=counting)
-
-    return OptimizationResult(
-        sequence=seq,
-        train=train,
-        report=report,
-        epsilon=epsilon,
-        adjusted_fidelity=report.adjusted_fidelity(epsilon),
-        thermal=thermal,
-        seed=seed,
-        telemetry={
-            "stage2_evaluations": evaluations,
-            "stage1_ideal_infidelity": candidate.ideal_infidelity,
-            "bound_at_optimum": candidate.bound_found,
-            "design_gate_time_s": candidate.design_gate_time,
-        },
-    )
+    expressed = (_expand(z, t, targets, rate, phase) for _, z, t, phase in sorted(solutions))
+    gate = next(filter(None, expressed), seed_gate)
+    return _stage2_result(candidate, gate, evaluations, chain, thermal, epsilon, seed, counting)
 
 
 def _stage2_task(args):
@@ -1252,6 +1240,17 @@ def refine_candidates(
     return results, len(outcomes) - len(results)
 
 
+def final_key(result: OptimizationResult) -> tuple:
+    """Winner order among stage-2 results: pulse-error-adjusted infidelity,
+    then fewer SDKs, shorter gate, lexicographic sizes."""
+    return (
+        1.0 - result.adjusted_fidelity,
+        result.report.sdk_count,
+        result.gate_duration,
+        result.sequence.group_sizes,
+    )
+
+
 def optimize_gate(
     chain: ChainModel,
     stage1_config: Stage1Config,
@@ -1262,9 +1261,8 @@ def optimize_gate(
     """Full two-stage optimisation; deterministic under (seed, configs).
 
     Stage-1 top-K candidates are refined independently by Stage 2 and the
-    winner is selected by pulse-error-adjusted fidelity (ties: fewer SDKs,
-    shorter gate, lexicographic sizes).  Candidates stage 2 finds infeasible
-    are dropped and counted as `stage2_infeasible`.
+    winner is the first in `final_key` order.  Candidates stage 2 finds
+    infeasible are dropped and counted as `stage2_infeasible`.
     """
     started = time.perf_counter()
     candidates, telemetry = stage1(chain, stage1_config, seed=seed, threads=threads)
@@ -1273,15 +1271,6 @@ def optimize_gate(
     results, infeasible = refine_candidates(
         candidates, chain, stage1_config, stage2_config, seed=seed, threads=threads
     )
-
-    def final_key(result: OptimizationResult):
-        return (
-            1.0 - result.adjusted_fidelity,
-            result.report.sdk_count,
-            result.gate_duration,
-            result.sequence.group_sizes,
-        )
-
     best = min(results, key=final_key)
     merged = dict(best.telemetry)
     merged.update(telemetry)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 from .chain import TrapConfig
 from .constants import CONSTANTS
@@ -47,8 +47,7 @@ class RunConfig:
 
     trap: TrapConfig
     thermal: ThermalSpec
-    targets: object            # (mu, nu) pair or "edge" / "middle"
-    stage1_kwargs: dict
+    stage1: Stage1Config       # targets: (mu, nu) pair or "edge" / "middle"
     stage2: Stage2Config
     sweep_variable: str | None
     sweep_values: tuple
@@ -57,23 +56,20 @@ class RunConfig:
 
     def resolved_targets(self, num_ions: int | None = None) -> tuple:
         n = num_ions if num_ions is not None else self.trap.num_ions
-        if self.targets == "edge":
+        if self.stage1.targets == "edge":
             pair = (0, 1)
-        elif self.targets == "middle":
+        elif self.stage1.targets == "middle":
             lo = max(0, (n - 1) // 2)
             pair = (lo, lo + 1)
         else:
-            pair = tuple(self.targets)
+            pair = tuple(self.stage1.targets)
         if not (0 <= pair[0] < n and 0 <= pair[1] < n):
             raise ConfigError(f"target ions {pair} out of range for {n} ions")
         return pair
 
-    def stage1_config(self, num_ions: int | None = None, **overrides) -> Stage1Config:
-        kwargs = dict(self.stage1_kwargs)
-        kwargs["targets"] = self.resolved_targets(num_ions)
-        kwargs["thermal"] = self.thermal
-        kwargs.update(overrides)
-        return Stage1Config(**kwargs)
+    def stage1_config(self, num_ions: int | None = None) -> Stage1Config:
+        """`stage1` with its targets resolved for `num_ions` ions."""
+        return replace(self.stage1, targets=self.resolved_targets(num_ions))
 
 
 def _parse_trap(block: dict) -> TrapConfig:
@@ -132,17 +128,14 @@ def _parse_targets(value):
     raise ConfigError('stage1.targets must be "edge", "middle", or a pair of ion indices')
 
 
-def _parse_stage1(block: dict) -> dict:
+def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
     _check_keys(
         block,
         {"targets", "group_count", "gate_time_scan_us", "z_bound_max", "epsilon",
          "top_k", "restarts", "max_sdks", "pulse_counting"},
         "stage1",
     )
-    kwargs: dict = {}
-    kwargs["targets"] = _parse_targets(block.get("targets", "middle"))
-    if "group_count" in block:
-        kwargs["group_count"] = block["group_count"]
+    kwargs: dict = {"thermal": thermal, "targets": _parse_targets(block.get("targets", "middle"))}
     scan = block.get("gate_time_scan_us")
     if scan is not None:
         if isinstance(scan, dict):
@@ -167,17 +160,19 @@ def _parse_stage1(block: dict) -> dict:
     for key in ("epsilon",):
         if key in block:
             kwargs[key] = _get_number(block, key, "stage1")
-    for key in ("top_k", "restarts", "max_sdks"):
+    for key, least in (("group_count", 1), ("top_k", 1), ("restarts", 0), ("max_sdks", 0)):
         if key in block:
             value = block[key]
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"stage1.{key} must be a non-negative integer")
+            if not isinstance(value, int) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise ConfigError(f"stage1.{key} must be a {kind} integer")
             kwargs[key] = value
     if "pulse_counting" in block:
-        if block["pulse_counting"] not in ("pi_pulses", "sdks"):
-            raise ConfigError('stage1.pulse_counting must be "pi_pulses" or "sdks"')
         kwargs["pulse_counting"] = block["pulse_counting"]
-    return kwargs
+    try:
+        return Stage1Config(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"stage1: {exc}") from exc
 
 
 def _parse_stage2(block: dict) -> Stage2Config:
@@ -250,13 +245,12 @@ def load_run_config(data: dict | None) -> RunConfig:
     if "sweep" in data:
         sweep_variable, sweep_values, samples = _parse_sweep(data["sweep"])
 
+    trap = _parse_trap(data.get("trap", {}))
+    thermal = _parse_thermal(data.get("thermal", {}))
     return RunConfig(
-        trap=_parse_trap(data.get("trap", {})),
-        thermal=_parse_thermal(data.get("thermal", {})),
-        targets=_parse_targets(data.get("stage1", {}).get("targets", "middle")),
-        stage1_kwargs={
-            k: v for k, v in _parse_stage1(data.get("stage1", {})).items() if k != "targets"
-        },
+        trap=trap,
+        thermal=thermal,
+        stage1=_parse_stage1(data.get("stage1", {}), thermal),
         stage2=_parse_stage2(data.get("stage2", {})),
         sweep_variable=sweep_variable,
         sweep_values=sweep_values,
@@ -282,11 +276,7 @@ def load_run_config_file(path: str | None) -> RunConfig:
 
 def normalized_config_dict(config: RunConfig) -> dict:
     """SI echo of the effective configuration, for provenance headers."""
-    trap = config.trap
-    # Stage-1 defaults come from the dataclass itself, not a resolved config:
-    # the targets need not fit the configured chain (a num_ions sweep, modes).
-    stage1 = {f.name: f.default for f in fields(Stage1Config)}
-    stage1.update(config.stage1_kwargs)
+    trap, stage1 = config.trap, config.stage1
     sweep = None
     if config.sweep_variable is not None:
         # repetition rates are swept in MHz; the other variables are in SI
@@ -306,17 +296,17 @@ def normalized_config_dict(config: RunConfig) -> dict:
             "quartic_j_per_m4": trap.quartic,
         },
         "thermal": config.thermal.to_json_dict(),
-        "targets": list(config.targets) if not isinstance(config.targets, str) else config.targets,
+        "targets": stage1.targets if isinstance(stage1.targets, str) else list(stage1.targets),
         "stage1": {
-            "group_count": stage1["group_count"],
-            "gate_time_scan_s": list(stage1["gate_time_scan"]),
-            "z_bound_schedule": list(stage1["z_bound_schedule"]),
-            "epsilon": stage1["epsilon"],
-            "top_k": stage1["top_k"],
-            "restarts": stage1["restarts"],
-            "exhaustive_limit": stage1["exhaustive_limit"],
-            "max_sdks": stage1["max_sdks"],
-            "pulse_counting": stage1["pulse_counting"],
+            "group_count": stage1.group_count,
+            "gate_time_scan_s": list(stage1.gate_time_scan),
+            "z_bound_schedule": list(stage1.z_bound_schedule),
+            "epsilon": stage1.epsilon,
+            "top_k": stage1.top_k,
+            "restarts": stage1.restarts,
+            "exhaustive_limit": stage1.exhaustive_limit,
+            "max_sdks": stage1.max_sdks,
+            "pulse_counting": stage1.pulse_counting,
         },
         "stage2": {
             "repetition_rate_hz": config.stage2.repetition_rate,

@@ -348,3 +348,57 @@ class TestNoCandidates:
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["numerical failure: stage 1 produced no candidates"]
         assert not (tmp_path / "o" / "result.json").exists()
+
+
+class TestConfigErrorsBeforeRunning:
+    @pytest.mark.parametrize("block, setting, message", [
+        ("stage1", {"top_k": 0}, "stage1.top_k must be a positive integer"),
+        ("stage1", {"group_count": 3}, "group_count must be a positive even integer"),
+        ("stage1", {"group_count": 8.0}, "stage1.group_count must be a positive integer"),
+        ("stage1", {"pulse_counting": "bogus"}, "pulse_counting"),
+        ("stage2", {"local_restarts": 50}, "local_restarts must be in 0..7"),
+    ])
+    def test_optimize_exits_2_with_one_line(self, tmp_path, capsys, block, setting, message):
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data[block].update(setting)
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "optimize"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert not (out / "result.json").exists()
+
+
+class TestSweepWinner:
+    def test_repetition_rate_sweep_picks_what_optimize_gate_picks(self, tmp_path, monkeypatch):
+        from fastgate import cli, optimize
+        from fastgate.chain import TrapConfig, build_chain
+        from fastgate.fidelity import ThermalSpec, evaluate_train
+        from fastgate.sequence import PulseGroupSequence, expand_groups
+
+        chain = build_chain(TrapConfig(num_ions=2))
+        thermal = ThermalSpec(nbar=0.1)
+        results = []
+        # equal adjusted fidelity, so the tie-breaks decide: the second has fewer SDKs
+        for sizes in ([2, -1], [1, -1]):
+            sequence = PulseGroupSequence.from_half(sizes, [0.2e-6, 0.4e-6], (0, 1), 0.8e-6)
+            train = expand_groups(sequence, 300e6)
+            results.append(optimize.OptimizationResult(
+                sequence=sequence, train=train, report=evaluate_train(train, chain, thermal),
+                epsilon=1e-5, adjusted_fidelity=0.99, thermal=thermal, seed=5,
+            ))
+        for module in (optimize, cli):
+            monkeypatch.setattr(module, "stage1", lambda *args, **kwargs: (["candidate"], {}))
+            monkeypatch.setattr(module, "refine_candidates", lambda *args, **kwargs: (results, 0))
+        picked = optimize.optimize_gate(chain, None, None)
+        assert picked.report.sdk_count == results[1].report.sdk_count < results[0].report.sdk_count
+
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "repetition_rate", "values": [300.0]}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header, row = lines[1].split(","), lines[2].split(",")
+        assert int(row[header.index("sdk_count")]) == picked.report.sdk_count
+        assert row[header.index("gate_duration_us")] == f"{picked.gate_duration * 1e6:.6f}"

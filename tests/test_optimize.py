@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -13,12 +14,15 @@ from fastgate.optimize import (
     Stage1Config,
     Stage2Config,
     _GAP_UNIT,
+    _RESTART_SCALES,
     _TimingCost,
+    _adjusted_cost,
     _box_least_squares,
     _burst_fits,
     _clip_to_sdk_cap,
     _coordinate_descent,
     _grid_descent,
+    _joint_paths,
     _joint_refine,
     _lane_count,
     _refine_times,
@@ -420,6 +424,16 @@ class TestDefaults:
         with pytest.raises(ValueError):
             Stage2Config(repetition_rate=-1.0)
 
+    def test_pulse_counting_validated(self):
+        with pytest.raises(ValueError, match="pulse_counting"):
+            Stage1Config(targets=(0, 1), pulse_counting="bogus")
+
+    def test_local_restarts_capped_by_the_restart_scales(self):
+        most = len(_RESTART_SCALES) - 1
+        assert Stage2Config(local_restarts=most).local_restarts == most
+        with pytest.raises(ValueError, match="local_restarts"):
+            Stage2Config(local_restarts=most + 1)
+
 
 class TestStage1:
     def test_exhaustive_matches_heuristic_tiny(self, chain2):
@@ -557,6 +571,23 @@ class TestStage2:
         with pytest.raises((GridResolutionError, BurstOverlap)):
             stage2(candidate, chain2, Stage2Config(repetition_rate=20e6),
                    NBAR, 0.0, seed=0)
+
+    def test_joint_paths_stay_within_the_bound(self, chain2):
+        # the 2.2x envelope start rounds to size 2 in the middle groups
+        config = small_stage1_config(z_bound_schedule=(1,), top_k=2)
+        candidates, _ = stage1(chain2, config, seed=11)
+        scorer = functools.partial(_adjusted_cost, epsilon=1e-5, counting="pi_pulses")
+        surrogate = _TimingCost(chain2, (0, 1), NBAR, period=1.0 / 300e6)
+        for candidate in candidates:
+            base = candidate.sequence.trimmed()
+            sizes = [z for z in base.half_sizes if z != 0]
+            times = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
+            gaps = np.diff(np.concatenate([[0.0], times]))
+            paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, 1, 50, 0,
+                                 scorer, np.random.default_rng(0))
+            assert paths
+            for _, z, _ in paths:
+                assert max(abs(v) for v in z) <= 1
 
 
 class TestOptimizeGate:
