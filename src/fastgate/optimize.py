@@ -4,9 +4,14 @@ Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
-bound.  Each descent pass applies a precomputed move matrix to the current
-sizes and scores every feasible trial in one batch; the relaxations are
-minimised by BFGS with the exact gradient of the quadratic-form cost.
+bound.  The descents of one bound level run as lanes of one stack: each pass
+applies a precomputed move matrix to every lane's sizes and scores all the
+lanes' feasible trials in one batch, each lane taking its own best move, so
+every lane ends where it would alone.  The relaxations are minimised by
+`_bfgs`, an exact copy of scipy's BFGS loop (with scipy's own line search)
+on the exact gradient of the quadratic-form cost, without the per-call
+bookkeeping of `minimize`.  It must stay exact: a cheaper approximate BFGS
+reaches other local minima, and so other rounded seeds and candidates.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -35,7 +40,6 @@ identical output.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -228,36 +232,52 @@ def _neighbourhood(z: np.ndarray, bound: int, cap_half: int):
     """Every move applied to z, and which of the trials are feasible.
 
     A trial is feasible when each coordinate the move touches stays within
-    `bound` and the half-sum of |z| stays within `cap_half`.
+    `bound` and the half-sum of |z| stays within `cap_half`.  For a
+    (lanes, d) stack of z the trials are (lanes, moves, d).
     """
-    deltas, touched = _descent_moves(len(z))
-    trials = z + deltas
+    deltas, touched = _descent_moves(np.shape(z)[-1])
+    trials = z[..., None, :] + deltas
     magnitude = np.abs(trials)
-    feasible = ~np.any(touched & (magnitude > bound), axis=1)
-    feasible &= np.sum(magnitude, axis=1) <= cap_half
+    feasible = ~np.any(touched & (magnitude > bound), axis=-1)
+    feasible &= np.sum(magnitude, axis=-1) <= cap_half
     return trials, feasible
 
 
 def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes: int = 400):
     """Greedy integer descent over single and adjacent-pair moves.
 
-    Each pass applies the whole move matrix to z at once, drops the
-    infeasible trials, scores the rest in move order in one batch, and takes
-    the best strictly improving move (the first on ties) until none remains.
+    Each pass applies the whole move matrix to z at once, scores the
+    feasible trials in move order in one batch, and takes the best strictly
+    improving move (the first on ties) until none remains.  `z0` is one (d,)
+    start, or a (lanes, d) stack of starts whose descents run as lanes: one
+    batch scores every running lane's trials, each row as it would be scored
+    alone, and a lane stops on its own.  Returns (z, cost), per lane for a
+    stack.
     """
-    z = z0.astype(float).copy()
-    cost = model.selection_cost(z)
+    single = np.ndim(z0) == 1
+    z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
+    cost = np.array([model.selection_cost(row) for row in z])
+    lanes = np.arange(len(z))
     for _ in range(max_passes):
-        trials, feasible = _neighbourhood(z, bound, model.max_sdk_half)
-        trials = trials[feasible]
-        if not len(trials):
+        trials, feasible = _neighbourhood(z[lanes], bound, model.max_sdk_half)
+        costs = np.full(feasible.shape, np.inf)
+        costs[feasible] = model.selection_cost_batch(trials[feasible])
+        best = np.argmin(costs, axis=1)
+        best_cost = costs[np.arange(len(lanes)), best]
+        moved = feasible.any(axis=1) & ~(best_cost >= cost[lanes])
+        z[lanes[moved]] = trials[moved, best[moved]]
+        cost[lanes[moved]] = best_cost[moved]
+        lanes = lanes[moved]
+        if not len(lanes):
             break
-        costs = model.selection_cost_batch(trials)
-        best = int(np.argmin(costs))
-        if costs[best] >= cost:
-            break
-        z, cost = trials[best], float(costs[best])
+    if single:
+        return z[0].astype(int), float(cost[0])
     return z.astype(int), cost
+
+
+def _size_grid(d: int, bound: int) -> np.ndarray:
+    """Every z in [-bound, bound]^d as float rows, the last coordinate fastest."""
+    return (np.indices((2 * bound + 1,) * d).reshape(d, -1).T - bound).astype(float)
 
 
 def _clip_to_sdk_cap(z: np.ndarray, cap: int) -> np.ndarray:
@@ -269,6 +289,52 @@ def _clip_to_sdk_cap(z: np.ndarray, cap: int) -> np.ndarray:
     return z
 
 
+def _bfgs(fun, grad, x0):
+    """`scipy.optimize.minimize(fun, x0, jac=grad, method="BFGS")`'s (fun, x).
+
+    The loop of scipy's `_minimize_bfgs` at its defaults, expression for
+    expression, around scipy's own Wolfe line search, so every iterate is
+    bit-identical to scipy's; only `minimize`'s per-call bookkeeping is
+    left out.  The tests pin it against `minimize`.
+    """
+    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12, vecnorm
+
+    xk = np.asarray(x0).flatten()
+    old_fval = fun(xk)
+    gfk = grad(xk)
+    identity = np.eye(len(xk), dtype=int)
+    hk = identity
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+    for _ in range(200 * len(xk)):
+        if not np.amax(np.abs(gfk)) > 1e-5:
+            break
+        pk = -np.dot(hk, gfk)
+        try:
+            alpha_k, _, _, old_fval, old_old_fval, gfkp1 = _line_search_wolfe12(
+                fun, grad, xk, pk, gfk, old_fval, old_old_fval,
+                amin=1e-100, amax=1e100, c1=1e-4, c2=0.9,
+            )
+        except _LineSearchError:
+            break
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = grad(xk)
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        # the gradient test, then the step test at xrtol = 0 (0 * inf is nan)
+        if np.amax(np.abs(gfk)) <= 1e-5 or alpha_k * vecnorm(pk) <= 0 * (0 + vecnorm(xk)):
+            break
+        if not np.isfinite(old_fval):
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+        a1 = identity - sk[:, None] * yk[None, :] * rhok
+        a2 = identity - yk[:, None] * sk[None, :] * rhok
+        hk = np.dot(a1, np.dot(hk, a2)) + rhok * sk[:, None] * sk[None, :]
+    return old_fval, xk
+
+
 def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     """Rounded continuous relaxations of the cost, with scaling sweeps.
 
@@ -276,18 +342,13 @@ def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     the continuous optimum (and rescalings of it that keep the entangling
     phase near target) lands the descent inside the right basin.
     """
-    from scipy.optimize import minimize
-
     d = model.phase_quadratic.shape[0]
     K = model.phase_quadratic
 
     optima = []
     for _ in range(starts):
-        result = minimize(
-            model.ideal_infidelity, rng.uniform(-0.6 * bound, 0.6 * bound, size=d),
-            jac=model.ideal_infidelity_gradient, method="BFGS",
-        )
-        optima.append((result.fun, result.x))
+        x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
+        optima.append(_bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0))
     optima.sort(key=lambda p: p[0])
 
     seeds = []
@@ -346,9 +407,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
     for bound in config.z_bound_schedule:
         combos = (2 * bound + 1) ** d
         if combos <= config.exhaustive_limit:
-            grid = np.array(
-                list(itertools.product(range(-bound, bound + 1), repeat=d)), dtype=float
-            )
+            grid = _size_grid(d, bound)
             grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
             costs = model.selection_cost_batch(grid)
             order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
@@ -367,8 +426,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
                     for z in _continuous_seeds(model, bound, rng)
                 )
             finals = []
-            for z0 in starts:
-                z, cost = _coordinate_descent(model, np.asarray(z0), bound)
+            for z, cost in zip(*_coordinate_descent(model, np.array(starts), bound)):
                 record(z, cost, bound)
                 finals.append((cost, tuple(z)))
             finals.sort()
@@ -1297,26 +1355,26 @@ def jitter_sensitivity(
     the shots' scaled trains and frequency-scaled chains are then evaluated
     together (`evaluate_trains`), their 2 x `samples` basis-state lanes
     sharing one per-kick loop, each report bit-identical to evaluating its
-    shot alone.
+    shot alone.  The unjittered train's lanes lead the same stack.
     """
     if fractional_instability < 0.0:
         raise ValueError("fractional_instability must be non-negative")
     if samples < 1:
         raise ValueError("samples must be positive")
-    base = evaluate_train(result.train, chain, result.thermal).ideal_infidelity
     if fractional_instability == 0.0:
+        base = evaluate_train(result.train, chain, result.thermal).ideal_infidelity
         return {"mean_added": 0.0, "p95_added": 0.0, "base_infidelity": base}
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
-    trains, chains = [], []
+    trains, chains = [result.train], [chain]
     for _ in range(samples):
         rate_shift, trap_shift = rng.uniform(
             -fractional_instability, fractional_instability, size=2
         )
         trains.append(result.train.scaled_times(1.0 / (1.0 + rate_shift)))
         chains.append(chain.with_frequency_scale(1.0 + trap_shift))
-    reports = evaluate_trains(trains, chains, result.thermal)
-    added = np.array([report.ideal_infidelity - base for report in reports])
+    base, *shots = (r.ideal_infidelity for r in evaluate_trains(trains, chains, result.thermal))
+    added = np.array([ideal - base for ideal in shots])
     return {
         "mean_added": float(np.mean(added)),
         "p95_added": float(np.percentile(added, 95)),

@@ -211,6 +211,8 @@ def _parse_sweep(block: dict):
         values = block["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ConfigError("sweep.values must be numbers")
         values = [float(v) for v in values]
     else:
         start = _get_number(block, "start", "sweep")
@@ -219,10 +221,16 @@ def _parse_sweep(block: dict):
         if start is None or stop is None or not isinstance(steps, int) or steps < 2:
             raise ConfigError("sweep needs values, or start/stop with steps >= 2")
         values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("sweep values must be finite")
     if variable == "num_ions":
         values = [int(round(v)) for v in values]
         if any(v < 2 for v in values):
             raise ConfigError("sweep over num_ions needs values >= 2")
+    elif variable == "repetition_rate" and not all(v > 0.0 for v in values):
+        raise ConfigError("sweep over repetition_rate needs values > 0")
+    elif not all(v >= 0.0 for v in values):
+        raise ConfigError(f"sweep over {variable} needs values >= 0")
     return variable, tuple(values), samples
 
 

@@ -368,6 +368,48 @@ class TestConfigErrorsBeforeRunning:
         assert len(lines) == 1 and message in lines[0]
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("variable, value", [
+        ("temperature", -1e-3),
+        ("jitter", -0.01),
+        ("epsilon", -1e-4),
+        ("repetition_rate", -300.0),
+        ("repetition_rate", 0.0),
+    ])
+    def test_sweep_value_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                              variable, value):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before its values were checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": variable, "values": [value]}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"sweep over {variable}" in lines[0]
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"variable": "epsilon", "values": ["abc"]}, "sweep.values must be numbers"),
+        ({"variable": "temperature", "values": [None]}, "sweep.values must be numbers"),
+        ({"variable": "jitter", "values": [True]}, "sweep.values must be numbers"),
+        ({"variable": "num_ions", "values": [math.nan]}, "sweep values must be finite"),
+        ({"variable": "num_ions", "start": 2, "stop": math.inf, "steps": 3},
+         "sweep values must be finite"),
+    ])
+    def test_sweep_value_not_a_finite_number_exits_2(self, tmp_path, capsys, sweep, message):
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = sweep
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert not (out / "sweep.csv").exists()
+
 
 class TestSweepWinner:
     def test_repetition_rate_sweep_picks_what_optimize_gate_picks(self, tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from fastgate.optimize import (
     _RESTART_SCALES,
     _TimingCost,
     _adjusted_cost,
+    _bfgs,
     _box_least_squares,
     _burst_fits,
     _clip_to_sdk_cap,
@@ -25,7 +26,9 @@ from fastgate.optimize import (
     _joint_paths,
     _joint_refine,
     _lane_count,
+    _neighbourhood,
     _refine_times,
+    _size_grid,
     default_group_count,
     jitter_sensitivity,
     optimize_gate,
@@ -150,6 +153,130 @@ class TestCoordinateDescent:
             assert np.array_equal(z_new, z_ref)
             assert cost_new == cost_ref
             assert models[1].evaluations == models[0].evaluations
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("max_passes", [400, 3])
+    def test_stack_matches_lone_descents(self, chain5, d, max_passes):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(6):
+            gate_time = float(rng.uniform(0.6e-6, 1.4e-6))
+            half_times = [gate_time * (j + 1) / (2 * d) for j in range(d)]
+            bound = int(rng.integers(2, 8))
+            max_sdks = int(rng.integers(2 * d, 80))
+
+            def model():
+                return CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", max_sdks)
+
+            starts = [_clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
+                      for _ in range(10)]
+            # a lane already at a local minimum stops at its start
+            starts.append(_coordinate_descent(model(), starts[0], bound)[0])
+            # a lane so far outside the bound that it has no feasible trial
+            stuck = np.full(d, bound + 3)
+            assert not _neighbourhood(stuck, bound, max_sdks // 2)[1].any()
+            starts.append(stuck)
+
+            lone_model = model()
+            lone = [_reference_coordinate_descent(lone_model, z0, bound, max_passes)
+                    for z0 in starts]
+            stack_model = model()
+            z_stack, cost_stack = _coordinate_descent(
+                stack_model, np.array(starts), bound, max_passes
+            )
+            assert stack_model.evaluations == lone_model.evaluations
+            for (z_lone, cost_lone), z, cost in zip(lone, z_stack, cost_stack):
+                assert np.array_equal(z, z_lone)
+                assert cost.hex() == cost_lone.hex()
+            assert np.array_equal(z_stack[-2], starts[-2])
+            assert np.array_equal(z_stack[-1], starts[-1])
+            if max_passes == 3:
+                # the pass limit cut at least one lane short of its minimum
+                assert any(
+                    not np.array_equal(z, _coordinate_descent(model(), z0, bound)[0])
+                    for z, z0 in zip(z_stack, starts)
+                )
+
+    def test_equal_cost_mirror_is_not_a_move(self, chain2):
+        # z and -z cost the same bits; at bound 1 with one SDK pair allowed,
+        # a unit start's only trials are 0 and its mirror, so the lanes whose
+        # mirror is their best trial must stop where they start
+        half_times = [(j + 1) / 16 * 1e-6 for j in range(8)]
+        models = [CostModel(chain2, (0, 1), half_times, NBAR, 1e-5, "pi_pulses", 2)
+                  for _ in range(2)]
+        starts = np.vstack([np.eye(8, dtype=int), -np.eye(8, dtype=int)])
+        z_stack, cost_stack = _coordinate_descent(models[1], starts, 1)
+        for z0, z, cost in zip(starts, z_stack, cost_stack):
+            z_ref, cost_ref = _reference_coordinate_descent(models[0], z0, 1)
+            assert np.array_equal(z, z_ref) and cost == cost_ref
+        assert models[1].evaluations == models[0].evaluations
+        zero_cost = models[0].selection_cost(np.zeros(8))
+        mirrored = [models[0].selection_cost(z0.astype(float)) < zero_cost for z0 in starts]
+        assert any(mirrored)
+        assert all(np.array_equal(z, z0) for z, z0, m in zip(z_stack, starts, mirrored) if m)
+
+
+@pytest.mark.parametrize("d, bound", [(8, 1), (9, 1), (4, 3)])
+def test_size_grid_matches_itertools(d, bound):
+    expected = np.array(list(itertools.product(range(-bound, bound + 1), repeat=d)), dtype=float)
+    grid = _size_grid(d, bound)
+    assert grid.dtype == expected.dtype
+    assert np.array_equal(grid, expected)
+
+
+class TestBfgs:
+    """`_bfgs` against `scipy.optimize.minimize(method="BFGS")`, bit for bit."""
+
+    @staticmethod
+    def _model(chain, n):
+        half_times = [(j + 1) / (2 * n) * 1e-6 for j in range(n)]
+        return CostModel(chain, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+
+    def _assert_matches_minimize(self, model, x0):
+        from scipy.optimize import minimize
+
+        result = minimize(model.ideal_infidelity, x0, jac=model.ideal_infidelity_gradient,
+                          method="BFGS")
+        fun, x = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0)
+        assert float(fun).hex() == float(result.fun).hex()
+        assert x.tobytes() == result.x.tobytes()
+        return result
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    def test_matches_minimize(self, chain5, n):
+        model = self._model(chain5, n)
+        rng = np.random.default_rng(n)
+        for _ in range(3 if n == 100 else 6):
+            bound = int(rng.integers(1, 11))
+            self._assert_matches_minimize(model, rng.uniform(-0.6 * bound, 0.6 * bound, size=n))
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_matches_minimize_on_the_wolfe2_fallback(self, chain5, n, monkeypatch):
+        from scipy.optimize import _optimize
+
+        monkeypatch.setattr(_optimize, "line_search_wolfe1", lambda *args, **kwargs: (None,))
+        model = self._model(chain5, n)
+        rng = np.random.default_rng(50 + n)
+        for _ in range(4):
+            result = self._assert_matches_minimize(model, rng.uniform(-3.0, 3.0, size=n))
+            assert result.nit > 0
+
+    def test_matches_minimize_when_the_line_search_fails(self, chain5, monkeypatch):
+        from scipy.optimize import _optimize
+
+        wolfe2 = _optimize.line_search_wolfe2
+        calls = []
+
+        def failing_wolfe2(*args, **kwargs):
+            calls.append(None)
+            return (None,) if len(calls) % 4 == 0 else wolfe2(*args, **kwargs)
+
+        monkeypatch.setattr(_optimize, "line_search_wolfe1", lambda *args, **kwargs: (None,))
+        monkeypatch.setattr(_optimize, "line_search_wolfe2", failing_wolfe2)
+        model = self._model(chain5, 8)
+        # each path raises _LineSearchError on its fourth line search
+        result = self._assert_matches_minimize(model, np.linspace(-2.0, 2.0, 8))
+        assert len(calls) == 8
+        assert result.status == 2 and result.nit == 3
 
 
 def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
