@@ -29,7 +29,7 @@ from .chain import (
     build_chain,
 )
 from .dynamics import PhaseSymmetryError, trajectory_samples
-from .fidelity import ThermalSpec, evaluate_train
+from .fidelity import ThermalSpec, evaluate_train, evaluate_train_thermals
 from .optimize import (
     NoCandidatesError,
     OptimizationResult,
@@ -242,9 +242,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
                 rows.append(_sweep_row(variable, value, report, adjusted_inf, result))
                 print(f"epsilon={value:g}: 1-F {adjusted_inf:.3e}")
         elif variable == "temperature":
-            for value in config.sweep_values:
-                thermal = ThermalSpec(nbar=None, temperature=value)
-                hot = evaluate_train(result.train, chain, thermal)
+            thermals = [ThermalSpec(nbar=None, temperature=value) for value in config.sweep_values]
+            hot_reports = evaluate_train_thermals(result.train, chain, thermals)
+            for value, hot in zip(config.sweep_values, hot_reports):
                 rows.append(_sweep_row(variable, value, hot,
                                        hot.adjusted_infidelity(result.epsilon), result))
                 print(f"temperature={value:g} K: motional {hot.motional_infidelity:.3e}")

@@ -16,6 +16,7 @@ weighting.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -288,22 +289,36 @@ def evaluate_trains(
     once when its duration is bitwise equal across the lanes.  Every report
     is bit-identical to evaluating its pair alone.
     """
+    return [build(thermal) for build in _report_builders(trains, chains, full_basis, counting)]
+
+
+def evaluate_train_thermals(train: KickTrain, chain: ChainModel, thermals,
+                            counting: str = "pi_pulses") -> list:
+    """`evaluate_train` at each thermal spec of `thermals`, from one
+    propagation: the trajectories do not depend on the thermal occupations,
+    so each report is bit-identical to evaluating the train at its spec."""
+    (build,) = _report_builders([train], [chain], False, counting)
+    return [build(thermal) for thermal in thermals]
+
+
+def _report_builders(trains, chains, full_basis, counting) -> list:
+    """For each (train, chain) pair, all propagated as the lanes of one
+    stack, the function of a thermal spec that builds its report."""
     bases = BASIS_STATES if full_basis else ((1, 1), (1, -1))
     results = propagate_lanes(
         [(train, chain, b) for train, chain in zip(trains, chains) for b in bases]
     )
-    reports = []
+    builders = []
     for k, (train, chain) in enumerate(zip(trains, chains)):
         lanes = dict(zip(bases, results[k * len(bases):(k + 1) * len(bases)]))
         if full_basis:
             theta = entangling_phase(list(lanes.values()))
         else:
             theta = 0.5 * (lanes[(1, 1)].total_phase - lanes[(1, -1)].total_phase)
-        residuals = {b: r.alphas for b, r in lanes.items()}
-        reports.append(_build_report(
-            chain, thermal, train.target_ions, theta, residuals, train.num_kicks, counting
-        ))
-    return reports
+        builders.append(functools.partial(
+            _build_report, chain, targets=train.target_ions, theta=theta, sdk_count=train.num_kicks,
+            residuals={b: r.alphas for b, r in lanes.items()}, counting=counting))
+    return builders
 
 
 def analytic_phase_and_residuals(

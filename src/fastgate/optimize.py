@@ -4,14 +4,14 @@ Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
-bound.  The descents of one bound level run as lanes of one stack: each pass
-applies a precomputed move matrix to every lane's sizes and scores all the
-lanes' feasible trials in one batch, each lane taking its own best move, so
-every lane ends where it would alone.  The relaxations are minimised by
-`_bfgs`, an exact copy of scipy's BFGS loop (with scipy's own line search)
-on the exact gradient of the quadratic-form cost, without the per-call
-bookkeeping of `minimize`.  It must stay exact: a cheaper approximate BFGS
-reaches other local minima, and so other rounded seeds and candidates.
+bound.  Both run as lanes of one stack, each lane ending where it would
+alone.  The descents of one bound level apply a precomputed move matrix to
+every lane's sizes and score all the lanes' feasible trials in one batch.
+The twelve relaxations of a gate time are minimised together by `_bfgs`,
+scipy's BFGS loop on the exact gradient of the quadratic-form cost, each
+start a lane with its own copy of scipy's More-Thuente line search.  It must
+stay exact: a cheaper approximate BFGS reaches other local minima, and so
+other rounded seeds and candidates.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -40,6 +40,7 @@ identical output.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -170,23 +171,30 @@ class CostModel:
         self.max_sdk_half = max_sdks // 2
         self.evaluations = 0
 
-    def ideal_infidelity(self, z: np.ndarray) -> float:
-        theta = float(z @ self.phase_quadratic @ z)
-        motional = float(z @ self.residual_quadratic @ z)
-        return (2.0 / 3.0) * (abs(theta) - PHASE_TARGET) ** 2 + motional
+    def ideal_infidelity(self, z: np.ndarray):
+        """A float for one (d,) row of half sizes, one per row of a stack."""
+        rows = np.atleast_2d(z)[:, None, :]
+        theta, motional = (((rows @ form) @ rows.swapaxes(1, 2)).ravel().tolist()
+                           for form in (self.phase_quadratic, self.residual_quadratic))
+        # Python's float power: numpy's vectorised square can differ in the last bit
+        costs = [(2.0 / 3.0) * (abs(t) - PHASE_TARGET) ** 2 + m for t, m in zip(theta, motional)]
+        return costs[0] if np.ndim(z) == 1 else np.array(costs)
 
     def ideal_infidelity_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Exact gradient of `ideal_infidelity` with respect to z.
+        """Exact gradient of `ideal_infidelity` with respect to z, row by row
+        for a (lanes, d) stack.
 
         Both forms are symmetric, so with theta = z.K.z it is
         (8/3)(|theta| - pi/4) sign(theta) K z + 2 G z.
         """
-        kz = self.phase_quadratic @ z
-        theta = float(z @ kz)
-        return (
-            (8.0 / 3.0) * (abs(theta) - PHASE_TARGET) * np.sign(theta) * kz
-            + 2.0 * (self.residual_quadratic @ z)
+        rows = np.atleast_2d(z)
+        kz = (self.phase_quadratic @ rows[:, :, None])[:, :, 0]
+        theta = _rowdot(rows, kz)
+        gradient = (
+            ((8.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) * np.sign(theta))[:, None] * kz
+            + 2.0 * (self.residual_quadratic @ rows[:, :, None])[:, :, 0]
         )
+        return gradient[0] if np.ndim(z) == 1 else gradient
 
     def selection_cost(self, z: np.ndarray) -> float:
         """Pulse-error-adjusted infidelity used to rank candidates."""
@@ -290,49 +298,102 @@ def _clip_to_sdk_cap(z: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _bfgs(fun, grad, x0):
-    """`scipy.optimize.minimize(fun, x0, jac=grad, method="BFGS")`'s (fun, x).
+    """`scipy.optimize.minimize(fun, x0, jac=grad, method="BFGS")`'s (fun, x)
+    for one (d,) start, or per lane for a (lanes, d) stack of starts.
 
-    The loop of scipy's `_minimize_bfgs` at its defaults, expression for
-    expression, around scipy's own Wolfe line search, so every iterate is
-    bit-identical to scipy's; only `minimize`'s per-call bookkeeping is
-    left out.  The tests pin it against `minimize`.
+    scipy's `_minimize_bfgs` loop, expression for expression, on stacks:
+    `fun` and `grad` answer each row as they answer it alone, the products
+    take the stacked forms that reproduce numpy's `dot` bit for bit, and
+    `_wolfe_steps` gives the steps.  The tests pin each lane to `minimize`.
     """
-    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12, vecnorm
-
-    xk = np.asarray(x0).flatten()
-    old_fval = fun(xk)
-    gfk = grad(xk)
-    identity = np.eye(len(xk), dtype=int)
-    hk = identity
-    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
-    for _ in range(200 * len(xk)):
-        if not np.amax(np.abs(gfk)) > 1e-5:
+    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
+    f, g = np.atleast_1d(fun(x)).astype(float), grad(x)
+    final_f, final_x = f.copy(), x.copy()
+    lanes = np.flatnonzero(np.amax(np.abs(g), axis=1) > 1e-5)
+    x, g, f = x[lanes], g[lanes], f[lanes]
+    old_f = f + np.sqrt(_rowdot(g, g)) / 2
+    identity = np.eye(x.shape[1])
+    hk = np.tile(identity, (len(lanes), 1, 1))
+    for _ in range(200 * x.shape[1]):
+        if not len(lanes):
             break
-        pk = -np.dot(hk, gfk)
-        try:
-            alpha_k, _, _, old_fval, old_old_fval, gfkp1 = _line_search_wolfe12(
-                fun, grad, xk, pk, gfk, old_fval, old_old_fval,
-                amin=1e-100, amax=1e100, c1=1e-4, c2=0.9,
+        pk = -(hk @ g[:, :, None])[:, :, 0]
+        alpha, f_new, g_new, failed = _wolfe_steps(fun, grad, x, pk, g, f, old_f)
+        # a lane whose fallback search raised stops where it is, as minimize does
+        stop = failed | ~(np.amax(np.abs(g_new), axis=1) > 1e-5) | ~np.isfinite(f_new)
+        sk = alpha[:, None] * pk
+        x = np.where(failed[:, None], x, x + sk)
+        yk = g_new - g
+        g, old_f, f = g_new, f, np.where(failed, f, f_new)
+        # the step test at xrtol = 0 with scipy's vecnorm, a float power
+        stop |= np.array([a * s ** 0.5 <= 0 * (0 + t ** 0.5) for a, s, t in zip(
+            alpha.tolist(), *(np.sum(np.abs(v) ** 2, axis=1).tolist() for v in (pk, x))
+        )], dtype=bool)
+        if stop.any():
+            final_f[lanes[stop]], final_x[lanes[stop]] = f[stop], x[stop]
+            lanes, x, g, f, old_f, hk, sk, yk = (
+                a[~stop] for a in (lanes, x, g, f, old_f, hk, sk, yk)
             )
+        rhok_inv = _rowdot(yk, sk)
+        rhok = np.divide(1.0, rhok_inv, out=np.full_like(rhok_inv, 1000.0),
+                         where=rhok_inv != 0.0)[:, None, None]
+        a1 = identity - sk[:, :, None] * yk[:, None, :] * rhok
+        # y s^T is s y^T transposed, product for product
+        a2 = np.ascontiguousarray(a1.swapaxes(1, 2))
+        hk = a1 @ (hk @ a2) + rhok * sk[:, :, None] * sk[:, None, :]
+    final_f[lanes], final_x[lanes] = f, x
+    return (float(final_f[0]), final_x[0]) if np.ndim(x0) == 1 else (final_f, final_x)
+
+
+def _wolfe_steps(fun, grad, x, pk, g, f, old_f):
+    """Each lane's (step, value, gradient) along `pk` from `x` (value `f`,
+    gradient `g`, previous value `old_f`) by scipy's `_line_search_wolfe12`,
+    and whether it raised.  The wolfe1 searches start as
+    `scalar_search_wolfe1` starts and run on scipy's More-Thuente machine
+    `DCSRCH._iterate`, one call of `fun` and `grad` per round for all lanes;
+    a lane whose search fails as wolfe1 fails is rerun alone by
+    `_line_search_wolfe12`, which fails the same way and tries wolfe2."""
+    from scipy.optimize._dcsrch import DCSRCH
+    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
+
+    searches, states = [], []
+    for phi0, old_phi0, derphi0 in zip(f.tolist(), old_f.tolist(), _rowdot(g, pk)):
+        alpha1 = min(1.0, 1.01 * 2 * (phi0 - old_phi0) / derphi0) if derphi0 != 0 else 1.0
+        alpha1 = 1.0 if alpha1 < 0 else alpha1
+        searches.append(DCSRCH(None, None, 1e-4, 0.9, 1e-14, 1e-100, 1e100))
+        states.append(searches[-1]._iterate(alpha1, phi0, derphi0, b"START"))
+    alpha, f_new, failed = [math.nan] * len(x), [math.nan] * len(x), [True] * len(x)
+    g_new = np.full_like(g, math.nan)
+    searching = range(len(x))
+    for calls in range(1, 101):
+        trials = []
+        for i in searching:
+            stp, phi, _, task = states[i]
+            if not math.isfinite(stp) or task[:5] == b"ERROR" or task[:4] == b"WARN":
+                continue
+            if task[:2] != b"FG":
+                alpha[i], f_new[i], failed[i] = stp, phi, False
+            elif calls < 100:
+                trials.append(i)
+        if not trials:
+            break
+        rows = np.array(trials)
+        points = x[rows] + np.array([states[i][0] for i in trials])[:, None] * pk[rows]
+        values = np.atleast_1d(fun(points)).tolist()
+        g_new[rows] = gradients = grad(points)
+        for i, phi, derphi in zip(trials, values, _rowdot(gradients, pk[rows])):
+            states[i] = searches[i]._iterate(states[i][0], phi, derphi, states[i][3])
+        searching = trials
+    for i in [i for i, fail in enumerate(failed) if fail]:
+        try:
+            alpha[i], _, _, f_new[i], _, g_step = _line_search_wolfe12(
+                fun, grad, x[i], pk[i], g[i], float(f[i]), float(old_f[i]),
+                amin=1e-100, amax=1e100, c1=1e-4, c2=0.9)
         except _LineSearchError:
-            break
-        sk = alpha_k * pk
-        xk = xk + sk
-        if gfkp1 is None:
-            gfkp1 = grad(xk)
-        yk = gfkp1 - gfk
-        gfk = gfkp1
-        # the gradient test, then the step test at xrtol = 0 (0 * inf is nan)
-        if np.amax(np.abs(gfk)) <= 1e-5 or alpha_k * vecnorm(pk) <= 0 * (0 + vecnorm(xk)):
-            break
-        if not np.isfinite(old_fval):
-            break
-        rhok_inv = np.dot(yk, sk)
-        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
-        a1 = identity - sk[:, None] * yk[None, :] * rhok
-        a2 = identity - yk[:, None] * sk[None, :] * rhok
-        hk = np.dot(a1, np.dot(hk, a2)) + rhok * sk[:, None] * sk[None, :]
-    return old_fval, xk
+            continue
+        g_new[i] = grad(x[i] + alpha[i] * pk[i]) if g_step is None else g_step
+        failed[i] = False
+    return np.array(alpha), np.array(f_new), g_new, np.array(failed)
 
 
 def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
@@ -345,11 +406,9 @@ def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     d = model.phase_quadratic.shape[0]
     K = model.phase_quadratic
 
-    optima = []
-    for _ in range(starts):
-        x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
-        optima.append(_bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0))
-    optima.sort(key=lambda p: p[0])
+    x0 = np.array([rng.uniform(-0.6 * bound, 0.6 * bound, size=d) for _ in range(starts)])
+    funs, xs = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0)
+    optima = sorted(zip(funs.tolist(), xs), key=lambda p: p[0])
 
     seeds = []
     for _, zc in optima[:4]:
@@ -959,14 +1018,15 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
 
     Escapes the uniform-timing lattice: each candidate z is judged by the
     best analytic cost reachable inside the timing windows, not by its cost
-    at the current timings.  `scorer(ideal, z)` folds in the pulse-error
-    selection pressure.  A move whose burst floors (`_burst_floors`) exceed
-    some gap's upper bound is skipped, since no timing in the windows
-    expresses it on the grid.  The moves are scored in move order, a batch of
-    lanes at a time (`_lane_count`), with first improvement: the first
-    improving move of a batch is taken, and the next batch starts after it
-    from the new sizes and timings, so the decisions are those of scoring
-    the moves one at a time.
+    at the current timings.  `scorer(ideal, z)`, nondecreasing in `ideal`,
+    folds in the pulse-error selection pressure.  A move is skipped when its
+    burst floors (`_burst_floors`) exceed some gap's upper bound, since no
+    timing in the windows expresses it on the grid, or when even a perfect
+    fit would not improve on the current cost.  The moves are scored in
+    move order, a batch of lanes at a time (`_lane_count`), with first
+    improvement: the first improving move of a batch is taken, and the next
+    batch starts after it from the new sizes and timings, so the decisions
+    are those of scoring the moves one at a time.
     """
     z = np.asarray(z0, dtype=float)
     ideal, t = _refine_times(
@@ -983,8 +1043,10 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             # a move whose bursts cannot fit some gap's window is infeasible
             feasible &= ~np.any(_burst_floors(np.abs(trials), period) > gap_hi, axis=1)
             batch = np.flatnonzero(feasible & np.any(trials, axis=1))
-            batch = batch[batch >= move][:lanes]
-            if not len(batch):
+            batch = list(itertools.islice(
+                (m for m in batch[batch >= move].tolist() if scorer(0.0, trials[m]) < cost), lanes
+            ))
+            if not batch:
                 break
             taken = _first_improving(timing_cost, trials[batch], t, gap_lo, gap_hi, cost, scorer)
             if taken is None:

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class BurstOverlap(ValueError):
     """Adjacent kick bursts would overlap at the requested repetition rate."""
@@ -135,21 +137,22 @@ class KickTrain:
             raise ValueError("kick_times and kick_signs must have equal length")
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("kick signs must be +1 or -1")
-        if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
+        t = np.array(times, dtype=float)
+        if np.any(t[:-1] > t[1:]):
             raise ValueError("kick times must be non-decreasing")
         if self.repetition_rate is not None:
-            period = 1.0 / self.repetition_rate
-            gaps = [times[i + 1] - times[i] for i in range(len(times) - 1)]
-            if any(g < period * (1.0 - 1e-9) for g in gaps):
+            with np.errstate(invalid="ignore"):  # a non-finite step is off the grid
+                overlap = np.any(np.diff(t) < 1.0 / self.repetition_rate * (1.0 - 1e-9))
+                steps = (t - t[:1]) * self.repetition_rate
+                off_grid = ~(np.abs(steps - np.rint(steps)) <= 1e-6)
+            if overlap:
                 raise BurstOverlap("consecutive kicks closer than one repetition period")
-            if times:
-                t0 = times[0]
-                for tv in times:
-                    steps = (tv - t0) * self.repetition_rate
-                    if abs(steps - round(steps)) > 1e-6:
-                        raise GridResolutionError(
-                            "kick times are not integer multiples of the repetition period"
-                        )
+            if off_grid.any():
+                # round() raises its own error when the first such step is not finite
+                round(steps[np.argmax(off_grid)])
+                raise GridResolutionError(
+                    "kick times are not integer multiples of the repetition period"
+                )
 
     @property
     def num_kicks(self) -> int:

@@ -233,6 +233,38 @@ class TestSweepCommand:
         values = [float(line.split(",")[column]) for line in lines[2:]]
         assert values == sorted(values)
 
+    def test_temperature_sweep_matches_per_value_evaluation(self, tmp_path, monkeypatch):
+        from fastgate import cli, optimize
+        from fastgate.chain import TrapConfig, build_chain
+        from fastgate.fidelity import ThermalSpec, evaluate_train
+        from fastgate.sequence import PulseGroupSequence, expand_groups
+
+        chain = build_chain(TrapConfig(num_ions=2))
+        thermal = ThermalSpec(nbar=0.1)
+        sequence = PulseGroupSequence.from_half([2, -1], [0.2e-6, 0.4e-6], (0, 1), 0.8e-6)
+        train = expand_groups(sequence, 300e6)
+        result = optimize.OptimizationResult(
+            sequence=sequence, train=train, report=evaluate_train(train, chain, thermal),
+            epsilon=1e-5, adjusted_fidelity=0.99, thermal=thermal, seed=5,
+        )
+        monkeypatch.setattr(cli, "_optimize_once", lambda config, threads: (chain, result))
+        values = [1e-5, 3e-4, 1e-3, 2e-2]
+        data = dict(FAST_OPTIMIZE)
+        data["sweep"] = {"variable": "temperature", "values": values}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 0
+
+        rows = []
+        for value in values:
+            hot = evaluate_train(train, chain, ThermalSpec(nbar=None, temperature=value))
+            rows.append(cli._sweep_row("temperature", value, hot,
+                                       hot.adjusted_infidelity(result.epsilon), result))
+        expected = tmp_path / "expected.csv"
+        cli._write_csv(expected, cli._provenance(load_run_config_file(config)),
+                       cli.SWEEP_HEADER, rows)
+        assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
+
     def test_repetition_rate_sweep_uses_pulse_counting(self, tmp_path):
         data = json.loads(json.dumps(FAST_OPTIMIZE))
         data["stage1"].update(top_k=1, pulse_counting="sdks")

@@ -13,6 +13,7 @@ from fastgate.fidelity import (
     analytic_report,
     apply_pulse_error,
     evaluate_train,
+    evaluate_train_thermals,
     infidelity,
     pulse_count_for,
     thermal_occupation,
@@ -211,6 +212,18 @@ class TestGateReport:
         rebuilt = (4.0 / 3.0) * np.sum(report.weights * np.abs(report.residuals) ** 2)
         assert rebuilt == pytest.approx(report.motional_infidelity, rel=1e-12)
         assert report.motional_infidelity <= report.ideal_infidelity
+
+    def test_thermal_reports_match_one_evaluation_each(self, chain5):
+        rng = np.random.default_rng(6)
+        sizes, times, gate_time = random_half_sequence(rng)
+        train = instantaneous_train(PulseGroupSequence.from_half(sizes, times, (1, 2), gate_time))
+        thermals = [NBAR, ThermalSpec(nbar=None, temperature=1e-3), ThermalSpec(nbar=2.0)]
+        for counting in ("pi_pulses", "sdks"):
+            reports = evaluate_train_thermals(train, chain5, thermals, counting=counting)
+            for thermal, report in zip(thermals, reports):
+                alone = evaluate_train(train, chain5, thermal, counting=counting)
+                assert report.to_json() == alone.to_json()
+                assert report.entangling_phase == alone.entangling_phase
 
     def test_json_schema(self, chain2):
         seq = PulseGroupSequence.from_half([1], [1e-7], (0, 1), 1e-6)

@@ -22,6 +22,7 @@ from fastgate.optimize import (
     _burst_fits,
     _burst_floors,
     _clip_to_sdk_cap,
+    _continuous_seeds,
     _coordinate_descent,
     _fit_gaps,
     _grid_descent,
@@ -88,6 +89,26 @@ class TestCostModel:
         for row, value in zip(grid, batch):
             assert model.selection_cost(row) == pytest.approx(value, rel=1e-12)
 
+
+    def test_stack_rows_match_lone_calls(self, chain5):
+        rng = np.random.default_rng(5)
+        for d in (1, 4, 8, 9, 16):
+            half_times = [((j + 1) / (2 * d)) * 1e-6 for j in range(d)]
+            model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+            stack = rng.uniform(-5.0, 5.0, size=(13, d))
+            values = model.ideal_infidelity(stack)
+            gradients = model.ideal_infidelity_gradient(stack)
+            for z, value, gradient in zip(stack, values, gradients):
+                assert float(value).hex() == model.ideal_infidelity(z).hex()
+                assert gradient.tobytes() == model.ideal_infidelity_gradient(z).tobytes()
+        # the scalar formula with Python's float power, which differs from
+        # numpy's vectorised square in the last bit of about 1 value in 1000;
+        # large sizes let the squared phase term dominate the sum
+        stack = rng.uniform(-1e3, 1e3, size=(4000, 16))
+        for z, value in zip(stack, model.ideal_infidelity(stack)):
+            theta = float(z @ model.phase_quadratic @ z)
+            motional = float(z @ model.residual_quadratic @ z)
+            assert value == (2.0 / 3.0) * (abs(theta) - math.pi / 4) ** 2 + motional
 
     def test_gradient_matches_central_differences(self, chain5):
         rng = np.random.default_rng(4)
@@ -254,11 +275,25 @@ class TestBfgs:
             bound = int(rng.integers(1, 11))
             self._assert_matches_minimize(model, rng.uniform(-0.6 * bound, 0.6 * bound, size=n))
 
+    @staticmethod
+    def _force_wolfe2(monkeypatch, when=lambda f: True):
+        """Make every Wolfe-1 search whose start value satisfies `when` fail
+        at its first call of the More-Thuente machine, for `minimize` and
+        `_bfgs` alike, so both fall back to wolfe2."""
+        from scipy.optimize._dcsrch import DCSRCH
+
+        iterate = DCSRCH._iterate
+
+        def failing(self, stp, f, g, task):
+            if task[:5] == b"START" and when(f):
+                return stp, f, g, b"ERROR: forced"
+            return iterate(self, stp, f, g, task)
+
+        monkeypatch.setattr(DCSRCH, "_iterate", failing)
+
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_matches_minimize_on_the_wolfe2_fallback(self, chain5, n, monkeypatch):
-        from scipy.optimize import _optimize
-
-        monkeypatch.setattr(_optimize, "line_search_wolfe1", lambda *args, **kwargs: (None,))
+        self._force_wolfe2(monkeypatch)
         model = self._model(chain5, n)
         rng = np.random.default_rng(50 + n)
         for _ in range(4):
@@ -275,7 +310,7 @@ class TestBfgs:
             calls.append(None)
             return (None,) if len(calls) % 4 == 0 else wolfe2(*args, **kwargs)
 
-        monkeypatch.setattr(_optimize, "line_search_wolfe1", lambda *args, **kwargs: (None,))
+        self._force_wolfe2(monkeypatch)
         monkeypatch.setattr(_optimize, "line_search_wolfe2", failing_wolfe2)
         model = self._model(chain5, 8)
         # each path raises _LineSearchError on its fourth line search
@@ -283,9 +318,82 @@ class TestBfgs:
         assert len(calls) == 8
         assert result.status == 2 and result.nit == 3
 
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    def test_stack_matches_minimize_lane_by_lane(self, chain5, n, monkeypatch):
+        from scipy.optimize import _optimize, minimize
 
-def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
-    """The per-move first-improvement loop of the stage-2 integer moves."""
+        model = self._model(chain5, n)
+        rng = np.random.default_rng(70 + n)
+        starts = [rng.uniform(-0.6 * b, 0.6 * b, size=n) for b in rng.integers(1, 11, size=4)]
+        # a lane already at a minimum stops before its first step
+        at_minimum = minimize(model.ideal_infidelity, starts[0],
+                              jac=model.ideal_infidelity_gradient, method="BFGS").x
+        starts.append(at_minimum)
+        # a lane whose searches fail over to wolfe2 until its value drops
+        threshold = max(model.ideal_infidelity(x0) for x0 in starts)
+        starts.append(3.0 * max(starts, key=model.ideal_infidelity))
+        assert model.ideal_infidelity(starts[-1]) > threshold
+        self._force_wolfe2(monkeypatch, when=lambda f: f > threshold)
+        wolfe2 = _optimize.line_search_wolfe2
+        calls = []
+
+        def counted_wolfe2(*args, **kwargs):
+            calls.append(None)
+            return wolfe2(*args, **kwargs)
+
+        monkeypatch.setattr(_optimize, "line_search_wolfe2", counted_wolfe2)
+        lone = [minimize(model.ideal_infidelity, x0, jac=model.ideal_infidelity_gradient,
+                         method="BFGS") for x0 in starts]
+        lone_calls = len(calls)
+        funs, xs = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient,
+                         np.array(starts))
+        for result, fun, x in zip(lone, funs, xs):
+            assert float(fun).hex() == float(result.fun).hex()
+            assert x.tobytes() == result.x.tobytes()
+        assert lone[-2].nit == 0
+        assert len({result.nit for result in lone}) > 2
+        assert 0 < lone_calls == len(calls) - lone_calls
+
+    def test_continuous_seeds_match_the_per_start_loop(self, chain5):
+        from scipy.optimize import minimize
+
+        def reference(model, bound, rng, starts=12):
+            d = model.phase_quadratic.shape[0]
+            optima = []
+            for _ in range(starts):
+                x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
+                result = minimize(model.ideal_infidelity, x0,
+                                  jac=model.ideal_infidelity_gradient, method="BFGS")
+                optima.append((result.fun, result.x))
+            optima.sort(key=lambda p: p[0])
+            seeds = []
+            for _, zc in optima[:4]:
+                theta = zc @ model.phase_quadratic @ zc
+                if theta != 0.0:
+                    scale_star = math.sqrt(math.pi / 4 / abs(theta))
+                    for s in np.linspace(0.75, 1.3, 8):
+                        seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
+                seeds.append(np.rint(np.clip(zc, -bound, bound)))
+                for _ in range(2):
+                    dither = rng.uniform(-0.4, 0.4, size=d)
+                    seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
+            return [s.astype(int) for s in seeds if np.any(s)]
+
+        for n, bound in ((8, 10), (9, 4), (5, 7)):
+            model = self._model(chain5, n)
+            rngs = [np.random.default_rng(90 + n) for _ in range(2)]
+            expected = reference(model, bound, rngs[0])
+            seeds = _continuous_seeds(model, bound, rngs[1])
+            assert len(seeds) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(seeds, expected))
+            assert rngs[0].random() == rngs[1].random()
+
+
+def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
+                            unwinnable=None):
+    """The per-move first-improvement loop of the stage-2 integer moves.
+    Each fitted trial that could not improve even with a perfect fit is
+    appended to `unwinnable`, if given."""
     d = len(z0)
     moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
@@ -306,6 +414,8 @@ def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half
                 continue
             if np.any(_burst_floors(np.abs(trial), timing_cost.period) > gap_hi):
                 continue
+            if unwinnable is not None and scorer(0.0, trial) >= cost:
+                unwinnable.append(trial)
             c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
             c = scorer(c, trial)
             if c < cost:
@@ -401,6 +511,39 @@ class TestJointRefine:
         assert draw_new == draw_ref
         assert np.all(_burst_floors(np.abs(z_new), surrogate.period) <= 1.25 * gaps)
         assert _burst_fits(z_new, list(t_new), surrogate.period)
+
+    def test_moves_that_cannot_win_are_never_fitted(self, chain5, monkeypatch):
+        from fastgate import optimize
+
+        # a steep per-SDK penalty: a move adding kicks cannot pay for them
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+
+        def scorer(ideal, z):
+            return ideal + 1e-3 * float(np.sum(np.abs(z)))
+
+        fitted = []
+        first_improving = optimize._first_improving
+
+        def recording(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer):
+            fitted.extend(scorer(0.0, trial) < cost for trial in trials)
+            return first_improving(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer)
+
+        monkeypatch.setattr(optimize, "_first_improving", recording)
+        unwinnable, outcomes = [], []
+        for joint in (_reference_joint_refine, _joint_refine):
+            rng = np.random.default_rng(21)
+            extra = {"unwinnable": unwinnable} if joint is _reference_joint_refine else {}
+            cost, z, t = joint(surrogate, np.array([1, -2, 1, 0, 1]), times, 0.75 * gaps,
+                               1.25 * gaps, 3, 50, scorer, rng, **extra)
+            outcomes.append((cost, z, t, rng.random()))
+        (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
+        assert c_new == c_ref
+        assert np.array_equal(z_new, z_ref)
+        assert np.array_equal(t_new, t_ref)
+        assert draw_new == draw_ref
+        assert unwinnable and fitted and all(fitted)
 
     def test_equal_scores_are_not_improvements(self, chain5):
         # a score blind to the timing fit ties every move that keeps sum |z|

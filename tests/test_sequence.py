@@ -166,3 +166,68 @@ class TestKickTrain:
         scaled = train.scaled_times(1.0 / (1.0 + 1e-3))
         assert scaled.num_kicks == train.num_kicks
         assert scaled.repetition_rate == pytest.approx(300e6 * (1 + 1e-3))
+
+
+def _reference_kick_checks(times, rate):
+    """The per-kick order, burst-overlap and grid checks of a `KickTrain`."""
+    if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
+        raise ValueError("kick times must be non-decreasing")
+    if rate is not None:
+        period = 1.0 / rate
+        gaps = [times[i + 1] - times[i] for i in range(len(times) - 1)]
+        if any(g < period * (1.0 - 1e-9) for g in gaps):
+            raise BurstOverlap("consecutive kicks closer than one repetition period")
+        if times:
+            t0 = times[0]
+            for tv in times:
+                steps = (tv - t0) * rate
+                if abs(steps - round(steps)) > 1e-6:
+                    raise GridResolutionError(
+                        "kick times are not integer multiples of the repetition period"
+                    )
+
+
+def _outcome(check):
+    try:
+        check()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestKickTrainChecks:
+    RATE = 300e6
+
+    def _cases(self):
+        period = 1.0 / self.RATE
+        t0 = -7.3e-7
+        cases = [(), (t0,), (t0, t0 + period), (t0 + period, t0), (float("nan"), t0),
+                 (t0, float("inf")), (t0, float("nan"), t0 + 2.5 * period)]
+        # a gap at the burst-overlap tolerance, a few ulps either side; from
+        # zero the gap is the kick time itself, so it meets the tolerance exactly
+        for start in (t0, 0.0):
+            edge = start + period * (1.0 - 1e-9)
+            for ulps in range(-3, 4):
+                cases.append((start, float(edge + ulps * np.spacing(edge))))
+        # a kick off the grid by the grid tolerance, a few ulps either side,
+        # behind on-grid kicks and ahead of an off-grid one
+        for k in (3, 40):
+            for sign in (1.0, -1.0):
+                off = t0 + (k + sign * 1e-6) * period
+                for ulps in range(-3, 4):
+                    tv = float(off + ulps * np.spacing(off))
+                    cases.append((t0, t0 + period, tv, tv + (k + 0.5) * period))
+        # a kick one ulp before its predecessor
+        cases.append((t0, t0 + 2 * period, float(np.nextafter(t0 + 2 * period, -1.0))))
+        return cases
+
+    def test_array_checks_match_the_per_kick_loop(self):
+        outcomes = set()
+        for times in self._cases():
+            for rate in (self.RATE, None):
+                expected = _outcome(lambda: _reference_kick_checks(times, rate))
+                signs = tuple(1 for _ in times)
+                got = _outcome(lambda: KickTrain(times, signs, (0, 1), rate))
+                assert got == expected, (times, rate)
+                outcomes.add(None if expected is None else expected[0])
+        assert outcomes == {None, ValueError, BurstOverlap, GridResolutionError, OverflowError}
