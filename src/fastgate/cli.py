@@ -243,7 +243,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
                 print(f"epsilon={value:g}: 1-F {adjusted_inf:.3e}")
         elif variable == "temperature":
             thermals = [ThermalSpec(nbar=None, temperature=value) for value in config.sweep_values]
-            hot_reports = evaluate_train_thermals(result.train, chain, thermals)
+            hot_reports = evaluate_train_thermals(
+                result.train, chain, thermals, counting=config.stage1.pulse_counting
+            )
             for value, hot in zip(config.sweep_values, hot_reports):
                 rows.append(_sweep_row(variable, value, hot,
                                        hot.adjusted_infidelity(result.epsilon), result))

@@ -7,11 +7,8 @@ threshold, and rounded continuous relaxations seed the search at the final
 bound.  Both run as lanes of one stack, each lane ending where it would
 alone.  The descents of one bound level apply a precomputed move matrix to
 every lane's sizes and score all the lanes' feasible trials in one batch.
-The twelve relaxations of a gate time are minimised together by `_bfgs`,
-scipy's BFGS loop on the exact gradient of the quadratic-form cost, each
-start a lane with its own copy of scipy's More-Thuente line search.  It must
-stay exact: a cheaper approximate BFGS reaches other local minima, and so
-other rounded seeds and candidates.
+The relaxations are box-bounded least-squares fits of the closed-form cost
+on the stage-2 solver `_box_least_squares`, the twelve starts as lanes.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -164,8 +161,8 @@ class CostModel:
         self.phase_quadratic = 0.5 * (folded + folded.T)
 
         sin_t = np.sin(np.outer(w, t_full)) @ fold     # modes x d
-        scaled = sin_t * surrogate.alpha_scale
-        self.residual_quadratic = scaled.T @ scaled
+        self.scaled = sin_t * surrogate.alpha_scale
+        self.residual_quadratic = self.scaled.T @ self.scaled
         self.epsilon = epsilon
         self.counting = counting
         self.max_sdk_half = max_sdks // 2
@@ -180,21 +177,22 @@ class CostModel:
         costs = [(2.0 / 3.0) * (abs(t) - PHASE_TARGET) ** 2 + m for t, m in zip(theta, motional)]
         return costs[0] if np.ndim(z) == 1 else np.array(costs)
 
-    def ideal_infidelity_gradient(self, z: np.ndarray) -> np.ndarray:
-        """Exact gradient of `ideal_infidelity` with respect to z, row by row
-        for a (lanes, d) stack.
-
-        Both forms are symmetric, so with theta = z.K.z it is
-        (8/3)(|theta| - pi/4) sign(theta) K z + 2 G z.
+    def residuals_and_jacobian(self, z, lanes=None) -> tuple:
+        """The cost as a sum of squares for `_box_least_squares`: residual 0
+        is the weighted phase mismatch, the rest the weighted per-mode
+        displacements, and their (modes+1) x d Jacobian, row by row for a
+        (lanes, d) stack.  Every lane shares the model, so `lanes` is unused.
         """
         rows = np.atleast_2d(z)
         kz = (self.phase_quadratic @ rows[:, :, None])[:, :, 0]
         theta = _rowdot(rows, kz)
-        gradient = (
-            ((8.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) * np.sign(theta))[:, None] * kz
-            + 2.0 * (self.residual_quadratic @ rows[:, :, None])[:, :, 0]
-        )
-        return gradient[0] if np.ndim(z) == 1 else gradient
+        out = np.empty((len(rows), 1 + len(self.scaled)))
+        out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
+        out[:, 1:] = (self.scaled @ rows[:, :, None])[:, :, 0]
+        jac = np.empty(out.shape + (rows.shape[1],))
+        jac[:, 0] = (2.0 * math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * kz
+        jac[:, 1:] = self.scaled
+        return (out[0], jac[0]) if np.ndim(z) == 1 else (out, jac)
 
     def selection_cost(self, z: np.ndarray) -> float:
         """Pulse-error-adjusted infidelity used to rank candidates."""
@@ -297,105 +295,6 @@ def _clip_to_sdk_cap(z: np.ndarray, cap: int) -> np.ndarray:
     return z
 
 
-def _bfgs(fun, grad, x0):
-    """`scipy.optimize.minimize(fun, x0, jac=grad, method="BFGS")`'s (fun, x)
-    for one (d,) start, or per lane for a (lanes, d) stack of starts.
-
-    scipy's `_minimize_bfgs` loop, expression for expression, on stacks:
-    `fun` and `grad` answer each row as they answer it alone, the products
-    take the stacked forms that reproduce numpy's `dot` bit for bit, and
-    `_wolfe_steps` gives the steps.  The tests pin each lane to `minimize`.
-    """
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    f, g = np.atleast_1d(fun(x)).astype(float), grad(x)
-    final_f, final_x = f.copy(), x.copy()
-    lanes = np.flatnonzero(np.amax(np.abs(g), axis=1) > 1e-5)
-    x, g, f = x[lanes], g[lanes], f[lanes]
-    old_f = f + np.sqrt(_rowdot(g, g)) / 2
-    identity = np.eye(x.shape[1])
-    hk = np.tile(identity, (len(lanes), 1, 1))
-    for _ in range(200 * x.shape[1]):
-        if not len(lanes):
-            break
-        pk = -(hk @ g[:, :, None])[:, :, 0]
-        alpha, f_new, g_new, failed = _wolfe_steps(fun, grad, x, pk, g, f, old_f)
-        # a lane whose fallback search raised stops where it is, as minimize does
-        stop = failed | ~(np.amax(np.abs(g_new), axis=1) > 1e-5) | ~np.isfinite(f_new)
-        sk = alpha[:, None] * pk
-        x = np.where(failed[:, None], x, x + sk)
-        yk = g_new - g
-        g, old_f, f = g_new, f, np.where(failed, f, f_new)
-        # the step test at xrtol = 0 with scipy's vecnorm, a float power
-        stop |= np.array([a * s ** 0.5 <= 0 * (0 + t ** 0.5) for a, s, t in zip(
-            alpha.tolist(), *(np.sum(np.abs(v) ** 2, axis=1).tolist() for v in (pk, x))
-        )], dtype=bool)
-        if stop.any():
-            final_f[lanes[stop]], final_x[lanes[stop]] = f[stop], x[stop]
-            lanes, x, g, f, old_f, hk, sk, yk = (
-                a[~stop] for a in (lanes, x, g, f, old_f, hk, sk, yk)
-            )
-        rhok_inv = _rowdot(yk, sk)
-        rhok = np.divide(1.0, rhok_inv, out=np.full_like(rhok_inv, 1000.0),
-                         where=rhok_inv != 0.0)[:, None, None]
-        a1 = identity - sk[:, :, None] * yk[:, None, :] * rhok
-        # y s^T is s y^T transposed, product for product
-        a2 = np.ascontiguousarray(a1.swapaxes(1, 2))
-        hk = a1 @ (hk @ a2) + rhok * sk[:, :, None] * sk[:, None, :]
-    final_f[lanes], final_x[lanes] = f, x
-    return (float(final_f[0]), final_x[0]) if np.ndim(x0) == 1 else (final_f, final_x)
-
-
-def _wolfe_steps(fun, grad, x, pk, g, f, old_f):
-    """Each lane's (step, value, gradient) along `pk` from `x` (value `f`,
-    gradient `g`, previous value `old_f`) by scipy's `_line_search_wolfe12`,
-    and whether it raised.  The wolfe1 searches start as
-    `scalar_search_wolfe1` starts and run on scipy's More-Thuente machine
-    `DCSRCH._iterate`, one call of `fun` and `grad` per round for all lanes;
-    a lane whose search fails as wolfe1 fails is rerun alone by
-    `_line_search_wolfe12`, which fails the same way and tries wolfe2."""
-    from scipy.optimize._dcsrch import DCSRCH
-    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
-
-    searches, states = [], []
-    for phi0, old_phi0, derphi0 in zip(f.tolist(), old_f.tolist(), _rowdot(g, pk)):
-        alpha1 = min(1.0, 1.01 * 2 * (phi0 - old_phi0) / derphi0) if derphi0 != 0 else 1.0
-        alpha1 = 1.0 if alpha1 < 0 else alpha1
-        searches.append(DCSRCH(None, None, 1e-4, 0.9, 1e-14, 1e-100, 1e100))
-        states.append(searches[-1]._iterate(alpha1, phi0, derphi0, b"START"))
-    alpha, f_new, failed = [math.nan] * len(x), [math.nan] * len(x), [True] * len(x)
-    g_new = np.full_like(g, math.nan)
-    searching = range(len(x))
-    for calls in range(1, 101):
-        trials = []
-        for i in searching:
-            stp, phi, _, task = states[i]
-            if not math.isfinite(stp) or task[:5] == b"ERROR" or task[:4] == b"WARN":
-                continue
-            if task[:2] != b"FG":
-                alpha[i], f_new[i], failed[i] = stp, phi, False
-            elif calls < 100:
-                trials.append(i)
-        if not trials:
-            break
-        rows = np.array(trials)
-        points = x[rows] + np.array([states[i][0] for i in trials])[:, None] * pk[rows]
-        values = np.atleast_1d(fun(points)).tolist()
-        g_new[rows] = gradients = grad(points)
-        for i, phi, derphi in zip(trials, values, _rowdot(gradients, pk[rows])):
-            states[i] = searches[i]._iterate(states[i][0], phi, derphi, states[i][3])
-        searching = trials
-    for i in [i for i, fail in enumerate(failed) if fail]:
-        try:
-            alpha[i], _, _, f_new[i], _, g_step = _line_search_wolfe12(
-                fun, grad, x[i], pk[i], g[i], float(f[i]), float(old_f[i]),
-                amin=1e-100, amax=1e100, c1=1e-4, c2=0.9)
-        except _LineSearchError:
-            continue
-        g_new[i] = grad(x[i] + alpha[i] * pk[i]) if g_step is None else g_step
-        failed[i] = False
-    return np.array(alpha), np.array(f_new), g_new, np.array(failed)
-
-
 def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     """Rounded continuous relaxations of the cost, with scaling sweeps.
 
@@ -407,7 +306,7 @@ def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
     K = model.phase_quadratic
 
     x0 = np.array([rng.uniform(-0.6 * bound, 0.6 * bound, size=d) for _ in range(starts)])
-    funs, xs = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0)
+    funs, xs = _box_least_squares(model.residuals_and_jacobian, x0, -bound, bound, 200)
     optima = sorted(zip(funs.tolist(), xs), key=lambda p: p[0])
 
     seeds = []
@@ -461,7 +360,6 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
             pool[key] = (float(cost), bound)
 
     warm: list[np.ndarray] = [np.zeros(d, dtype=int)]
-    best_per_bound = []
     final_bound = config.z_bound_schedule[-1]
     for bound in config.z_bound_schedule:
         combos = (2 * bound + 1) ** d
@@ -490,7 +388,6 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
                 finals.append((cost, tuple(z)))
             finals.sort()
             warm = [np.array(zt, dtype=int) for _, zt in finals[:4]]
-        best_per_bound.append(min(v[0] for v in pool.values()))
 
     entries = sorted(pool.items(), key=lambda kv: (kv[1][0], sum(abs(v) for v in kv[0]), kv[0]))
     # Guarantee stage 2 sees a low-pulse-count pattern from this gate time:
@@ -516,7 +413,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
                 bound_found=bound,
             )
         )
-    return candidates, model.evaluations, best_per_bound
+    return candidates, model.evaluations
 
 
 def _stage1_task(args):
@@ -552,7 +449,7 @@ def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int 
 
     merged: list[Stage1Candidate] = []
     evaluations = 0
-    for candidates, evals, _ in outputs:
+    for candidates, evals in outputs:
         merged.extend(candidates)
         evaluations += evals
     merged.sort(key=Stage1Candidate.sort_key)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fastgate.chain import TrapConfig, build_chain
-from fastgate.optimize import Stage1Config, Stage2Config, optimize_gate
 
 
 def pytest_addoption(parser):
@@ -40,13 +39,6 @@ def chain20():
 def small_chains():
     """Chains for N = 2..10, shared across randomized consistency tests."""
     return {n: build_chain(TrapConfig(num_ions=n)) for n in range(2, 11)}
-
-
-@pytest.fixture(scope="session")
-def gate20(chain20):
-    """One optimised N=20 edge gate at 300 MHz, reused by several criteria."""
-    config = Stage1Config(targets=(0, 1))
-    return optimize_gate(chain20, config, Stage2Config(), seed=11)
 
 
 def random_half_sequence(rng, max_groups=8, max_size=5, gate_time_range=(0.5e-6, 1.5e-6)):

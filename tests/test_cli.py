@@ -265,10 +265,14 @@ class TestSweepCommand:
                        cli.SWEEP_HEADER, rows)
         assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
 
-    def test_repetition_rate_sweep_uses_pulse_counting(self, tmp_path):
+    @pytest.mark.parametrize("variable, values", [
+        ("repetition_rate", [300.0, 600.0]),
+        ("temperature", [1e-4, 1e-3]),
+    ], ids=["repetition_rate", "temperature"])
+    def test_sweep_uses_pulse_counting(self, tmp_path, variable, values):
         data = json.loads(json.dumps(FAST_OPTIMIZE))
         data["stage1"].update(top_k=1, pulse_counting="sdks")
-        data["sweep"] = {"variable": "repetition_rate", "values": [300.0, 600.0]}
+        data["sweep"] = {"variable": variable, "values": values}
         config = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main(["--config", config, "--out", str(out), "sweep"]) == 0

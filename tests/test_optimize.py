@@ -17,7 +17,6 @@ from fastgate.optimize import (
     _RESTART_SCALES,
     _TimingCost,
     _adjusted_cost,
-    _bfgs,
     _box_least_squares,
     _burst_fits,
     _burst_floors,
@@ -97,10 +96,8 @@ class TestCostModel:
             model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
             stack = rng.uniform(-5.0, 5.0, size=(13, d))
             values = model.ideal_infidelity(stack)
-            gradients = model.ideal_infidelity_gradient(stack)
-            for z, value, gradient in zip(stack, values, gradients):
+            for z, value in zip(stack, values):
                 assert float(value).hex() == model.ideal_infidelity(z).hex()
-                assert gradient.tobytes() == model.ideal_infidelity_gradient(z).tobytes()
         # the scalar formula with Python's float power, which differs from
         # numpy's vectorised square in the last bit of about 1 value in 1000;
         # large sizes let the squared phase term dominate the sum
@@ -110,7 +107,7 @@ class TestCostModel:
             motional = float(z @ model.residual_quadratic @ z)
             assert value == (2.0 / 3.0) * (abs(theta) - math.pi / 4) ** 2 + motional
 
-    def test_gradient_matches_central_differences(self, chain5):
+    def test_jacobian_matches_central_differences(self, chain5):
         rng = np.random.default_rng(4)
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
         model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
@@ -121,15 +118,48 @@ class TestCostModel:
         points = [samples[i] for i in np.argsort(thetas)[[0, 1, 2, -3, -2, -1]]]
         step = 1e-6
         for z in points:
+            r, jac = model.residuals_and_jacobian(z)
+            assert np.sum(r**2) == pytest.approx(model.ideal_infidelity(z), rel=1e-12)
             numeric = np.array([
-                (model.ideal_infidelity(z + step * e) - model.ideal_infidelity(z - step * e))
-                / (2.0 * step)
+                (model.residuals_and_jacobian(z + step * e)[0]
+                 - model.residuals_and_jacobian(z - step * e)[0]) / (2.0 * step)
                 for e in np.eye(8)
-            ])
-            analytic = model.ideal_infidelity_gradient(z)
+            ]).T
             scale = np.max(np.abs(numeric))
-            assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9 * scale)
+            assert np.allclose(jac, numeric, rtol=1e-6, atol=1e-9 * scale)
         assert model.evaluations == 0
+
+    def test_continuous_seeds_match_the_per_start_loop(self, chain5):
+        def reference(model, bound, rng, starts=12):
+            d = model.phase_quadratic.shape[0]
+            optima = []
+            for _ in range(starts):
+                x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
+                optima.append(_box_least_squares(model.residuals_and_jacobian, x0,
+                                                 -bound, bound, 200))
+            optima.sort(key=lambda p: p[0])
+            seeds = []
+            for _, zc in optima[:4]:
+                theta = zc @ model.phase_quadratic @ zc
+                if theta != 0.0:
+                    scale_star = math.sqrt(math.pi / 4 / abs(theta))
+                    for s in np.linspace(0.75, 1.3, 8):
+                        seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
+                seeds.append(np.rint(np.clip(zc, -bound, bound)))
+                for _ in range(2):
+                    dither = rng.uniform(-0.4, 0.4, size=d)
+                    seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
+            return [s.astype(int) for s in seeds if np.any(s)]
+
+        for n, bound in ((8, 10), (9, 4), (5, 7)):
+            half_times = [(j + 1) / (2 * n) * 1e-6 for j in range(n)]
+            model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+            rngs = [np.random.default_rng(90 + n) for _ in range(2)]
+            expected = reference(model, bound, rngs[0])
+            seeds = _continuous_seeds(model, bound, rngs[1])
+            assert len(seeds) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(seeds, expected))
+            assert rngs[0].random() == rngs[1].random()
 
 
 def _reference_coordinate_descent(model, z0, bound, max_passes=400):
@@ -247,146 +277,6 @@ def test_size_grid_matches_itertools(d, bound):
     grid = _size_grid(d, bound)
     assert grid.dtype == expected.dtype
     assert np.array_equal(grid, expected)
-
-
-class TestBfgs:
-    """`_bfgs` against `scipy.optimize.minimize(method="BFGS")`, bit for bit."""
-
-    @staticmethod
-    def _model(chain, n):
-        half_times = [(j + 1) / (2 * n) * 1e-6 for j in range(n)]
-        return CostModel(chain, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
-
-    def _assert_matches_minimize(self, model, x0):
-        from scipy.optimize import minimize
-
-        result = minimize(model.ideal_infidelity, x0, jac=model.ideal_infidelity_gradient,
-                          method="BFGS")
-        fun, x = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient, x0)
-        assert float(fun).hex() == float(result.fun).hex()
-        assert x.tobytes() == result.x.tobytes()
-        return result
-
-    @pytest.mark.parametrize("n", [2, 5, 20, 100])
-    def test_matches_minimize(self, chain5, n):
-        model = self._model(chain5, n)
-        rng = np.random.default_rng(n)
-        for _ in range(3 if n == 100 else 6):
-            bound = int(rng.integers(1, 11))
-            self._assert_matches_minimize(model, rng.uniform(-0.6 * bound, 0.6 * bound, size=n))
-
-    @staticmethod
-    def _force_wolfe2(monkeypatch, when=lambda f: True):
-        """Make every Wolfe-1 search whose start value satisfies `when` fail
-        at its first call of the More-Thuente machine, for `minimize` and
-        `_bfgs` alike, so both fall back to wolfe2."""
-        from scipy.optimize._dcsrch import DCSRCH
-
-        iterate = DCSRCH._iterate
-
-        def failing(self, stp, f, g, task):
-            if task[:5] == b"START" and when(f):
-                return stp, f, g, b"ERROR: forced"
-            return iterate(self, stp, f, g, task)
-
-        monkeypatch.setattr(DCSRCH, "_iterate", failing)
-
-    @pytest.mark.parametrize("n", [2, 5, 20])
-    def test_matches_minimize_on_the_wolfe2_fallback(self, chain5, n, monkeypatch):
-        self._force_wolfe2(monkeypatch)
-        model = self._model(chain5, n)
-        rng = np.random.default_rng(50 + n)
-        for _ in range(4):
-            result = self._assert_matches_minimize(model, rng.uniform(-3.0, 3.0, size=n))
-            assert result.nit > 0
-
-    def test_matches_minimize_when_the_line_search_fails(self, chain5, monkeypatch):
-        from scipy.optimize import _optimize
-
-        wolfe2 = _optimize.line_search_wolfe2
-        calls = []
-
-        def failing_wolfe2(*args, **kwargs):
-            calls.append(None)
-            return (None,) if len(calls) % 4 == 0 else wolfe2(*args, **kwargs)
-
-        self._force_wolfe2(monkeypatch)
-        monkeypatch.setattr(_optimize, "line_search_wolfe2", failing_wolfe2)
-        model = self._model(chain5, 8)
-        # each path raises _LineSearchError on its fourth line search
-        result = self._assert_matches_minimize(model, np.linspace(-2.0, 2.0, 8))
-        assert len(calls) == 8
-        assert result.status == 2 and result.nit == 3
-
-    @pytest.mark.parametrize("n", [2, 5, 20, 100])
-    def test_stack_matches_minimize_lane_by_lane(self, chain5, n, monkeypatch):
-        from scipy.optimize import _optimize, minimize
-
-        model = self._model(chain5, n)
-        rng = np.random.default_rng(70 + n)
-        starts = [rng.uniform(-0.6 * b, 0.6 * b, size=n) for b in rng.integers(1, 11, size=4)]
-        # a lane already at a minimum stops before its first step
-        at_minimum = minimize(model.ideal_infidelity, starts[0],
-                              jac=model.ideal_infidelity_gradient, method="BFGS").x
-        starts.append(at_minimum)
-        # a lane whose searches fail over to wolfe2 until its value drops
-        threshold = max(model.ideal_infidelity(x0) for x0 in starts)
-        starts.append(3.0 * max(starts, key=model.ideal_infidelity))
-        assert model.ideal_infidelity(starts[-1]) > threshold
-        self._force_wolfe2(monkeypatch, when=lambda f: f > threshold)
-        wolfe2 = _optimize.line_search_wolfe2
-        calls = []
-
-        def counted_wolfe2(*args, **kwargs):
-            calls.append(None)
-            return wolfe2(*args, **kwargs)
-
-        monkeypatch.setattr(_optimize, "line_search_wolfe2", counted_wolfe2)
-        lone = [minimize(model.ideal_infidelity, x0, jac=model.ideal_infidelity_gradient,
-                         method="BFGS") for x0 in starts]
-        lone_calls = len(calls)
-        funs, xs = _bfgs(model.ideal_infidelity, model.ideal_infidelity_gradient,
-                         np.array(starts))
-        for result, fun, x in zip(lone, funs, xs):
-            assert float(fun).hex() == float(result.fun).hex()
-            assert x.tobytes() == result.x.tobytes()
-        assert lone[-2].nit == 0
-        assert len({result.nit for result in lone}) > 2
-        assert 0 < lone_calls == len(calls) - lone_calls
-
-    def test_continuous_seeds_match_the_per_start_loop(self, chain5):
-        from scipy.optimize import minimize
-
-        def reference(model, bound, rng, starts=12):
-            d = model.phase_quadratic.shape[0]
-            optima = []
-            for _ in range(starts):
-                x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
-                result = minimize(model.ideal_infidelity, x0,
-                                  jac=model.ideal_infidelity_gradient, method="BFGS")
-                optima.append((result.fun, result.x))
-            optima.sort(key=lambda p: p[0])
-            seeds = []
-            for _, zc in optima[:4]:
-                theta = zc @ model.phase_quadratic @ zc
-                if theta != 0.0:
-                    scale_star = math.sqrt(math.pi / 4 / abs(theta))
-                    for s in np.linspace(0.75, 1.3, 8):
-                        seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
-                seeds.append(np.rint(np.clip(zc, -bound, bound)))
-                for _ in range(2):
-                    dither = rng.uniform(-0.4, 0.4, size=d)
-                    seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
-            return [s.astype(int) for s in seeds if np.any(s)]
-
-        for n, bound in ((8, 10), (9, 4), (5, 7)):
-            model = self._model(chain5, n)
-            rngs = [np.random.default_rng(90 + n) for _ in range(2)]
-            expected = reference(model, bound, rngs[0])
-            seeds = _continuous_seeds(model, bound, rngs[1])
-            assert len(seeds) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(seeds, expected))
-            assert rngs[0].random() == rngs[1].random()
 
 
 def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
@@ -777,13 +667,6 @@ class TestStage1:
         candidates, _ = stage1(chain2, small_stage1_config(), seed=1)
         baseline = (2.0 / 3.0) * (math.pi / 4.0) ** 2
         assert candidates[0].ideal_infidelity < baseline
-
-    def test_bound_monotonicity(self, chain2):
-        from fastgate.optimize import _stage1_single_gate_time
-
-        config = small_stage1_config(z_bound_schedule=(1, 2, 3))
-        _, _, best_per_bound = _stage1_single_gate_time(chain2, config, 1.0e-6, 0, seed=5)
-        assert all(b <= a + 1e-15 for a, b in zip(best_per_bound, best_per_bound[1:]))
 
     def test_rejects_non_adjacent_targets(self, chain5):
         with pytest.raises(ValueError):
