@@ -299,7 +299,8 @@ def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
 
 
 def _read_result_document(path: str):
-    """The chain, train, thermal spec, stored report and epsilon of a result.json."""
+    """The chain, train, thermal spec, stored figures, epsilon and pulse
+    counting of a result.json."""
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -307,30 +308,36 @@ def _read_result_document(path: str):
         train = KickTrain.from_json_dict(document["train"])
         thermal = ThermalSpec.from_json_dict(document["thermal"])
         stored = {key: float(document["report_ideal"][key])
-                  for key in ("ideal_inf", "motional_inf", "dphi")}
+                  for key in ("ideal_inf", "motional_inf", "dphi", "pulses")}
+        stored["adjusted_fidelity"] = float(document["adjusted_fidelity"])
         epsilon = float(document["epsilon"])
+        counting = document["provenance"]["config"]["stage1"]["pulse_counting"]
+        if counting not in ("pi_pulses", "sdks"):
+            raise ValueError(f"unknown pulse counting {counting!r}")
     except KeyError as exc:
         raise ConfigError(f"stored result {path} lacks key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read stored result {path}: {exc}") from exc
-    return chain, train, thermal, stored, epsilon
+    return chain, train, thermal, stored, epsilon, counting
 
 
 def cmd_evaluate(args, out_dir: Path) -> int:
-    chain, train, thermal, stored, epsilon = _read_result_document(args.result)
-    report = evaluate_train(train, chain, thermal)
+    chain, train, thermal, stored, epsilon, counting = _read_result_document(args.result)
+    report = evaluate_train(train, chain, thermal, counting=counting)
+    adjusted = report.adjusted_fidelity(epsilon)
     fields = [
         ("ideal_inf", stored["ideal_inf"], report.ideal_infidelity),
         ("motional_inf", stored["motional_inf"], report.motional_infidelity),
         ("dphi", stored["dphi"], report.phase_mismatch),
+        ("pulses", stored["pulses"], report.pulse_count),
+        ("adjusted_fid", stored["adjusted_fidelity"], adjusted),
     ]
     worst = 0.0
     for name, was, now in fields:
         drift = abs(now - was) / max(abs(was), 1e-300)
         worst = max(worst, drift)
         print(f"{name:14s} stored {was:+.12e}   re-evaluated {now:+.12e}")
-    adjusted = report.adjusted_fidelity(epsilon)
-    print(f"adjusted fidelity at eps={epsilon:g}: {adjusted:.9f}")
+    print(f"adjusted fidelity at eps={epsilon:g} ({counting}): {adjusted:.9f}")
     if worst > 1e-12:
         print(f"MISMATCH: stored report drifts by {worst:.3e} (> 1e-12 relative)")
         return 3

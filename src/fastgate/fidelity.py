@@ -12,6 +12,11 @@ m for two-qubit basis state s, and <.>_s averages the four basis states.
 When the residuals factor as alpha_m(s) = -(s_mu b_m^mu + s_nu b_m^nu)
 dalpha_m the average reduces to the familiar ((b^mu)^2 + (b^nu)^2)|dalpha|^2
 weighting.
+
+The closed form of the phase and residuals of antisymmetric kick groups
+lives here once, as the phasor kernel `_TimingCost`: instantaneous at period
+0, it is the stage-1 cost and `analytic_report`; with the grid period it is
+stage 2's surrogate.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ import numpy as np
 from .chain import ChainModel
 from .constants import CONSTANTS
 from .dynamics import BASIS_STATES, entangling_phase, propagate_lanes
-from .dynamics import propagate  # noqa: F401  -- public here; perfbench's tracer wraps it
+# nothing in the package calls propagate; the name stays because perfbench's tracer wraps it
+from .dynamics import propagate  # noqa: F401
 from .sequence import KickTrain, PulseGroupSequence
 
 PHASE_TARGET = math.pi / 4.0
@@ -321,32 +327,156 @@ def _report_builders(trains, chains, full_basis, counting) -> list:
     return builders
 
 
-def analytic_phase_and_residuals(
-    sequence: PulseGroupSequence, chain: ChainModel
-) -> tuple[float, np.ndarray]:
-    """Closed-form entangling phase and factored residuals of a group sequence.
+class _TimingCost:
+    """Analytic cost as a function of the half times, burst spreading included.
 
-    Valid in the instantaneous-group limit.  Theta = 8 sum_m eta_m^2 b_m^mu
-    b_m^nu sum_{i>j} z_i z_j sin(w_m (t_i - t_j)); the factored residual is
-    dalpha_m = 2 eta_m sum_k z_k sin(w_m t_k), with the basis-state residual
-    alpha_m(s) = -(s_mu b^mu + s_nu b^nu) dalpha_m.
+    A group of n kicks spaced by the repetition period T and centred on its
+    group time acts, mode by mode, like a single kick of effective size
+    sin(n w T / 2) / sin(w T / 2) (the burst form factor), plus a closed-form
+    within-burst contribution to the entangling phase.  With period = 0 this
+    is the instantaneous-group closed form of stage 1 and `analytic_report`.
+    Used inside stage 2 as a fast surrogate during continuous gap refinement
+    and for re-scoring integer moves; the authoritative objective remains
+    the trajectory evaluation of the expanded train.
     """
-    mu, nu = sequence.target_ions
-    z = np.asarray(sequence.group_sizes, dtype=float)
-    t = np.asarray(sequence.group_times, dtype=float)
-    w = chain.mode_frequencies
-    eta = chain.lamb_dicke
-    b_mu = chain.mode_couplings[:, mu]
-    b_nu = chain.mode_couplings[:, nu]
 
-    dt = t[:, None] - t[None, :]                      # t_i - t_j
-    pair_z = np.tril(np.outer(z, z), k=-1)            # i > j only
-    sin_wdt = np.sin(w[:, None, None] * dt[None, :, :])
-    pair_sums = np.einsum("ij,mij->m", pair_z, sin_wdt)
-    theta = 8.0 * float(np.sum(eta**2 * b_mu * b_nu * pair_sums))
+    def __init__(self, chain, targets, thermal, period: float = 0.0):
+        mu, nu = targets
+        self.w = chain.mode_frequencies
+        self.eta = chain.lamb_dicke
+        self.b_mu = chain.mode_couplings[:, mu]
+        self.b_nu = chain.mode_couplings[:, nu]
+        nbar = thermal.occupations(self.w)
+        self.weights = (4.0 / 3.0) * (0.5 + nbar) * (self.b_mu**2 + self.b_nu**2)
+        self.phase_scale = 8.0 * self.eta**2 * self.b_mu * self.b_nu
+        self.alpha_scale = (2.0 * self.eta * np.sqrt(self.weights))[:, None]
+        self.period = period
+        self._form_cache: dict[int, tuple] = {}
 
-    dalpha = 2.0 * eta * (np.sin(w[:, None] * t[None, :]) @ z)
-    return theta, dalpha
+    def _burst_terms(self, count: int) -> tuple:
+        """(form factor, within-burst phase sum) per mode for an n-kick burst."""
+        if count not in self._form_cache:
+            x = self.w * self.period
+            if self.period == 0.0 or count <= 1:
+                form = np.full_like(self.w, float(count))
+                within = np.zeros_like(self.w)
+            else:
+                form = np.sin(0.5 * count * x) / np.sin(0.5 * x)
+                within = np.zeros_like(self.w)
+                for gap in range(1, count):
+                    within += (count - gap) * np.sin(gap * x)
+            self._form_cache[count] = (form, within)
+        return self._form_cache[count]
+
+    def bind(self, z_half) -> "_BoundTimingCost":
+        """Freeze the group sizes, caching their burst form factors."""
+        return _BoundTimingCost(self, np.asarray(z_half, dtype=float))
+
+    def fixed_timing_forms(self, t_half) -> tuple:
+        """The period-0 kernel at fixed half times as forms in the half sizes
+        z: Theta = z^T K z and the weighted displacements S z.  With
+        p = exp(i w t), S = 2 alpha_scale Im(p) and K sums phase_scale
+        [L + L^T - Im(p p^T)] over the modes, L the strict lower triangle of
+        Im(p p^H).  Entry (a, b <= a) of that sum is -2 sin(w t_b) cos(w t_a),
+        which builds K exactly symmetric."""
+        p = np.exp(1j * np.outer(self.w, t_half))
+        mixed = (self.phase_scale[:, None] * p.imag).T @ p.real
+        upper = np.triu(mixed)
+        return -2.0 * (upper + np.triu(mixed, 1).T), 2.0 * self.alpha_scale * p.imag
+
+
+class _BoundTimingCost:
+    """`_TimingCost` with the sizes frozen: fast residuals and an analytic
+    Jacobian with respect to the positive-half group times.
+
+    Residual entry 0 is the weighted phase mismatch, the rest are the
+    weighted per-mode displacement residuals; the least-squares structure is
+    what the Levenberg-Marquardt timing refinement exploits.  Every method
+    takes the half times as a (lanes, d) stack and answers lane by lane,
+    each lane computed exactly as it would be alone.  The sizes are one (d,)
+    row shared by every lane or a (lanes, d) stack, one row per lane.
+    """
+
+    def __init__(self, parent: _TimingCost, z_half: np.ndarray):
+        self.parent = parent
+        self.counts = counts = np.abs(z_half).astype(int)
+        terms = [parent._burst_terms(c) for c in range(int(np.max(counts, initial=0)) + 1)]
+        forms = np.array([form for form, _ in terms])
+        withins = np.array([within for _, within in terms])
+        # positive-half slots only: a group's mirrored slot has the opposite sign
+        self.effective = np.ascontiguousarray(
+            np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
+        )
+        # accumulated slot by slot over the full slot list, mirrored half first
+        full_counts = np.concatenate([counts[..., ::-1], counts], axis=-1)
+        within_total = np.zeros(full_counts.shape[:-1] + (len(parent.w),))
+        for slot in range(full_counts.shape[-1]):
+            within_total += withins[full_counts[..., slot]]
+        self.within_theta = np.sum(parent.phase_scale * within_total, axis=-1)
+
+    def _phasors(self, t_half, lanes=None):
+        """Weighted slot phasors of a (lanes, d) stack of half times, their
+        products with the conjugated prefix sums over the earlier slots, and
+        the within-burst phase.  `lanes` picks the rows of a per-lane binding
+        that the stack of times belongs to.
+
+        Only the positive half is exponentiated: slot -t_j carries
+        exp(-i w t_j) = conj(exp(i w t_j)) and the opposite sign, so the
+        mirrored half is the negated conjugate of the positive half, reversed.
+        """
+        effective, within_theta = self.effective, self.within_theta
+        if lanes is not None and effective.ndim == 3:
+            effective, within_theta = effective[lanes], within_theta[lanes]
+        half = np.exp(1j * (self.parent.w[:, None] * t_half[:, None, :])) * effective
+        weighted = np.concatenate([-half[..., ::-1].conj(), half], axis=-1)
+        prefix = weighted.cumsum(axis=-1) - weighted
+        return weighted, weighted * prefix.conj(), within_theta
+
+    def _phase_and_sums(self, weighted, cross, within_theta):
+        """Theta and the per-mode sums of z_k sin(w t_k) over every slot."""
+        d = weighted.shape[-1] // 2
+        theta = (self.parent.phase_scale * cross.sum(axis=-1).imag).sum(axis=-1) + within_theta
+        # antisymmetry doubles the positive-half imaginary part
+        return theta, 2.0 * weighted[..., d:].sum(axis=-1).imag
+
+    def _residuals_from(self, weighted, cross, within_theta):
+        theta, sums = self._phase_and_sums(weighted, cross, within_theta)
+        out = np.empty((len(theta), 1 + weighted.shape[-2]))
+        out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
+        out[:, 1:] = self.parent.alpha_scale[:, 0] * sums
+        return out, theta
+
+    def phase_and_sums(self, t_half) -> tuple:
+        """Theta and the per-mode sums of z_k sin(w t_k) over every slot, for
+        a (lanes, d) stack of half times."""
+        return self._phase_and_sums(*self._phasors(t_half))
+
+    def residuals(self, t_half) -> np.ndarray:
+        return self._residuals_from(*self._phasors(t_half))[0]
+
+    def cost(self, t_half) -> np.ndarray:
+        """Sum of squared residuals: the surrogate ideal infidelity."""
+        return (self.residuals(t_half) ** 2).sum(axis=-1)
+
+    def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
+        """Residuals and their analytic (modes+1) x d Jacobian with respect to
+        t_half, both from one set of phasors; `lanes` as for `_phasors`."""
+        weighted, cross, within_theta = self._phasors(t_half, lanes)
+        w = self.parent.w
+        d = t_half.shape[-1]
+        out, theta = self._residuals_from(weighted, cross, within_theta)
+        # suffix sums over the full slot list, excluding the slot itself
+        suffix = weighted[..., ::-1].cumsum(axis=-1)[..., ::-1] - weighted
+        # dS_m/dt_k over full slots: w * Re[w_k conj(prefix) - conj(w_k) suffix]
+        slot_grad = w[:, None] * (cross.real - (weighted.conj() * suffix).real)
+        # chain rule through the mirror: t_{-j} = -t_j
+        theta_grad = (
+            self.parent.phase_scale @ (slot_grad[..., d:] - slot_grad[..., :d][..., ::-1])
+        )
+        jac = np.empty(out.shape + (d,))
+        jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * theta_grad
+        jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w[:, None] * weighted[..., d:].real)
+        return out, jac
 
 
 def analytic_report(
@@ -355,15 +485,19 @@ def analytic_report(
     thermal: ThermalSpec,
     counting: str = "pi_pulses",
 ) -> GateReport:
-    """Closed-form counterpart of `evaluate_train` (instantaneous groups)."""
+    """Closed-form counterpart of `evaluate_train` (instantaneous groups),
+    from the period-0 kernel: dalpha_m = 2 eta_m sum_k z_k sin(w_m t_k) and
+    alpha_m(s) = -(s_mu b^mu + s_nu b^nu) dalpha_m."""
     mu, nu = sequence.target_ions
-    theta, dalpha = analytic_phase_and_residuals(sequence, chain)
+    kernel = _TimingCost(chain, sequence.target_ions, thermal).bind(sequence.half_sizes)
+    (theta,), (sums,) = kernel.phase_and_sums(np.array([sequence.half_times]))
+    dalpha = 2.0 * chain.lamb_dicke * sums
     residuals = {
         s: -(s[0] * chain.mode_couplings[:, mu] + s[1] * chain.mode_couplings[:, nu]) * dalpha
         for s in ((1, 1), (1, -1))
     }
     return _build_report(
-        chain, thermal, sequence.target_ions, theta, residuals, sequence.total_sdks, counting
+        chain, thermal, sequence.target_ions, float(theta), residuals, sequence.total_sdks, counting
     )
 
 

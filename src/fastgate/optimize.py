@@ -1,14 +1,20 @@
 """Two-stage pulse-sequence optimisation.
 
+One closed form, the phasor kernel `fidelity._TimingCost`, serves both
+stages: stage 1 scores its quadratic forms at period 0 (`CostModel`), and
+stage 2 uses it with the grid period as its fast surrogate.
+
 Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
 bound.  Both run as lanes of one stack, each lane ending where it would
 alone.  The descents of one bound level apply a precomputed move matrix to
-every lane's sizes and score all the lanes' feasible trials in one batch.
-The relaxations are box-bounded least-squares fits of the closed-form cost
-on the stage-2 solver `_box_least_squares`, the twelve starts as lanes.
+every lane's sizes and score all the lanes' feasible trials in one batch;
+starts, trials and exhaustive grids share one evaluator, so a row scores the
+same bits wherever it comes from.  The relaxations are box-bounded
+least-squares fits of the closed-form cost on the stage-2 solver
+`_box_least_squares`, the twelve starts as lanes.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -50,6 +56,7 @@ from .fidelity import (
     PHASE_TARGET,
     GateReport,
     ThermalSpec,
+    _TimingCost,
     evaluate_train,
     evaluate_trains,
     pulse_count_for,
@@ -136,32 +143,14 @@ class CostModel:
 
     For fixed group times the entangling phase and every residual are linear
     in the half-vector z, so the ideal infidelity collapses to two d x d
-    quadratic forms evaluated in microseconds per candidate.
+    quadratic forms (`_TimingCost.fixed_timing_forms`) evaluated in
+    microseconds per candidate.  Every score goes through one evaluator, so
+    a row gets the same bits alone or in any stack, and z and -z score equal.
     """
 
     def __init__(self, chain, targets, half_times, thermal, epsilon, counting, max_sdks):
-        d = len(half_times)
-        t_full = np.concatenate([-np.asarray(half_times)[::-1], np.asarray(half_times)])
-        fold = np.zeros((2 * d, d))
-        for a in range(d):
-            fold[d - 1 - a, a] = -1.0
-            fold[d + a, a] = 1.0
-
-        # the per-mode coefficients of the instantaneous-group surrogate
-        surrogate = _TimingCost(chain, targets, thermal)
-        w = surrogate.w
-
-        dt = t_full[:, None] - t_full[None, :]
-        phase_full = np.einsum(
-            "m,mij->ij",
-            surrogate.phase_scale,
-            np.tril(np.sin(w[:, None, None] * dt[None, :, :]), k=-1),
-        )
-        folded = fold.T @ phase_full @ fold
-        self.phase_quadratic = 0.5 * (folded + folded.T)
-
-        sin_t = np.sin(np.outer(w, t_full)) @ fold     # modes x d
-        self.scaled = sin_t * surrogate.alpha_scale
+        kernel = _TimingCost(chain, targets, thermal)
+        self.phase_quadratic, self.scaled = kernel.fixed_timing_forms(half_times)
         self.residual_quadratic = self.scaled.T @ self.scaled
         self.epsilon = epsilon
         self.counting = counting
@@ -169,13 +158,14 @@ class CostModel:
         self.evaluations = 0
 
     def ideal_infidelity(self, z: np.ndarray):
-        """A float for one (d,) row of half sizes, one per row of a stack."""
-        rows = np.atleast_2d(z)[:, None, :]
-        theta, motional = (((rows @ form) @ rows.swapaxes(1, 2)).ravel().tolist()
+        """A float for one (d,) row of half sizes, one per row of a stack;
+        each row is its own 1 x d product with the forms, so its bits do not
+        depend on the stack (a three-operand einsum's do at d = 2)."""
+        rows = np.ascontiguousarray(np.atleast_2d(z), dtype=float)[:, None, :]
+        theta, motional = (((rows @ form) @ rows.swapaxes(1, 2)).ravel()
                            for form in (self.phase_quadratic, self.residual_quadratic))
-        # Python's float power: numpy's vectorised square can differ in the last bit
-        costs = [(2.0 / 3.0) * (abs(t) - PHASE_TARGET) ** 2 + m for t, m in zip(theta, motional)]
-        return costs[0] if np.ndim(z) == 1 else np.array(costs)
+        costs = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2 + motional
+        return float(costs[0]) if np.ndim(z) == 1 else costs
 
     def residuals_and_jacobian(self, z, lanes=None) -> tuple:
         """The cost as a sum of squares for `_box_least_squares`: residual 0
@@ -183,29 +173,22 @@ class CostModel:
         displacements, and their (modes+1) x d Jacobian, row by row for a
         (lanes, d) stack.  Every lane shares the model, so `lanes` is unused.
         """
-        rows = np.atleast_2d(z)
-        kz = (self.phase_quadratic @ rows[:, :, None])[:, :, 0]
-        theta = _rowdot(rows, kz)
-        out = np.empty((len(rows), 1 + len(self.scaled)))
+        kz = (self.phase_quadratic @ z[:, :, None])[:, :, 0]
+        theta = _rowdot(z, kz)
+        out = np.empty((len(z), 1 + len(self.scaled)))
         out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
-        out[:, 1:] = (self.scaled @ rows[:, :, None])[:, :, 0]
-        jac = np.empty(out.shape + (rows.shape[1],))
+        out[:, 1:] = (self.scaled @ z[:, :, None])[:, :, 0]
+        jac = np.empty(out.shape + (z.shape[1],))
         jac[:, 0] = (2.0 * math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * kz
         jac[:, 1:] = self.scaled
-        return (out[0], jac[0]) if np.ndim(z) == 1 else (out, jac)
+        return out, jac
 
-    def selection_cost(self, z: np.ndarray) -> float:
-        """Pulse-error-adjusted infidelity used to rank candidates."""
-        self.evaluations += 1
-        return _adjusted_cost(self.ideal_infidelity(z), z, self.epsilon, self.counting)
-
-    def selection_cost_batch(self, z_matrix: np.ndarray) -> np.ndarray:
-        self.evaluations += len(z_matrix)
-        theta = np.einsum("ni,ij,nj->n", z_matrix, self.phase_quadratic, z_matrix)
-        motional = np.einsum("ni,ij,nj->n", z_matrix, self.residual_quadratic, z_matrix)
-        ideal = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2 + motional
-        pulses = pulse_count_for(2 * np.sum(np.abs(z_matrix), axis=1), self.counting)
-        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - ideal)
+    def selection_cost(self, z: np.ndarray) -> np.ndarray:
+        """Pulse-error-adjusted infidelity used to rank candidates, one per
+        row of a (rows, d) stack of half sizes."""
+        self.evaluations += len(z)
+        pulses = pulse_count_for(2 * np.sum(np.abs(z), axis=1), self.counting)
+        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - self.ideal_infidelity(z))
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,20 +237,18 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes
 
     Each pass applies the whole move matrix to z at once, scores the
     feasible trials in move order in one batch, and takes the best strictly
-    improving move (the first on ties) until none remains.  `z0` is one (d,)
-    start, or a (lanes, d) stack of starts whose descents run as lanes: one
-    batch scores every running lane's trials, each row as it would be scored
-    alone, and a lane stops on its own.  Returns (z, cost), per lane for a
-    stack.
+    improving move (the first on ties) until none remains.  `z0` is a
+    (lanes, d) stack of starts whose descents run as lanes: one batch scores
+    every running lane's trials, each row as it would be scored alone, and a
+    lane stops on its own.  Returns (z, cost) per lane.
     """
-    single = np.ndim(z0) == 1
-    z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
-    cost = np.array([model.selection_cost(row) for row in z])
+    z = np.array(z0, dtype=float)
+    cost = model.selection_cost(z)
     lanes = np.arange(len(z))
     for _ in range(max_passes):
         trials, feasible = _neighbourhood(z[lanes], bound, model.max_sdk_half)
         costs = np.full(feasible.shape, np.inf)
-        costs[feasible] = model.selection_cost_batch(trials[feasible])
+        costs[feasible] = model.selection_cost(trials[feasible])
         best = np.argmin(costs, axis=1)
         best_cost = costs[np.arange(len(lanes)), best]
         moved = feasible.any(axis=1) & ~(best_cost >= cost[lanes])
@@ -276,8 +257,6 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes
         lanes = lanes[moved]
         if not len(lanes):
             break
-    if single:
-        return z[0].astype(int), float(cost[0])
     return z.astype(int), cost
 
 
@@ -366,7 +345,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
         if combos <= config.exhaustive_limit:
             grid = _size_grid(d, bound)
             grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
-            costs = model.selection_cost_batch(grid)
+            costs = model.selection_cost(grid)
             order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
             for idx in order[: max(40, 3 * config.top_k)]:
                 record(grid[idx].astype(int), costs[idx], bound)
@@ -512,156 +491,6 @@ class OptimizationResult:
         return data
 
 
-class _TimingCost:
-    """Analytic cost as a function of the half times, burst spreading included.
-
-    A group of n kicks spaced by the repetition period T and centred on its
-    group time acts, mode by mode, like a single kick of effective size
-    sin(n w T / 2) / sin(w T / 2) (the burst form factor), plus a closed-form
-    within-burst contribution to the entangling phase.  With period = 0 this
-    reduces to the instantaneous-group expressions.  Used inside stage 2 as a
-    fast surrogate during continuous gap refinement and for re-scoring
-    integer moves; the authoritative objective remains the trajectory
-    evaluation of the expanded train.
-    """
-
-    def __init__(self, chain, targets, thermal, period: float = 0.0):
-        mu, nu = targets
-        self.w = chain.mode_frequencies
-        self.eta = chain.lamb_dicke
-        self.b_mu = chain.mode_couplings[:, mu]
-        self.b_nu = chain.mode_couplings[:, nu]
-        nbar = thermal.occupations(self.w)
-        self.weights = (4.0 / 3.0) * (0.5 + nbar) * (self.b_mu**2 + self.b_nu**2)
-        self.phase_scale = 8.0 * self.eta**2 * self.b_mu * self.b_nu
-        self.alpha_scale = (2.0 * self.eta * np.sqrt(self.weights))[:, None]
-        self.period = period
-        self._form_cache: dict[int, tuple] = {}
-
-    def _burst_terms(self, count: int) -> tuple:
-        """(form factor, within-burst phase sum) per mode for an n-kick burst."""
-        if count not in self._form_cache:
-            x = self.w * self.period
-            if self.period == 0.0 or count <= 1:
-                form = np.full_like(self.w, float(count))
-                within = np.zeros_like(self.w)
-            else:
-                form = np.sin(0.5 * count * x) / np.sin(0.5 * x)
-                within = np.zeros_like(self.w)
-                for gap in range(1, count):
-                    within += (count - gap) * np.sin(gap * x)
-            self._form_cache[count] = (form, within)
-        return self._form_cache[count]
-
-    def bind(self, z_half) -> "_BoundTimingCost":
-        """Freeze the group sizes, caching their burst form factors."""
-        return _BoundTimingCost(self, np.asarray(z_half, dtype=float))
-
-    def cost(self, z_half: np.ndarray, t_half: np.ndarray) -> float:
-        return self.bind(z_half).cost(np.asarray(t_half, dtype=float))
-
-
-class _BoundTimingCost:
-    """`_TimingCost` with the sizes frozen: fast residuals and an analytic
-    Jacobian with respect to the positive-half group times.
-
-    Residual entry 0 is the weighted phase mismatch, the rest are the
-    weighted per-mode displacement residuals; the least-squares structure is
-    what the Levenberg-Marquardt timing refinement exploits.  Every method
-    takes the half times as one (d,) row or as a (lanes, d) stack and
-    answers in the same shape, each lane computed exactly as it would be
-    alone.  The sizes are one (d,) row shared by every lane or a (lanes, d)
-    stack, one row per lane.
-    """
-
-    def __init__(self, parent: _TimingCost, z_half: np.ndarray):
-        self.parent = parent
-        self.counts = counts = np.abs(z_half).astype(int)
-        terms = [parent._burst_terms(c) for c in range(int(np.max(counts, initial=0)) + 1)]
-        forms = np.array([form for form, _ in terms])
-        withins = np.array([within for _, within in terms])
-        # positive-half slots only: a group's mirrored slot has the opposite sign
-        self.effective = np.ascontiguousarray(
-            np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
-        )
-        # accumulated slot by slot over the full slot list, mirrored half first
-        full_counts = np.concatenate([counts[..., ::-1], counts], axis=-1)
-        within_total = np.zeros(full_counts.shape[:-1] + (len(parent.w),))
-        for slot in range(full_counts.shape[-1]):
-            within_total += withins[full_counts[..., slot]]
-        self.within_theta = np.sum(parent.phase_scale * within_total, axis=-1)
-
-    def _lane_terms(self, lanes):
-        """Effective kick sizes and within-burst phase of the given lanes."""
-        if lanes is None or self.effective.ndim == 2:
-            return self.effective, self.within_theta
-        return self.effective[lanes], self.within_theta[lanes]
-
-    def _phasors(self, t_half, effective):
-        """Weighted slot phasors of a (lanes, d) stack of half times and their
-        products with the conjugated prefix sums over the earlier slots.
-
-        Only the positive half is exponentiated: slot -t_j carries
-        exp(-i w t_j) = conj(exp(i w t_j)) and the opposite sign, so the
-        mirrored half is the negated conjugate of the positive half, reversed.
-        """
-        half = np.exp(1j * (self.parent.w[:, None] * t_half[:, None, :])) * effective
-        weighted = np.concatenate([-half[..., ::-1].conj(), half], axis=-1)
-        prefix = weighted.cumsum(axis=-1) - weighted
-        return weighted, weighted * prefix.conj()
-
-    def _residuals_from(self, weighted, cross, within_theta):
-        d = weighted.shape[-1] // 2
-        pair_sums = cross.sum(axis=-1).imag
-        theta = (self.parent.phase_scale * pair_sums).sum(axis=-1) + within_theta
-        out = np.empty((len(theta), 1 + weighted.shape[-2]))
-        out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
-        # antisymmetry doubles the positive-half imaginary part
-        out[:, 1:] = 2.0 * self.parent.alpha_scale[:, 0] * weighted[..., d:].sum(axis=-1).imag
-        return out, theta
-
-    def residuals(self, t_half) -> np.ndarray:
-        t, single = _as_lanes(t_half)
-        effective, within_theta = self._lane_terms(None)
-        out = self._residuals_from(*self._phasors(t, effective), within_theta)[0]
-        return out[0] if single else out
-
-    def cost(self, t_half):
-        """Sum of squared residuals: the surrogate ideal infidelity."""
-        costs = (self.residuals(t_half) ** 2).sum(axis=-1)
-        return float(costs) if np.ndim(t_half) == 1 else costs
-
-    def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
-        """Residuals and their analytic (modes+1) x d Jacobian with respect to
-        t_half, both from one set of phasors.  `lanes` picks the rows of a
-        per-lane binding that the stack of times belongs to."""
-        t, single = _as_lanes(t_half)
-        effective, within_theta = self._lane_terms(lanes)
-        weighted, cross = self._phasors(t, effective)
-        w = self.parent.w
-        d = t.shape[-1]
-        out, theta = self._residuals_from(weighted, cross, within_theta)
-        # suffix sums over the full slot list, excluding the slot itself
-        suffix = weighted[..., ::-1].cumsum(axis=-1)[..., ::-1] - weighted
-        # dS_m/dt_k over full slots: w * Re[w_k conj(prefix) - conj(w_k) suffix]
-        slot_grad = w[:, None] * (cross.real - (weighted.conj() * suffix).real)
-        # chain rule through the mirror: t_{-j} = -t_j
-        theta_grad = (
-            self.parent.phase_scale @ (slot_grad[..., d:] - slot_grad[..., :d][..., ::-1])
-        )
-        jac = np.empty(out.shape + (d,))
-        jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * theta_grad
-        jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w[:, None] * weighted[..., d:].real)
-        return (out[0], jac[0]) if single else (out, jac)
-
-
-def _as_lanes(t_half):
-    """A (lanes, d) view of one row or a stack of half times, and whether it
-    was one row."""
-    t = np.asarray(t_half, dtype=float)
-    return (t[None], True) if t.ndim == 1 else (t, False)
-
-
 _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
 # Lanes times modes in one batch of speculative stage-2 fits.  With few modes
 # an LM iteration is almost all numpy call overhead, paid once per batch, so
@@ -719,28 +548,19 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
     or the projected gradient (gtol) falls to `_LM_TOL`, or when the budget
     runs out.
 
-    The fits run as lanes.  `x0` is one (d,) start, for which `fun(x)`
-    returns the residuals and their Jacobian, or a (lanes, d) stack of
-    starts sharing the box, for which `fun(x, lanes)` gets the rows still
-    running with their lane indices and returns (rows, residuals) residuals
-    and a (rows, residuals, d) Jacobian.  All lanes advance one iteration at
-    a time, each doing exactly the arithmetic it would do alone, and a lane
-    that stops drops out of the stack.  Every running lane evaluates once
+    The fits run as lanes.  `x0` is a (lanes, d) stack of starts sharing
+    the box; `fun(x, lanes)` gets the rows still running with their lane
+    indices and returns (rows, residuals) residuals and a (rows, residuals,
+    d) Jacobian.  All lanes advance one iteration at a time, each doing
+    exactly the arithmetic it would do alone, and a lane that stops drops
+    out of the stack.  Every running lane evaluates once
     per iteration, so the lanes share one count against `budget`.
     `stop(finished, cost)`, if given, is called before each iteration and
     once every lane has stopped, with which lanes have stopped and their
     final costs; returning True abandons the lanes still running, whose
-    results are then NaN.  Returns (sum r^2, x), per lane for a stack.
+    results are then NaN.  Returns (sum r^2, x) per lane.
     """
-    single = np.ndim(x0) == 1
-    if single:
-        one_fit = fun
-
-        def fun(x, lanes):
-            r, jac = one_fit(x[0])
-            return r[None], jac[None]
-
-    x = np.clip(np.atleast_2d(np.asarray(x0, dtype=float)), lower, upper)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     lower, upper = np.broadcast_to(lower, x.shape), np.broadcast_to(upper, x.shape)
     best_cost = np.full(len(x), np.nan)
     best_x = np.full_like(x, np.nan)
@@ -813,8 +633,6 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
             lanes, x, r, jac, cost, damping, growth, lower, upper = (
                 a[keep] for a in (lanes, x, r, jac, cost, damping, growth, lower, upper)
             )
-    if single:
-        return float(best_cost[0]), best_x[0]
     return best_cost, best_x
 
 
@@ -1018,7 +836,7 @@ def _grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_ga
         return math.inf, times, 0
     # the sizes are fixed for the whole descent: bind them once
     bound_cost = timing_cost.bind(half_sizes)
-    cost = bound_cost.cost(np.asarray(times))
+    cost = float(bound_cost.cost(np.array([times]))[0])
     evaluations = 1
     lanes = _lane_count(len(timing_cost.w))
 

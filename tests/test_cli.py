@@ -179,6 +179,46 @@ class TestOptimizeCommand:
         assert main(["evaluate", str(tampered)]) == 3
 
 
+class TestEvaluatePulseCounting:
+    @pytest.fixture(scope="class")
+    def sdk_counted(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("sdks")
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["stage1"].update(gate_time_scan_us=[1.0], pulse_counting="sdks", epsilon=1e-3)
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        return out / "result.json"
+
+    def test_evaluate_uses_the_stored_counting(self, sdk_counted, capsys):
+        stored = json.loads(sdk_counted.read_text())
+        assert stored["report_ideal"]["pulses"] == len(stored["train"]["kicks"])
+        capsys.readouterr()
+        assert main(["evaluate", str(sdk_counted)]) == 0
+        printed = capsys.readouterr().out
+        assert f"{stored['adjusted_fidelity']:.9f}" in printed
+        assert "reproduced to 1e-12" in printed
+
+    @pytest.mark.parametrize("key", ["pulses", "adjusted_fidelity"])
+    def test_evaluate_checks_pulses_and_adjusted_fidelity(self, sdk_counted, tmp_path, key):
+        data = json.loads(sdk_counted.read_text())
+        if key == "pulses":
+            data["report_ideal"]["pulses"] *= 2
+        else:
+            data["adjusted_fidelity"] -= 1e-3
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        assert main(["evaluate", str(tampered)]) == 3
+
+    def test_unknown_stored_counting_exits_2(self, sdk_counted, tmp_path, capsys):
+        data = json.loads(sdk_counted.read_text())
+        data["provenance"]["config"]["stage1"]["pulse_counting"] = "pairs"
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(data))
+        assert main(["evaluate", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "'pairs'" in lines[0]
+
+
 class TestEvaluateInputErrors:
     def _exit_and_message(self, argv, capsys):
         code = main(argv)

@@ -9,7 +9,6 @@ from fastgate.fidelity import (
     GateReport,
     ThermalSpec,
     analytic_cost,
-    analytic_phase_and_residuals,
     analytic_report,
     apply_pulse_error,
     evaluate_train,
@@ -195,12 +194,6 @@ class TestAnalyticCost:
         assert analytic_cost(scaled_seq, scaled_chain, NBAR) == pytest.approx(
             analytic_cost(seq, chain5, NBAR), rel=1e-12
         )
-
-    def test_phase_and_residual_shapes(self, chain5):
-        seq = PulseGroupSequence.from_half([1, -2], [1e-7, 3e-7], (0, 1), 1e-6)
-        theta, dalpha = analytic_phase_and_residuals(seq, chain5)
-        assert isinstance(theta, float)
-        assert dalpha.shape == (5,)
 
 
 class TestGateReport:

@@ -84,9 +84,59 @@ class TestCostModel:
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
         model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
         grid = rng.integers(-3, 4, size=(50, 8)).astype(float)
-        batch = model.selection_cost_batch(grid)
+        batch = model.selection_cost(grid)
         for row, value in zip(grid, batch):
-            assert model.selection_cost(row) == pytest.approx(value, rel=1e-12)
+            assert model.selection_cost(row[None])[0] == value
+
+    @pytest.mark.parametrize("num_ions", [2, 5, 20])
+    @pytest.mark.parametrize("d", [1, 8, 9])
+    def test_forms_match_the_double_sum(self, chain2, chain5, chain20, num_ions, d):
+        chain, targets = {2: (chain2, (0, 1)), 5: (chain5, (2, 3)), 20: (chain20, (0, 1))}[num_ions]
+        half_times = np.array([0.9e-6 * (j + 1) / (2 * d) for j in range(d)])
+        model = CostModel(chain, targets, half_times, NBAR, 1e-5, "pi_pulses", 100)
+        w, eta = chain.mode_frequencies, chain.lamb_dicke
+        b_mu, b_nu = chain.mode_couplings[:, targets[0]], chain.mode_couplings[:, targets[1]]
+        # the full slot list, mirrored half first: slot k carries size (fold @ z)_k
+        t_full = np.concatenate([-half_times[::-1], half_times])
+        fold = np.vstack([-np.eye(d)[::-1], np.eye(d)])
+        # Theta = 8 sum_m eta^2 b^mu b^nu sum_{k > l} z_k z_l sin(w (t_k - t_l))
+        pairs = np.zeros((2 * d, 2 * d))
+        for k in range(2 * d):
+            for l in range(k):
+                pairs[k, l] = np.sum(8.0 * eta**2 * b_mu * b_nu
+                                     * np.sin(w * (t_full[k] - t_full[l])))
+        folded = fold.T @ pairs @ fold
+        # residual_m = sqrt(weight_m) 2 eta_m sum_k z_k sin(w_m t_k)
+        weights = (4.0 / 3.0) * (0.5 + NBAR.occupations(w)) * (b_mu**2 + b_nu**2)
+        sines = np.sin(np.outer(w, t_full)) @ fold
+        expected = (0.5 * (folded + folded.T), (2.0 * eta * np.sqrt(weights))[:, None] * sines)
+        for got, want in zip((model.phase_quadratic, model.scaled), expected):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 9, 16])
+    def test_one_evaluator(self, chain5, d):
+        # a row scores the same bits alone or in any stack, as a descent
+        # start or as a trial, and its mirror -z scores the same bits;
+        # large sizes let the squared phase term dominate the sum
+        rng = np.random.default_rng(60 + d)
+        half_times = [((j + 1) / (2 * d)) * 1e-6 for j in range(d)]
+        model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 2000)
+        stack = rng.integers(-40, 41, size=(300, d)).astype(float)
+        ideal, scores = model.ideal_infidelity(stack), model.selection_cost(stack)
+        assert np.array_equal(model.ideal_infidelity(-stack), ideal)
+        assert np.array_equal(model.selection_cost(-stack), scores)
+        keep = rng.random(len(stack)) < 0.5
+        assert np.array_equal(model.selection_cost(stack[keep]), scores[keep])
+        for z, value, score in zip(stack, ideal, scores):
+            assert model.ideal_infidelity(z).hex() == float(value).hex()
+            assert model.selection_cost(z[None])[0].hex() == score.hex()
+        for passes in (0, 1, 3):
+            # a lane that moved carries its last trial's score, one that did not its start's
+            z, cost = _coordinate_descent(model, stack[:30], 40, max_passes=passes)
+            assert np.array_equal(cost, model.selection_cost(z.astype(float)))
+            if passes == 0:
+                assert np.array_equal(cost, scores[:30])
 
 
     def test_stack_rows_match_lone_calls(self, chain5):
@@ -98,14 +148,6 @@ class TestCostModel:
             values = model.ideal_infidelity(stack)
             for z, value in zip(stack, values):
                 assert float(value).hex() == model.ideal_infidelity(z).hex()
-        # the scalar formula with Python's float power, which differs from
-        # numpy's vectorised square in the last bit of about 1 value in 1000;
-        # large sizes let the squared phase term dominate the sum
-        stack = rng.uniform(-1e3, 1e3, size=(4000, 16))
-        for z, value in zip(stack, model.ideal_infidelity(stack)):
-            theta = float(z @ model.phase_quadratic @ z)
-            motional = float(z @ model.residual_quadratic @ z)
-            assert value == (2.0 / 3.0) * (abs(theta) - math.pi / 4) ** 2 + motional
 
     def test_jacobian_matches_central_differences(self, chain5):
         rng = np.random.default_rng(4)
@@ -118,11 +160,11 @@ class TestCostModel:
         points = [samples[i] for i in np.argsort(thetas)[[0, 1, 2, -3, -2, -1]]]
         step = 1e-6
         for z in points:
-            r, jac = model.residuals_and_jacobian(z)
+            r, jac = (a[0] for a in model.residuals_and_jacobian(z[None]))
             assert np.sum(r**2) == pytest.approx(model.ideal_infidelity(z), rel=1e-12)
             numeric = np.array([
-                (model.residuals_and_jacobian(z + step * e)[0]
-                 - model.residuals_and_jacobian(z - step * e)[0]) / (2.0 * step)
+                (model.residuals_and_jacobian((z + step * e)[None])[0][0]
+                 - model.residuals_and_jacobian((z - step * e)[None])[0][0]) / (2.0 * step)
                 for e in np.eye(8)
             ]).T
             scale = np.max(np.abs(numeric))
@@ -134,9 +176,9 @@ class TestCostModel:
             d = model.phase_quadratic.shape[0]
             optima = []
             for _ in range(starts):
-                x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
-                optima.append(_box_least_squares(model.residuals_and_jacobian, x0,
-                                                 -bound, bound, 200))
+                x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=(1, d))
+                fun, x = _box_least_squares(model.residuals_and_jacobian, x0, -bound, bound, 200)
+                optima.append((fun[0], x[0]))
             optima.sort(key=lambda p: p[0])
             seeds = []
             for _, zc in optima[:4]:
@@ -168,7 +210,7 @@ def _reference_coordinate_descent(model, z0, bound, max_passes=400):
     moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
     z = z0.astype(float).copy()
-    cost = model.selection_cost(z)
+    cost = model.selection_cost(z[None])[0]
     for _ in range(max_passes):
         trials = []
         for idx, deltas in moves:
@@ -182,7 +224,7 @@ def _reference_coordinate_descent(model, z0, bound, max_passes=400):
             trials.append(trial)
         if not trials:
             break
-        costs = model.selection_cost_batch(np.asarray(trials))
+        costs = model.selection_cost(np.asarray(trials))
         best = int(np.argmin(costs))
         if costs[best] >= cost:
             break
@@ -205,9 +247,9 @@ class TestCoordinateDescent:
             ]
             z0 = _clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
             z_ref, cost_ref = _reference_coordinate_descent(models[0], z0, bound)
-            z_new, cost_new = _coordinate_descent(models[1], z0, bound)
-            assert np.array_equal(z_new, z_ref)
-            assert cost_new == cost_ref
+            z_new, cost_new = _coordinate_descent(models[1], z0[None], bound)
+            assert np.array_equal(z_new[0], z_ref)
+            assert cost_new[0] == cost_ref
             assert models[1].evaluations == models[0].evaluations
 
     @pytest.mark.parametrize("d", [8, 9])
@@ -226,7 +268,7 @@ class TestCoordinateDescent:
             starts = [_clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
                       for _ in range(10)]
             # a lane already at a local minimum stops at its start
-            starts.append(_coordinate_descent(model(), starts[0], bound)[0])
+            starts.append(_coordinate_descent(model(), starts[0][None], bound)[0][0])
             # a lane so far outside the bound that it has no feasible trial
             stuck = np.full(d, bound + 3)
             assert not _neighbourhood(stuck, bound, max_sdks // 2)[1].any()
@@ -248,7 +290,7 @@ class TestCoordinateDescent:
             if max_passes == 3:
                 # the pass limit cut at least one lane short of its minimum
                 assert any(
-                    not np.array_equal(z, _coordinate_descent(model(), z0, bound)[0])
+                    not np.array_equal(z, _coordinate_descent(model(), z0[None], bound)[0][0])
                     for z, z0 in zip(z_stack, starts)
                 )
 
@@ -265,8 +307,8 @@ class TestCoordinateDescent:
             z_ref, cost_ref = _reference_coordinate_descent(models[0], z0, 1)
             assert np.array_equal(z, z_ref) and cost == cost_ref
         assert models[1].evaluations == models[0].evaluations
-        zero_cost = models[0].selection_cost(np.zeros(8))
-        mirrored = [models[0].selection_cost(z0.astype(float)) < zero_cost for z0 in starts]
+        zero_cost = models[0].selection_cost(np.zeros((1, 8)))[0]
+        mirrored = (models[0].selection_cost(starts.astype(float)) < zero_cost).tolist()
         assert any(mirrored)
         assert all(np.array_equal(z, z0) for z, z0, m in zip(z_stack, starts, mirrored) if m)
 
@@ -483,7 +525,7 @@ class TestTimingCostSurrogate:
             truth = evaluate_train(train, chain5, NBAR).ideal_infidelity
             z_kept = np.array([float(v) for v in z if v != 0])
             t_kept = np.array([t for zv, t in zip(z, snapped) if zv != 0])
-            assert surrogate.cost(z_kept, t_kept) == pytest.approx(truth, abs=1e-12)
+            assert surrogate.bind(z_kept).cost(t_kept[None])[0] == pytest.approx(truth, abs=1e-12)
             checked += 1
         assert checked >= 10
 
@@ -494,7 +536,7 @@ class TestTimingCostSurrogate:
         z = [1, -2, 2]
         times = [0.1e-6, 0.25e-6, 0.4e-6]
         seq = PulseGroupSequence.from_half(z, times, (2, 3), 1e-6)
-        assert surrogate.cost(np.array(z, float), np.array(times)) == pytest.approx(
+        assert surrogate.bind(z).cost(np.array([times]))[0] == pytest.approx(
             analytic_cost(seq, chain5, NBAR), rel=1e-12
         )
 
@@ -505,23 +547,26 @@ class TestTimingCostSurrogate:
             z = rng.integers(-4, 5, size=6)
             z[z == 0] = 1
             bound = surrogate.bind(z)
-            t = np.cumsum(rng.uniform(50e-9, 80e-9, size=6))
+            t = np.cumsum(rng.uniform(50e-9, 80e-9, size=(1, 6)), axis=1)
             r, jac = bound.residuals_and_jacobian(t)
             assert np.array_equal(r, bound.residuals(t))
+            r, jac = r[0], jac[0]
             step = 1e-13
             numeric = np.empty_like(jac)
-            for k in range(len(t)):
+            for k in range(t.shape[1]):
                 shift = np.zeros_like(t)
-                shift[k] = step
-                numeric[:, k] = (bound.residuals(t + shift) - bound.residuals(t - shift)) / (2 * step)
+                shift[0, k] = step
+                difference = bound.residuals(t + shift) - bound.residuals(t - shift)
+                numeric[:, k] = difference[0] / (2 * step)
             assert np.allclose(jac, numeric, rtol=1e-5, atol=1e-6 * np.max(np.abs(jac)))
 
 
 def gap_fit(bound_cost, offset):
-    """Gap-space residuals of `bound_cost` minus `offset`, with the Jacobian."""
-    def fun(scaled_gaps):
-        r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT))
-        return r - offset, np.cumsum(per_time[:, ::-1], axis=1)[:, ::-1] * _GAP_UNIT
+    """Gap-space residuals of `bound_cost` minus `offset`, with the Jacobian,
+    for a stack of gap rows."""
+    def fun(scaled_gaps, lanes=None):
+        r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT, axis=1))
+        return r - offset, np.cumsum(per_time[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
     return fun
 
 
@@ -532,7 +577,7 @@ def solvable_fit(chain, targets, rng, d=8):
     z = rng.integers(1, 4, size=d) * rng.choice([-1, 1], size=d)
     bound = surrogate.bind(z)
     true_gaps = (1e-6 / 16) * (1.0 + rng.uniform(-0.1, 0.1, size=d)) / _GAP_UNIT
-    offset = bound.residuals(np.cumsum(true_gaps * _GAP_UNIT))
+    offset = bound.residuals(np.cumsum(true_gaps * _GAP_UNIT)[None])[0]
     lower, upper = 0.75 * true_gaps, 1.25 * true_gaps
     start = true_gaps * (1.0 + rng.uniform(-0.1, 0.1, size=d))
     return gap_fit(bound, offset), true_gaps, start, lower, upper
@@ -544,9 +589,9 @@ class TestBoxLeastSquares:
         rng = np.random.default_rng(4)
         for chain, targets in ((chain5, (2, 3)), (chain20, (0, 1))):
             fun, _, start, lower, upper = solvable_fit(chain, targets, rng)
-            start_cost = float(np.sum(fun(start)[0] ** 2))
-            cost, _ = _box_least_squares(fun, start, lower, upper, budget=400)
-            assert cost <= 1e-12 * start_cost
+            start_cost = float(np.sum(fun(start[None])[0] ** 2))
+            cost, _ = _box_least_squares(fun, start[None], lower, upper, budget=400)
+            assert cost[0] <= 1e-12 * start_cost
 
     def test_projected_gradient_vanishes_at_bound(self, chain20):
         rng = np.random.default_rng(5)
@@ -555,13 +600,14 @@ class TestBoxLeastSquares:
         upper = upper.copy()
         upper[2] = 0.9 * true_gaps[2]
         start = np.minimum(start, upper)
-        cost, x = _box_least_squares(fun, start, lower, upper, budget=400)
-        r, jac = fun(x)
+        cost, x = _box_least_squares(fun, start[None], lower, upper, budget=400)
+        r, jac = (a[0] for a in fun(x))
+        x = x[0]
         grad = jac.T @ r
-        assert cost > 0.0
+        assert cost[0] > 0.0
         at_lower, at_upper = x <= lower, x >= upper
         assert np.any(at_lower | at_upper)
-        scale = 1e-6 * np.max(np.abs(jac.T @ fun(start)[0]))
+        scale = 1e-6 * np.max(np.abs(jac.T @ fun(start[None])[0][0]))
         assert np.all(grad[at_lower] >= -scale)
         assert np.all(grad[at_upper] <= scale)
         assert np.all(np.abs(grad[~(at_lower | at_upper)]) <= scale)
@@ -576,11 +622,11 @@ class TestBoxLeastSquares:
             fun = gap_fit(surrogate.bind(rng.integers(-4, 5, size=d)), 0.0)
             visited = []
 
-            def recording(x, fun=fun):
-                visited.append(x.copy())
+            def recording(x, lanes, fun=fun):
+                visited.append(x[0].copy())
                 return fun(x)
 
-            start = gaps * (1.0 + rng.uniform(-0.4, 0.4, size=d))
+            start = gaps * (1.0 + rng.uniform(-0.4, 0.4, size=(1, d)))
             _box_least_squares(recording, start, lower, upper, budget=60)
             assert 1 <= len(visited) <= 60
             for x in visited:
@@ -944,7 +990,8 @@ class TestLanes:
         true_gaps = nominal * (1.0 + rng.uniform(-0.1, 0.1, size=(lanes, d)))
         true_gaps[1, 2] = 1.4 * nominal[2]  # optimum outside the box: pinned at a bound
         offsets = np.array([
-            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)) for z, g in zip(sizes, true_gaps)
+            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            for z, g in zip(sizes, true_gaps)
         ])
         offsets[5:] = 0.0  # no exact solution: these lanes run out their budget
         starts = true_gaps * (1.0 + rng.uniform(-0.1, 0.1, size=(lanes, d)))
@@ -961,9 +1008,9 @@ class TestLanes:
         assert xs[1, 2] == upper[2]
         for lane in range(lanes):
             fun = gap_fit(surrogate.bind(sizes[lane]), offsets[lane])
-            cost, x = _box_least_squares(fun, starts[lane], lower, upper, budget)
-            assert cost == costs[lane]
-            assert np.array_equal(x, xs[lane])
+            cost, x = _box_least_squares(fun, starts[lane:lane + 1], lower, upper, budget)
+            assert cost[0] == costs[lane]
+            assert np.array_equal(x[0], xs[lane])
 
     def test_stop_abandons_running_lanes(self, chain5):
         rng = np.random.default_rng(40)
@@ -1106,8 +1153,8 @@ class TestHalfPhasorKernel:
                 t = np.cumsum(rng.uniform(40e-9, 90e-9, size=d))
                 r_ref, jac_ref, weighted_ref = full_slot_residuals_and_jacobian(surrogate, z, t)
                 bound = surrogate.bind(z)
-                weighted, _ = bound._phasors(t[None], bound.effective)
-                r, jac = bound.residuals_and_jacobian(t)
+                weighted = bound._phasors(t[None])[0]
+                r, jac = (a[0] for a in bound.residuals_and_jacobian(t[None]))
                 # equal values; an empty slot's zero may carry either sign
                 assert np.array_equal(weighted[0], weighted_ref)
                 assert r.tobytes() == r_ref.tobytes()
@@ -1123,7 +1170,7 @@ def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo,
     if not (times == sorted(times) and _burst_fits(half_sizes, times, period)):
         return math.inf, times, 0
     bound_cost = timing_cost.bind(half_sizes)
-    cost = bound_cost.cost(np.asarray(times))
+    cost = float(bound_cost.cost(np.array([times]))[0])
     evaluations = 1
 
     def windowed(trial, index):
@@ -1150,7 +1197,7 @@ def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo,
                 trial[index] = position
                 if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
                     continue
-                c = bound_cost.cost(np.asarray(trial))
+                c = float(bound_cost.cost(np.array([trial]))[0])
                 evaluations += 1
                 if c < best[0]:
                     best = (c, position)
@@ -1168,7 +1215,7 @@ def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo,
                 if not all(low <= trial[k] <= high
                            for k in (index, partner) for low, high in [windowed(trial, k)]):
                     continue
-                c = bound_cost.cost(np.asarray(trial))
+                c = float(bound_cost.cost(np.array([trial]))[0])
                 evaluations += 1
                 if c < cost:
                     cost, times = c, trial
