@@ -25,7 +25,6 @@ from .chain import (
     ChainModel,
     EquilibriumNotConverged,
     NonConfiningPotential,
-    TrapConfig,
     build_chain,
 )
 from .dynamics import PhaseSymmetryError, trajectory_samples
@@ -47,6 +46,7 @@ from .stark import (
     load_atomic_data,
     qubit_phase_per_pulse,
     scenario_from_data,
+    stark_shift,
 )
 
 NUMERICAL_ERRORS = (
@@ -204,14 +204,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
     if variable == "num_ions":
         for value in config.sweep_values:
             n = int(value)
-            trap_kwargs = dict(
-                num_ions=n,
-                ion_mass=config.trap.ion_mass,
-                laser_wavelength=config.trap.laser_wavelength,
-                radial_frequency=config.trap.radial_frequency,
-                quartic_coefficient=config.trap.quartic_coefficient,
-            )
-            chain = build_chain(TrapConfig(**trap_kwargs))
+            chain = build_chain(replace(config.trap, num_ions=n))
             result = optimize_gate(
                 chain, config.stage1_config(num_ions=n), config.stage2,
                 seed=config.seed, threads=threads,
@@ -264,12 +257,15 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
 
 
 def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
+    if args.pairs < 0:
+        raise ConfigError("--pairs must be non-negative")
     try:
         data = load_atomic_data(args.atomic_data)
         scenario = scenario_from_data(data, args.rabi_rate)
+        # a route resonant with the drive is a ValueError too
+        per_pulse = qubit_phase_per_pulse(scenario)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad atomic data file: {exc}") from exc
-    per_pulse = qubit_phase_per_pulse(scenario)
     budget = gate_phase_budget(per_pulse, args.pairs)
     print(f"drive: {data['drive']['label']} at {data['drive']['wavelength_nm']} nm, "
           f"Omega = {args.rabi_rate:.4g} s^-1, tau_pi = {scenario.pi_time * 1e12:.3f} ps")
@@ -278,8 +274,6 @@ def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
     for level in scenario.shelf_levels:
         total = level_shift(level, scenario)
         for route in level.routes:
-            from .stark import stark_shift
-
             print(f"  {level.label:10s} {route.label:20s} {stark_shift(route, scenario):+.4e}")
         print(f"  {level.label:10s} {'total':20s} {total:+.4e}")
         levels.append({"level": level.label, "shift_s": total})
@@ -335,7 +329,8 @@ def cmd_evaluate(args, out_dir: Path) -> int:
     worst = 0.0
     for name, was, now in fields:
         drift = abs(now - was) / max(abs(was), 1e-300)
-        worst = max(worst, drift)
+        # a non-finite stored or re-evaluated figure reproduces nothing
+        worst = max(worst, drift if math.isfinite(drift) else math.inf)
         print(f"{name:14s} stored {was:+.12e}   re-evaluated {now:+.12e}")
     print(f"adjusted fidelity at eps={epsilon:g} ({counting}): {adjusted:.9f}")
     if worst > 1e-12:

@@ -22,22 +22,23 @@ of its Stage-1 value.  `stage2` drives named steps.  `_joint_paths` lets
 integer moves from the same move matrix, re-scored by quick timing
 refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
 snaps a timing to both grid phases and polishes it by on-grid coordinate
-descent, returning the evaluations it spent; it runs for the stage-1 seed
-inside the stage-1 windows and for each refined joint solution inside its
-`_anchored_windows`.  `_expand` turns the best solution the grid expresses
-into the gate.  The timing refinement is a small projected
-Levenberg-Marquardt solver on the box-bounded gaps, written here in numpy
-because the fits are tiny: one gap per group against one residual per mode
-plus the phase.  Independent fits run as lanes of one stack (the starts of
-one refinement, or a batch of integer moves), each lane doing exactly the
-arithmetic it would do alone, so the numpy call overhead is paid once per
-batch.  A batch of moves stops once every lane up to the first improving
-move has finished: that move is taken, the lanes after it are abandoned, and
-the next batch starts after it, which keeps the decisions of scoring the
-moves one at a time.  The lane count follows from the mode count
-(`_lane_count`).  Both stages are deterministic under a seed, and parallel
-work is merged in a fixed order so serial and parallel runs produce
-identical output.
+descent, which scores its moves as stacks and checks them against the gap
+windows in one call (`_inside_windows`), returning the evaluations it spent;
+it runs for the stage-1 seed inside the stage-1 windows and for each refined
+joint solution inside its `_anchored_windows`.  `_expand` turns the best
+solution the grid expresses into the gate.  The timing refinement is a small
+projected Levenberg-Marquardt solver on the box-bounded gaps, written here
+in numpy because the fits are tiny: one gap per group against one residual
+per mode plus the phase.  Independent fits run as lanes of one stack (the
+starts of one refinement, or a batch of integer moves), each lane doing
+exactly the arithmetic it would do alone, so the numpy call overhead is paid
+once per batch.  A batch of moves stops once every lane up to the first
+improving move has finished: that move is taken, the lanes after it are
+abandoned, and the next batch starts after it, which keeps the decisions of
+scoring the moves one at a time.  The lanes per batch of moves follow from
+the mode count (`_lane_count`).  Both stages are deterministic under a seed,
+and parallel work is merged in a fixed order so serial and parallel runs
+produce identical output.
 """
 
 from __future__ import annotations
@@ -492,16 +493,16 @@ class OptimizationResult:
 
 
 _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
-# Lanes times modes in one batch of speculative stage-2 fits.  With few modes
-# an LM iteration is almost all numpy call overhead, paid once per batch, so
-# many lanes are nearly free; with many modes the arithmetic dominates and
-# lanes abandoned after an accepted move are wasted work.
+# Lanes times modes in one batch of speculative joint-refinement fits.  With
+# few modes an LM iteration is almost all numpy call overhead, paid once per
+# batch, so many lanes are nearly free; with many modes the arithmetic
+# dominates and lanes abandoned after an accepted move are wasted work.
 _LANE_BUDGET = 400
 
 
 def _lane_count(modes: int) -> int:
-    """Lanes per batch of speculative stage-2 work (joint-refinement moves,
-    paired grid shifts) for a chain with `modes` modes."""
+    """Lanes per batch of speculative joint-refinement moves for a chain
+    with `modes` modes."""
     return max(1, _LANE_BUDGET // modes)
 
 
@@ -796,124 +797,106 @@ def _burst_fits(half_sizes, times, period):
     )
 
 
-def _grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
-                  max_slots=5):
+def _inside_windows(times, gap_lo, gap_hi, period):
+    """Whether each group of a (k, d) stack of half times lies inside both
+    of its gap windows, [gap_lo, gap_hi] from the group before (or from
+    the midpoint) and to the group after, widened by a quarter slot; the
+    last group has no window after it."""
+    times = np.asarray(times, dtype=float)
+    gap_lo, gap_hi = np.asarray(gap_lo, dtype=float), np.asarray(gap_hi, dtype=float)
+    edge = np.full(times.shape[:-1] + (1,), np.inf)
+    before = np.concatenate([np.zeros_like(edge), times[..., :-1]], axis=-1)
+    after = times[..., 1:]
+    low = np.maximum(before + gap_lo, np.concatenate([after - gap_hi[1:], -edge], axis=-1))
+    high = np.minimum(before + gap_hi, np.concatenate([after - gap_lo[1:], edge], axis=-1))
+    return (low - 0.25 * period <= times) & (times <= high + 0.25 * period)
+
+
+def _grid_descent(timing_cost, half_sizes, start_times, gap_lo, gap_hi):
     """On-grid coordinate descent over the group times.
 
     Runs on the analytic surrogate, which matches the expanded-train
     trajectory cost to float precision for valid on-grid configurations;
-    single-slot moves plus paired shifts of adjacent groups.  Both kinds of
-    move keep each moved group inside its gap windows, [anchor_gap_lo,
-    anchor_gap_hi] on either side, widened by a quarter slot.  Each group's
-    single-slot scan is scored as one batch and takes the cheapest strictly
+    single-slot moves of up to five slots plus paired shifts of adjacent
+    groups by up to two.  Every move keeps `_burst_fits` and keeps each
+    moved group inside its gap windows (`_inside_windows`).  Each group's
+    single-slot scan is scored as one stack and takes the cheapest strictly
     improving slot, the earliest on ties.  The paired shifts take the first
-    improvement in order; they are scored a batch of lanes at a time
-    (`_lane_count`), and the shifts after an improving one are scored again
-    from the new times, so only the shifts a one-at-a-time scan would score
-    count as evaluations.  Returns (cost, times, surrogate evaluations); the
-    cost is infinite when the start times are infeasible, or when the
-    descent ends with some group still outside its windows (a snapped start
-    may begin up to a slot outside them).
+    improvement in order: the shifts still to come are scored from the
+    current times as one stack, and those after an improving one are
+    scored again from the new times, so only the shifts a one-at-a-time
+    scan would score count as evaluations.  Returns (cost, times, surrogate
+    evaluations); the cost is infinite when the start times are
+    infeasible, or when the descent ends with some group still outside its
+    windows (a snapped start may begin up to a slot outside them).
     """
     period = timing_cost.period
-    active = [i for i, zval in enumerate(half_sizes) if zval != 0]
-
-    def windowed(trial, index):
-        prev_t = trial[index - 1] if index > 0 else 0.0
-        low = prev_t + anchor_gap_lo[index]
-        high = prev_t + anchor_gap_hi[index]
-        if index + 1 < len(trial):
-            low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
-            high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
-        return low - 0.25 * period, high + 0.25 * period
-
-    def inside(trial, index):
-        low, high = windowed(trial, index)
-        return low <= trial[index] <= high
-
-    times = list(start_times)
+    active = np.flatnonzero(half_sizes)
+    times = np.array(start_times, dtype=float)
     if not _burst_fits(half_sizes, times, period):
-        return math.inf, times, 0
+        return math.inf, times.tolist(), 0
     # the sizes are fixed for the whole descent: bind them once
     bound_cost = timing_cost.bind(half_sizes)
-    cost = float(bound_cost.cost(np.array([times]))[0])
+    cost = float(bound_cost.cost(times[None])[0])
     evaluations = 1
-    lanes = _lane_count(len(timing_cost.w))
+    slots = np.r_[-5:0, 1:6] * period
+    pairs = np.array([(index, partner, step) for index, partner in zip(active, active[1:])
+                      for step in (-2, -1, 1, 2)], dtype=int).reshape(-1, 3)
 
     for _ in range(40):
         moved = False
         for index in active:
-            low, high = windowed(times, index)
-            positions = [times[index] + step * period
-                         for step in range(-max_slots, max_slots + 1) if step != 0]
-            positions = [position for position in positions if low <= position <= high]
-            if not positions:
-                continue
-            trials = np.array([times] * len(positions))
-            trials[:, index] = positions
-            trials = trials[_burst_fits(half_sizes, trials, period)]
+            trials = np.tile(times, (len(slots), 1))
+            trials[:, index] += slots
+            trials = trials[_burst_fits(half_sizes, trials, period)
+                            & _inside_windows(trials, gap_lo, gap_hi, period)[:, index]]
             if not len(trials):
                 continue
             costs = bound_cost.cost(trials)
             evaluations += len(trials)
             best = int(np.argmin(costs))
             if costs[best] < cost:
-                cost, times[index] = float(costs[best]), float(trials[best, index])
-                moved = True
-        shifts = np.array([(index, partner, step) for index, partner in zip(active, active[1:])
-                           for step in (-2, -1, 1, 2)], dtype=int).reshape(-1, 3)
+                cost, times, moved = float(costs[best]), trials[best], True
         first = 0
-        while first < len(shifts):
-            # speculative batch: the next feasible shifts, each from the current times
-            pending = shifts[first:]
-            trials = np.array([times] * len(pending))
-            rows = np.arange(len(pending))
-            trials[rows, pending[:, 0]] += pending[:, 2] * period
-            trials[rows, pending[:, 1]] += pending[:, 2] * period
-            batch = []
-            for row in np.flatnonzero(_burst_fits(half_sizes, trials, period)).tolist():
-                index, partner, _ = pending[row].tolist()
-                trial = trials[row].tolist()
-                if inside(trial, index) and inside(trial, partner):
-                    batch.append(row)
-                    if len(batch) == lanes:
-                        break
-            if not batch:
+        while first < len(pairs):
+            index, partner, step = pairs[first:].T
+            rows = np.arange(len(step))
+            trials = np.tile(times, (len(step), 1))
+            trials[rows, index] += step * period
+            trials[rows, partner] += step * period
+            inside = _inside_windows(trials, gap_lo, gap_hi, period)
+            feasible = np.flatnonzero(_burst_fits(half_sizes, trials, period)
+                                      & inside[rows, index] & inside[rows, partner])
+            costs = bound_cost.cost(trials[feasible])
+            improving = np.flatnonzero(costs < cost)
+            if not len(improving):
+                evaluations += len(feasible)
                 break
-            costs = bound_cost.cost(trials[batch])
-            moved_from, first = first, first + batch[-1] + 1
-            for row, c in zip(batch, costs.tolist()):
-                evaluations += 1
-                if c < cost:
-                    # first improvement: later shifts move from the new times
-                    cost, times, first = c, trials[row].tolist(), moved_from + row + 1
-                    moved = True
-                    break
+            # first improvement: the shifts after it move from the new times
+            taken = int(improving[0])
+            evaluations += taken + 1
+            row = int(feasible[taken])
+            cost, times, first, moved = float(costs[taken]), trials[row], first + row + 1, True
         if not moved:
             break
-    if not all(inside(times, index) for index in active):
-        return math.inf, times, evaluations
-    return cost, times, evaluations
-
-
-def _snapped(half_sizes, half_times, rate, phase=0.0):
-    """Each group's time snapped to its slot on the grid of `rate` at
-    `phase`; an empty group keeps its time."""
-    return [snap_group_time(t, z, rate, phase) if z != 0 else t
-            for z, t in zip(half_sizes, half_times)]
+    if not _inside_windows(times, gap_lo, gap_hi, period)[active].all():
+        return math.inf, times.tolist(), evaluations
+    return cost, times.tolist(), evaluations
 
 
 def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
-    """`_snapped`, moved group by group from the midpoint out so that each
-    gap from the group before lies inside [gap_lo, gap_hi]: a nonempty
-    group whose gap falls outside the window widened by a quarter slot, or
-    short of its burst floor (`_burst_floors`), moves by whole slots to the
+    """Each group's time snapped to its slot on the grid of `rate` at
+    `phase`, moved group by group from the midpoint out so that each gap
+    from the group before lies inside [gap_lo, gap_hi]: a nonempty group
+    whose gap falls outside the window widened by a quarter slot, or short
+    of its burst floor (`_burst_floors`), moves by whole slots to the
     nearest slot that meets both, or keeps its snapped time when none does;
     an empty group, which has no slot, is clipped into its window.
     Snapping moves each group by up to half a slot, so a gap that a fit
     left at the edge of its window may land up to a slot outside it."""
     period = 1.0 / rate
-    times = _snapped(half_sizes, half_times, rate, phase)
+    times = [snap_group_time(t, z, rate, phase) if z != 0 else t
+             for z, t in zip(half_sizes, half_times)]
     floors = iter((_burst_floors(np.abs(np.asarray(half_sizes))[np.flatnonzero(half_sizes)],
                                  period) * (1 - 1e-9)).tolist())
     previous = 0.0

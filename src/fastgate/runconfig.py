@@ -41,6 +41,20 @@ def _get_number(block: dict, key: str, where: str, default=None, positive=False)
     return float(value)
 
 
+def _get_int(block: dict, key: str, name: str, default=None, least=None):
+    """The integer at `key`, at least `least` when given, or `default` when
+    the key is absent; a JSON boolean or null is not an integer."""
+    if key not in block:
+        return default
+    value = block[key]
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        least is not None and value < least
+    ):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise ConfigError(f"{name} must be {kind} integer")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, SI-normalised run description."""
@@ -79,10 +93,7 @@ def _parse_trap(block: dict) -> TrapConfig:
          "wavelength_nm", "quartic_j_per_m4"},
         "trap",
     )
-    num_ions = block.get("num_ions", 5)
-    if not isinstance(num_ions, int) or isinstance(num_ions, bool) or num_ions < 1:
-        raise ConfigError("trap.num_ions must be a positive integer")
-    kwargs = {"num_ions": num_ions}
+    kwargs = {"num_ions": _get_int(block, "num_ions", "trap.num_ions", default=5, least=1)}
     radial = _get_number(block, "radial_freq_mhz", "trap", default=5.0, positive=True)
     kwargs["radial_frequency"] = 2.0 * math.pi * radial * 1e6
     axial = _get_number(block, "axial_freq_mhz", "trap", positive=True)
@@ -152,21 +163,15 @@ def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
         else:
             raise ConfigError("stage1.gate_time_scan_us must be a list or {start, stop, step}")
         kwargs["gate_time_scan"] = tuple(v * 1e-6 for v in values)
-    if "z_bound_max" in block:
-        bound = block["z_bound_max"]
-        if not isinstance(bound, int) or bound < 1:
-            raise ConfigError("stage1.z_bound_max must be a positive integer")
+    bound = _get_int(block, "z_bound_max", "stage1.z_bound_max", least=1)
+    if bound is not None:
         kwargs["z_bound_schedule"] = tuple(range(1, bound + 1))
     for key in ("epsilon",):
         if key in block:
             kwargs[key] = _get_number(block, key, "stage1")
     for key, least in (("group_count", 1), ("top_k", 1), ("restarts", 0), ("max_sdks", 0)):
         if key in block:
-            value = block[key]
-            if not isinstance(value, int) or value < least:
-                kind = "positive" if least else "non-negative"
-                raise ConfigError(f"stage1.{key} must be a {kind} integer")
-            kwargs[key] = value
+            kwargs[key] = _get_int(block, key, f"stage1.{key}", least=least)
     if "pulse_counting" in block:
         kwargs["pulse_counting"] = block["pulse_counting"]
     try:
@@ -187,10 +192,8 @@ def _parse_stage2(block: dict) -> Stage2Config:
     if variation is not None:
         kwargs["timing_variation"] = variation
     if "local_restarts" in block:
-        value = block["local_restarts"]
-        if not isinstance(value, int) or value < 0:
-            raise ConfigError("stage2.local_restarts must be a non-negative integer")
-        kwargs["local_restarts"] = value
+        kwargs["local_restarts"] = _get_int(block, "local_restarts", "stage2.local_restarts",
+                                            least=0)
     try:
         return Stage2Config(**kwargs)
     except ValueError as exc:
@@ -204,9 +207,7 @@ def _parse_sweep(block: dict):
         raise ConfigError(
             f"sweep.variable must be one of {', '.join(SWEEP_VARIABLES)}; got {variable!r}"
         )
-    samples = block.get("samples", 100)
-    if not isinstance(samples, int) or samples < 1:
-        raise ConfigError("sweep.samples must be a positive integer")
+    samples = _get_int(block, "samples", "sweep.samples", default=100, least=1)
     if "values" in block:
         values = block["values"]
         if not isinstance(values, list) or not values:
@@ -217,8 +218,8 @@ def _parse_sweep(block: dict):
     else:
         start = _get_number(block, "start", "sweep")
         stop = _get_number(block, "stop", "sweep")
-        steps = block.get("steps")
-        if start is None or stop is None or not isinstance(steps, int) or steps < 2:
+        steps = _get_int(block, "steps", "sweep.steps")
+        if start is None or stop is None or steps is None or steps < 2:
             raise ConfigError("sweep needs values, or start/stop with steps >= 2")
         values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
     if not all(math.isfinite(v) for v in values):
@@ -245,9 +246,7 @@ def load_run_config(data: dict | None) -> RunConfig:
     for key in ("trap", "thermal", "stage1", "stage2", "sweep"):
         if key in data and not isinstance(data[key], dict):
             raise ConfigError(f"config.{key} must be an object")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    seed = _get_int(data, "seed", "seed", default=0)
 
     sweep_variable, sweep_values, samples = (None, (), 100)
     if "sweep" in data:

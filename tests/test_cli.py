@@ -178,6 +178,18 @@ class TestOptimizeCommand:
         tampered.write_text(json.dumps(data))
         assert main(["evaluate", str(tampered)]) == 3
 
+    @pytest.mark.parametrize("block, key", [("report_ideal", "ideal_inf"),
+                                            (None, "adjusted_fidelity")])
+    def test_evaluate_treats_nan_as_a_mismatch(self, run_dir, tmp_path, capsys, block, key):
+        _, _, out = run_dir
+        data = json.loads((out / "result.json").read_text())
+        (data[block] if block else data)[key] = math.nan
+        tampered = tmp_path / "nan.json"
+        tampered.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["evaluate", str(tampered)]) == 3
+        assert "MISMATCH" in capsys.readouterr().out
+
 
 class TestEvaluatePulseCounting:
     @pytest.fixture(scope="class")
@@ -323,6 +335,36 @@ class TestSweepCommand:
         for row in rows:
             assert row[header.index("pulse_count")] == row[header.index("sdk_count")]
 
+    def test_num_ions_sweep_keeps_the_axial_frequency(self, tmp_path, monkeypatch):
+        from fastgate import cli, optimize
+        from fastgate.chain import TrapConfig, build_chain
+        from fastgate.fidelity import ThermalSpec, evaluate_train
+        from fastgate.sequence import PulseGroupSequence, expand_groups
+
+        chain = build_chain(TrapConfig(num_ions=2))
+        thermal = ThermalSpec(nbar=0.1)
+        sequence = PulseGroupSequence.from_half([2, -1], [0.2e-6, 0.4e-6], (0, 1), 0.8e-6)
+        train = expand_groups(sequence, 300e6)
+        result = optimize.OptimizationResult(
+            sequence=sequence, train=train, report=evaluate_train(train, chain, thermal),
+            epsilon=1e-5, adjusted_fidelity=0.99, thermal=thermal, seed=5,
+        )
+        traps = []
+
+        def recording_build_chain(trap):
+            traps.append(trap)
+            return build_chain(trap)
+
+        monkeypatch.setattr(cli, "build_chain", recording_build_chain)
+        monkeypatch.setattr(cli, "optimize_gate", lambda *args, **kwargs: result)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["trap"] = {"num_ions": 3, "axial_freq_mhz": 1.0}
+        data["sweep"] = {"variable": "num_ions", "values": [2, 4]}
+        config = write_config(tmp_path, data)
+        assert main(["--config", config, "--out", str(tmp_path / "out"), "sweep"]) == 0
+        assert [trap.num_ions for trap in traps] == [2, 4]
+        assert all(trap.axial_freq == 2.0 * math.pi * 1e6 for trap in traps)
+
     def test_sweep_without_block_fails(self, tmp_path):
         config = write_config(tmp_path, FAST_OPTIMIZE)
         assert main(["--config", config, "--out", str(tmp_path / "o"), "sweep"]) == 2
@@ -343,6 +385,33 @@ class TestStarkCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["--out", str(tmp_path), "stark", "--atomic-data", str(bad)]) == 2
+
+    def _exit_and_lines(self, argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_route_at_the_drive_wavelength_exits_2(self, tmp_path, capsys):
+        from fastgate.stark import load_atomic_data
+
+        data = load_atomic_data()
+        data["qubit_levels"][1]["transitions"][0]["wavelength_nm"] = data["drive"]["wavelength_nm"]
+        resonant = tmp_path / "resonant.json"
+        resonant.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        code, lines = self._exit_and_lines(
+            ["--out", str(out), "stark", "--atomic-data", str(resonant)], capsys
+        )
+        assert code == 2
+        assert len(lines) == 1 and "resonant" in lines[0]
+        assert not (out / "stark.json").exists()
+
+    def test_negative_pairs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, lines = self._exit_and_lines(["--out", str(out), "stark", "--pairs", "-1"], capsys)
+        assert code == 2
+        assert len(lines) == 1 and "--pairs" in lines[0]
+        assert not (out / "stark.json").exists()
 
 
 class TestInfeasibleCandidates:
@@ -443,6 +512,26 @@ class TestConfigErrorsBeforeRunning:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("block, key", [
+        ("stage1", "group_count"),
+        ("stage1", "top_k"),
+        ("stage1", "restarts"),
+        ("stage1", "max_sdks"),
+        ("stage1", "z_bound_max"),
+        ("stage2", "local_restarts"),
+        ("sweep", "samples"),
+    ])
+    def test_boolean_for_an_integer_exits_2_with_one_line(self, tmp_path, capsys, block, key):
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "epsilon", "values": [1e-5]}
+        data[block][key] = True
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"{block}.{key} must be a" in lines[0]
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("variable, value", [
         ("temperature", -1e-3),

@@ -32,7 +32,7 @@ from fastgate.optimize import (
     _neighbourhood,
     _refine_times,
     _size_grid,
-    _snapped,
+    _inside_windows,
     _snapped_in_windows,
     default_group_count,
     jitter_sensitivity,
@@ -747,6 +747,13 @@ def _gaps(half_times):
     return np.diff(np.concatenate([[0.0], half_times]))
 
 
+def _snapped(half_sizes, half_times, rate, phase=0.0):
+    """Each nonempty group's time snapped to its slot on the grid of `rate`
+    at `phase`, with no window enforced; an empty group keeps its time."""
+    return [snap_group_time(t, z, rate, phase) if z != 0 else t
+            for z, t in zip(half_sizes, half_times)]
+
+
 def _in_windows(half_times, gap_lo, gap_hi, period):
     """Whether every gap of `half_times` lies inside its window of
     [gap_lo, gap_hi], widened by a quarter grid slot.  When `half_times` has
@@ -835,7 +842,7 @@ class TestStage2:
                    NBAR, 0.0, seed=0)
 
     def test_inexpressible_seed_still_yields_a_gate(self, chain20):
-        from fastgate.optimize import _expand, _snapped
+        from fastgate.optimize import _expand
         from fastgate.sequence import BurstOverlap, expand_groups
 
         rate = 100e6
@@ -1161,6 +1168,18 @@ class TestHalfPhasorKernel:
                 assert jac.tobytes() == jac_ref.tobytes()
 
 
+def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
+    """The times group `index` of `trial` may take inside both of its gap
+    windows widened by a quarter slot, as (low, high), one group at a time."""
+    prev_t = trial[index - 1] if index > 0 else 0.0
+    low = prev_t + anchor_gap_lo[index]
+    high = prev_t + anchor_gap_hi[index]
+    if index + 1 < len(trial):
+        low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
+        high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
+    return low - 0.25 * period, high + 0.25 * period
+
+
 def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
                             max_slots=5):
     """The on-grid descent scoring one trial at a time."""
@@ -1174,13 +1193,7 @@ def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo,
     evaluations = 1
 
     def windowed(trial, index):
-        prev_t = trial[index - 1] if index > 0 else 0.0
-        low = prev_t + anchor_gap_lo[index]
-        high = prev_t + anchor_gap_hi[index]
-        if index + 1 < len(trial):
-            low = max(low, trial[index + 1] - anchor_gap_hi[index + 1])
-            high = min(high, trial[index + 1] - anchor_gap_lo[index + 1])
-        return low - 0.25 * period, high + 0.25 * period
+        return _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period)
 
     for _ in range(40):
         moved = False
@@ -1300,6 +1313,43 @@ class TestGridDescent:
                 assert _in_windows(polished, *args[3:], period)
             outcomes.add((started_outside, math.isfinite(cost)))
         assert {(True, True), (True, False)} <= outcomes
+
+
+class TestInsideWindows:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_bounds_and_their_neighbouring_floats(self, d):
+        # each group at each of its four window bounds, and one float either
+        # side of it, against the per-group rule of the reference descent
+        rng = np.random.default_rng(66 + d)
+        period = 1.0 / 300e6
+        quarter = 0.25 * period
+        edges = 0
+        for _ in range(10):
+            gaps = rng.uniform(40e-9, 80e-9, size=d)
+            gap_lo, gap_hi = 0.8 * gaps, 1.2 * gaps
+            times = np.cumsum(gaps)
+            for index in range(d):
+                prev_t = times[index - 1] if index > 0 else 0.0
+                bounds = [prev_t + gap_lo[index] - quarter, prev_t + gap_hi[index] + quarter]
+                if index + 1 < d:
+                    bounds += [times[index + 1] - gap_hi[index + 1] - quarter,
+                               times[index + 1] - gap_lo[index + 1] + quarter]
+                rows = np.tile(times, (3 * len(bounds), 1))
+                rows[:, index] = [np.nextafter(bound, toward) for bound in bounds
+                                  for toward in (-np.inf, bound, np.inf)]
+                mask = _inside_windows(rows, gap_lo, gap_hi, period)
+                expected = [
+                    [low <= row[k] <= high
+                     for k in range(d)
+                     for low, high in [_reference_window(row.tolist(), k, gap_lo, gap_hi,
+                                                         period)]]
+                    for row in rows
+                ]
+                assert mask.tolist() == expected
+                # a bound that binds keeps its float inside and the next one out
+                edges += sum(triple in ([False, True, True], [True, True, False])
+                             for triple in mask[:, index].reshape(-1, 3).tolist())
+        assert edges >= 10 * d
 
 
 class TestSnappedInWindows:
