@@ -25,7 +25,6 @@ from .dynamics import (
     ModeState,
     PhaseSymmetryError,
     TrajectoryResult,
-    apply_kick,
     entangling_phase,
     free_evolution,
     propagate,

@@ -259,6 +259,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
 def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
     if args.pairs < 0:
         raise ConfigError("--pairs must be non-negative")
+    if not 0.0 < args.rabi_rate < math.inf:
+        raise ConfigError("--rabi-rate must be positive and finite")
     try:
         data = load_atomic_data(args.atomic_data)
         scenario = scenario_from_data(data, args.rabi_rate)

@@ -13,15 +13,14 @@ and may differ in basis state, kick times and mode frequencies (a basis
 state of a gate evaluation, a jitter sample's scaled train and chain).
 Every lane does elementwise exactly the arithmetic of a lone propagation,
 so a lane's outputs are bit-identical to a stack of one (`propagate`).  The
-rotations cos/sin(w tau) and cos/sin(2 w tau) are computed once for each
-segment duration tau = t_k - t_(k-1) that is bitwise equal across all lanes;
-grid trains repeat a handful of gaps, so most segments reuse them.  Many
-lanes are cut into several stacks, to bound the rotation tables' memory.
+rotations cos/sin(w tau) are computed once for each segment duration
+tau = t_k - t_(k-1) that is bitwise equal across all lanes; grid trains
+repeat a handful of gaps, so most segments reuse them.  Many lanes are cut
+into several stacks, to bound the rotation tables' memory.
 
 The entangling phase is accumulated kick-by-kick through the displacement
 composition rule, d(phase) = M * dV * Q / (2 hbar), which is exact for linear
-dynamics and independent of where the trajectory ends.  The classical action
-integral of the free segments is tracked separately as a diagnostic.
+dynamics and independent of where the trajectory ends.
 """
 
 from __future__ import annotations
@@ -42,78 +41,20 @@ class PhaseSymmetryError(RuntimeError):
 
 @dataclass
 class ModeState:
-    """Single-mode classical state.
+    """Single-mode classical state."""
 
-    `accumulated_action` is the Lagrangian integral of the free segments
-    (J s); it is untouched by kicks.  `kick_phase` is the per-mode share of
-    the displacement-composition phase (rad), updated only at kicks.
-    """
-
-    position: float = 0.0            # m
-    velocity: float = 0.0            # m/s
-    accumulated_action: float = 0.0  # J s
-    kick_phase: float = 0.0          # rad
+    position: float = 0.0  # m
+    velocity: float = 0.0  # m/s
 
 
-def free_evolution(
-    state: ModeState, mode_frequency: float, duration: float, mass: float = 1.0
-) -> ModeState:
-    """Exact harmonic rotation of a mode state over `duration` seconds.
-
-    The action accumulates the closed-form segment integral of
-    (M/2)(V^2 - w^2 Q^2); over a full period the integral vanishes.
-    """
+def free_evolution(state: ModeState, mode_frequency: float, duration: float) -> ModeState:
+    """Exact harmonic rotation of a mode state over `duration` seconds."""
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
     w = mode_frequency
     c, s = math.cos(w * duration), math.sin(w * duration)
     q0, v0 = state.position, state.velocity
-    return ModeState(
-        position=q0 * c + (v0 / w) * s,
-        velocity=v0 * c - w * q0 * s,
-        accumulated_action=state.accumulated_action + segment_action(mass, q0, v0, w, duration),
-        kick_phase=state.kick_phase,
-    )
-
-
-def segment_action(mass: float, q0: float, v0: float, w: float, duration: float) -> float:
-    """Closed-form integral of (M/2)(V^2 - w^2 Q^2) over one free segment, J s."""
-    c2, s2 = math.cos(2.0 * w * duration), math.sin(2.0 * w * duration)
-    return 0.5 * mass * ((v0**2 - w**2 * q0**2) * s2 / (2.0 * w) + q0 * v0 * (c2 - 1.0))
-
-
-def apply_kick(
-    states: list,
-    chain: ChainModel,
-    kick_sign: int,
-    basis_state: tuple,
-    target_ions: tuple,
-) -> list:
-    """Instantaneous SDK: velocity jump on every mode, positions unchanged.
-
-    The velocity of mode m changes by sign * (2 hbar k / M)(s_mu b_m^mu +
-    s_nu b_m^nu); the composition phase picks up M dV Q / (2 hbar) per mode.
-    The free-segment action is untouched at the kick instant.
-    """
-    mu, nu = target_ions
-    if mu == nu:
-        raise ValueError("target ions must differ")
-    s_mu, s_nu = basis_state
-    unit = 2.0 * CONSTANTS.hbar * chain.wavenumber / chain.ion_mass
-    out = []
-    for m, state in enumerate(states):
-        coupling = s_mu * chain.mode_couplings[m, mu] + s_nu * chain.mode_couplings[m, nu]
-        dv = kick_sign * unit * coupling
-        out.append(
-            ModeState(
-                position=state.position,
-                velocity=state.velocity + dv,
-                accumulated_action=state.accumulated_action,
-                kick_phase=state.kick_phase
-                + chain.ion_mass * dv * state.position / (2.0 * CONSTANTS.hbar),
-            )
-        )
-    return out
+    return ModeState(position=q0 * c + (v0 / w) * s, velocity=v0 * c - w * q0 * s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +72,6 @@ class TrajectoryResult:
     velocities: np.ndarray      # m/s, at the final kick
     alphas: np.ndarray          # complex, dimensionless
     mode_phases: np.ndarray     # rad, per-mode composition phase
-    actions: np.ndarray         # J s, free-segment Lagrangian integrals
     total_phase: float          # rad, sum of mode_phases
 
 
@@ -159,9 +99,9 @@ def propagate(train: KickTrain, chain: ChainModel, basis_state: tuple) -> Trajec
     return propagate_lanes([(train, chain, basis_state)])[0]
 
 
-# Entries (lanes x modes x distinct segments) of each of a stack's four
+# Entries (lanes x modes x distinct segments) of each of a stack's two
 # rotation tables, 2 MB: the lanes are cut into stacks that fit, so that a
-# 100-shot jitter study at N=100 holds about 8 MB of tables, not 55 MB.
+# 100-shot jitter study at N=100 holds about 4 MB of tables, not 28 MB.
 _ROTATION_ENTRIES = 1 << 18
 
 
@@ -211,7 +151,6 @@ def _propagate_stack(lanes) -> list:
     q = np.zeros(shape)
     v = np.zeros(shape)
     phase = np.zeros(shape)
-    action = np.zeros(shape)
     if first.num_kicks == 0:
         alphas = np.zeros(shape, dtype=complex)
     else:
@@ -228,23 +167,15 @@ def _propagate_stack(lanes) -> list:
         segment[1:][moving[0]] = column.ravel()
         duration = distinct.T[:, :, None]
         cos, sin = np.cos(w * duration), np.sin(w * duration)
-        cos2_minus_1 = np.cos(2.0 * w * duration) - 1.0
-        sin2 = np.sin(2.0 * w * duration)
 
-        w_sq = w**2
-        two_w = 2.0 * w
-        half_mass = 0.5 * mass
         m_over_2h = mass / (2.0 * CONSTANTS.hbar)
         kick = {sign: sign * dv_unit for sign in (1, -1)}
-        kick_phase = {sign: m_over_2h * dv for sign, dv in kick.items()}
+        phase_step = {sign: m_over_2h * dv for sign, dv in kick.items()}
         for sign, u in zip(first.kick_signs, segment.tolist()):
             if u >= 0:
                 c, s = cos[u], sin[u]
-                action += half_mass * (
-                    (v**2 - w_sq * q**2) * sin2[u] / two_w + q * v * cos2_minus_1[u]
-                )
                 q, v = q * c + (v / w) * s, v * c - w * q * s
-            phase += kick_phase[sign] * q
+            phase += phase_step[sign] * q
             v = v + kick[sign]
         back = np.array([[t.kick_times[-1] - t.midpoint] for t in trains])
         alphas = _midpoint_alphas(w, mass, q, v, back)
@@ -256,7 +187,6 @@ def _propagate_stack(lanes) -> list:
             velocities=v[i],
             alphas=alphas[i],
             mode_phases=phase[i],
-            actions=action[i],
             total_phase=float(np.sum(phase[i])),
         )
         for i, basis_state in enumerate(bases)
@@ -352,8 +282,7 @@ def propagate_linear_ode(
     """Cross-check oracle: numerically integrate the decoupled mode ODEs.
 
     Integrates Q'' = -w^2 Q per mode (in dimensionless per-mode units for
-    conditioning) together with the free-segment action, applying kicks as
-    velocity jumps.  Agrees with `propagate` to the integrator tolerance.
+    conditioning), applying kicks as velocity jumps.  Agrees with `propagate` to the integrator tolerance.
     """
     from scipy.integrate import solve_ivp
 
@@ -370,14 +299,9 @@ def propagate_linear_ode(
         return propagate(train, chain, basis_state)
 
     def rhs(_t, y):
-        out = np.empty(3 * n)
-        out[:n] = w * y[n : 2 * n]
-        out[n : 2 * n] = -w * y[:n]
-        # action rate in units of hbar: (M/2)(V^2 - w^2 Q^2) / hbar = (w/4)(v~^2 - q~^2)
-        out[2 * n :] = 0.25 * w * (y[n : 2 * n] ** 2 - y[:n] ** 2)
-        return out
+        return np.concatenate([w * y[n:], -w * y[:n]])
 
-    y = np.zeros(3 * n)
+    y = np.zeros(2 * n)
     phase = np.zeros(n)
     t_cur = train.kick_times[0]
     for t_k, sign in zip(train.kick_times, train.kick_signs):
@@ -391,10 +315,10 @@ def propagate_linear_ode(
             t_cur = t_k
         dv_scaled = sign * dv_unit / (x0 * w)
         phase += 0.25 * y[:n] * dv_scaled  # M dV Q / (2 hbar), with x0^2 w = hbar / 2M
-        y[n : 2 * n] += dv_scaled
+        y[n:] += dv_scaled
 
     q = y[:n] * x0
-    v = y[n : 2 * n] * x0 * w
+    v = y[n:] * x0 * w
     back = t_cur - train.midpoint
     alphas = _midpoint_alphas(w, chain.ion_mass, q, v, back)
     return TrajectoryResult(
@@ -403,7 +327,6 @@ def propagate_linear_ode(
         velocities=v,
         alphas=alphas,
         mode_phases=phase,
-        actions=y[2 * n :] * CONSTANTS.hbar,
         total_phase=float(np.sum(phase)),
     )
 
@@ -488,6 +411,5 @@ def propagate_nonlinear(
         velocities=v,
         alphas=alphas,
         mode_phases=phase,
-        actions=np.full(n, math.nan),  # not tracked by the nonlinear oracle
         total_phase=float(np.sum(phase)),
     )

@@ -32,12 +32,15 @@ def _check_keys(block: dict, allowed: set, where: str):
 
 def _get_number(block: dict, key: str, where: str, default=None, positive=False):
     value = block.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
+    return None if value is None else _number(value, f"{where}.{key}", positive)
+
+
+def _number(value, name: str, positive=False) -> float:
+    """`value` as a float; a JSON boolean, string or non-finite value is not a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number")
     if positive and not value > 0:
-        raise ConfigError(f"{where}.{key} must be positive")
+        raise ConfigError(f"{name} must be positive")
     return float(value)
 
 
@@ -118,12 +121,16 @@ def _parse_thermal(block: dict) -> ThermalSpec:
     _check_keys(block, {"nbar", "temperature_k"}, "thermal")
     if "nbar" in block and "temperature_k" in block:
         raise ConfigError("thermal: give either nbar or temperature_k, not both")
+    nbar = block.get("nbar", 0.1)
+    if "temperature_k" in block:
+        spec = {"nbar": None, "temperature": _get_number(block, "temperature_k", "thermal")}
+    elif isinstance(nbar, list):
+        spec = {"nbar": tuple(_number(v, "thermal.nbar entry") for v in nbar)}
+    else:
+        spec = {"nbar": _number(nbar, "thermal.nbar")}
     try:
-        if "temperature_k" in block:
-            return ThermalSpec(nbar=None, temperature=float(block["temperature_k"]))
-        nbar = block.get("nbar", 0.1)
-        return ThermalSpec(nbar=tuple(nbar) if isinstance(nbar, list) else float(nbar))
-    except (TypeError, ValueError) as exc:
+        return ThermalSpec(**spec)
+    except ValueError as exc:
         raise ConfigError(f"thermal: {exc}") from exc
 
 
@@ -159,7 +166,7 @@ def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
             count = int(round((stop - start) / step)) + 1
             values = [start + k * step for k in range(count) if start + k * step <= stop + 1e-12]
         elif isinstance(scan, list) and scan:
-            values = [float(v) for v in scan]
+            values = [_number(v, "stage1.gate_time_scan_us entry", positive=True) for v in scan]
         else:
             raise ConfigError("stage1.gate_time_scan_us must be a list or {start, stop, step}")
         kwargs["gate_time_scan"] = tuple(v * 1e-6 for v in values)
@@ -225,9 +232,9 @@ def _parse_sweep(block: dict):
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("sweep values must be finite")
     if variable == "num_ions":
-        values = [int(round(v)) for v in values]
-        if any(v < 2 for v in values):
-            raise ConfigError("sweep over num_ions needs values >= 2")
+        if not all(v == int(v) >= 2 for v in values):
+            raise ConfigError("sweep over num_ions needs integer values >= 2")
+        values = [int(v) for v in values]
     elif variable == "repetition_rate" and not all(v > 0.0 for v in values):
         raise ConfigError("sweep over repetition_rate needs values > 0")
     elif not all(v >= 0.0 for v in values):

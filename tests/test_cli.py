@@ -413,6 +413,16 @@ class TestStarkCommand:
         assert len(lines) == 1 and "--pairs" in lines[0]
         assert not (out / "stark.json").exists()
 
+    @pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+    def test_bad_rabi_rate_exits_2_naming_the_flag(self, tmp_path, capsys, rate):
+        out = tmp_path / "out"
+        code, lines = self._exit_and_lines(
+            ["--out", str(out), "stark", "--rabi-rate", rate], capsys
+        )
+        assert code == 2
+        assert len(lines) == 1 and "--rabi-rate" in lines[0]
+        assert not (out / "stark.json").exists()
+
 
 class TestInfeasibleCandidates:
     def test_optimize_exits_3_when_no_candidate_is_left(self, tmp_path, capsys, monkeypatch):
@@ -539,6 +549,8 @@ class TestConfigErrorsBeforeRunning:
         ("epsilon", -1e-4),
         ("repetition_rate", -300.0),
         ("repetition_rate", 0.0),
+        ("num_ions", 2.5),
+        ("num_ions", 3.7),
     ])
     def test_sweep_value_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
                                               variable, value):
@@ -563,7 +575,7 @@ class TestConfigErrorsBeforeRunning:
         ({"variable": "jitter", "values": [True]}, "sweep.values must be numbers"),
         ({"variable": "num_ions", "values": [math.nan]}, "sweep values must be finite"),
         ({"variable": "num_ions", "start": 2, "stop": math.inf, "steps": 3},
-         "sweep values must be finite"),
+         "sweep.stop must be a finite number"),
     ])
     def test_sweep_value_not_a_finite_number_exits_2(self, tmp_path, capsys, sweep, message):
         data = json.loads(json.dumps(FAST_OPTIMIZE))
@@ -574,6 +586,40 @@ class TestConfigErrorsBeforeRunning:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
         assert not (out / "sweep.csv").exists()
+
+
+    @pytest.mark.parametrize("block, setting, message", [
+        ("stage1", {"gate_time_scan_us": [True, 1.0]}, "gate_time_scan_us entry must be a"),
+        ("stage1", {"gate_time_scan_us": ["1.0"]}, "gate_time_scan_us entry must be a"),
+        ("stage1", {"gate_time_scan_us": [-1.0]}, "gate_time_scan_us entry must be pos"),
+        ("stage1", {"gate_time_scan_us": [0]}, "gate_time_scan_us entry must be pos"),
+        ("stage1", {"gate_time_scan_us": [math.inf]}, "gate_time_scan_us entry must be a"),
+        ("stage1", {"gate_time_scan_us": {"start": 0.5, "stop": math.inf, "step": 0.1}},
+         "scan.stop must be a finite number"),
+        ("thermal", {"temperature_k": True}, "thermal.temperature_k must be a finite"),
+        ("thermal", {"temperature_k": math.inf}, "thermal.temperature_k must be a finite"),
+        ("thermal", {"nbar": True}, "thermal.nbar must be a finite number"),
+        ("thermal", {"nbar": "0.1"}, "thermal.nbar must be a finite number"),
+        ("thermal", {"nbar": math.inf}, "thermal.nbar must be a finite number"),
+        ("thermal", {"nbar": [0.1, True]}, "thermal.nbar entry must be a finite number"),
+        ("thermal", {"nbar": [0.1, math.inf]}, "thermal.nbar entry must be a finite number"),
+    ])
+    def test_number_that_is_not_finite_or_positive_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                           block, setting, message):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the gate was built before the config was checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data.setdefault(block, {}).update(setting)
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "optimize"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert not (out / "result.json").exists()
 
 
 class TestSweepWinner:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fastgate.chain import TrapConfig, build_chain
 from fastgate.constants import CONSTANTS
@@ -11,14 +10,12 @@ from fastgate.dynamics import (
     ModeState,
     PhaseSymmetryError,
     TrajectoryResult,
-    apply_kick,
     entangling_phase,
     free_evolution,
     propagate,
     propagate_lanes,
     propagate_linear_ode,
     propagate_nonlinear,
-    segment_action,
     trajectory_samples,
 )
 from fastgate.fidelity import (
@@ -44,15 +41,13 @@ class TestFreeEvolution:
     def test_rest_state_stays(self):
         state = free_evolution(ModeState(), 2 * math.pi * 1e6, 0.37e-6)
         assert state.position == 0.0 and state.velocity == 0.0
-        assert state.accumulated_action == 0.0
 
-    def test_full_period_identity_and_zero_action(self):
+    def test_full_period_identity(self):
         w = 2 * math.pi * 1.3e6
         start = ModeState(position=2e-9, velocity=0.03)
-        out = free_evolution(start, w, 2 * math.pi / w, mass=1e-25)
+        out = free_evolution(start, w, 2 * math.pi / w)
         assert out.position == pytest.approx(start.position, rel=1e-12)
         assert out.velocity == pytest.approx(start.velocity, rel=1e-12)
-        assert abs(out.accumulated_action) < 1e-12 * 1e-25 * 0.03**2 * (2 * math.pi / w)
 
     def test_energy_conserved_to_1e12(self):
         rng = np.random.default_rng(8)
@@ -64,25 +59,6 @@ class TestFreeEvolution:
             after = out.velocity**2 + w**2 * out.position**2
             assert abs(after - before) <= 1e-12 * before
 
-    def test_action_matches_quadrature(self):
-        # Oracle: adaptive quadrature of (M/2)(V^2 - w^2 Q^2) along the arc.
-        rng = np.random.default_rng(21)
-        mass = 6.64e-26
-        for _ in range(25):
-            w = 2 * math.pi * rng.uniform(0.5e6, 7e6)
-            q0 = rng.normal() * 1e-9
-            v0 = rng.normal() * 0.05
-            tau = rng.uniform(0.05, 1.2) / w
-
-            def lagrangian(t):
-                q = q0 * math.cos(w * t) + (v0 / w) * math.sin(w * t)
-                v = v0 * math.cos(w * t) - w * q0 * math.sin(w * t)
-                return 0.5 * mass * (v**2 - w**2 * q**2)
-
-            oracle, _ = quad(lagrangian, 0.0, tau, epsabs=1e-25, epsrel=1e-13)
-            closed = segment_action(mass, q0, v0, w, tau)
-            assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-25)
-
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             free_evolution(ModeState(), 1e6, -1.0)
@@ -90,15 +66,14 @@ class TestFreeEvolution:
 
 class TestApplyKick:
     def test_symmetric_kick_skips_stretch_mode(self, chain2):
-        states = [ModeState(), ModeState()]
-        out = apply_kick(states, chain2, 1, (1, 1), (0, 1))
-        assert out[1].velocity == 0.0
-        assert out[0].velocity != 0.0
+        out = propagate(KickTrain((0.0,), (1,), (0, 1)), chain2, (1, 1))
+        assert out.velocities[1] == 0.0
+        assert out.velocities[0] != 0.0
 
     def test_antisymmetric_kick_skips_com_mode(self, chain2):
-        out = apply_kick([ModeState(), ModeState()], chain2, 1, (1, -1), (0, 1))
-        assert out[0].velocity == 0.0
-        assert out[1].velocity != 0.0
+        out = propagate(KickTrain((0.0,), (1,), (0, 1)), chain2, (1, -1))
+        assert out.velocities[0] == 0.0
+        assert out.velocities[1] != 0.0
 
     def test_single_kick_cat_size(self, chain5):
         # |alpha| = 2 eta |s_mu b_mu + s_nu b_nu| for a kick from rest.
@@ -112,15 +87,9 @@ class TestApplyKick:
                 2 * chain5.lamb_dicke * np.abs(coupling), rel=1e-12
             )
 
-    def test_positions_and_action_unchanged(self, chain2):
-        states = [ModeState(position=1e-9, accumulated_action=3.0)] * 2
-        out = apply_kick(states, chain2, -1, (1, 1), (0, 1))
-        assert out[0].position == 1e-9
-        assert out[0].accumulated_action == 3.0
-
     def test_rejects_equal_targets(self, chain2):
         with pytest.raises(ValueError):
-            apply_kick([ModeState()] * 2, chain2, 1, (1, 1), (1, 1))
+            propagate(KickTrain((0.0,), (1,), (1, 1)), chain2, (1, 1))
 
 
 class TestPropagate:
@@ -186,9 +155,6 @@ class TestPropagate:
             ode = propagate_linear_ode(train, chain5, (1, -1))
             assert ode.total_phase == pytest.approx(exact.total_phase, abs=1e-10)
             assert np.max(np.abs(ode.alphas - exact.alphas)) < 1e-10
-            assert np.max(np.abs(ode.actions - exact.actions)) < 1e-10 * max(
-                1e-34, np.max(np.abs(exact.actions))
-            )
 
     def test_trajectory_samples_cover_kicks(self, chain2):
         train = KickTrain((-2e-7, 3e-7), (-1, 1), (0, 1))
@@ -233,7 +199,6 @@ class TestEntanglingPhase:
             velocities=results[0].velocities,
             alphas=results[0].alphas,
             mode_phases=results[0].mode_phases,
-            actions=results[0].actions,
             total_phase=results[0].total_phase + 1.0,
         )
         with pytest.raises(PhaseSymmetryError):
@@ -398,10 +363,9 @@ def _reference_propagate(train, chain, basis_state):
     q = np.zeros(n)
     v = np.zeros(n)
     phase = np.zeros(n)
-    action = np.zeros(n)
     if train.num_kicks == 0:
         return TrajectoryResult(tuple(basis_state), q, v, np.zeros(n, dtype=complex),
-                                phase, action, 0.0)
+                                phase, 0.0)
 
     t_cur = train.kick_times[0]
     m_over_2h = chain.ion_mass / (2.0 * CONSTANTS.hbar)
@@ -409,10 +373,6 @@ def _reference_propagate(train, chain, basis_state):
         tau = t_k - t_cur
         if tau > 0.0:
             c, s = np.cos(w * tau), np.sin(w * tau)
-            c2, s2 = np.cos(2.0 * w * tau), np.sin(2.0 * w * tau)
-            action += 0.5 * chain.ion_mass * (
-                (v**2 - w**2 * q**2) * s2 / (2.0 * w) + q * v * (c2 - 1.0)
-            )
             q, v = q * c + (v / w) * s, v * c - w * q * s
             t_cur = t_k
         dv = sign * dv_unit
@@ -425,13 +385,12 @@ def _reference_propagate(train, chain, basis_state):
     v0 = v * c + w * q * s
     scale = np.sqrt(chain.ion_mass * w / (2.0 * CONSTANTS.hbar))
     alphas = scale * (q0 + 1j * v0 / w)
-    return TrajectoryResult(tuple(basis_state), q, v, alphas, phase, action,
-                            float(np.sum(phase)))
+    return TrajectoryResult(tuple(basis_state), q, v, alphas, phase, float(np.sum(phase)))
 
 
 def _assert_identical(result, expected):
     assert result.basis_state == expected.basis_state
-    for field in ("positions", "velocities", "alphas", "mode_phases", "actions"):
+    for field in ("positions", "velocities", "alphas", "mode_phases"):
         assert np.array_equal(getattr(result, field), getattr(expected, field)), field
     assert result.total_phase == expected.total_phase
 
