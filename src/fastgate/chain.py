@@ -300,7 +300,7 @@ class ChainModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainModel":
-        return cls(
+        chain = cls(
             positions=np.asarray(data["positions_m"], dtype=float),
             mode_frequencies=np.asarray(data["mode_freqs_rad_s"], dtype=float),
             mode_couplings=np.asarray(data["couplings"], dtype=float),
@@ -308,6 +308,11 @@ class ChainModel:
             ion_mass=float(data["ion_mass_kg"]),
             wavenumber=float(data["wavenumber_m"]),
         )
+        n = chain.num_ions
+        if not (chain.positions.shape == chain.mode_frequencies.shape
+                == chain.lamb_dicke.shape == (n,) and chain.mode_couplings.shape == (n, n)):
+            raise ValueError(f"chain arrays do not all fit {n} ions")
+        return chain
 
     @classmethod
     def from_json(cls, text: str) -> "ChainModel":

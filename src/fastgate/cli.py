@@ -113,10 +113,9 @@ def _result_document(config: RunConfig, chain: ChainModel, result: OptimizationR
 
 
 def _optimize_once(config: RunConfig, threads: int):
+    stage1_config = config.stage1_config()  # checks the targets and nbar before any work
     chain = build_chain(config.trap)
-    result = optimize_gate(
-        chain, config.stage1_config(), config.stage2, seed=config.seed, threads=threads
-    )
+    result = optimize_gate(chain, stage1_config, config.stage2, seed=config.seed, threads=threads)
     return chain, result
 
 
@@ -202,19 +201,19 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
     rows = []
 
     if variable == "num_ions":
-        for value in config.sweep_values:
-            n = int(value)
+        # every swept N is checked before the first run
+        stage1_configs = [config.stage1_config(num_ions=n) for n in config.sweep_values]
+        for n, stage1_config in zip(config.sweep_values, stage1_configs):
             chain = build_chain(replace(config.trap, num_ions=n))
             result = optimize_gate(
-                chain, config.stage1_config(num_ions=n), config.stage2,
-                seed=config.seed, threads=threads,
+                chain, stage1_config, config.stage2, seed=config.seed, threads=threads
             )
             rows.append(_sweep_row(variable, n, result.report,
                                    1.0 - result.adjusted_fidelity, result))
             print(f"num_ions={n}: ideal {result.report.ideal_infidelity:.3e}")
     elif variable == "repetition_rate":
+        stage1_config = config.stage1_config()  # checks the targets and nbar before any work
         chain = build_chain(config.trap)
-        stage1_config = config.stage1_config()
         candidates, _ = stage1(chain, stage1_config, seed=config.seed, threads=threads)
         for value in config.sweep_values:
             stage2_config = replace(config.stage2, repetition_rate=value * 1e6)
@@ -310,6 +309,12 @@ def _read_result_document(path: str):
         counting = document["provenance"]["config"]["stage1"]["pulse_counting"]
         if counting not in ("pi_pulses", "sdks"):
             raise ValueError(f"unknown pulse counting {counting!r}")
+        targets = train.target_ions
+        if not (len(set(targets)) == len(targets) == 2
+                and all(0 <= ion < chain.num_ions for ion in targets)):
+            raise ValueError(f"train targets {list(targets)} are not two ions of the "
+                             f"{chain.num_ions}-ion chain")
+        thermal.occupations(chain.mode_frequencies)  # a per-mode nbar list must fit the chain
     except KeyError as exc:
         raise ConfigError(f"stored result {path} lacks key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:

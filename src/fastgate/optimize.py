@@ -64,7 +64,6 @@ from .fidelity import (
     pulse_error_factor,
 )
 from .sequence import (
-    BurstOverlap,
     GridResolutionError,
     KickTrain,
     PulseGroupSequence,
@@ -443,12 +442,8 @@ def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int 
     for cand in merged:
         leaders.setdefault(cand.design_gate_time, cand)
     chosen = sorted(leaders.values(), key=Stage1Candidate.sort_key)[: config.top_k]
-    taken = set(map(id, chosen))
-    for cand in merged:
-        if len(chosen) >= config.top_k:
-            break
-        if id(cand) not in taken:
-            chosen.append(cand)
+    # candidates compare by identity (eq=False)
+    chosen += [c for c in merged if c not in chosen][: config.top_k - len(chosen)]
     return chosen, telemetry
 
 
@@ -553,11 +548,13 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
     the box; `fun(x, lanes)` gets the rows still running with their lane
     indices and returns (rows, residuals) residuals and a (rows, residuals,
     d) Jacobian.  All lanes advance one iteration at a time, each doing
-    exactly the arithmetic it would do alone, and a lane that stops drops
-    out of the stack.  Every running lane evaluates once
-    per iteration, so the lanes share one count against `budget`.
-    `stop(finished, cost)`, if given, is called before each iteration and
-    once every lane has stopped, with which lanes have stopped and their
+    exactly the arithmetic it would do alone.  A lane that stops drops out
+    of the stack at the top of the next iteration; one that stops on its
+    step length still evaluates that step, but keeps its point.  Every
+    running lane evaluates once per iteration, so the lanes share one count
+    against `budget`.  `stop(finished, cost)`, if given, is called once per
+    iteration, right after that iteration's retirements, and once more
+    after every lane has stopped, with which lanes have stopped and their
     final costs; returning True abandons the lanes still running, whose
     results are then NaN.  Returns (sum r^2, x) per lane.
     """
@@ -572,39 +569,25 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
     cost = _rowdot(r, r)
     damping = np.full(len(x), 1e-3)
     growth = np.full(len(x), 2.0)
-
-    def retire(done):
-        stopped = lanes[done]
-        finished[stopped] = True
-        best_cost[stopped] = cost[done]
-        best_x[stopped] = x[done]
-        return ~done
-
-    while not (stop is not None and stop(finished, best_cost)) and len(lanes):
+    ended = np.zeros(len(x), dtype=bool)  # stopped on the step length or cost decrease
+    while True:
         grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
         free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
-        done = (cost <= 0.0) | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
+        done = ended | (cost <= 0.0) | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
         if evaluations >= budget:
             done[:] = True
         if done.any():
-            keep = retire(done)
+            stopped = lanes[done]
+            finished[stopped], best_cost[stopped], best_x[stopped] = True, cost[done], x[done]
             lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper = (
-                a[keep]
+                a[~done]
                 for a in (lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper)
             )
-            if not len(lanes):
-                continue
+        if (stop is not None and stop(finished, best_cost)) or not len(lanes):
+            return best_cost, best_x
         x_new = np.minimum(np.maximum(x + _damped_steps(jac, grad, free, damping), lower), upper)
         delta = x_new - x
-        done = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
-        if done.any():
-            keep = retire(done)
-            lanes, x, r, jac, cost, damping, growth, x_new, delta, lower, upper = (
-                a[keep]
-                for a in (lanes, x, r, jac, cost, damping, growth, x_new, delta, lower, upper)
-            )
-            if not len(lanes):
-                continue
+        ended = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
         linear = r + (jac @ delta[:, :, None])[:, :, 0]
         predicted = cost - _rowdot(linear, linear)
         r_new, jac_new = fun(x_new, lanes)
@@ -612,7 +595,7 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
         cost_new = _rowdot(r_new, r_new)
         # Nielsen's damping rule, floored because J^T J is singular when the
         # fit has fewer residuals than free variables
-        accepted = (predicted > 0.0) & (cost_new < cost)
+        accepted = ~ended & (predicted > 0.0) & (cost_new < cost)
         gain = cost - cost_new
         ratio = np.divide(gain, predicted, out=np.zeros_like(gain), where=accepted)
         # Python's float power, as a lone fit computes it: numpy's vectorised
@@ -624,17 +607,11 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
             damping * growth,
         )
         growth = np.where(accepted, 2.0, 2.0 * growth)
-        converged = accepted & (gain <= _LM_TOL * cost)
+        ended |= accepted & (gain <= _LM_TOL * cost)
         x = np.where(accepted[:, None], x_new, x)
         r = np.where(accepted[:, None], r_new, r)
         jac = np.where(accepted[:, None, None], jac_new, jac)
         cost = np.where(accepted, cost_new, cost)
-        if converged.any():
-            keep = retire(converged)
-            lanes, x, r, jac, cost, damping, growth, lower, upper = (
-                a[keep] for a in (lanes, x, r, jac, cost, damping, growth, lower, upper)
-            )
-    return best_cost, best_x
 
 
 def _burst_floors(counts, period):
@@ -927,7 +904,7 @@ def _expand(half_sizes, half_times, targets, rate, phase=0.0):
             [z for z, _ in kept], [t for _, t in kept], targets, 2.0 * kept[-1][1]
         )
         return sequence, expand_groups(sequence, rate, grid_phase=phase)
-    except (BurstOverlap, GridResolutionError, ValueError):
+    except ValueError:  # BurstOverlap and GridResolutionError among them
         return None
 
 

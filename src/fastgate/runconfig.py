@@ -22,6 +22,8 @@ class ConfigError(ValueError):
 
 
 SWEEP_VARIABLES = ("num_ions", "repetition_rate", "epsilon", "temperature", "jitter")
+# The most entries a {start, stop, step} scan or a start/stop/steps sweep may expand to
+ENTRY_LIMIT = 10_000
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -35,13 +37,26 @@ def _get_number(block: dict, key: str, where: str, default=None, positive=False)
     return None if value is None else _number(value, f"{where}.{key}", positive)
 
 
+def _float(value) -> float | None:
+    """A JSON number as a float, infinite when it is an integer past the
+    float range; None for a boolean, string or anything else."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _number(value, name: str, positive=False) -> float:
-    """`value` as a float; a JSON boolean, string or non-finite value is not a number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    """`value` as a float; a JSON boolean, string, non-finite value or
+    integer past the float range is not a number."""
+    number = _float(value)
+    if number is None or not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number")
-    if positive and not value > 0:
+    if positive and not number > 0:
         raise ConfigError(f"{name} must be positive")
-    return float(value)
+    return number
 
 
 def _get_int(block: dict, key: str, name: str, default=None, least=None):
@@ -85,8 +100,13 @@ class RunConfig:
         return pair
 
     def stage1_config(self, num_ions: int | None = None) -> Stage1Config:
-        """`stage1` with its targets resolved for `num_ions` ions."""
-        return replace(self.stage1, targets=self.resolved_targets(num_ions))
+        """`stage1` with its targets resolved for `num_ions` ions; a per-mode
+        nbar list must have one entry per mode."""
+        n = num_ions if num_ions is not None else self.trap.num_ions
+        nbar = self.thermal.nbar
+        if isinstance(nbar, tuple) and len(nbar) not in (1, n):
+            raise ConfigError(f"thermal.nbar has {len(nbar)} entries for {n} modes")
+        return replace(self.stage1, targets=self.resolved_targets(n))
 
 
 def _parse_trap(block: dict) -> TrapConfig:
@@ -137,13 +157,15 @@ def _parse_thermal(block: dict) -> ThermalSpec:
 def _parse_targets(value):
     if value in ("edge", "middle"):
         return value
-    if (
+    if not (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value)
     ):
-        return (value[0], value[1])
-    raise ConfigError('stage1.targets must be "edge", "middle", or a pair of ion indices')
+        raise ConfigError('stage1.targets must be "edge", "middle", or a pair of ion indices')
+    if abs(value[0] - value[1]) != 1:
+        raise ConfigError(f"stage1.targets {list(value)} is not a neighbouring pair of ions")
+    return (value[0], value[1])
 
 
 def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
@@ -163,7 +185,10 @@ def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
             step = _get_number(scan, "step", "scan", positive=True)
             if None in (start, stop, step) or stop < start:
                 raise ConfigError("stage1.gate_time_scan_us needs start <= stop and a step")
-            count = int(round((stop - start) / step)) + 1
+            span = (stop - start) / step  # infinite when the step is tiny against the range
+            if span >= ENTRY_LIMIT:
+                raise ConfigError(f"stage1.gate_time_scan_us has more than {ENTRY_LIMIT} entries")
+            count = int(round(span)) + 1
             values = [start + k * step for k in range(count) if start + k * step <= stop + 1e-12]
         elif isinstance(scan, list) and scan:
             values = [_number(v, "stage1.gate_time_scan_us entry", positive=True) for v in scan]
@@ -219,15 +244,17 @@ def _parse_sweep(block: dict):
         values = block["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        values = [_float(v) for v in values]
+        if None in values:
             raise ConfigError("sweep.values must be numbers")
-        values = [float(v) for v in values]
     else:
         start = _get_number(block, "start", "sweep")
         stop = _get_number(block, "stop", "sweep")
         steps = _get_int(block, "steps", "sweep.steps")
         if start is None or stop is None or steps is None or steps < 2:
             raise ConfigError("sweep needs values, or start/stop with steps >= 2")
+        if steps > ENTRY_LIMIT:
+            raise ConfigError(f"sweep has more than {ENTRY_LIMIT} steps")
         values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("sweep values must be finite")

@@ -256,6 +256,36 @@ class TestEvaluateInputErrors:
         assert code == 2
         assert len(lines) == 1 and "'chain'" in lines[0]
 
+    @pytest.fixture(scope="class")
+    def stored_n5(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("n5")
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["trap"]["num_ions"] = 5
+        data["stage1"].update(targets=[2, 3], gate_time_scan_us=[1.0], top_k=1)
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        return json.loads((out / "result.json").read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["chain"].update(couplings=d["chain"]["couplings"][:-1]),
+         "chain arrays do not all fit 5 ions"),
+        (lambda d: d["chain"].update(mode_freqs_rad_s=d["chain"]["mode_freqs_rad_s"][:-1]),
+         "chain arrays do not all fit 5 ions"),
+        (lambda d: d["train"].update(targets=[7, 8]),
+         "train targets [7, 8] are not two ions of the 5-ion chain"),
+        (lambda d: d["train"].update(targets=[2, 2]),
+         "train targets [2, 2] are not two ions of the 5-ion chain"),
+        (lambda d: d["thermal"].update(nbar=[0.1, 0.2, 0.3]), "expected 5 occupations, got 3"),
+    ], ids=["couplings", "mode_freqs", "targets", "same_target", "nbar"])
+    def test_parts_that_do_not_fit_together(self, stored_n5, tmp_path, capsys, edit, message):
+        data = json.loads(json.dumps(stored_n5))
+        edit(data)
+        path = tmp_path / "mismatched.json"
+        path.write_text(json.dumps(data))
+        code, lines = self._exit_and_message(["evaluate", str(path)], capsys)
+        assert code == 2
+        assert len(lines) == 1 and message in lines[0]
+
 
 class TestSweepCommand:
     def test_epsilon_sweep(self, tmp_path):
@@ -512,10 +542,13 @@ class TestConfigErrorsBeforeRunning:
         ("stage1", {"group_count": 8.0}, "stage1.group_count must be a positive integer"),
         ("stage1", {"pulse_counting": "bogus"}, "pulse_counting"),
         ("stage2", {"local_restarts": 50}, "local_restarts must be in 0..7"),
+        ("stage1", {"targets": [0, 0]}, "stage1.targets [0, 0] is not a neighbouring pair"),
+        ("stage1", {"targets": [0, 2]}, "stage1.targets [0, 2] is not a neighbouring pair"),
+        ("thermal", {"nbar": [0.1, 0.2, 0.3]}, "thermal.nbar has 3 entries for 2 modes"),
     ])
     def test_optimize_exits_2_with_one_line(self, tmp_path, capsys, block, setting, message):
         data = json.loads(json.dumps(FAST_OPTIMIZE))
-        data[block].update(setting)
+        data.setdefault(block, {}).update(setting)
         config = write_config(tmp_path, data)
         out = tmp_path / "o"
         assert main(["--config", config, "--out", str(out), "optimize"]) == 2
@@ -569,6 +602,29 @@ class TestConfigErrorsBeforeRunning:
         assert len(lines) == 1 and f"sweep over {variable}" in lines[0]
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("block, setting, values, message", [
+        ("thermal", {"nbar": [0.1, 0.2]}, [2, 3], "thermal.nbar has 2 entries for 3 modes"),
+        ("stage1", {"targets": [2, 3]}, [5, 3], "target ions (2, 3) out of range for 3 ions"),
+    ], ids=["nbar", "targets"])
+    def test_num_ions_sweep_checks_every_count_before_running(
+        self, tmp_path, capsys, monkeypatch, block, setting, values, message
+    ):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before every N was checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data.setdefault(block, {}).update(setting)
+        data["sweep"] = {"variable": "num_ions", "values": values}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("sweep, message", [
         ({"variable": "epsilon", "values": ["abc"]}, "sweep.values must be numbers"),
         ({"variable": "temperature", "values": [None]}, "sweep.values must be numbers"),
@@ -576,6 +632,11 @@ class TestConfigErrorsBeforeRunning:
         ({"variable": "num_ions", "values": [math.nan]}, "sweep values must be finite"),
         ({"variable": "num_ions", "start": 2, "stop": math.inf, "steps": 3},
          "sweep.stop must be a finite number"),
+        ({"variable": "epsilon", "values": [10**400]}, "sweep values must be finite"),
+        ({"variable": "epsilon", "start": 0, "stop": 10**400, "steps": 3},
+         "sweep.stop must be a finite number"),
+        ({"variable": "epsilon", "start": 0.0, "stop": 1e-3, "steps": 10_001},
+         "sweep has more than 10000 steps"),
     ])
     def test_sweep_value_not_a_finite_number_exits_2(self, tmp_path, capsys, sweep, message):
         data = json.loads(json.dumps(FAST_OPTIMIZE))
@@ -603,6 +664,12 @@ class TestConfigErrorsBeforeRunning:
         ("thermal", {"nbar": math.inf}, "thermal.nbar must be a finite number"),
         ("thermal", {"nbar": [0.1, True]}, "thermal.nbar entry must be a finite number"),
         ("thermal", {"nbar": [0.1, math.inf]}, "thermal.nbar entry must be a finite number"),
+        ("thermal", {"nbar": 10**400}, "thermal.nbar must be a finite number"),
+        ("thermal", {"nbar": [0.1, 10**400]}, "thermal.nbar entry must be a finite number"),
+        ("stage2", {"repetition_rate_mhz": 10**400},
+         "stage2.repetition_rate_mhz must be a finite number"),
+        ("stage1", {"gate_time_scan_us": {"start": 1.0, "stop": 10_001.0, "step": 1.0}},
+         "stage1.gate_time_scan_us has more than 10000 entries"),
     ])
     def test_number_that_is_not_finite_or_positive_exits_2(self, tmp_path, capsys, monkeypatch,
                                                            block, setting, message):

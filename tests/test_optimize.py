@@ -1041,6 +1041,50 @@ class TestLanes:
         assert np.all(np.isnan(costs[running])) and np.all(np.isnan(xs[running]))
         assert np.all(np.isfinite(costs[~running]))
 
+    def test_step_length_and_abandoned_lanes_match_lone_fits(self, chain5):
+        rng = np.random.default_rng(4)
+        d, lanes, budget = 8, 12, 60
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        sizes = rng.integers(1, 4, size=(lanes, d)) * rng.choice([-1, 1], size=(lanes, d))
+        nominal = (1e-6 / 16) * np.ones(d) / _GAP_UNIT
+        lower, upper = 0.75 * nominal, 1.25 * nominal
+        # optima up to 40 % off nominal, so many lanes end pinned at the box
+        true_gaps = nominal * (1.0 + rng.uniform(-0.4, 0.4, size=(lanes, d)))
+        offsets = np.array([
+            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            for z, g in zip(sizes, true_gaps)
+        ])
+        offsets[6:] = 0.0
+        starts = np.clip(nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(lanes, d))), lower, upper)
+        lone = []
+        for lane in range(lanes):
+            fun = gap_fit(surrogate.bind(sizes[lane]), offsets[lane])
+            cost, x = _box_least_squares(fun, starts[lane:lane + 1], lower, upper, budget)
+            lone.append((cost[0].hex(), x[0].tobytes()))
+
+        evaluations = np.zeros(lanes, dtype=int)
+        stacked = lane_fit(surrogate.bind(sizes), offsets, evaluations)
+        last = np.full_like(starts, np.nan)
+
+        def recording(x, rows):
+            last[rows] = x
+            return stacked(x, rows)
+
+        costs, xs = _box_least_squares(recording, starts, lower, upper, budget)
+        # lane 1 ends on its step length: it stops before the budget, and its
+        # last evaluated point is a rejected trial, not its result
+        assert evaluations[1] < budget and not np.array_equal(last[1], xs[1])
+        assert [(c.hex(), x.tobytes()) for c, x in zip(costs, xs)] == lone
+
+        # abandon the lanes still running once lane 1 has finished
+        costs, xs = _box_least_squares(
+            stacked, starts, lower, upper, budget, lambda finished, cost: bool(finished[1])
+        )
+        running = np.isnan(costs)
+        assert 0 < running.sum() < lanes - 1 and not running[1]
+        for lane in np.flatnonzero(~running):
+            assert (costs[lane].hex(), xs[lane].tobytes()) == lone[lane]
+
     def test_fits_keep_each_lane_above_its_burst_floors(self, chain5):
         rng = np.random.default_rng(41)
         period = 1.0 / 100e6
