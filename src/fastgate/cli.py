@@ -28,7 +28,7 @@ from .chain import (
     build_chain,
 )
 from .dynamics import PhaseSymmetryError, trajectory_samples
-from .fidelity import ThermalSpec, evaluate_train, evaluate_train_thermals
+from .fidelity import PULSE_COUNTINGS, ThermalSpec, evaluate_train, evaluate_train_thermals
 from .optimize import (
     NoCandidatesError,
     OptimizationResult,
@@ -306,8 +306,10 @@ def _read_result_document(path: str):
                   for key in ("ideal_inf", "motional_inf", "dphi", "pulses")}
         stored["adjusted_fidelity"] = float(document["adjusted_fidelity"])
         epsilon = float(document["epsilon"])
+        if not 0.0 <= epsilon < math.inf:
+            raise ValueError(f"epsilon {epsilon!r} is not a non-negative finite number")
         counting = document["provenance"]["config"]["stage1"]["pulse_counting"]
-        if counting not in ("pi_pulses", "sdks"):
+        if counting not in PULSE_COUNTINGS:
             raise ValueError(f"unknown pulse counting {counting!r}")
         targets = train.target_ions
         if not (len(set(targets)) == len(targets) == 2

@@ -37,6 +37,7 @@ from .dynamics import propagate  # noqa: F401
 from .sequence import KickTrain, PulseGroupSequence
 
 PHASE_TARGET = math.pi / 4.0
+PULSE_COUNTINGS = ("pi_pulses", "sdks")  # the names `pulse_count_for` knows
 
 
 def thermal_occupation(temperature: float, mode_frequency: float) -> float:

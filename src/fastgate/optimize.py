@@ -55,6 +55,7 @@ import numpy as np
 from .chain import ChainModel
 from .fidelity import (
     PHASE_TARGET,
+    PULSE_COUNTINGS,
     GateReport,
     ThermalSpec,
     _TimingCost,
@@ -72,7 +73,7 @@ from .sequence import (
 )
 
 DEFAULT_GATE_TIME_SCAN = tuple(0.5e-6 + 50e-9 * k for k in range(21))  # 0.5-1.5 us
-DEFAULT_BOUND_SCHEDULE = tuple(range(1, 11))
+EXHAUSTIVE_LIMIT = 20000  # the most size vectors stage 1 enumerates at one bound
 _GAP_UNIT = 1e-7  # seconds; rescales the stage-2 gap variables to O(1)
 
 
@@ -94,12 +95,11 @@ class Stage1Config:
     targets: tuple
     group_count: int | None = None          # even; None -> edge/middle default
     gate_time_scan: tuple = DEFAULT_GATE_TIME_SCAN   # s
-    z_bound_schedule: tuple = DEFAULT_BOUND_SCHEDULE
+    z_bound_max: int = 10                   # the per-group |z| bound rises 1, 2, ..., z_bound_max
     thermal: ThermalSpec = ThermalSpec(nbar=0.1)
     epsilon: float = 1e-5                   # pulse error used for model selection
     top_k: int = 10
     restarts: int = 8
-    exhaustive_limit: int = 20000
     max_sdks: int = 100
     pulse_counting: str = "pi_pulses"
 
@@ -108,12 +108,9 @@ class Stage1Config:
             raise ValueError("group_count must be a positive even integer")
         if not self.gate_time_scan:
             raise ValueError("gate_time_scan must be non-empty")
-        bounds = self.z_bound_schedule
-        if any(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1)):
-            raise ValueError("z_bound_schedule must be strictly increasing")
-        if self.epsilon < 0.0 or self.top_k < 1 or self.restarts < 0:
+        if self.epsilon < 0.0 or self.top_k < 1 or self.restarts < 0 or self.z_bound_max < 1:
             raise ValueError("invalid stage-1 configuration")
-        if self.pulse_counting not in ("pi_pulses", "sdks"):
+        if self.pulse_counting not in PULSE_COUNTINGS:
             raise ValueError('pulse_counting must be "pi_pulses" or "sdks"')
 
 
@@ -148,13 +145,13 @@ class CostModel:
     a row gets the same bits alone or in any stack, and z and -z score equal.
     """
 
-    def __init__(self, chain, targets, half_times, thermal, epsilon, counting, max_sdks):
-        kernel = _TimingCost(chain, targets, thermal)
+    def __init__(self, chain, config: Stage1Config, half_times):
+        kernel = _TimingCost(chain, config.targets, config.thermal)
         self.phase_quadratic, self.scaled = kernel.fixed_timing_forms(half_times)
         self.residual_quadratic = self.scaled.T @ self.scaled
-        self.epsilon = epsilon
-        self.counting = counting
-        self.max_sdk_half = max_sdks // 2
+        self.epsilon = config.epsilon
+        self.counting = config.pulse_counting
+        self.max_sdk_half = config.max_sdks // 2
         self.evaluations = 0
 
     def ideal_infidelity(self, z: np.ndarray):
@@ -325,10 +322,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
     n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
     d = n_k // 2
     half_times = [gate_time * ((j + 1) / n_k) for j in range(d)]
-    model = CostModel(
-        chain, config.targets, half_times, config.thermal,
-        config.epsilon, config.pulse_counting, config.max_sdks,
-    )
+    model = CostModel(chain, config, half_times)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, tg_index)))
 
     pool: dict[tuple, tuple[float, int]] = {}
@@ -339,10 +333,8 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
             pool[key] = (float(cost), bound)
 
     warm: list[np.ndarray] = [np.zeros(d, dtype=int)]
-    final_bound = config.z_bound_schedule[-1]
-    for bound in config.z_bound_schedule:
-        combos = (2 * bound + 1) ** d
-        if combos <= config.exhaustive_limit:
+    for bound in range(1, config.z_bound_max + 1):
+        if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT:
             grid = _size_grid(d, bound)
             grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
             costs = model.selection_cost(grid)
@@ -356,7 +348,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
             for _ in range(config.restarts):
                 z = rng.integers(-bound, bound + 1, size=d)
                 starts.append(_clip_to_sdk_cap(z, model.max_sdk_half))
-            if bound == final_bound:
+            if bound == config.z_bound_max:
                 starts.extend(
                     _clip_to_sdk_cap(z, model.max_sdk_half)
                     for z in _continuous_seeds(model, bound, rng)
@@ -395,16 +387,13 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
     return candidates, model.evaluations
 
 
-def _stage1_task(args):
-    return _stage1_single_gate_time(*args)
-
-
 def _map_ordered(fn, items, threads):
-    """Deterministic work pool: results always merged in submission order."""
+    """`fn(*item)` for each argument tuple of `items`, in a deterministic
+    work pool: results always merged in submission order."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+        return list(pool.map(fn, *zip(*items), chunksize=1))
 
 
 def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int = 1):
@@ -424,7 +413,7 @@ def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int 
         (chain, config, gate_time, idx, seed)
         for idx, gate_time in enumerate(config.gate_time_scan)
     ]
-    outputs = _map_ordered(_stage1_task, tasks, threads)
+    outputs = _map_ordered(_stage1_single_gate_time, tasks, threads)
 
     merged: list[Stage1Candidate] = []
     evaluations = 0
@@ -979,15 +968,15 @@ def _anchored_windows(half_times, gap_lo, gap_hi, period):
     return None if np.any(high < low) else (low, high)
 
 
-def _stage2_result(candidate, gate, evaluations, chain, thermal, epsilon, seed, counting):
+def _stage2_result(candidate, gate, evaluations, chain, config, seed):
     """The `OptimizationResult` of a (sequence, train) gate refined from
-    `candidate`, scored on its trajectories."""
+    `candidate`, scored on its trajectories under the stage-1 `config`."""
     sequence, train = gate
-    report = evaluate_train(train, chain, thermal, counting=counting)
+    report = evaluate_train(train, chain, config.thermal, counting=config.pulse_counting)
     return OptimizationResult(
-        sequence=sequence, train=train, report=report, epsilon=epsilon,
-        adjusted_fidelity=report.adjusted_fidelity(epsilon), thermal=thermal, seed=seed,
-        telemetry={
+        sequence=sequence, train=train, report=report, epsilon=config.epsilon,
+        adjusted_fidelity=report.adjusted_fidelity(config.epsilon), thermal=config.thermal,
+        seed=seed, telemetry={
             "stage2_evaluations": evaluations,
             "stage1_ideal_infidelity": candidate.ideal_infidelity,
             "bound_at_optimum": candidate.bound_found,
@@ -999,13 +988,9 @@ def _stage2_result(candidate, gate, evaluations, chain, thermal, epsilon, seed, 
 def stage2(
     candidate: Stage1Candidate,
     chain: ChainModel,
-    config: Stage2Config,
-    thermal: ThermalSpec,
-    epsilon: float,
+    stage1_config: Stage1Config,
+    stage2_config: Stage2Config,
     seed: int = 0,
-    counting: str = "pi_pulses",
-    max_sdks: int = 100,
-    z_bound: int = DEFAULT_BOUND_SCHEDULE[-1],
 ) -> OptimizationResult:
     """Refine one candidate on the repetition-rate grid.
 
@@ -1023,30 +1008,33 @@ def stage2(
     not, the joint paths, whose fits keep every gap at or above the burst
     floor of its sizes, may still give a gate.  Raises
     `GridResolutionError` only when no path gives a timing the grid
-    expresses inside the windows.  Integer moves keep every group
-    within `z_bound` and the gate within `max_sdks` SDKs, the limits stage 1
-    searched under.  `stage2_evaluations` counts the on-grid surrogate
-    evaluations.
+    expresses inside the windows.  Stage 2 searches under `stage1_config`'s
+    thermal state, pulse error, pulse counting and limits: integer moves
+    keep every group within `z_bound_max` (or the candidate's largest
+    group) and the gate within `max_sdks` SDKs.  `stage2_evaluations`
+    counts the on-grid surrogate evaluations.
     """
-    rate = config.repetition_rate
+    rate = stage2_config.repetition_rate
     base = candidate.sequence.trimmed()
     targets = base.target_ions
     sizes0 = [z for z in base.half_sizes if z != 0]
     times0 = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
     if not sizes0:
         gate = (base, expand_groups(base, rate))
-        return _stage2_result(candidate, gate, 0, chain, thermal, epsilon, seed, counting)
+        return _stage2_result(candidate, gate, 0, chain, stage1_config, seed)
 
     gaps0 = np.diff(np.concatenate([[0.0], times0]))
-    gap_lo = (1.0 - config.timing_variation) * gaps0
-    gap_hi = (1.0 + config.timing_variation) * gaps0
-    timing_cost = _TimingCost(chain, targets, thermal, period=1.0 / rate)
-    scorer = functools.partial(_adjusted_cost, epsilon=epsilon, counting=counting)
+    gap_lo = (1.0 - stage2_config.timing_variation) * gaps0
+    gap_hi = (1.0 + stage2_config.timing_variation) * gaps0
+    timing_cost = _TimingCost(chain, targets, stage1_config.thermal, period=1.0 / rate)
+    scorer = functools.partial(_adjusted_cost, epsilon=stage1_config.epsilon,
+                               counting=stage1_config.pulse_counting)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
 
     joint = _joint_paths(
-        timing_cost, sizes0, times0, gap_lo, gap_hi, max(max(map(abs, sizes0)), z_bound),
-        max_sdks // 2, config.local_restarts, scorer, rng,
+        timing_cost, sizes0, times0, gap_lo, gap_hi,
+        max(max(map(abs, sizes0)), stage1_config.z_bound_max),
+        stage1_config.max_sdks // 2, stage2_config.local_restarts, scorer, rng,
     )
     # Seed path: the stage-1 sizes and timings polished within the stage-1
     # windows (the never-worse-than-seed guarantee); a phase whose snapped
@@ -1074,10 +1062,10 @@ def stage2(
             f"repetition rate {rate:.3g} Hz cannot express any timing found "
             f"for gate time {candidate.design_gate_time:.3g} s"
         )
-    return _stage2_result(candidate, gate, evaluations, chain, thermal, epsilon, seed, counting)
+    return _stage2_result(candidate, gate, evaluations, chain, stage1_config, seed)
 
 
-def _stage2_task(args):
+def _stage2_task(*args):
     """Stage 2 of one candidate, returning rather than raising the error of a
     candidate the repetition rate cannot express, in a worker as in-process."""
     try:
@@ -1100,12 +1088,7 @@ def refine_candidates(
     instead of aborting the batch.  Returns the results and the number of
     candidates dropped; raises `GridResolutionError` when none is left.
     """
-    tasks = [
-        (c, chain, stage2_config, stage1_config.thermal, stage1_config.epsilon,
-         seed, stage1_config.pulse_counting, stage1_config.max_sdks,
-         stage1_config.z_bound_schedule[-1])
-        for c in candidates
-    ]
+    tasks = [(c, chain, stage1_config, stage2_config, seed) for c in candidates]
     outcomes = _map_ordered(_stage2_task, tasks, threads)
     results = [o for o in outcomes if isinstance(o, OptimizationResult)]
     if not results:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .chain import TrapConfig
 from .constants import CONSTANTS
 from .fidelity import ThermalSpec
-from .optimize import Stage1Config, Stage2Config
+from .optimize import EXHAUSTIVE_LIMIT, Stage1Config, Stage2Config
 
 
 class ConfigError(ValueError):
@@ -78,7 +78,6 @@ class RunConfig:
     """Validated, SI-normalised run description."""
 
     trap: TrapConfig
-    thermal: ThermalSpec
     stage1: Stage1Config       # targets: (mu, nu) pair or "edge" / "middle"
     stage2: Stage2Config
     sweep_variable: str | None
@@ -103,7 +102,7 @@ class RunConfig:
         """`stage1` with its targets resolved for `num_ions` ions; a per-mode
         nbar list must have one entry per mode."""
         n = num_ions if num_ions is not None else self.trap.num_ions
-        nbar = self.thermal.nbar
+        nbar = self.stage1.thermal.nbar
         if isinstance(nbar, tuple) and len(nbar) not in (1, n):
             raise ConfigError(f"thermal.nbar has {len(nbar)} entries for {n} modes")
         return replace(self.stage1, targets=self.resolved_targets(n))
@@ -195,13 +194,11 @@ def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
         else:
             raise ConfigError("stage1.gate_time_scan_us must be a list or {start, stop, step}")
         kwargs["gate_time_scan"] = tuple(v * 1e-6 for v in values)
-    bound = _get_int(block, "z_bound_max", "stage1.z_bound_max", least=1)
-    if bound is not None:
-        kwargs["z_bound_schedule"] = tuple(range(1, bound + 1))
     for key in ("epsilon",):
         if key in block:
             kwargs[key] = _get_number(block, key, "stage1")
-    for key, least in (("group_count", 1), ("top_k", 1), ("restarts", 0), ("max_sdks", 0)):
+    for key, least in (("group_count", 1), ("top_k", 1), ("restarts", 0), ("max_sdks", 0),
+                       ("z_bound_max", 1)):
         if key in block:
             kwargs[key] = _get_int(block, key, f"stage1.{key}", least=least)
     if "pulse_counting" in block:
@@ -290,7 +287,6 @@ def load_run_config(data: dict | None) -> RunConfig:
     thermal = _parse_thermal(data.get("thermal", {}))
     return RunConfig(
         trap=trap,
-        thermal=thermal,
         stage1=_parse_stage1(data.get("stage1", {}), thermal),
         stage2=_parse_stage2(data.get("stage2", {})),
         sweep_variable=sweep_variable,
@@ -336,16 +332,16 @@ def normalized_config_dict(config: RunConfig) -> dict:
             "axial_frequency_rad_s": trap.axial_freq,
             "quartic_j_per_m4": trap.quartic,
         },
-        "thermal": config.thermal.to_json_dict(),
+        "thermal": stage1.thermal.to_json_dict(),
         "targets": stage1.targets if isinstance(stage1.targets, str) else list(stage1.targets),
         "stage1": {
             "group_count": stage1.group_count,
             "gate_time_scan_s": list(stage1.gate_time_scan),
-            "z_bound_schedule": list(stage1.z_bound_schedule),
+            "z_bound_schedule": list(range(1, stage1.z_bound_max + 1)),
             "epsilon": stage1.epsilon,
             "top_k": stage1.top_k,
             "restarts": stage1.restarts,
-            "exhaustive_limit": stage1.exhaustive_limit,
+            "exhaustive_limit": EXHAUSTIVE_LIMIT,
             "max_sdks": stage1.max_sdks,
             "pulse_counting": stage1.pulse_counting,
         },

@@ -141,6 +141,8 @@ class KickTrain:
         if np.any(t[:-1] > t[1:]):
             raise ValueError("kick times must be non-decreasing")
         if self.repetition_rate is not None:
+            if not 0.0 < self.repetition_rate < math.inf:
+                raise ValueError("repetition rate must be positive and finite")
             with np.errstate(invalid="ignore"):  # a non-finite step is off the grid
                 overlap = np.any(np.diff(t) < 1.0 / self.repetition_rate * (1.0 - 1e-9))
                 steps = (t - t[:1]) * self.repetition_rate

@@ -83,8 +83,7 @@ def gate20_parts(chain20):
     gates = {}
     for rate in (100e6, 300e6, 1000e6):
         results = [
-            stage2(c, chain20, Stage2Config(repetition_rate=rate), NBAR,
-                   config.epsilon, seed=11)
+            stage2(c, chain20, config, Stage2Config(repetition_rate=rate), seed=11)
             for c in candidates
         ]
         gates[rate] = min(results, key=lambda r: (1.0 - r.adjusted_fidelity,

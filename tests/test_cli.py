@@ -96,6 +96,7 @@ class TestModesCommand:
             "base": {},
             "max_sdks": {"stage1": {"max_sdks": 40}},
             "epsilon": {"stage1": {"epsilon": 1e-4}},
+            "z_bound_max": {"stage1": {"z_bound_max": 4}},
             "sweep": {"sweep": {"variable": "repetition_rate", "values": [100, 300]}},
         }
         provenance = {}
@@ -104,9 +105,18 @@ class TestModesCommand:
             out = tmp_path / name
             assert main(["--config", config, "--out", str(out), "modes"]) == 0
             provenance[name] = json.loads((out / "modes.json").read_text())["provenance"]
-        assert len({json.dumps(p, sort_keys=True) for p in provenance.values()}) == 4
+        assert len({json.dumps(p, sort_keys=True) for p in provenance.values()}) == 5
         assert provenance["base"]["schema_version"] == 2
         stage1 = provenance["base"]["config"]["stage1"]
+        assert list(stage1) == [
+            "group_count", "gate_time_scan_s", "z_bound_schedule", "epsilon", "top_k",
+            "restarts", "exhaustive_limit", "max_sdks", "pulse_counting",
+        ]
+        assert stage1["z_bound_schedule"] == list(range(1, 11))
+        bounded = provenance["z_bound_max"]["config"]["stage1"]
+        assert list(bounded) == list(stage1)
+        assert bounded["z_bound_schedule"] == [1, 2, 3, 4]
+        assert bounded["exhaustive_limit"] == 20000
         assert stage1["max_sdks"] == 100
         assert stage1["gate_time_scan_s"][0] == pytest.approx(0.5e-6)
         assert provenance["max_sdks"]["config"]["stage1"]["max_sdks"] == 40
@@ -276,7 +286,13 @@ class TestEvaluateInputErrors:
         (lambda d: d["train"].update(targets=[2, 2]),
          "train targets [2, 2] are not two ions of the 5-ion chain"),
         (lambda d: d["thermal"].update(nbar=[0.1, 0.2, 0.3]), "expected 5 occupations, got 3"),
-    ], ids=["couplings", "mode_freqs", "targets", "same_target", "nbar"])
+        (lambda d: d["train"].update(rep_rate_hz=0.0),
+         "repetition rate must be positive and finite"),
+        (lambda d: d["train"].update(rep_rate_hz=-3e8),
+         "repetition rate must be positive and finite"),
+        (lambda d: d.update(epsilon=-1e-5), "epsilon -1e-05 is not a non-negative finite number"),
+    ], ids=["couplings", "mode_freqs", "targets", "same_target", "nbar", "zero_rate",
+            "negative_rate", "negative_epsilon"])
     def test_parts_that_do_not_fit_together(self, stored_n5, tmp_path, capsys, edit, message):
         data = json.loads(json.dumps(stored_n5))
         edit(data)

@@ -6,6 +6,7 @@ import pytest
 
 from fastgate.constants import CONSTANTS
 from fastgate.fidelity import (
+    PULSE_COUNTINGS,
     GateReport,
     ThermalSpec,
     analytic_cost,
@@ -151,6 +152,7 @@ class TestPulseError:
         assert pulse_count_for(16, "sdks") == 16
         with pytest.raises(ValueError):
             pulse_count_for(16, "bogus")
+        assert [pulse_count_for(16, counting) for counting in PULSE_COUNTINGS] == [32, 16]
 
 
 class TestAnalyticCost:

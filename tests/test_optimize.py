@@ -57,7 +57,7 @@ def small_stage1_config(**overrides):
         targets=(0, 1),
         group_count=8,
         gate_time_scan=(0.8e-6, 1.0e-6),
-        z_bound_schedule=(1, 2),
+        z_bound_max=2,
         top_k=4,
         restarts=3,
     )
@@ -71,7 +71,7 @@ class TestCostModel:
 
         rng = np.random.default_rng(1)
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
-        model = CostModel(chain5, (2, 3), half_times, NBAR, 0.0, "pi_pulses", 100)
+        model = CostModel(chain5, Stage1Config(targets=(2, 3), epsilon=0.0), half_times)
         for _ in range(20):
             z = rng.integers(-4, 5, size=8)
             seq = PulseGroupSequence.from_half(list(z), half_times, (2, 3), 2e-6)
@@ -82,7 +82,7 @@ class TestCostModel:
     def test_batch_matches_scalar(self, chain5):
         rng = np.random.default_rng(2)
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
-        model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+        model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
         grid = rng.integers(-3, 4, size=(50, 8)).astype(float)
         batch = model.selection_cost(grid)
         for row, value in zip(grid, batch):
@@ -93,7 +93,7 @@ class TestCostModel:
     def test_forms_match_the_double_sum(self, chain2, chain5, chain20, num_ions, d):
         chain, targets = {2: (chain2, (0, 1)), 5: (chain5, (2, 3)), 20: (chain20, (0, 1))}[num_ions]
         half_times = np.array([0.9e-6 * (j + 1) / (2 * d) for j in range(d)])
-        model = CostModel(chain, targets, half_times, NBAR, 1e-5, "pi_pulses", 100)
+        model = CostModel(chain, Stage1Config(targets=targets), half_times)
         w, eta = chain.mode_frequencies, chain.lamb_dicke
         b_mu, b_nu = chain.mode_couplings[:, targets[0]], chain.mode_couplings[:, targets[1]]
         # the full slot list, mirrored half first: slot k carries size (fold @ z)_k
@@ -121,7 +121,7 @@ class TestCostModel:
         # large sizes let the squared phase term dominate the sum
         rng = np.random.default_rng(60 + d)
         half_times = [((j + 1) / (2 * d)) * 1e-6 for j in range(d)]
-        model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 2000)
+        model = CostModel(chain5, Stage1Config(targets=(2, 3), max_sdks=2000), half_times)
         stack = rng.integers(-40, 41, size=(300, d)).astype(float)
         ideal, scores = model.ideal_infidelity(stack), model.selection_cost(stack)
         assert np.array_equal(model.ideal_infidelity(-stack), ideal)
@@ -143,7 +143,7 @@ class TestCostModel:
         rng = np.random.default_rng(5)
         for d in (1, 4, 8, 9, 16):
             half_times = [((j + 1) / (2 * d)) * 1e-6 for j in range(d)]
-            model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+            model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
             stack = rng.uniform(-5.0, 5.0, size=(13, d))
             values = model.ideal_infidelity(stack)
             for z, value in zip(stack, values):
@@ -152,7 +152,7 @@ class TestCostModel:
     def test_jacobian_matches_central_differences(self, chain5):
         rng = np.random.default_rng(4)
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
-        model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+        model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
         samples = [rng.uniform(-3.0, 3.0, size=8) for _ in range(200)]
         thetas = np.array([z @ model.phase_quadratic @ z for z in samples])
         assert thetas.min() < 0.0 < thetas.max()
@@ -195,7 +195,7 @@ class TestCostModel:
 
         for n, bound in ((8, 10), (9, 4), (5, 7)):
             half_times = [(j + 1) / (2 * n) * 1e-6 for j in range(n)]
-            model = CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", 100)
+            model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
             rngs = [np.random.default_rng(90 + n) for _ in range(2)]
             expected = reference(model, bound, rngs[0])
             seeds = _continuous_seeds(model, bound, rngs[1])
@@ -242,7 +242,7 @@ class TestCoordinateDescent:
             bound = int(rng.integers(1, 8))
             max_sdks = int(rng.integers(4, 60))
             models = [
-                CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", max_sdks)
+                CostModel(chain5, Stage1Config(targets=(2, 3), max_sdks=max_sdks), half_times)
                 for _ in range(2)
             ]
             z0 = _clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
@@ -263,7 +263,8 @@ class TestCoordinateDescent:
             max_sdks = int(rng.integers(2 * d, 80))
 
             def model():
-                return CostModel(chain5, (2, 3), half_times, NBAR, 1e-5, "pi_pulses", max_sdks)
+                config = Stage1Config(targets=(2, 3), max_sdks=max_sdks)
+                return CostModel(chain5, config, half_times)
 
             starts = [_clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
                       for _ in range(10)]
@@ -299,7 +300,7 @@ class TestCoordinateDescent:
         # a unit start's only trials are 0 and its mirror, so the lanes whose
         # mirror is their best trial must stop where they start
         half_times = [(j + 1) / 16 * 1e-6 for j in range(8)]
-        models = [CostModel(chain2, (0, 1), half_times, NBAR, 1e-5, "pi_pulses", 2)
+        models = [CostModel(chain2, Stage1Config(targets=(0, 1), max_sdks=2), half_times)
                   for _ in range(2)]
         starts = np.vstack([np.eye(8, dtype=int), -np.eye(8, dtype=int)])
         z_stack, cost_stack = _coordinate_descent(models[1], starts, 1)
@@ -658,7 +659,7 @@ class TestDefaults:
         with pytest.raises(ValueError):
             Stage1Config(targets=(0, 1), group_count=7)
         with pytest.raises(ValueError):
-            Stage1Config(targets=(0, 1), z_bound_schedule=(3, 2))
+            Stage1Config(targets=(0, 1), z_bound_max=0)
         with pytest.raises(ValueError):
             Stage2Config(timing_variation=0.0)
         with pytest.raises(ValueError):
@@ -680,7 +681,7 @@ class TestStage1:
         # N_k = 4 at bound 1: the 3^2 = 9 half-vectors (antisymmetry halves
         # the free variables) are enumerable by hand.
         config = small_stage1_config(
-            group_count=4, gate_time_scan=(1.0e-6,), z_bound_schedule=(1,), top_k=9
+            group_count=4, gate_time_scan=(1.0e-6,), z_bound_max=1, top_k=9
         )
         candidates, _ = stage1(chain2, config, seed=0)
         half_times = [0.25e-6, 0.5e-6]
@@ -719,10 +720,10 @@ class TestStage1:
             stage1(chain5, small_stage1_config(targets=(0, 2)), seed=0)
 
     def test_threads_do_not_change_result(self, chain5):
-        # a small exhaustive limit sends every bound through the descent and
-        # the continuous seeds
-        config = small_stage1_config(targets=(2, 3), gate_time_scan=(0.8e-6, 0.9e-6, 1.0e-6),
-                                     z_bound_schedule=(1, 2, 3), exhaustive_limit=30)
+        # at 20 groups even bound 1 has 3^10 > EXHAUSTIVE_LIMIT size vectors,
+        # so every bound goes through the descent and the continuous seeds
+        config = small_stage1_config(targets=(2, 3), group_count=20,
+                                     gate_time_scan=(0.8e-6, 0.9e-6, 1.0e-6), z_bound_max=3)
         runs = [stage1(chain5, config, seed=6, threads=threads) for threads in (1, 2)]
 
         def fingerprint(candidates):
@@ -780,8 +781,7 @@ class TestStage2:
     def chain2_result(self, chain2):
         config = small_stage1_config()
         candidates, _ = stage1(chain2, config, seed=2)
-        result = stage2(candidates[0], chain2, Stage2Config(local_restarts=1),
-                        NBAR, config.epsilon, seed=2)
+        result = stage2(candidates[0], chain2, config, Stage2Config(local_restarts=1), seed=2)
         return candidates[0], result
 
     def test_never_worse_than_seed(self, chain2, chain2_result):
@@ -838,8 +838,8 @@ class TestStage2:
             sdk_count=seq.total_sdks, design_gate_time=8e-9, bound_found=3,
         )
         with pytest.raises((GridResolutionError, BurstOverlap)):
-            stage2(candidate, chain2, Stage2Config(repetition_rate=20e6),
-                   NBAR, 0.0, seed=0)
+            stage2(candidate, chain2, Stage1Config(targets=(0, 1), epsilon=0.0),
+                   Stage2Config(repetition_rate=20e6), seed=0)
 
     def test_inexpressible_seed_still_yields_a_gate(self, chain20):
         from fastgate.optimize import _expand
@@ -853,8 +853,8 @@ class TestStage2:
         times = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
         # the grid cannot express the snapped stage-1 seed
         assert _expand(sizes, _snapped(sizes, times, rate), base.target_ions, rate) is None
-        result = stage2(candidate, chain20, Stage2Config(repetition_rate=rate, local_restarts=0),
-                        NBAR, config.epsilon, seed=11)
+        result = stage2(candidate, chain20, config,
+                        Stage2Config(repetition_rate=rate, local_restarts=0), seed=11)
         trains = []
         for phase in (0.0, 0.5 / rate):
             try:
@@ -879,16 +879,30 @@ class TestStage2:
             sdk_count=seq.total_sdks, design_gate_time=0.2e-6, bound_found=3,
         )
         try:
-            result = stage2(candidate, chain2, Stage2Config(repetition_rate=20e6),
-                            NBAR, 0.0, seed=0)
+            result = stage2(candidate, chain2, Stage1Config(targets=(0, 1), epsilon=0.0),
+                            Stage2Config(repetition_rate=20e6), seed=0)
         except (GridResolutionError, BurstOverlap):
             return
         assert _in_windows(result.sequence.half_times, 0.75 * _gaps(times),
                            1.25 * _gaps(times), 1.0 / 20e6)
 
+    @pytest.mark.parametrize("overrides", [
+        {"pulse_counting": "sdks"}, {"max_sdks": 8}, {"z_bound_max": 1},
+    ], ids=["sdk_counting", "max_sdks", "z_bound_max"])
+    def test_direct_call_honours_its_stage1_config(self, chain2, overrides):
+        config = small_stage1_config(top_k=1, **overrides)
+        candidate = stage1(chain2, config, seed=2)[0][0]
+        result = stage2(candidate, chain2, config, Stage2Config(local_restarts=1), seed=2)
+        report = result.report
+        if config.pulse_counting == "sdks":
+            assert report.pulse_count == report.sdk_count
+        assert report.sdk_count <= config.max_sdks
+        bound = max(max(map(abs, candidate.sequence.half_sizes)), config.z_bound_max)
+        assert max(map(abs, result.sequence.half_sizes)) <= bound
+
     def test_joint_paths_stay_within_the_bound(self, chain2):
         # the 2.2x envelope start rounds to size 2 in the middle groups
-        config = small_stage1_config(z_bound_schedule=(1,), top_k=2)
+        config = small_stage1_config(z_bound_max=1, top_k=2)
         candidates, _ = stage1(chain2, config, seed=11)
         scorer = functools.partial(_adjusted_cost, epsilon=1e-5, counting="pi_pulses")
         surrogate = _TimingCost(chain2, (0, 1), NBAR, period=1.0 / 300e6)

@@ -160,6 +160,11 @@ class TestKickTrain:
         with pytest.raises(BurstOverlap):
             KickTrain((0.0, 0.4e-9), (1, 1), (0, 1), repetition_rate=1e9)
 
+    @pytest.mark.parametrize("rate", [0.0, -3e8, float("inf"), float("nan")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="repetition rate must be positive and finite"):
+            KickTrain((0.0, 1e-8), (1, 1), (0, 1), repetition_rate=rate)
+
     def test_scaled_times_keeps_grid_alignment(self):
         seq = simple_sequence([2, -1], [0.1e-6, 0.3e-6])
         train = expand_groups(seq, 300e6)
