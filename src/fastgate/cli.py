@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -141,14 +142,14 @@ def _write_trajectory_rows(handle, rows: list, num_modes: int, basis: tuple):
     """The bytes csv.writer would write for `trajectory_samples` rows.
 
     Each sample time heads a block of `num_modes` rows, one per mode, and
-    is formatted once per block.
+    is formatted once per block; each block is written by one `%`.
     """
     row_format = ",%d,%.12e,%.12e," + "%d,%d\r\n" % basis
     for start in range(0, len(rows), num_modes):
-        time_text = "%.12e" % rows[start][0]
-        handle.writelines(
-            [time_text + row_format % (m, q, v) for _, m, q, v in rows[start:start + num_modes]]
-        )
+        block = rows[start:start + num_modes]
+        values = list(itertools.chain.from_iterable(block))
+        del values[::4]  # the sample time, written as its text
+        handle.write((("%.12e" % block[0][0] + row_format) * len(block)) % tuple(values))
 
 
 def cmd_optimize(config: RunConfig, out_dir: Path, threads: int) -> int:
@@ -382,6 +383,8 @@ def main(argv=None) -> int:
             return cmd_evaluate(args, out_dir)
         config = load_run_config_file(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be a non-negative integer")
             config = replace(config, seed=args.seed)
         if args.command == "modes":
             return cmd_modes(config, out_dir)

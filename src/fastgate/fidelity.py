@@ -408,41 +408,37 @@ class _BoundTimingCost:
         self.effective = np.ascontiguousarray(
             np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
         )
-        # accumulated slot by slot over the full slot list, mirrored half first
-        full_counts = np.concatenate([counts[..., ::-1], counts], axis=-1)
-        within_total = np.zeros(full_counts.shape[:-1] + (len(parent.w),))
-        for slot in range(full_counts.shape[-1]):
-            within_total += withins[full_counts[..., slot]]
-        self.within_theta = np.sum(parent.phase_scale * within_total, axis=-1)
+        # a mirrored burst has the same within-burst phase as its own
+        within_total = np.zeros(counts.shape[:-1] + (len(parent.w),))
+        for slot in range(counts.shape[-1]):
+            within_total += withins[counts[..., slot]]
+        self.within_theta = 2.0 * np.sum(parent.phase_scale * within_total, axis=-1)
 
     def _phasors(self, t_half, lanes=None):
-        """Weighted slot phasors of a (lanes, d) stack of half times, their
-        products with the conjugated prefix sums over the earlier slots, and
-        the within-burst phase.  `lanes` picks the rows of a per-lane binding
-        that the stack of times belongs to.
+        """Weighted phasors w_j of the positive-half slots of a (lanes, d)
+        stack of half times, their exclusive prefix sums Q_j, their total A
+        and the within-burst phase.  `lanes` picks the rows of a per-lane
+        binding that the stack of times belongs to.
 
-        Only the positive half is exponentiated: slot -t_j carries
-        exp(-i w t_j) = conj(exp(i w t_j)) and the opposite sign, so the
-        mirrored half is the negated conjugate of the positive half, reversed.
+        Slot -t_j carries the negated conjugate of w_j, so the positive half
+        determines the whole slot list: its pairs give, mode by mode,
+        Theta_m = 2 sum_j Im(w_j conj Q_j) - Im(A^2), and its displacement
+        sum is 2 Im(A).
         """
         effective, within_theta = self.effective, self.within_theta
         if lanes is not None and effective.ndim == 3:
             effective, within_theta = effective[lanes], within_theta[lanes]
         half = np.exp(1j * (self.parent.w[:, None] * t_half[:, None, :])) * effective
-        weighted = np.concatenate([-half[..., ::-1].conj(), half], axis=-1)
-        prefix = weighted.cumsum(axis=-1) - weighted
-        return weighted, weighted * prefix.conj(), within_theta
+        return half, half.cumsum(axis=-1) - half, half.sum(axis=-1), within_theta
 
-    def _phase_and_sums(self, weighted, cross, within_theta):
+    def _phase_and_sums(self, half, prefix, total, within_theta):
         """Theta and the per-mode sums of z_k sin(w t_k) over every slot."""
-        d = weighted.shape[-1] // 2
-        theta = (self.parent.phase_scale * cross.sum(axis=-1).imag).sum(axis=-1) + within_theta
-        # antisymmetry doubles the positive-half imaginary part
-        return theta, 2.0 * weighted[..., d:].sum(axis=-1).imag
+        pairs = 2.0 * (half * prefix.conj()).sum(axis=-1).imag - (total * total).imag
+        return (self.parent.phase_scale * pairs).sum(axis=-1) + within_theta, 2.0 * total.imag
 
-    def _residuals_from(self, weighted, cross, within_theta):
-        theta, sums = self._phase_and_sums(weighted, cross, within_theta)
-        out = np.empty((len(theta), 1 + weighted.shape[-2]))
+    def _residuals_from(self, *phasors):
+        theta, sums = self._phase_and_sums(*phasors)
+        out = np.empty((len(theta), 1 + len(self.parent.w)))
         out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
         out[:, 1:] = self.parent.alpha_scale[:, 0] * sums
         return out, theta
@@ -460,24 +456,25 @@ class _BoundTimingCost:
         return (self.residuals(t_half) ** 2).sum(axis=-1)
 
     def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
-        """Residuals and their analytic (modes+1) x d Jacobian with respect to
-        t_half, both from one set of phasors; `lanes` as for `_phasors`."""
-        weighted, cross, within_theta = self._phasors(t_half, lanes)
-        w = self.parent.w
-        d = t_half.shape[-1]
-        out, theta = self._residuals_from(weighted, cross, within_theta)
-        # suffix sums over the full slot list, excluding the slot itself
-        suffix = weighted[..., ::-1].cumsum(axis=-1)[..., ::-1] - weighted
-        # dS_m/dt_k over full slots: w * Re[w_k conj(prefix) - conj(w_k) suffix]
-        slot_grad = w[:, None] * (cross.real - (weighted.conj() * suffix).real)
-        # chain rule through the mirror: t_{-j} = -t_j
-        theta_grad = (
-            self.parent.phase_scale @ (slot_grad[..., d:] - slot_grad[..., :d][..., ::-1])
-        )
-        jac = np.empty(out.shape + (d,))
-        jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * theta_grad
-        jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w[:, None] * weighted[..., d:].real)
-        return out, jac
+        """Residuals of a (lanes, d) stack of half times, and a function
+        that gives the analytic (modes+1) x d Jacobian with respect to t_half
+        of the rows it picks (every row by default), from the same phasors;
+        `lanes` as for `_phasors`."""
+        half, prefix, total, within_theta = self._phasors(t_half, lanes)
+        out, theta = self._residuals_from(half, prefix, total, within_theta)
+        w = self.parent.w[:, None]
+
+        def jacobian(rows=slice(None)):
+            h = half[rows]
+            # dTheta_m/dt_k = 2 w_m Re(w_k conj(2 Q_k + w_k - 2 Re A))
+            spread = 2.0 * prefix[rows] + h - 2.0 * total[rows].real[..., None]
+            theta_grad = self.parent.phase_scale @ (2.0 * w * (h * spread.conj()).real)
+            jac = np.empty(h.shape[:-2] + out.shape[1:] + h.shape[-1:])
+            jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta[rows]))[:, None] * theta_grad
+            jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w * h.real)
+            return jac
+
+        return out, jacobian
 
 
 def analytic_report(

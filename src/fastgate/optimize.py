@@ -29,16 +29,17 @@ joint solution inside its `_anchored_windows`.  `_expand` turns the best
 solution the grid expresses into the gate.  The timing refinement is a small
 projected Levenberg-Marquardt solver on the box-bounded gaps, written here
 in numpy because the fits are tiny: one gap per group against one residual
-per mode plus the phase.  Independent fits run as lanes of one stack (the
-starts of one refinement, or a batch of integer moves), each lane doing
-exactly the arithmetic it would do alone, so the numpy call overhead is paid
-once per batch.  A batch of moves stops once every lane up to the first
-improving move has finished: that move is taken, the lanes after it are
-abandoned, and the next batch starts after it, which keeps the decisions of
-scoring the moves one at a time.  The lanes per batch of moves follow from
-the mode count (`_lane_count`).  Both stages are deterministic under a seed,
-and parallel work is merged in a fixed order so serial and parallel runs
-produce identical output.
+per mode plus the phase.  Independent fits run as lanes of one stack, each
+lane doing exactly the arithmetic it would do alone, so the numpy call
+overhead is paid once per stack: the joint paths yield their fit requests
+(a refinement's starts, or a batch of integer moves) and `_lockstep` fits
+every pending request in one stack per round.  A batch of moves abandons
+the lanes after the first lane whose running cost already scores below the
+bar, and takes the first improving move once the lanes before it have
+finished, which keeps the decisions of scoring the moves one at a time.
+The lanes per batch of moves follow from the mode count (`_lane_count`).
+Both stages are deterministic under a seed, and parallel work is merged in
+a fixed order so serial and parallel runs produce identical output.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class Stage1Config:
             raise ValueError("group_count must be a positive even integer")
         if not self.gate_time_scan:
             raise ValueError("gate_time_scan must be non-empty")
-        if self.epsilon < 0.0 or self.top_k < 1 or self.restarts < 0 or self.z_bound_max < 1:
+        if (self.epsilon < 0.0 or self.top_k < 1 or self.restarts < 0 or self.z_bound_max < 1
+                or self.max_sdks < 2):
             raise ValueError("invalid stage-1 configuration")
         if self.pulse_counting not in PULSE_COUNTINGS:
             raise ValueError('pulse_counting must be "pi_pulses" or "sdks"')
@@ -167,8 +169,10 @@ class CostModel:
     def residuals_and_jacobian(self, z, lanes=None) -> tuple:
         """The cost as a sum of squares for `_box_least_squares`: residual 0
         is the weighted phase mismatch, the rest the weighted per-mode
-        displacements, and their (modes+1) x d Jacobian, row by row for a
-        (lanes, d) stack.  Every lane shares the model, so `lanes` is unused.
+        displacements, row by row for a (lanes, d) stack, and a function
+        that gives the (modes+1) x d Jacobian of the rows it picks (every
+        row by default), the contract of `_fit_gaps`'s kernel.  Every lane
+        shares the model, so `lanes` is unused.
         """
         kz = (self.phase_quadratic @ z[:, :, None])[:, :, 0]
         theta = _rowdot(z, kz)
@@ -178,7 +182,7 @@ class CostModel:
         jac = np.empty(out.shape + (z.shape[1],))
         jac[:, 0] = (2.0 * math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * kz
         jac[:, 1:] = self.scaled
-        return out, jac
+        return out, lambda rows=slice(None): jac[rows]
 
     def selection_cost(self, z: np.ndarray) -> np.ndarray:
         """Pulse-error-adjusted infidelity used to rank candidates, one per
@@ -477,11 +481,12 @@ class OptimizationResult:
 
 
 _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
-# Lanes times modes in one batch of speculative joint-refinement fits.  With
-# few modes an LM iteration is almost all numpy call overhead, paid once per
-# batch, so many lanes are nearly free; with many modes the arithmetic
-# dominates and lanes abandoned after an accepted move are wasted work.
-_LANE_BUDGET = 400
+# Lanes times modes in one batch of speculative joint-refinement fits: with
+# few modes an iteration is mostly numpy call overhead, so lanes are nearly
+# free; with many, lanes abandoned after an accepted move are wasted work.
+# Stage 2 of the N=100 benchmark candidate took a median 1.46 s of CPU at
+# 800, against 1.61 s at 400 and 1.60 s at 1600.
+_LANE_BUDGET = 800
 
 
 def _lane_count(modes: int) -> int:
@@ -496,26 +501,20 @@ def _rowdot(a, b):
 
 
 def _damped_steps(jac, grad, free, damping):
-    """Marquardt-damped Gauss-Newton steps over each lane's free variables.
-
-    Lanes are grouped by how many variables they have free, so every lane
-    solves the same f x f system, column for column, that it would alone.
+    """Marquardt-damped Gauss-Newton steps over each lane's free variables,
+    every lane in one solve: a frozen variable gets an identity row and
+    column and a zero right-hand side, so its step is zero and the free
+    variables solve the system they would solve on their own.
     """
-    residuals = jac.shape[1]
-    step = np.zeros_like(grad)
-    counts = free.sum(axis=1)
-    for f in set(counts.tolist()):
-        rows = counts == f
-        picked = free & rows[:, None]  # lane by lane, the free columns in order
-        # the free columns of each lane's J as the rows of a C-ordered block
-        block = jac.swapaxes(1, 2)[picked].reshape(-1, f, residuals)
-        normal = block @ block.swapaxes(1, 2)
-        scale = normal.diagonal(axis1=1, axis2=2)
-        # floor keeps the damped system definite when a column of J vanishes
-        scale = np.maximum(scale, 1e-12 * scale.max(axis=1, keepdims=True))
-        normal.reshape(len(normal), -1)[:, :: f + 1] += damping[rows][:, None] * scale
-        step[picked] = np.linalg.solve(normal, -grad[picked].reshape(-1, f, 1)).ravel()
-    return step
+    block = np.where(free[:, None, :], jac, 0.0)
+    normal = block.swapaxes(1, 2) @ block
+    diagonal = normal.diagonal(axis1=1, axis2=2)
+    # floor keeps the damped system definite when a column of J vanishes
+    scale = np.maximum(diagonal, 1e-12 * diagonal.max(axis=1, keepdims=True))
+    normal.reshape(len(normal), -1)[:, :: normal.shape[-1] + 1] = np.where(
+        free, diagonal + damping[:, None] * scale, 1.0
+    )
+    return np.linalg.solve(normal, np.where(free, -grad, 0.0)[:, :, None])[:, :, 0]
 
 
 def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
@@ -530,30 +529,35 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
     damping is scaled by the diagonal of J^T J, so underdetermined fits
     (fewer residuals than variables) need no special case.  Each fit stops
     when the relative cost decrease (ftol), the relative step length (xtol)
-    or the projected gradient (gtol) falls to `_LM_TOL`, or when the budget
+    or the projected gradient (gtol) falls to `_LM_TOL`, or when its budget
     runs out.
 
-    The fits run as lanes.  `x0` is a (lanes, d) stack of starts sharing
-    the box; `fun(x, lanes)` gets the rows still running with their lane
-    indices and returns (rows, residuals) residuals and a (rows, residuals,
-    d) Jacobian.  All lanes advance one iteration at a time, each doing
-    exactly the arithmetic it would do alone.  A lane that stops drops out
-    of the stack at the top of the next iteration; one that stops on its
-    step length still evaluates that step, but keeps its point.  Every
-    running lane evaluates once per iteration, so the lanes share one count
-    against `budget`.  `stop(finished, cost)`, if given, is called once per
-    iteration, right after that iteration's retirements, and once more
-    after every lane has stopped, with which lanes have stopped and their
-    final costs; returning True abandons the lanes still running, whose
-    results are then NaN.  Returns (sum r^2, x) per lane.
+    The fits run as lanes.  `x0` is a (lanes, d) stack of starts, and
+    `budget` is shared or one per lane.  `fun(x, lanes)` gets the rows still
+    running with their lane indices and returns their (rows, residuals)
+    residuals and a function that gives the (rows, residuals, d) Jacobian of
+    the rows a boolean mask picks; the solver asks only for the rows whose
+    step it accepts.  All lanes advance one iteration at a time, each doing
+    exactly the arithmetic it would do alone and stopping once the shared
+    evaluation count reaches its budget.  A lane that stops drops out of the
+    stack at the top of the next iteration; one that stops on its step
+    length still evaluates that step, but keeps its point.
+    `stop(finished, cost)`, if given, is called once per iteration, right
+    after that iteration's retirements, and once more after every lane has
+    stopped, with which lanes have finished and every lane's latest cost
+    (final for a finished lane, NaN for an abandoned one); it returns a mask
+    of the lanes to abandon, and a running lane it marks leaves the stack
+    with NaN results.  Returns (sum r^2, x) per lane.
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     lower, upper = np.broadcast_to(lower, x.shape), np.broadcast_to(upper, x.shape)
+    budget = np.broadcast_to(budget, len(x))
     best_cost = np.full(len(x), np.nan)
     best_x = np.full_like(x, np.nan)
     finished = np.zeros(len(x), dtype=bool)
     lanes = np.arange(len(x))
-    r, jac = fun(x, lanes)
+    r, jacobian = fun(x, lanes)
+    jac = jacobian(np.ones(len(x), dtype=bool))
     evaluations = 1
     cost = _rowdot(r, r)
     damping = np.full(len(x), 1e-3)
@@ -563,23 +567,24 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
         grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
         free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
         done = ended | (cost <= 0.0) | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
-        if evaluations >= budget:
-            done[:] = True
-        if done.any():
-            stopped = lanes[done]
-            finished[stopped], best_cost[stopped], best_x[stopped] = True, cost[done], x[done]
+        done |= evaluations >= budget[lanes]
+        finished[lanes[done]] = True
+        best_cost[lanes], best_x[lanes] = cost, x
+        dropped = done if stop is None else done | stop(finished, best_cost)[lanes]
+        best_cost[lanes[dropped & ~done]], best_x[lanes[dropped & ~done]] = np.nan, np.nan
+        if dropped.any():
             lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper = (
-                a[~done]
+                a[~dropped]
                 for a in (lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper)
             )
-        if (stop is not None and stop(finished, best_cost)) or not len(lanes):
+        if not len(lanes):
             return best_cost, best_x
         x_new = np.minimum(np.maximum(x + _damped_steps(jac, grad, free, damping), lower), upper)
         delta = x_new - x
         ended = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
         linear = r + (jac @ delta[:, :, None])[:, :, 0]
         predicted = cost - _rowdot(linear, linear)
-        r_new, jac_new = fun(x_new, lanes)
+        r_new, jacobian = fun(x_new, lanes)
         evaluations += 1
         cost_new = _rowdot(r_new, r_new)
         # Nielsen's damping rule, floored because J^T J is singular when the
@@ -599,7 +604,7 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
         ended |= accepted & (gain <= _LM_TOL * cost)
         x = np.where(accepted[:, None], x_new, x)
         r = np.where(accepted[:, None], r_new, r)
-        jac = np.where(accepted[:, None, None], jac_new, jac)
+        jac[accepted] = jacobian(accepted)
         cost = np.where(accepted, cost_new, cost)
 
 
@@ -627,8 +632,8 @@ def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget, stop=None):
     Each lane's lower bounds are raised to the burst floors of its sizes
     (`_burst_floors`, capped at `gap_hi`), so a fit whose floors fit its
     windows returns times whose bursts fit the grid.  The gaps are rescaled
-    to O(1) for `_box_least_squares`; `stop` is passed on to it.  Returns
-    the per-lane sum r^2 and refined half times.
+    to O(1) for `_box_least_squares`; `budget` and `stop` are passed on to
+    it.  Returns the per-lane sum r^2 and refined half times.
     """
     floors = _burst_floors(bound_cost.counts, bound_cost.parent.period)
     lower = np.maximum(gap_lo, np.minimum(floors, gap_hi))
@@ -638,7 +643,7 @@ def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget, stop=None):
             (scaled_gaps * _GAP_UNIT).cumsum(axis=1), lanes
         )
         # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
-        return r, per_time[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
+        return r, lambda rows: per_time(rows)[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
 
     costs, scaled = _box_least_squares(
         residuals_and_jacobian, start_gaps / _GAP_UNIT, lower / _GAP_UNIT,
@@ -647,52 +652,89 @@ def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget, stop=None):
     return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
 
 
-def _refine_times(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
-    """Bounded least-squares refinement of the gaps inside the windows.
+def _lockstep(timing_cost, paths, gap_lo, gap_hi):
+    """What each generator of timing-fit requests in `paths` returns.
 
-    The cost is a sum of squared residuals (phase mismatch plus weighted
-    per-mode displacements), minimised by `_box_least_squares` over the
-    inter-group gaps, each held inside its window.  Optional extra starts
-    jitter the initial gaps inside the windows (deterministic under `rng`,
-    drawn in start order); all starts run as lanes of one stack, and all
-    solutions are returned as (sum r^2, half times), best first.
+    A request is (sizes, start gaps, budget, stop): (k, d) stacks, the
+    budget of those k lanes, and a `_box_least_squares` hook over them or
+    None.  Each round fits every path's pending request as lanes of one
+    `_fit_gaps` stack inside [gap_lo, gap_hi], and sends each path its
+    per-lane (costs, half times): the results it would get alone, since a
+    lane's arithmetic does not depend on the stack.
+    """
+    results = [None] * len(paths)
+    pending = dict.fromkeys(range(len(paths)))  # what each running path is sent next
+    while True:
+        requests = {}
+        for path, sent in pending.items():
+            try:
+                requests[path] = paths[path].send(sent)
+            except StopIteration as end:
+                results[path] = end.value
+        if not requests:
+            return results
+        sizes, starts, budgets, hooks = zip(*requests.values())
+        edges = np.cumsum([0] + [len(start) for start in starts]).tolist()
+        spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+        def stop(finished, cost):
+            abandon = np.zeros(len(finished), dtype=bool)
+            for hook, span in zip(hooks, spans):
+                if hook is not None:
+                    abandon[span] = hook(finished[span], cost[span])
+            return abandon
+
+        costs, times = _fit_gaps(
+            timing_cost.bind(np.concatenate(sizes)), np.concatenate(starts), gap_lo, gap_hi,
+            np.repeat(budgets, np.diff(edges)), stop,
+        )
+        pending = {path: (costs[span], times[span]) for path, span in zip(requests, spans)}
+
+
+def _refine_times(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
+    """Bounded least-squares refinement of the gaps inside the windows, a
+    generator of one `_lockstep` request.  The sum of squared residuals
+    (phase mismatch plus weighted per-mode displacements) is minimised over
+    the gaps from `t_start` and from extra starts jittered inside the
+    windows (drawn from `rng` in start order), each start a lane; returns
+    every solution as (sum r^2, half times), best first.
     """
     gaps0 = np.clip(np.diff(np.concatenate([[0.0], t_start])), gap_lo, gap_hi)
-    start_gaps = [gaps0] + [
+    start_gaps = np.array([gaps0] + [
         np.clip(gaps0 * (1.0 + rng.uniform(-0.15, 0.15, size=len(gaps0))), gap_lo, gap_hi)
         for _ in range(starts - 1)
-    ]
-    costs, times = _fit_gaps(timing_cost.bind(z), np.array(start_gaps), gap_lo, gap_hi, budget)
+    ])
+    costs, times = yield np.broadcast_to(z, start_gaps.shape), start_gaps, budget, None
     return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
 
 
-def _first_improving(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer):
+def _first_improving(trials, t, gap_lo, gap_hi, cost, scorer):
     """The first of `trials`, in order, whose quick timing fit from `t`
     scores below `cost`, as (index, score, half times); None if none does.
 
-    Every trial is one lane of a budget-60 fit.  The fits stop as soon as
-    every lane up to the first improving one has finished; the lanes after
-    it are abandoned unscored.
+    A generator of one `_lockstep` request, each trial a lane of a budget-60
+    fit.  Its hook abandons the lanes after the first one whose running cost
+    already scores below `cost`: accepted steps only lower a lane's cost and
+    the score never falls as the cost rises, so that lane improves, and so
+    the first improving lane is the one a trial-by-trial scan would take.
     """
     gaps = np.clip(np.diff(np.concatenate([[0.0], t])), gap_lo, gap_hi)
-    taken = []
-    scored = 0  # the lanes before this one finished without improving
+    cleared = np.full(len(trials), np.inf)  # the lowest cost found not to improve
+    cut = len(trials)  # the first lane known to improve
 
     def first_improvement(finished, fit_costs):
-        nonlocal scored
-        while not taken and scored < len(trials) and finished[scored]:
-            score = scorer(float(fit_costs[scored]), trials[scored])
-            if score < cost:
-                taken.append(score)
-            else:
-                scored += 1
-        return bool(taken)
+        nonlocal cut
+        for lane in np.flatnonzero(fit_costs[:cut] < cleared[:cut]).tolist():
+            if scorer(float(fit_costs[lane]), trials[lane]) < cost:
+                cut = lane
+                break
+            cleared[lane] = fit_costs[lane]
+        return np.arange(len(trials)) > cut
 
-    _, times = _fit_gaps(
-        timing_cost.bind(trials), np.tile(gaps, (len(trials), 1)), gap_lo, gap_hi,
-        budget=60, stop=first_improvement,
-    )
-    return (scored, taken[0], times[scored]) if taken else None
+    fit_costs, times = yield trials, np.tile(gaps, (len(trials), 1)), 60, first_improvement
+    if cut == len(trials):
+        return None
+    return cut, scorer(float(fit_costs[cut]), trials[cut]), times[cut]
 
 
 def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
@@ -708,12 +750,14 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     move order, a batch of lanes at a time (`_lane_count`), with first
     improvement: the first improving move of a batch is taken, and the next
     batch starts after it from the new sizes and timings, so the decisions
-    are those of scoring the moves one at a time.
+    are those of scoring the moves one at a time.  A generator for
+    `_lockstep`: it yields its timing-fit requests and returns (adjusted
+    cost, sizes, half times).
     """
     z = np.asarray(z0, dtype=float)
-    ideal, t = _refine_times(
-        timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
-    )[0]
+    ideal, t = (yield from _refine_times(
+        z, np.asarray(t0, dtype=float), gap_lo, gap_hi, 400, starts=3, rng=rng
+    ))[0]
     cost = scorer(ideal, z)
     lanes = _lane_count(len(timing_cost.w))
     period = timing_cost.period
@@ -730,7 +774,7 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             ))
             if not batch:
                 break
-            taken = _first_improving(timing_cost, trials[batch], t, gap_lo, gap_hi, cost, scorer)
+            taken = yield from _first_improving(trials[batch], t, gap_lo, gap_hi, cost, scorer)
             if taken is None:
                 move = batch[-1] + 1
                 continue
@@ -741,8 +785,8 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             improved = True
         if not improved:
             break
-    ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
-    return scorer(ideal, z), z.astype(int), t
+    ideal, t = (yield from _refine_times(z, t, gap_lo, gap_hi, 500))[0]
+    return scorer(ideal, z), [int(v) for v in z], t
 
 
 def _burst_fits(half_sizes, times, period):
@@ -928,12 +972,11 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
         if not np.any(start) or key in seen:
             continue
         seen.add(key)
-        cost, z_refined, t_refined = _joint_refine(
+        paths.append(_joint_refine(
             timing_cost, start, np.asarray(times, dtype=float), gap_lo, gap_hi,
             bound, cap_half, scorer, rng,
-        )
-        paths.append((cost, [int(v) for v in z_refined], t_refined))
-    return sorted(paths, key=lambda p: (p[0], tuple(p[1])))
+        ))
+    return sorted(_lockstep(timing_cost, paths, gap_lo, gap_hi), key=lambda p: (p[0], tuple(p[1])))
 
 
 def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
@@ -1042,11 +1085,11 @@ def stage2(
     polished = [_grid_solutions(timing_cost, rate, sizes0, times0, gap_lo, gap_hi, scorer)]
     # Joint paths: the best three refined again from three starts, each
     # solution polished inside windows re-anchored around its gaps.
-    for _, sizes, t_joint in joint[:3]:
-        refined = _refine_times(
-            timing_cost, np.asarray(sizes, dtype=float), t_joint, gap_lo, gap_hi,
-            budget=600, starts=3, rng=rng,
-        )
+    refits = _lockstep(timing_cost, [
+        _refine_times(np.asarray(sizes, dtype=float), t_joint, gap_lo, gap_hi, 600, 3, rng)
+        for _, sizes, t_joint in joint[:3]
+    ], gap_lo, gap_hi)
+    for (_, sizes, _), refined in zip(joint, refits):
         for _, t_solution in refined[:3]:
             windows = _anchored_windows(t_solution, gap_lo, gap_hi, timing_cost.period)
             if windows is not None:

@@ -22,7 +22,7 @@ class ConfigError(ValueError):
 
 
 SWEEP_VARIABLES = ("num_ions", "repetition_rate", "epsilon", "temperature", "jitter")
-# The most entries a {start, stop, step} scan or a start/stop/steps sweep may expand to
+# The most entries of a {start, stop, step} scan or a sweep; the largest restarts, z_bound_max
 ENTRY_LIMIT = 10_000
 
 
@@ -59,17 +59,19 @@ def _number(value, name: str, positive=False) -> float:
     return number
 
 
-def _get_int(block: dict, key: str, name: str, default=None, least=None):
-    """The integer at `key`, at least `least` when given, or `default` when
-    the key is absent; a JSON boolean or null is not an integer."""
+def _get_int(block: dict, key: str, name: str, default=None, least=None, most=None):
+    """The integer at `key`, within [least, most] where given, or `default`
+    when the key is absent; a JSON boolean or null is not an integer."""
     if key not in block:
         return default
     value = block[key]
     if not isinstance(value, int) or isinstance(value, bool) or (
         least is not None and value < least
     ):
-        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
-        raise ConfigError(f"{name} must be {kind} integer")
+        kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        raise ConfigError(f"{name} must be {kind.get(least, f'an integer of at least {least}')}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}")
     return value
 
 
@@ -197,10 +199,11 @@ def _parse_stage1(block: dict, thermal: ThermalSpec) -> Stage1Config:
     for key in ("epsilon",):
         if key in block:
             kwargs[key] = _get_number(block, key, "stage1")
-    for key, least in (("group_count", 1), ("top_k", 1), ("restarts", 0), ("max_sdks", 0),
-                       ("z_bound_max", 1)):
+    for key, least, most in (("group_count", 1, None), ("top_k", 1, None),
+                             ("restarts", 0, ENTRY_LIMIT), ("max_sdks", 2, None),
+                             ("z_bound_max", 1, ENTRY_LIMIT)):
         if key in block:
-            kwargs[key] = _get_int(block, key, f"stage1.{key}", least=least)
+            kwargs[key] = _get_int(block, key, f"stage1.{key}", least=least, most=most)
     if "pulse_counting" in block:
         kwargs["pulse_counting"] = block["pulse_counting"]
     try:
@@ -277,7 +280,7 @@ def load_run_config(data: dict | None) -> RunConfig:
     for key in ("trap", "thermal", "stage1", "stage2", "sweep"):
         if key in data and not isinstance(data[key], dict):
             raise ConfigError(f"config.{key} must be an object")
-    seed = _get_int(data, "seed", "seed", default=0)
+    seed = _get_int(data, "seed", "seed", default=0, least=0)
 
     sweep_variable, sweep_values, samples = (None, (), 100)
     if "sweep" in data:

@@ -738,3 +738,69 @@ class TestSweepWinner:
         header, row = lines[1].split(","), lines[2].split(",")
         assert int(row[header.index("sdk_count")]) == picked.report.sdk_count
         assert row[header.index("gate_duration_us")] == f"{picked.gate_duration * 1e6:.6f}"
+
+
+class TestIntegerLimits:
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be a non-negative integer"),
+        ("max_sdks", 1, "stage1.max_sdks must be an integer of at least 2"),
+        ("max_sdks", 0, "stage1.max_sdks must be an integer of at least 2"),
+        ("z_bound_max", 10**6, "stage1.z_bound_max must be at most 10000"),
+        ("z_bound_max", 10_001, "stage1.z_bound_max must be at most 10000"),
+        ("restarts", 10_001, "stage1.restarts must be at most 10000"),
+    ])
+    def test_out_of_range_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                  key, value, message):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the gate was built before the config was checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        (data if key == "seed" else data["stage1"])[key] = value
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "optimize"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: {message}"]
+        assert not (out / "result.json").exists()
+
+    def test_negative_seed_flag_exits_2_with_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, FAST_OPTIMIZE)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--seed", "-5", "--out", str(out), "optimize"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["configuration error: --seed must be a non-negative integer"]
+        assert not (out / "result.json").exists()
+
+    def test_limits_are_inclusive(self):
+        config = load_run_config({"seed": 0, "stage1": {
+            "max_sdks": 2, "restarts": 10_000, "z_bound_max": 10_000}})
+        assert (config.seed, config.stage1.max_sdks) == (0, 2)
+        assert config.stage1.restarts == config.stage1.z_bound_max == 10_000
+
+    def test_stage1_config_needs_two_sdks(self):
+        from fastgate.optimize import Stage1Config
+
+        with pytest.raises(ValueError):
+            Stage1Config(targets=(0, 1), max_sdks=1)
+        assert Stage1Config(targets=(0, 1), max_sdks=2).max_sdks == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fastgate
+
+    source = str(Path(fastgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "m"
+    done = subprocess.run([sys.executable, "-m", "fastgate", "--out", str(out), "modes"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "mode_freqs_rad_s" in json.loads((out / "modes.json").read_text())

@@ -23,12 +23,15 @@ from fastgate.optimize import (
     _clip_to_sdk_cap,
     _continuous_seeds,
     _coordinate_descent,
+    _damped_steps,
+    _first_improving,
     _fit_gaps,
     _grid_descent,
     _grid_solutions,
     _joint_paths,
     _joint_refine,
     _lane_count,
+    _lockstep,
     _neighbourhood,
     _refine_times,
     _size_grid,
@@ -160,7 +163,8 @@ class TestCostModel:
         points = [samples[i] for i in np.argsort(thetas)[[0, 1, 2, -3, -2, -1]]]
         step = 1e-6
         for z in points:
-            r, jac = (a[0] for a in model.residuals_and_jacobian(z[None]))
+            r, jacobian = model.residuals_and_jacobian(z[None])
+            r, jac = r[0], jacobian()[0]
             assert np.sum(r**2) == pytest.approx(model.ideal_infidelity(z), rel=1e-12)
             numeric = np.array([
                 (model.residuals_and_jacobian((z + step * e)[None])[0][0]
@@ -322,6 +326,12 @@ def test_size_grid_matches_itertools(d, bound):
     assert np.array_equal(grid, expected)
 
 
+def _refine_alone(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
+    """`_refine_times` as the one path of `_lockstep`."""
+    path = _refine_times(z, t_start, gap_lo, gap_hi, budget, starts, rng)
+    return _lockstep(timing_cost, [path], gap_lo, gap_hi)[0]
+
+
 def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
                             unwinnable=None):
     """The per-move first-improvement loop of the stage-2 integer moves.
@@ -331,7 +341,7 @@ def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half
     moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
     z = np.asarray(z0, dtype=float)
-    ideal, t = _refine_times(
+    ideal, t = _refine_alone(
         timing_cost, z, np.asarray(t0, dtype=float), gap_lo, gap_hi, starts=3, rng=rng
     )[0]
     cost = scorer(ideal, z)
@@ -349,15 +359,21 @@ def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half
                 continue
             if unwinnable is not None and scorer(0.0, trial) >= cost:
                 unwinnable.append(trial)
-            c, tt = _refine_times(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
+            c, tt = _refine_alone(timing_cost, trial, t, gap_lo, gap_hi, budget=60)[0]
             c = scorer(c, trial)
             if c < cost:
                 z, t, cost = trial, tt, c
                 improved = True
         if not improved:
             break
-    ideal, t = _refine_times(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
+    ideal, t = _refine_alone(timing_cost, z, t, gap_lo, gap_hi, budget=500)[0]
     return scorer(ideal, z), z.astype(int), t
+
+
+def _joint_refine_alone(timing_cost, z0, t0, gap_lo, gap_hi, *args):
+    """`_joint_refine` as the one path of `_lockstep`."""
+    path = _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, *args)
+    return _lockstep(timing_cost, [path], gap_lo, gap_hi)[0]
 
 
 class TestJointRefine:
@@ -371,7 +387,7 @@ class TestJointRefine:
 
         for z0, bound, cap_half in (([1, -2, 1], 3, 50), ([2, -1, 0], 2, 3)):
             outcomes = []
-            for joint in (_reference_joint_refine, _joint_refine):
+            for joint in (_reference_joint_refine, _joint_refine_alone):
                 rng = np.random.default_rng(21)
                 cost, z, t = joint(surrogate, np.array(z0), times, 0.75 * gaps, 1.25 * gaps,
                                    bound, cap_half, scorer, rng)
@@ -396,14 +412,14 @@ class TestJointRefine:
         batches = []
         first_improving = optimize._first_improving
 
-        def recording(timing_cost, trials, *args):
-            taken = first_improving(timing_cost, trials, *args)
+        def recording(trials, *args):
+            taken = yield from first_improving(trials, *args)
             batches.append((len(trials), None if taken is None else taken[0]))
             return taken
 
         monkeypatch.setattr(optimize, "_first_improving", recording)
         outcomes = []
-        for joint in (_reference_joint_refine, _joint_refine):
+        for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(22)
             cost, z, t = joint(surrogate, np.array([1, 2, -1, 1, 0, -2, 1, 1]), times,
                                0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
@@ -417,6 +433,90 @@ class TestJointRefine:
         cut_short = [lane for size, lane in batches if lane is not None and lane < size - 1]
         assert len(cut_short) >= 2
         assert max(size for size, _ in batches) == _lane_count(20)
+
+    def test_lockstep_paths_match_each_path_alone(self, chain5):
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = functools.partial(_adjusted_cost, epsilon=1e-5, counting="pi_pulses")
+        sizes, bound, cap_half, restarts = [2, -3, 1, 3, -1], 4, 50, 2
+        # the starts of `_joint_paths`, each refined alone, one move at a time
+        z = np.asarray(sizes, dtype=float)
+        envelope = np.sin(math.pi * (np.arange(len(z)) + 0.5) / len(z))
+        starts = [np.rint(scale * z) for scale in _RESTART_SCALES[: 1 + restarts]] + [
+            _clip_to_sdk_cap(np.clip(np.rint(scale * envelope), -bound, bound), cap_half)
+            for scale in (1.3, 2.2)
+        ]
+        rng = np.random.default_rng(25)
+        alone = []
+        for start in starts:
+            cost, z_ref, t_ref = _reference_joint_refine(
+                surrogate, start, times, 0.75 * gaps, 1.25 * gaps, bound, cap_half, scorer, rng
+            )
+            alone.append((cost, [int(v) for v in z_ref], t_ref))
+        alone.sort(key=lambda p: (p[0], tuple(p[1])))
+        draw_ref = rng.random()
+
+        rng = np.random.default_rng(25)
+        paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, bound, cap_half,
+                             restarts, scorer, rng)
+        assert len(paths) == len(alone) == 5
+        for (cost, z_new, t_new), (c_ref, z_ref, t_ref) in zip(paths, alone):
+            assert cost.hex() == c_ref.hex()
+            assert z_new == z_ref
+            assert t_new.tobytes() == t_ref.tobytes()
+        assert rng.random() == draw_ref
+
+    def test_early_abandonment_takes_the_move_of_a_full_scan(self, chain5):
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        t = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], t]))
+        gap_lo, gap_hi = 0.75 * gaps, 1.25 * gaps
+
+        def scorer(ideal, z):
+            return ideal + 1e-4 * float(np.sum(np.abs(z)))
+
+        trials, feasible = _neighbourhood(np.array([1.0, -2.0, 1.0, 0.0, 1.0]), 3, 50)
+        trials = trials[feasible & np.any(trials, axis=1)]
+        # every lane fitted to its end, with no hook
+        costs, times = _fit_gaps(surrogate.bind(trials), np.tile(gaps, (len(trials), 1)),
+                                 gap_lo, gap_hi, 60)
+        scores = np.array([scorer(c, z) for c, z in zip(costs.tolist(), trials)])
+
+        def watched(path, log):
+            sizes, start, budget, hook = next(path)
+
+            def spy(finished, cost):
+                abandon = hook(finished, cost)
+                log.append((finished.copy(), abandon.copy()))
+                return abandon
+
+            fits = yield sizes, start, budget, spy
+            log.append(fits)
+            try:
+                path.send(fits)
+            except StopIteration as end:
+                return end.value
+
+        cut_by_a_running_lane = 0
+        for bar in np.append(np.unique(scores), np.inf):
+            log = []
+            path = watched(_first_improving(trials, t, gap_lo, gap_hi, bar, scorer), log)
+            taken = _lockstep(surrogate, [path], gap_lo, gap_hi)[0]
+            improving = np.flatnonzero(scores < bar)
+            if not len(improving):
+                assert taken is None
+                continue
+            lane = improving[0]
+            assert taken[0] == lane and taken[1] == scores[lane]
+            assert taken[2].tobytes() == times[lane].tobytes()
+            # the lanes after the taken one were abandoned, the others finished
+            fit_costs, _ = log.pop()
+            assert np.all(np.isnan(fit_costs[lane + 1:]))
+            assert fit_costs[:lane + 1].tobytes() == costs[:lane + 1].tobytes()
+            first_cut = next((f, a) for f, a in log if a.any())
+            cut_by_a_running_lane += not first_cut[0][np.argmax(first_cut[1]) - 1]
+        assert cut_by_a_running_lane >= 3
 
     def test_moves_whose_bursts_cannot_fit_are_skipped(self, chain5):
         # at 100 MHz the widest window, 1.25 * 35 ns, holds neighbouring
@@ -433,7 +533,7 @@ class TestJointRefine:
         too_wide = np.any(_burst_floors(np.abs(trials), surrogate.period) > 1.25 * gaps, axis=1)
         assert np.any(feasible & too_wide)
         outcomes = []
-        for joint in (_reference_joint_refine, _joint_refine):
+        for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(24)
             cost, z, t = joint(surrogate, z0, times, 0.75 * gaps, 1.25 * gaps, 6, 50, scorer, rng)
             outcomes.append((cost, z, t, rng.random()))
@@ -459,13 +559,13 @@ class TestJointRefine:
         fitted = []
         first_improving = optimize._first_improving
 
-        def recording(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer):
+        def recording(trials, t, gap_lo, gap_hi, cost, scorer):
             fitted.extend(scorer(0.0, trial) < cost for trial in trials)
-            return first_improving(timing_cost, trials, t, gap_lo, gap_hi, cost, scorer)
+            return (yield from first_improving(trials, t, gap_lo, gap_hi, cost, scorer))
 
         monkeypatch.setattr(optimize, "_first_improving", recording)
         unwinnable, outcomes = [], []
-        for joint in (_reference_joint_refine, _joint_refine):
+        for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(21)
             extra = {"unwinnable": unwinnable} if joint is _reference_joint_refine else {}
             cost, z, t = joint(surrogate, np.array([1, -2, 1, 0, 1]), times, 0.75 * gaps,
@@ -488,7 +588,7 @@ class TestJointRefine:
             return float(np.sum(np.abs(z - 1.0)))
 
         outcomes = []
-        for joint in (_reference_joint_refine, _joint_refine):
+        for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(23)
             cost, z, t = joint(surrogate, np.array([3, -2, 0, 1, 2]), times,
                                0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
@@ -549,7 +649,8 @@ class TestTimingCostSurrogate:
             z[z == 0] = 1
             bound = surrogate.bind(z)
             t = np.cumsum(rng.uniform(50e-9, 80e-9, size=(1, 6)), axis=1)
-            r, jac = bound.residuals_and_jacobian(t)
+            r, jacobian = bound.residuals_and_jacobian(t)
+            jac = jacobian()
             assert np.array_equal(r, bound.residuals(t))
             r, jac = r[0], jac[0]
             step = 1e-13
@@ -567,7 +668,9 @@ def gap_fit(bound_cost, offset):
     for a stack of gap rows."""
     def fun(scaled_gaps, lanes=None):
         r, per_time = bound_cost.residuals_and_jacobian(np.cumsum(scaled_gaps * _GAP_UNIT, axis=1))
-        return r - offset, np.cumsum(per_time[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
+        return r - offset, lambda rows=slice(None): (
+            np.cumsum(per_time(rows)[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
+        )
     return fun
 
 
@@ -602,7 +705,8 @@ class TestBoxLeastSquares:
         upper[2] = 0.9 * true_gaps[2]
         start = np.minimum(start, upper)
         cost, x = _box_least_squares(fun, start[None], lower, upper, budget=400)
-        r, jac = (a[0] for a in fun(x))
+        r, jacobian = fun(x)
+        r, jac = r[0], jacobian()[0]
         x = x[0]
         grad = jac.T @ r
         assert cost[0] > 0.0
@@ -639,7 +743,7 @@ class TestBoxLeastSquares:
         t_start = np.cumsum(np.full(6, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], t_start]))
         runs = [
-            _refine_times(surrogate, z, t_start, 0.75 * gaps, 1.25 * gaps, starts=3,
+            _refine_alone(surrogate, z, t_start, 0.75 * gaps, 1.25 * gaps, starts=3,
                           rng=np.random.default_rng(8))
             for _ in range(2)
         ]
@@ -993,7 +1097,9 @@ def lane_fit(bound_cost, offsets, evaluations):
         r, per_time = bound_cost.residuals_and_jacobian(
             np.cumsum(scaled_gaps * _GAP_UNIT, axis=1), lanes
         )
-        return r - offsets[lanes], np.cumsum(per_time[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
+        return r - offsets[lanes], lambda rows: (
+            np.cumsum(per_time(rows)[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
+        )
     return fun
 
 
@@ -1042,7 +1148,7 @@ class TestLanes:
 
         def stop(finished, cost):
             seen.append(finished.copy())
-            return bool(finished[0])
+            return np.full(len(finished), finished[0])
 
         starts = np.tile(gaps, (4, 1))
         starts[0] *= 1.01
@@ -1092,12 +1198,62 @@ class TestLanes:
 
         # abandon the lanes still running once lane 1 has finished
         costs, xs = _box_least_squares(
-            stacked, starts, lower, upper, budget, lambda finished, cost: bool(finished[1])
+            stacked, starts, lower, upper, budget,
+            lambda finished, cost: np.full(len(finished), finished[1]),
         )
         running = np.isnan(costs)
         assert 0 < running.sum() < lanes - 1 and not running[1]
         for lane in np.flatnonzero(~running):
             assert (costs[lane].hex(), xs[lane].tobytes()) == lone[lane]
+
+    def test_lane_budgets_and_abandon_masks_leave_other_lanes_alone(self, chain5):
+        rng = np.random.default_rng(4)
+        d, lanes = 8, 12
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        sizes = rng.integers(1, 4, size=(lanes, d)) * rng.choice([-1, 1], size=(lanes, d))
+        nominal = (1e-6 / 16) * np.ones(d) / _GAP_UNIT
+        lower, upper = 0.75 * nominal, 1.25 * nominal
+        true_gaps = nominal * (1.0 + rng.uniform(-0.4, 0.4, size=(lanes, d)))
+        offsets = np.array([
+            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            for z, g in zip(sizes, true_gaps)
+        ])
+        offsets[6:] = 0.0
+        starts = np.clip(nominal * (1.0 + rng.uniform(-0.2, 0.2, size=(lanes, d))), lower, upper)
+        budgets = np.array([60, 5, 12, 400, 1, 30, 60, 7, 200, 60, 2, 90])
+        lone = []
+        for lane in range(lanes):
+            counted = np.zeros(1, dtype=int)
+            cost, x = _box_least_squares(
+                lane_fit(surrogate.bind(sizes[lane:lane + 1]), offsets[lane:lane + 1], counted),
+                starts[lane:lane + 1], lower, upper, budgets[lane],
+            )
+            lone.append((cost[0].hex(), x[0].tobytes(), int(counted[0])))
+        # lane: the hook call from which it is abandoned
+        abandon_from = {3: 4, 4: 3, 7: 2, 9: 10}
+        calls = []
+
+        def stop(finished, cost):
+            calls.append(finished.copy())
+            return np.array([len(calls) >= abandon_from.get(lane, math.inf)
+                             for lane in range(lanes)])
+
+        evaluations = np.zeros(lanes, dtype=int)
+        costs, xs = _box_least_squares(
+            lane_fit(surrogate.bind(sizes), offsets, evaluations), starts, lower, upper,
+            budgets, stop,
+        )
+        abandoned = 0
+        for lane in range(lanes):
+            assert evaluations[lane] <= budgets[lane]
+            call = abandon_from.get(lane, math.inf)
+            if lone[lane][2] > call:  # still running at that call: abandoned
+                assert np.isnan(costs[lane]) and np.all(np.isnan(xs[lane]))
+                assert evaluations[lane] == call and not calls[-1][lane]
+                abandoned += 1
+            else:
+                assert (costs[lane].hex(), xs[lane].tobytes(), evaluations[lane]) == lone[lane]
+        assert abandoned == 3  # lane 4 had finished on its budget of 1
 
     def test_fits_keep_each_lane_above_its_burst_floors(self, chain5):
         rng = np.random.default_rng(41)
@@ -1173,6 +1329,36 @@ class TestLanes:
         assert _lane_count(10_000) == 1
 
 
+class TestDampedSteps:
+    @pytest.mark.parametrize("residuals", [6, 21])
+    def test_one_solve_matches_per_lane_free_systems(self, residuals):
+        rng = np.random.default_rng(60 + residuals)
+        lanes, d = 40, 8
+        columns = np.exp(rng.uniform(-1, 1, size=(lanes, 1, d)))
+        jac = rng.normal(size=(lanes, residuals, d)) * columns
+        jac[5, :, 2] = 0.0  # a vanishing column: the floor keeps the system definite
+        grad = rng.normal(size=(lanes, d))
+        free = rng.random((lanes, d)) < 0.7
+        free[0], free[1], free[2] = True, False, np.arange(d) == 3
+        free[5, 2] = True
+        damping = np.exp(rng.uniform(-7, 1, size=lanes))
+        steps = _damped_steps(jac, grad, free, damping)
+        for lane in range(lanes):
+            columns = free[lane]
+            expected = np.zeros(d)
+            if columns.any():
+                block = jac[lane][:, columns]
+                normal = block.T @ block
+                scale = np.maximum(np.diag(normal), 1e-12 * np.max(np.diag(normal)))
+                normal[np.diag_indices(len(scale))] += damping[lane] * scale
+                expected[columns] = np.linalg.solve(normal, -grad[lane][columns])
+            assert np.all(steps[lane][~columns] == 0.0)
+            assert np.max(np.abs(steps[lane] - expected)) <= 1e-12 * np.max(np.abs(expected))
+            alone = _damped_steps(jac[lane:lane + 1], grad[lane:lane + 1], free[lane:lane + 1],
+                                  damping[lane:lane + 1])
+            assert alone.tobytes() == steps[lane:lane + 1].tobytes()
+
+
 def full_slot_residuals_and_jacobian(surrogate, z, t):
     """The timing kernel with both halves of the slot list exponentiated."""
     d = len(z)
@@ -1218,12 +1404,44 @@ class TestHalfPhasorKernel:
                 t = np.cumsum(rng.uniform(40e-9, 90e-9, size=d))
                 r_ref, jac_ref, weighted_ref = full_slot_residuals_and_jacobian(surrogate, z, t)
                 bound = surrogate.bind(z)
-                weighted = bound._phasors(t[None])[0]
-                r, jac = (a[0] for a in bound.residuals_and_jacobian(t[None]))
-                # equal values; an empty slot's zero may carry either sign
-                assert np.array_equal(weighted[0], weighted_ref)
-                assert r.tobytes() == r_ref.tobytes()
-                assert jac.tobytes() == jac_ref.tobytes()
+                half, prefix, total = (a[0] for a in bound._phasors(t[None])[:3])
+                # the full list's positive half, with equal values; an empty
+                # slot's zero may carry either sign
+                assert np.array_equal(half, weighted_ref[:, d:])
+                assert np.array_equal(total, half.sum(axis=-1))
+                r, jacobian = bound.residuals_and_jacobian(t[None])
+                r, jac = r[0], jacobian()[0]
+                # the displacement residuals keep their bits; Theta and the
+                # Jacobian are summed another way, so each row agrees to
+                # 1e-12 of its max norm
+                assert r[1:].tobytes() == r_ref[1:].tobytes()
+                assert abs(r[0] - r_ref[0]) <= 1e-12 * np.max(np.abs(r_ref))
+                rows = np.max(np.abs(jac_ref), axis=1)
+                assert np.all(np.max(np.abs(jac - jac_ref), axis=1) <= 1e-12 * rows)
+
+    def test_lanes_give_the_same_bits_alone_and_in_any_stack(self, chain5, chain20):
+        rng = np.random.default_rng(51)
+        for chain, targets in ((chain5, (2, 3)), (chain20, (0, 1))):
+            surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / 300e6)
+            lanes, d = 9, 7
+            sizes = rng.integers(-5, 6, size=(lanes, d)).astype(float)
+            sizes[2, 3] = 0.0
+            times = np.cumsum(rng.uniform(40e-9, 90e-9, size=(lanes, d)), axis=1)
+            stacked = surrogate.bind(sizes)
+            r, jacobian = stacked.residuals_and_jacobian(times, np.arange(lanes))
+            jac = jacobian()
+            picked = rng.random(lanes) < 0.5
+            assert jacobian(picked).tobytes() == jac[picked].tobytes()
+            order = rng.permutation(lanes)[:5]
+            r_some, jacobian_some = stacked.residuals_and_jacobian(times[order], order)
+            assert r_some.tobytes() == r[order].tobytes()
+            assert jacobian_some().tobytes() == jac[order].tobytes()
+            for lane in range(lanes):
+                alone = surrogate.bind(sizes[lane])
+                r_lane, jacobian_lane = alone.residuals_and_jacobian(times[lane:lane + 1])
+                assert r_lane.tobytes() == r[lane:lane + 1].tobytes()
+                assert jacobian_lane().tobytes() == jac[lane:lane + 1].tobytes()
+                assert alone.cost(times[lane:lane + 1])[0] == np.sum(r[lane] ** 2)
 
 
 def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
