@@ -199,16 +199,24 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
     if config.sweep_variable is None:
         raise ConfigError("sweep requires a sweep block in the config")
     variable = config.sweep_variable
-    rows = []
+    rows, skipped = [], []
+
+    def skip(value, exc):
+        print(f"numerical failure: {variable}={value:g} skipped: {exc}", file=sys.stderr)
+        skipped.append(value)
 
     if variable == "num_ions":
         # every swept N is checked before the first run
         stage1_configs = [config.stage1_config(num_ions=n) for n in config.sweep_values]
         for n, stage1_config in zip(config.sweep_values, stage1_configs):
-            chain = build_chain(replace(config.trap, num_ions=n))
-            result = optimize_gate(
-                chain, stage1_config, config.stage2, seed=config.seed, threads=threads
-            )
+            try:
+                chain = build_chain(replace(config.trap, num_ions=n))
+                result = optimize_gate(
+                    chain, stage1_config, config.stage2, seed=config.seed, threads=threads
+                )
+            except NUMERICAL_ERRORS as exc:
+                skip(n, exc)
+                continue
             rows.append(_sweep_row(variable, n, result.report,
                                    1.0 - result.adjusted_fidelity, result))
             print(f"num_ions={n}: ideal {result.report.ideal_infidelity:.3e}")
@@ -218,10 +226,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
         candidates, _ = stage1(chain, stage1_config, seed=config.seed, threads=threads)
         for value in config.sweep_values:
             stage2_config = replace(config.stage2, repetition_rate=value * 1e6)
-            results, _ = refine_candidates(
-                candidates, chain, stage1_config, stage2_config,
-                seed=config.seed, threads=threads,
-            )
+            try:
+                results, _ = refine_candidates(
+                    candidates, chain, stage1_config, stage2_config,
+                    seed=config.seed, threads=threads,
+                )
+            except NUMERICAL_ERRORS as exc:
+                skip(value, exc)
+                continue
             best = min(results, key=final_key)
             rows.append(_sweep_row(variable, value, best.report,
                                    1.0 - best.adjusted_fidelity, best))
@@ -253,7 +265,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, threads: int) -> int:
                 print(f"jitter={value:g}: added mean {stats['mean_added']:.3e}")
     _write_csv(out_dir / "sweep.csv", _provenance(config), SWEEP_HEADER, rows)
     print(f"wrote {out_dir / 'sweep.csv'}")
-    return 0
+    return 3 if skipped else 0
 
 
 def cmd_stark(config: RunConfig, out_dir: Path, args) -> int:
@@ -379,6 +391,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be a positive integer")
         if args.command == "evaluate":
             return cmd_evaluate(args, out_dir)
         config = load_run_config_file(args.config)

@@ -24,12 +24,13 @@ refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
 snaps a timing to both grid phases and polishes it by on-grid coordinate
 descent, which scores its moves as stacks and checks them against the gap
 windows in one call (`_inside_windows`), returning the evaluations it spent;
-it runs for the stage-1 seed inside the stage-1 windows and for each refined
-joint solution inside its `_anchored_windows`.  `_expand` turns the best
-solution the grid expresses into the gate.  The timing refinement is a small
-projected Levenberg-Marquardt solver on the box-bounded gaps, written here
-in numpy because the fits are tiny: one gap per group against one residual
-per mode plus the phase.  Independent fits run as lanes of one stack, each
+it runs for the stage-1 seed and each refined joint solution, all in the
+one set of stage-1 windows.  `_expand` turns the best solution the grid
+expresses into the gate.  The timing refinement is a small projected
+Levenberg-Marquardt solver on the box-bounded gaps, which clamps every start
+into the box, written in numpy because the fits are tiny: one gap per group
+against one residual per mode plus the phase.  Independent fits run as
+lanes of one stack, each
 lane doing exactly the arithmetic it would do alone, so the numpy call
 overhead is paid once per stack: the joint paths yield their fit requests
 (a refinement's starts, or a batch of integer moves) and `_lockstep` fits
@@ -329,13 +330,9 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
     model = CostModel(chain, config, half_times)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, tg_index)))
 
+    # one evaluator scores a row the same wherever it comes from, so a
+    # repeated size vector keeps its first cost and bound
     pool: dict[tuple, tuple[float, int]] = {}
-
-    def record(z, cost, bound):
-        key = tuple(int(v) for v in z)
-        if key not in pool or cost < pool[key][0]:
-            pool[key] = (float(cost), bound)
-
     warm: list[np.ndarray] = [np.zeros(d, dtype=int)]
     for bound in range(1, config.z_bound_max + 1):
         if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT:
@@ -344,7 +341,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
             costs = model.selection_cost(grid)
             order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
             for idx in order[: max(40, 3 * config.top_k)]:
-                record(grid[idx].astype(int), costs[idx], bound)
+                pool.setdefault(tuple(int(v) for v in grid[idx]), (float(costs[idx]), bound))
             warm = [grid[idx].astype(int) for idx in order[:4]]
         else:
             starts = [_clip_to_sdk_cap(np.clip(z, -bound, bound), model.max_sdk_half)
@@ -359,7 +356,7 @@ def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
                 )
             finals = []
             for z, cost in zip(*_coordinate_descent(model, np.array(starts), bound)):
-                record(z, cost, bound)
+                pool.setdefault(tuple(int(v) for v in z), (float(cost), bound))
                 finals.append((cost, tuple(z)))
             finals.sort()
             warm = [np.array(zt, dtype=int) for _, zt in finals[:4]]
@@ -396,7 +393,8 @@ def _map_ordered(fn, items, threads):
     work pool: results always merged in submission order."""
     if threads <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the fork start method starts every worker at the first submit
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, *zip(*items), chunksize=1))
 
 
@@ -525,7 +523,7 @@ def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
     Projected Levenberg-Marquardt (More 1978) with an active set: a variable
     at a bound whose gradient points out of the box is frozen for the step,
     and the Marquardt-damped normal equations are solved over the free
-    variables only; the trial point is projected back into the box.  The
+    variables only; starts and trial points are clamped into the box.  The
     damping is scaled by the diagonal of J^T J, so underdetermined fits
     (fewer residuals than variables) need no special case.  Each fit stops
     when the relative cost decrease (ftol), the relative step length (xtol)
@@ -695,20 +693,19 @@ def _refine_times(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
     """Bounded least-squares refinement of the gaps inside the windows, a
     generator of one `_lockstep` request.  The sum of squared residuals
     (phase mismatch plus weighted per-mode displacements) is minimised over
-    the gaps from `t_start` and from extra starts jittered inside the
-    windows (drawn from `rng` in start order), each start a lane; returns
-    every solution as (sum r^2, half times), best first.
+    the gaps from `t_start` clipped into the windows and from extra starts
+    jittered around them (drawn from `rng` in start order), each start a
+    lane; returns every solution as (sum r^2, half times), best first.
     """
     gaps0 = np.clip(np.diff(np.concatenate([[0.0], t_start])), gap_lo, gap_hi)
     start_gaps = np.array([gaps0] + [
-        np.clip(gaps0 * (1.0 + rng.uniform(-0.15, 0.15, size=len(gaps0))), gap_lo, gap_hi)
-        for _ in range(starts - 1)
+        gaps0 * (1.0 + rng.uniform(-0.15, 0.15, size=len(gaps0))) for _ in range(starts - 1)
     ])
     costs, times = yield np.broadcast_to(z, start_gaps.shape), start_gaps, budget, None
     return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
 
 
-def _first_improving(trials, t, gap_lo, gap_hi, cost, scorer):
+def _first_improving(trials, t, cost, scorer):
     """The first of `trials`, in order, whose quick timing fit from `t`
     scores below `cost`, as (index, score, half times); None if none does.
 
@@ -718,7 +715,7 @@ def _first_improving(trials, t, gap_lo, gap_hi, cost, scorer):
     the score never falls as the cost rises, so that lane improves, and so
     the first improving lane is the one a trial-by-trial scan would take.
     """
-    gaps = np.clip(np.diff(np.concatenate([[0.0], t])), gap_lo, gap_hi)
+    gaps = np.diff(np.concatenate([[0.0], t]))
     cleared = np.full(len(trials), np.inf)  # the lowest cost found not to improve
     cut = len(trials)  # the first lane known to improve
 
@@ -774,7 +771,7 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
             ))
             if not batch:
                 break
-            taken = yield from _first_improving(trials[batch], t, gap_lo, gap_hi, cost, scorer)
+            taken = yield from _first_improving(trials[batch], t, cost, scorer)
             if taken is None:
                 move = batch[-1] + 1
                 continue
@@ -1001,16 +998,6 @@ def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, s
     return solutions, evaluations
 
 
-def _anchored_windows(half_times, gap_lo, gap_hi, period):
-    """Gap windows of +-4 grid slots around the gaps of `half_times`, at
-    least a quarter slot wide and inside [gap_lo, gap_hi]; None when one
-    of them is empty."""
-    gaps = np.diff(np.concatenate([[0.0], half_times]))
-    low = np.maximum(np.maximum(gaps - 4.0 * period, 0.25 * period), gap_lo)
-    high = np.minimum(gaps + 4.0 * period, gap_hi)
-    return None if np.any(high < low) else (low, high)
-
-
 def _stage2_result(candidate, gate, evaluations, chain, config, seed):
     """The `OptimizationResult` of a (sequence, train) gate refined from
     `candidate`, scored on its trajectories under the stage-1 `config`."""
@@ -1038,24 +1025,25 @@ def stage2(
     """Refine one candidate on the repetition-rate grid.
 
     Continuous gap refinement and integer re-scoring against the analytic
-    surrogate come first (`_joint_paths`); the stage-1 timings and the
-    refined ones are then snapped to the grid and polished by coordinate
-    descent over the group times (`_grid_solutions`), and the best solution
-    the grid expresses is scored by the trajectory-based infidelity of its
-    expanded train.  Each gap stays within +-`timing_variation` of its
-    Stage-1 value, widened by a quarter grid slot, and the negative-time
-    half mirrors the positive half throughout: a polish that cannot bring
-    every group inside its windows gives no solution.  Whenever the grid
-    expresses the snapped Stage-1 seed inside those windows, the result is
-    never worse than that seed under the trajectory objective; when it does
-    not, the joint paths, whose fits keep every gap at or above the burst
-    floor of its sizes, may still give a gate.  Raises
-    `GridResolutionError` only when no path gives a timing the grid
-    expresses inside the windows.  Stage 2 searches under `stage1_config`'s
-    thermal state, pulse error, pulse counting and limits: integer moves
-    keep every group within `z_bound_max` (or the candidate's largest
-    group) and the gate within `max_sdks` SDKs.  `stage2_evaluations`
-    counts the on-grid surrogate evaluations.
+    surrogate come first (`_joint_paths`); the stage-1 seed and the refit
+    solutions of the best three joint paths are then snapped to the grid and
+    polished by coordinate descent over the group times (`_grid_solutions`),
+    and the best solution the grid expresses is scored by the
+    trajectory-based infidelity of its expanded train.  Every fit and polish
+    keeps one window set: each gap within +-`timing_variation` of its
+    Stage-1 value (a quarter slot wider on the grid), the solver clamping
+    the fits' starts into it, and the negative-time half mirroring the
+    positive half; a polish that cannot bring every group inside its windows
+    gives no solution.  Whenever the grid expresses the snapped Stage-1 seed
+    inside them, the result is never worse than that seed under the
+    trajectory objective; when it does not, the joint paths, whose fits keep
+    every gap at or above the burst floor of its sizes, may still give a
+    gate.  Raises `GridResolutionError` only when no path gives a timing the
+    grid expresses inside the windows.  Stage 2 searches under
+    `stage1_config`'s thermal state, pulse error, pulse counting and limits:
+    integer moves keep every group within `z_bound_max` (or the candidate's
+    largest group) and the gate within `max_sdks` SDKs.
+    `stage2_evaluations` counts the on-grid surrogate evaluations.
     """
     rate = stage2_config.repetition_rate
     base = candidate.sequence.trimmed()
@@ -1079,23 +1067,15 @@ def stage2(
         max(max(map(abs, sizes0)), stage1_config.z_bound_max),
         stage1_config.max_sdks // 2, stage2_config.local_restarts, scorer, rng,
     )
-    # Seed path: the stage-1 sizes and timings polished within the stage-1
-    # windows (the never-worse-than-seed guarantee); a phase whose snapped
-    # seed the grid cannot express gives no solution.
-    polished = [_grid_solutions(timing_cost, rate, sizes0, times0, gap_lo, gap_hi, scorer)]
-    # Joint paths: the best three refined again from three starts, each
-    # solution polished inside windows re-anchored around its gaps.
     refits = _lockstep(timing_cost, [
         _refine_times(np.asarray(sizes, dtype=float), t_joint, gap_lo, gap_hi, 600, 3, rng)
         for _, sizes, t_joint in joint[:3]
     ], gap_lo, gap_hi)
-    for (_, sizes, _), refined in zip(joint, refits):
-        for _, t_solution in refined[:3]:
-            windows = _anchored_windows(t_solution, gap_lo, gap_hi, timing_cost.period)
-            if windows is not None:
-                polished.append(_grid_solutions(
-                    timing_cost, rate, sizes, list(t_solution), *windows, scorer
-                ))
+    # the stage-1 seed first: the result is never worse than the seed
+    starts = [(sizes0, times0)] + [(sizes, t) for (_, sizes, _), refined in zip(joint, refits)
+                                   for _, t in refined]
+    polished = [_grid_solutions(timing_cost, rate, sizes, times, gap_lo, gap_hi, scorer)
+                for sizes, times in starts]
     solutions = [solution for found, _ in polished for solution in found]
     evaluations = sum(spent for _, spent in polished)
     expressed = (_expand(z, t, targets, rate, phase) for _, z, t, phase in sorted(solutions))
@@ -1201,8 +1181,9 @@ def jitter_sensitivity(
     sharing one per-kick loop, each report bit-identical to evaluating its
     shot alone.  The unjittered train's lanes lead the same stack.
     """
-    if fractional_instability < 0.0:
-        raise ValueError("fractional_instability must be non-negative")
+    if not 0.0 <= fractional_instability < 1.0:
+        # a rate shift of -1 or less would stop or reverse the scaled train
+        raise ValueError("fractional_instability must be in [0, 1)")
     if samples < 1:
         raise ValueError("samples must be positive")
     if fractional_instability == 0.0:

@@ -22,7 +22,8 @@ class ConfigError(ValueError):
 
 
 SWEEP_VARIABLES = ("num_ions", "repetition_rate", "epsilon", "temperature", "jitter")
-# The most entries of a {start, stop, step} scan or a sweep; the largest restarts, z_bound_max
+# The most entries of a {start, stop, step} scan or a sweep; the largest restarts,
+# z_bound_max and sweep samples
 ENTRY_LIMIT = 10_000
 
 
@@ -239,7 +240,8 @@ def _parse_sweep(block: dict):
         raise ConfigError(
             f"sweep.variable must be one of {', '.join(SWEEP_VARIABLES)}; got {variable!r}"
         )
-    samples = _get_int(block, "samples", "sweep.samples", default=100, least=1)
+    samples = _get_int(block, "samples", "sweep.samples", default=100, least=1,
+                       most=ENTRY_LIMIT)
     if "values" in block:
         values = block["values"]
         if not isinstance(values, list) or not values:
@@ -264,6 +266,8 @@ def _parse_sweep(block: dict):
         values = [int(v) for v in values]
     elif variable == "repetition_rate" and not all(v > 0.0 for v in values):
         raise ConfigError("sweep over repetition_rate needs values > 0")
+    elif variable == "jitter" and not all(0.0 <= v < 1.0 for v in values):
+        raise ConfigError("sweep over jitter needs values in [0, 1)")
     elif not all(v >= 0.0 for v in values):
         raise ConfigError(f"sweep over {variable} needs values >= 0")
     return variable, tuple(values), samples

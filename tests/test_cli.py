@@ -508,6 +508,45 @@ class TestInfeasibleCandidates:
         assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
+class TestSweepSkipsInfeasibleValues:
+    def test_repetition_rate_sweep_writes_the_feasible_rows(self, tmp_path, capsys):
+        data = {"trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 2},
+                "stage2": {"local_restarts": 0}, "seed": 1,
+                "sweep": {"variable": "repetition_rate", "values": [300, 0.5]}}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        # no timing of either candidate fits the 2 us grid of 0.5 MHz
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "repetition_rate=0.5 skipped" in lines[0] and "infeasible" in lines[0]
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [["repetition_rate", "300"]]
+
+    def test_num_ions_sweep_writes_the_feasible_rows(self, tmp_path, capsys, monkeypatch):
+        from fastgate import cli
+        from fastgate.sequence import GridResolutionError
+
+        real = cli.optimize_gate
+
+        def failing_at_three(chain, *args, **kwargs):
+            if chain.num_ions == 3:
+                raise GridResolutionError("rate cannot express the timings")
+            return real(chain, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_gate", failing_at_three)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "num_ions", "values": [2, 3]}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["numerical failure: num_ions=3 skipped: rate cannot express the timings"]
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [["num_ions", "2"]]
+
+
 class TestTrajectoryCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         import csv
@@ -595,6 +634,8 @@ class TestConfigErrorsBeforeRunning:
     @pytest.mark.parametrize("variable, value", [
         ("temperature", -1e-3),
         ("jitter", -0.01),
+        ("jitter", 1.0),
+        ("jitter", 1.5),
         ("epsilon", -1e-4),
         ("repetition_rate", -300.0),
         ("repetition_rate", 0.0),
@@ -772,6 +813,42 @@ class TestIntegerLimits:
         assert main(["--config", config, "--seed", "-5", "--out", str(out), "optimize"]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == ["configuration error: --seed must be a non-negative integer"]
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("samples", [10_001, 10**9])
+    def test_jitter_samples_above_the_limit_exit_2(self, tmp_path, capsys, monkeypatch, samples):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before its samples were checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "jitter", "values": [1e-3], "samples": samples}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["configuration error: sweep.samples must be at most 10000"]
+        assert not (out / "sweep.csv").exists()
+        assert load_run_config({"sweep": {"variable": "jitter", "values": [1e-3],
+                                          "samples": 10_000}}).jitter_samples == 10_000
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    threads):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the gate was built before --threads was checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        config = write_config(tmp_path, FAST_OPTIMIZE)
+        out = tmp_path / "o"
+        argv = ["--config", config, "--threads", threads, "--out", str(out), "optimize"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["configuration error: --threads must be a positive integer"]
         assert not (out / "result.json").exists()
 
     def test_limits_are_inclusive(self):

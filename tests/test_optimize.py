@@ -501,7 +501,7 @@ class TestJointRefine:
         cut_by_a_running_lane = 0
         for bar in np.append(np.unique(scores), np.inf):
             log = []
-            path = watched(_first_improving(trials, t, gap_lo, gap_hi, bar, scorer), log)
+            path = watched(_first_improving(trials, t, bar, scorer), log)
             taken = _lockstep(surrogate, [path], gap_lo, gap_hi)[0]
             improving = np.flatnonzero(scores < bar)
             if not len(improving):
@@ -559,9 +559,9 @@ class TestJointRefine:
         fitted = []
         first_improving = optimize._first_improving
 
-        def recording(trials, t, gap_lo, gap_hi, cost, scorer):
+        def recording(trials, t, cost, scorer):
             fitted.extend(scorer(0.0, trial) < cost for trial in trials)
-            return (yield from first_improving(trials, t, gap_lo, gap_hi, cost, scorer))
+            return (yield from first_improving(trials, t, cost, scorer))
 
         monkeypatch.setattr(optimize, "_first_improving", recording)
         unwinnable, outcomes = [], []
@@ -737,6 +737,47 @@ class TestBoxLeastSquares:
             for x in visited:
                 assert np.all(x >= lower) and np.all(x <= upper)
 
+    def test_starts_outside_the_box_fit_as_their_clipped_starts(self, chain5):
+        rng = np.random.default_rng(9)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        lanes, d = 6, 6
+        sizes = rng.integers(1, 4, size=(lanes, d)) * rng.choice([-1, 1], size=(lanes, d))
+        gaps = (1e-6 / 12) * np.ones(d) / _GAP_UNIT
+        # per-lane lower bounds raised above the shared window, as burst floors raise them
+        lower = np.maximum(0.75 * gaps, gaps * rng.uniform(0.6, 0.9, size=(lanes, d)))
+        upper = 1.25 * gaps
+        starts = gaps * (1.0 + rng.uniform(-0.5, 0.5, size=(lanes, d)))
+        assert np.any(starts < lower) and np.any(starts > upper)
+        fits = [
+            _box_least_squares(
+                lane_fit(surrogate.bind(sizes), np.zeros((lanes, 1)), np.zeros(lanes, dtype=int)),
+                x0, lower, upper, 60,
+            )
+            for x0 in (starts, np.clip(starts, lower, upper))
+        ]
+        (cost_raw, x_raw), (cost_clipped, x_clipped) = fits
+        assert cost_raw.tobytes() == cost_clipped.tobytes()
+        assert x_raw.tobytes() == x_clipped.tobytes()
+
+    def test_gap_fits_need_no_clipped_starts(self, chain5):
+        # clipping the gaps into the windows, then dividing by the gap unit
+        # and clamping to the solver's box (the windows with their lower
+        # edges raised to the burst floors), is that last clamp alone
+        rng = np.random.default_rng(10)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        lanes, d = 6, 5
+        sizes = rng.integers(1, 5, size=(lanes, d)) * rng.choice([-1, 1], size=(lanes, d))
+        gaps = np.full(d, 1e-6 / 12)
+        gap_lo, gap_hi = 0.75 * gaps, 1.25 * gaps
+        starts = gaps * (1.0 + rng.uniform(-0.5, 0.5, size=(lanes, d)))
+        assert np.any(starts < gap_lo) and np.any(starts > gap_hi)
+        raw, clipped = (
+            _fit_gaps(surrogate.bind(sizes), x0, gap_lo, gap_hi, 60)
+            for x0 in (starts, np.clip(starts, gap_lo, gap_hi))
+        )
+        assert raw[0].tobytes() == clipped[0].tobytes()
+        assert raw[1].tobytes() == clipped[1].tobytes()
+
     def test_repeats_bit_for_bit(self, chain5):
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         z = np.array([1.0, -2.0, 3.0, 2.0, -1.0, 1.0])
@@ -904,6 +945,31 @@ class TestStage2:
         seed_report = evaluate_train(seed_train, chain2, NBAR)
         assert 1.0 - result.adjusted_fidelity <= seed_report.adjusted_infidelity(1e-5) + 1e-15
 
+    def test_every_polish_runs_in_the_stage1_windows(self, chain2, monkeypatch):
+        from fastgate import optimize
+
+        config = small_stage1_config()
+        candidate = stage1(chain2, config, seed=2)[0][0]
+        base = candidate.sequence.trimmed()
+        sizes = [z for z in base.half_sizes if z != 0]
+        times = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
+        gap_lo, gap_hi = 0.75 * _gaps(times), 1.25 * _gaps(times)
+        calls = []
+        grid_solutions = optimize._grid_solutions
+
+        def recording(timing_cost, rate, half_sizes, half_times, lo, hi, scorer):
+            calls.append((list(half_sizes), list(half_times), lo, hi))
+            return grid_solutions(timing_cost, rate, half_sizes, half_times, lo, hi, scorer)
+
+        monkeypatch.setattr(optimize, "_grid_solutions", recording)
+        stage2(candidate, chain2, config, Stage2Config(local_restarts=1), seed=2)
+        # the stage-1 seed first, then three refit solutions per joint path
+        assert calls[0][:2] == (sizes, times)
+        assert len(calls) > 1 and (len(calls) - 1) % 3 == 0
+        for _, _, lo, hi in calls:
+            assert lo.tobytes() == gap_lo.tobytes()
+            assert hi.tobytes() == gap_hi.tobytes()
+
     def test_result_reproducible_from_stored_train(self, chain2, chain2_result):
         _, result = chain2_result
         report = evaluate_train(result.train, chain2, result.thermal)
@@ -1022,6 +1088,37 @@ class TestStage2:
                 assert max(abs(v) for v in z) <= 1
 
 
+class TestWorkerPool:
+    def test_pool_has_no_more_workers_than_items(self, chain2, monkeypatch):
+        from fastgate import optimize
+
+        sizes = []
+
+        class RecordingPool:
+            """Runs the work in-process, recording the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(optimize, "ProcessPoolExecutor", RecordingPool)
+        assert optimize._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], 64) == [2, 4, 8]
+        assert optimize._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], 2) == [2, 4, 8]
+        config = small_stage1_config()
+        serial, _ = stage1(chain2, config, seed=2)
+        pooled, _ = stage1(chain2, config, seed=2, threads=16)
+        assert sizes == [3, 2, len(config.gate_time_scan)]
+        assert [c.sequence.half_sizes for c in pooled] == [c.sequence.half_sizes for c in serial]
+
+
 class TestOptimizeGate:
     def test_deterministic_end_to_end(self, chain2):
         config = small_stage1_config(top_k=2)
@@ -1085,6 +1182,10 @@ class TestJitter:
     def test_rejects_bad_arguments(self, chain2, quick_result):
         with pytest.raises(ValueError):
             jitter_sensitivity(quick_result, chain2, -0.1)
+        # a rate shift of -1 or less would run the scaled train backwards
+        for instability in (1.0, 1.5):
+            with pytest.raises(ValueError):
+                jitter_sensitivity(quick_result, chain2, instability)
         with pytest.raises(ValueError):
             jitter_sensitivity(quick_result, chain2, 0.1, samples=0)
 
