@@ -8,13 +8,18 @@ Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
-bound.  Both run as lanes of one stack, each lane ending where it would
-alone.  The descents of one bound level apply a precomputed move matrix to
-every lane's sizes and score all the lanes' feasible trials in one batch;
-starts, trials and exhaustive grids share one evaluator, so a row scores the
-same bits wherever it comes from.  The relaxations are box-bounded
-least-squares fits of the closed-form cost on the stage-2 solver
-`_box_least_squares`, the twelve starts as lanes.
+bound.  Every gate time of the scan (or of one worker's contiguous part of
+it) runs in lockstep, one bound level at a time: a lane carries its gate
+time's index, each gate time keeping its own rng, warm starts and finds,
+and each lane ends where it would alone.  A descent pass screens every
+move of every lane from the forms' products with the lane's sizes
+(`CostModel.screened_moves`), then builds and scores exactly only the
+trials within a proven rounding bound of the lane's best estimate; starts,
+trials and exhaustive grids share one exact evaluator, so a row scores the
+same bits wherever it comes from, and every decision uses exact scores.
+The relaxations are box-bounded least-squares fits of the closed-form cost
+on the stage-2 solver `_box_least_squares`, the twelve starts of every gate
+time as lanes of one stack.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -48,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -138,128 +144,256 @@ class Stage2Config:
             raise ValueError(f"local_restarts must be in 0..{len(_RESTART_SCALES) - 1}")
 
 
+_ROUNDOFF = 2.0**-53  # unit roundoff of a float
+# The most trials one screening step of the descent holds: each step keeps
+# about a dozen (lanes, moves) arrays, so this bounds the memory of a
+# lockstep stack.  On the benchmark's N=20 scan, unbounded steps raised
+# stage 1's traced memory peak from 2.4 to 7.5 MB, while 2 048, 4 096 and
+# 8 192 took the same time.
+_SCREEN_ROWS = 4096
+
+
+def _quadratic_rows(rows, form):
+    """r^T F r for each row r of a (..., rows, d) stack, the form F shared
+    by every row or one (d, d) form per lane of a (lanes, rows, d) stack,
+    broadcast over the lane's rows.  Each row is its own 1 x d product with
+    the form, so its bits depend neither on the stack nor on how the form
+    reaches it (a three-operand einsum's do at d = 2)."""
+    rows = rows[..., None, :]
+    return ((rows @ form[..., None, :, :]) @ rows.swapaxes(-1, -2))[..., 0, 0]
+
+
 class CostModel:
-    """Closed-form cost at fixed timings, reduced to two quadratic forms.
+    """Closed-form cost at fixed timings, reduced to two quadratic forms,
+    for each gate time of a scan.
 
     For fixed group times the entangling phase and every residual are linear
     in the half-vector z, so the ideal infidelity collapses to two d x d
     quadratic forms (`_TimingCost.fixed_timing_forms`) evaluated in
-    microseconds per candidate.  Every score goes through one evaluator, so
-    a row gets the same bits alone or in any stack, and z and -z score equal.
+    microseconds per candidate.  `half_times` is one (d,) row of group times
+    or one row per gate time; the forms are stacked in that order, and a
+    score names its gate time by that index (`gate`: one for every row, or
+    one per lane of a (lanes, rows, d) stack).  Every exact score goes
+    through one evaluator (`_quadratic_rows`), so a row gets the same bits
+    alone or in any stack and next to any other gate time, and z and -z
+    score equal.  `screened_moves` estimates the scores of every descent
+    move at once, with a proven bound on each estimate's error;
+    `evaluations` counts the rows scored or screened as feasible trials, and
+    `rescored` the trials the screen sent to the exact evaluator.
     """
 
     def __init__(self, chain, config: Stage1Config, half_times):
         kernel = _TimingCost(chain, config.targets, config.thermal)
-        self.phase_quadratic, self.scaled = kernel.fixed_timing_forms(half_times)
-        self.residual_quadratic = self.scaled.T @ self.scaled
+        forms = [kernel.fixed_timing_forms(row) for row in np.atleast_2d(half_times)]
+        self.phase_quadratic = np.array([phase for phase, _ in forms])
+        self.scaled = np.array([scaled for _, scaled in forms])
+        self.residual_quadratic = np.array([scaled.T @ scaled for _, scaled in forms])
+        deltas = _descent_moves(self.phase_quadratic.shape[-1])[0]
+        # per form: delta^T F delta for every move at every gate time (at most
+        # four nonzero products, each exact: the steps are powers of two), and
+        # the largest |F_ij|
+        self._moves = [
+            (((deltas @ form) * deltas).sum(axis=-1), np.abs(form).max(axis=(1, 2)))
+            for form in (self.phase_quadratic, self.residual_quadratic)
+        ]
         self.epsilon = config.epsilon
         self.counting = config.pulse_counting
         self.max_sdk_half = config.max_sdks // 2
         self.evaluations = 0
+        self.rescored = 0
 
-    def ideal_infidelity(self, z: np.ndarray):
-        """A float for one (d,) row of half sizes, one per row of a stack;
-        each row is its own 1 x d product with the forms, so its bits do not
-        depend on the stack (a three-operand einsum's do at d = 2)."""
-        rows = np.ascontiguousarray(np.atleast_2d(z), dtype=float)[:, None, :]
-        theta, motional = (((rows @ form) @ rows.swapaxes(1, 2)).ravel()
+    def ideal_infidelity(self, z: np.ndarray, gate=0):
+        """A float for one (d,) row of half sizes, one per row of a stack."""
+        rows = np.ascontiguousarray(np.atleast_2d(z), dtype=float)
+        theta, motional = (_quadratic_rows(rows, form[gate])
                            for form in (self.phase_quadratic, self.residual_quadratic))
         costs = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2 + motional
         return float(costs[0]) if np.ndim(z) == 1 else costs
 
-    def residuals_and_jacobian(self, z, lanes=None) -> tuple:
+    def residuals_and_jacobian(self, z, gates=None) -> tuple:
         """The cost as a sum of squares for `_box_least_squares`: residual 0
         is the weighted phase mismatch, the rest the weighted per-mode
         displacements, row by row for a (lanes, d) stack, and a function
         that gives the (modes+1) x d Jacobian of the rows it picks (every
-        row by default), the contract of `_fit_gaps`'s kernel.  Every lane
-        shares the model, so `lanes` is unused.
+        row by default), the contract of `_fit_gaps`'s kernel.  Row l is at
+        gate time `gates[l]` (gate time 0 for every row by default).
         """
-        kz = (self.phase_quadratic @ z[:, :, None])[:, :, 0]
+        gate = 0 if gates is None else gates
+        kz = (self.phase_quadratic[gate] @ z[:, :, None])[:, :, 0]
         theta = _rowdot(z, kz)
-        out = np.empty((len(z), 1 + len(self.scaled)))
+        out = np.empty((len(z), 1 + self.scaled.shape[-2]))
         out[:, 0] = math.sqrt(2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET)
-        out[:, 1:] = (self.scaled @ z[:, :, None])[:, :, 0]
-        jac = np.empty(out.shape + (z.shape[1],))
-        jac[:, 0] = (2.0 * math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * kz
-        jac[:, 1:] = self.scaled
-        return out, lambda rows=slice(None): jac[rows]
+        out[:, 1:] = (self.scaled[gate] @ z[:, :, None])[:, :, 0]
+        slope = (2.0 * math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta))[:, None] * kz
 
-    def selection_cost(self, z: np.ndarray) -> np.ndarray:
+        def jacobian(rows=slice(None)):
+            # built on request, so a stack of lanes holds no Jacobian between calls
+            jac = np.empty((len(slope[rows]),) + out.shape[1:] + (z.shape[1],))
+            jac[:, 0] = slope[rows]
+            jac[:, 1:] = self.scaled[gate if gates is None else gates[rows]]
+            return jac
+
+        return out, jacobian
+
+    def _score(self, z, gate=0):
+        """`selection_cost` without counting the rows."""
+        pulses = pulse_count_for(2 * np.sum(np.abs(z), axis=-1), self.counting)
+        ideal = self.ideal_infidelity(z, gate)
+        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - ideal)
+
+    def selection_cost(self, z: np.ndarray, gate=0) -> np.ndarray:
         """Pulse-error-adjusted infidelity used to rank candidates, one per
-        row of a (rows, d) stack of half sizes."""
-        self.evaluations += len(z)
-        pulses = pulse_count_for(2 * np.sum(np.abs(z), axis=1), self.counting)
-        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - self.ideal_infidelity(z))
+        row of a (rows, d) stack of half sizes or a (lanes, rows, d) one."""
+        self.evaluations += np.size(z) // np.shape(z)[-1]
+        return self._score(z, gate)
+
+    def screened_moves(self, z, gates, pulses) -> tuple:
+        """Estimates of `selection_cost` for every trial z + delta of the
+        `_descent_moves` deltas, from a (lanes, d) stack of z, lane l at gate
+        time `gates[l]`, whose trials carry the (lanes, moves) `pulses`;
+        returns the (lanes, moves) estimates and bounds on their errors.
+
+        Theta' = Theta + 2 delta^T K z + delta^T K delta, and the motional
+        term M' likewise with the residual form R, from one matrix-vector
+        product per lane.  The bound, with u the unit roundoff, g_n = n u /
+        (1 - n u), S = |z|_1 + 2 (at least |y|_1 for every trial y, and at
+        least 2) and A the largest |K_ij|: a product x^T K y of length-d
+        vectors, in any summation order, is within g_2d |x|^T |K| |y| <=
+        g_2d A |x|_1 |y|_1 of its value (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3), which bounds the exact evaluator's
+        Theta(y) and the estimate's Theta(z) by g_2d A S^2 each.  Kz is
+        within g_d A |z|_1 per entry and |delta|_1 <= 2, so 2 delta^T Kz
+        carries 2 g_d A S^2; delta's entries are powers of two, so delta^T Kz
+        and delta^T K delta are sums of at most two and four exact products,
+        whose roundings add 2 u A S^2 (once doubled) and g_3 A S^2; the two
+        additions that join the terms, whose magnitudes sum to at most
+        4 A S^2, add at most 8 u A S^2.  To first order
+        Theta' and the exact Theta differ by (6d + 13) u A S^2, so by at most
+        E = (6d + 16) u A S^2, and M' and the exact M by the same with R.
+        The score is 1 - f (1 - I) with I = (2/3) (|Theta| - pi/4)^2 + M, f
+        the pulse factor, the same float for a trial's estimate and its
+        exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
+        + |Theta| + pi/2) + E_M] <= f [1.4 E (|Theta'| + pi/4 + E) + E_M]
+        (1.4 covers the rounded 2/3), and the seven roundings of each of the
+        two scores add at most u [f (8 I + 3) + 1] each, which 16 u (1 + f (2
+        + I)) covers with the exact I at most I + 1 (the input errors are
+        below 1e-10).
+        """
+        deltas = _descent_moves(z.shape[1])[0]
+        reach = ((6 * z.shape[1] + 16) * _ROUNDOFF) * (np.sum(np.abs(z), axis=1) + 2.0) ** 2
+        terms = []
+        for form, (moved, magnitude) in zip((self.phase_quadratic, self.residual_quadratic),
+                                            self._moves):
+            fz = (form[gates] @ z[:, :, None])[:, :, 0]
+            value = _rowdot(z, fz)[:, None] + 2.0 * (fz @ deltas.T) + moved[gates]
+            terms.append((value, (magnitude[gates] * reach)[:, None]))
+        (theta, theta_error), (motional, motional_error) = terms
+        factor = pulse_error_factor(pulses, self.epsilon)
+        mismatch = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2
+        estimate = 1.0 - factor * (1.0 - (mismatch + motional))
+        error = factor * (
+            1.4 * theta_error * (np.abs(theta) + PHASE_TARGET + theta_error) + motional_error
+        ) + 16.0 * _ROUNDOFF * (1.0 + factor * (2.0 + mismatch + np.abs(motional)))
+        return estimate, error
 
 
 @functools.lru_cache(maxsize=None)
 def _descent_moves(d: int):
-    """Single +-1/+-2 moves plus paired +-1 moves on adjacent coordinates.
+    """Single +-1/+-2 moves plus paired +-1 moves on adjacent coordinates,
+    in the fixed move order both stages search in.
 
-    Returned as a read-only (moves x d) delta matrix and the mask of the
-    coordinates each move touches, in the fixed move order both stages
-    search in.
+    Returned read-only: the (moves, d) delta matrix, and as (moves, 2)
+    arrays the two coordinates each move may touch, its step on each and
+    whether it touches each (a single move's second slot repeats its
+    coordinate with no step, untouched).
     """
-    singles = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
-    pairs = [
-        ((i, i + 1), (di, dj))
-        for i in range(d - 1)
-        for di in (1, -1)
-        for dj in (1, -1)
-    ]
-    moves = singles + pairs
-    deltas = np.zeros((len(moves), d))
-    touched = np.zeros((len(moves), d), dtype=bool)
-    for row, (idx, steps) in enumerate(moves):
-        deltas[row, list(idx)] = steps
-        touched[row, list(idx)] = True
-    deltas.flags.writeable = False
-    touched.flags.writeable = False
-    return deltas, touched
+    singles = [((i, i), (delta, 0)) for i in range(d) for delta in (1, -1, 2, -2)]
+    pairs = [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
+    coords, steps = (np.array(part) for part in zip(*(singles + pairs)))
+    deltas = np.zeros((len(coords), d))
+    np.add.at(deltas, (np.arange(len(coords))[:, None], coords), steps)
+    touched = np.column_stack([np.ones(len(coords), dtype=bool), coords[:, 0] != coords[:, 1]])
+    for part in (deltas, coords, steps, touched):
+        part.flags.writeable = False
+    return deltas, coords, steps, touched
 
 
-def _neighbourhood(z: np.ndarray, bound: int, cap_half: int):
-    """Every move applied to z, and which of the trials are feasible.
+def _move_reach(z: np.ndarray, bound: int, cap_half: int):
+    """Which trials z + delta of the `_descent_moves` deltas are feasible,
+    and each trial's half-sum of |z|, as (lanes, moves) arrays for a
+    (lanes, d) stack of z, worked out from the coordinates each move touches
+    alone.  A trial is feasible when each coordinate the move touches stays
+    within `bound` and the half-sum of |z| stays within `cap_half`."""
+    _, coords, steps, touched = _descent_moves(z.shape[1])
+    before = z[:, coords]
+    after = np.abs(before + steps)
+    feasible = ~np.any(touched & (after > bound), axis=-1)
+    # an untouched slot has no step, so it adds nothing to the norm
+    norms = np.sum(np.abs(z), axis=1)[:, None] + np.sum(after - np.abs(before), axis=-1)
+    return feasible & (norms <= cap_half), norms
 
-    A trial is feasible when each coordinate the move touches stays within
-    `bound` and the half-sum of |z| stays within `cap_half`.  For a
-    (lanes, d) stack of z the trials are (lanes, moves, d).
-    """
-    deltas, touched = _descent_moves(np.shape(z)[-1])
-    trials = z[..., None, :] + deltas
-    magnitude = np.abs(trials)
-    feasible = ~np.any(touched & (magnitude > bound), axis=-1)
-    feasible &= np.sum(magnitude, axis=-1) <= cap_half
-    return trials, feasible
 
-
-def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes: int = 400):
+def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes: int = 400,
+                        gates=None):
     """Greedy integer descent over single and adjacent-pair moves.
 
-    Each pass applies the whole move matrix to z at once, scores the
-    feasible trials in move order in one batch, and takes the best strictly
-    improving move (the first on ties) until none remains.  `z0` is a
-    (lanes, d) stack of starts whose descents run as lanes: one batch scores
-    every running lane's trials, each row as it would be scored alone, and a
-    lane stops on its own.  Returns (z, cost) per lane.
+    Each pass takes the best strictly improving move (the first in move
+    order on ties) until none remains.  `z0` is a (lanes, d) stack of
+    starts whose descents run as lanes, lane l at gate time `gates[l]` of
+    the model (gate time 0 for every lane by default); a lane stops on its
+    own.  A pass works through the running lanes in steps of at most
+    `_SCREEN_ROWS` trials (`_descent_pass`) and scores in two steps.  The
+    screen (`CostModel.screened_moves`) estimates every trial at once, with
+    feasibility and pulse counts from the touched coordinates alone
+    (`_move_reach`).  With exact scores e, estimates s and error bounds b,
+    the exact minimum j satisfies s_j - b_j <= e_j <= e_k <= s_k + b_k for
+    the lowest estimate k, and so does every trial tied with it; the trials
+    with s <= s_k + b_k + b alone are built and scored exactly, each lane's
+    in move order against the lane's forms.  Every decision and reported
+    cost uses the exact scores, so each lane moves as it would with every
+    trial scored exactly.  `model.evaluations` counts every feasible
+    trial.  Returns (z, cost) per lane.
     """
     z = np.array(z0, dtype=float)
-    cost = model.selection_cost(z)
+    gates = np.zeros(len(z), dtype=int) if gates is None else np.asarray(gates)
+    step = max(1, _SCREEN_ROWS // len(_descent_moves(z.shape[1])[0]))
+
+    def blocks(lanes):
+        return np.split(lanes, range(step, len(lanes), step))
+
     lanes = np.arange(len(z))
+    cost = np.concatenate([model.selection_cost(z[b, None], gates[b])[:, 0] for b in blocks(lanes)])
     for _ in range(max_passes):
-        trials, feasible = _neighbourhood(z[lanes], bound, model.max_sdk_half)
-        costs = np.full(feasible.shape, np.inf)
-        costs[feasible] = model.selection_cost(trials[feasible])
-        best = np.argmin(costs, axis=1)
-        best_cost = costs[np.arange(len(lanes)), best]
-        moved = feasible.any(axis=1) & ~(best_cost >= cost[lanes])
-        z[lanes[moved]] = trials[moved, best[moved]]
-        cost[lanes[moved]] = best_cost[moved]
-        lanes = lanes[moved]
         if not len(lanes):
             break
+        lanes = np.concatenate([b[_descent_pass(model, z, cost, b, gates[b], bound)]
+                                for b in blocks(lanes)])
     return z.astype(int), cost
+
+
+def _descent_pass(model, z, cost, lanes, gates, bound):
+    """One pass of `_coordinate_descent` for the rows `lanes` of z, at
+    gate times `gates`: moves each lane that has a strictly improving move,
+    updating z and cost in place, and returns which lanes moved."""
+    here = z[lanes]
+    feasible, norms = _move_reach(here, bound, model.max_sdk_half)
+    model.evaluations += int(np.count_nonzero(feasible))
+    estimate, error = model.screened_moves(here, gates, pulse_count_for(2 * norms, model.counting))
+    estimate[~feasible] = np.inf
+    rows = np.arange(len(lanes))
+    lead = np.argmin(estimate, axis=1)
+    keep = feasible & (estimate <= (estimate[rows, lead] + error[rows, lead])[:, None] + error)
+    # the kept moves of each lane in move order, padded with unkept ones
+    picks = np.argsort(~keep, axis=1, kind="stable")[:, : max(1, keep.sum(axis=1).max())]
+    trials = here[:, None, :] + _descent_moves(z.shape[1])[0][picks]
+    model.rescored += picks.size
+    costs = np.where(np.take_along_axis(keep, picks, axis=1), model._score(trials, gates), np.inf)
+    best = np.argmin(costs, axis=1)
+    best_cost = costs[rows, best]
+    moved = feasible.any(axis=1) & ~(best_cost >= cost[lanes])
+    z[lanes[moved]] = trials[moved, best[moved]]
+    cost[lanes[moved]] = best_cost[moved]
+    return moved
 
 
 def _size_grid(d: int, bound: int) -> np.ndarray:
@@ -268,40 +402,53 @@ def _size_grid(d: int, bound: int) -> np.ndarray:
 
 
 def _clip_to_sdk_cap(z: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministically shrink the largest entries until sum |z| <= cap."""
-    z = z.copy()
-    while np.sum(np.abs(z)) > cap:
-        i = int(np.argmax(np.abs(z)))
-        z[i] -= int(np.sign(z[i]))
-    return z
+    """Deterministically shrink the largest entry (the first of equals) by
+    one until sum |z| <= cap, for one (d,) row or each row of a stack."""
+    z = np.array(z)
+    rows = np.atleast_2d(z)
+    while True:
+        over = np.flatnonzero(np.sum(np.abs(rows), axis=1) > cap)
+        if not len(over):
+            return z
+        largest = np.argmax(np.abs(rows[over]), axis=1)
+        rows[over, largest] -= np.sign(rows[over, largest])
 
 
-def _continuous_seeds(model: CostModel, bound: int, rng, starts: int = 12):
-    """Rounded continuous relaxations of the cost, with scaling sweeps.
+def _continuous_seeds(model: CostModel, bound: int, rngs, starts: int = 12):
+    """Rounded continuous relaxations of the cost, with scaling sweeps, for
+    each gate time of the model, gate time g drawing from `rngs[g]`.
 
     The integer landscape is a coarse lattice over narrow valleys; rounding
     the continuous optimum (and rescalings of it that keep the entangling
-    phase near target) lands the descent inside the right basin.
+    phase near target) lands the descent inside the right basin.  The
+    `starts` fits of every gate time run as lanes of one `_box_least_squares`
+    stack.  Returns one list of seeds per gate time.
     """
-    d = model.phase_quadratic.shape[0]
-    K = model.phase_quadratic
-
-    x0 = np.array([rng.uniform(-0.6 * bound, 0.6 * bound, size=d) for _ in range(starts)])
-    funs, xs = _box_least_squares(model.residuals_and_jacobian, x0, -bound, bound, 200)
-    optima = sorted(zip(funs.tolist(), xs), key=lambda p: p[0])
-
-    seeds = []
-    for _, zc in optima[:4]:
-        theta = zc @ K @ zc
-        if theta != 0.0:
-            scale_star = math.sqrt(PHASE_TARGET / abs(theta))
-            for s in np.linspace(0.75, 1.3, 8):
-                seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
-        seeds.append(np.rint(np.clip(zc, -bound, bound)))
-        for _ in range(2):
-            dither = rng.uniform(-0.4, 0.4, size=d)
-            seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
-    return [s.astype(int) for s in seeds if np.any(s)]
+    d = model.phase_quadratic.shape[-1]
+    x0 = np.array([rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
+                   for rng in rngs for _ in range(starts)])
+    gates = np.repeat(np.arange(len(rngs)), starts)
+    funs, xs = _box_least_squares(
+        lambda x, lanes: model.residuals_and_jacobian(x, gates[lanes]), x0, -bound, bound, 200
+    )
+    found = []
+    for gate, rng in enumerate(rngs):
+        span = slice(gate * starts, (gate + 1) * starts)
+        optima = sorted(zip(funs[span].tolist(), xs[span]), key=lambda p: p[0])
+        K = model.phase_quadratic[gate]
+        seeds = []
+        for _, zc in optima[:4]:
+            theta = zc @ K @ zc
+            if theta != 0.0:
+                scale_star = math.sqrt(PHASE_TARGET / abs(theta))
+                for s in np.linspace(0.75, 1.3, 8):
+                    seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
+            seeds.append(np.rint(np.clip(zc, -bound, bound)))
+            for _ in range(2):
+                dither = rng.uniform(-0.4, 0.4, size=d)
+                seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
+        found.append([s.astype(int) for s in seeds if np.any(s)])
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,88 +469,127 @@ class Stage1Candidate:
         )
 
 
-def _stage1_single_gate_time(chain, config, gate_time, tg_index, seed):
-    """Full bound-schedule search at one gate time; returns candidate pool."""
+def _stage1_gate_times(chain, config, scan_indices, seed):
+    """Full bound-schedule search at the gate times `scan_indices` of the
+    scan, run in lockstep: each bound level descends every gate time's
+    starts as lanes of one stack.  Each gate time keeps its own rng, warm
+    starts and finds, so its candidates do not depend on which gate times
+    share its stack.  Returns each gate time's candidate list and the
+    evaluations spent."""
     n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
     d = n_k // 2
-    half_times = [gate_time * ((j + 1) / n_k) for j in range(d)]
+    gate_times = [config.gate_time_scan[index] for index in scan_indices]
+    half_times = [[gate_time * ((j + 1) / n_k) for j in range(d)] for gate_time in gate_times]
     model = CostModel(chain, config, half_times)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, tg_index)))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, index)))
+            for index in scan_indices]
+    gates = range(len(scan_indices))
 
-    # one evaluator scores a row the same wherever it comes from, so a
-    # repeated size vector keeps its first cost and bound
-    pool: dict[tuple, tuple[float, int]] = {}
-    warm: list[np.ndarray] = [np.zeros(d, dtype=int)]
+    found = [[] for _ in gates]  # per gate time: (sizes, costs, bound) in the order found
+    warm = [np.zeros((1, d), dtype=int) for _ in gates]
     for bound in range(1, config.z_bound_max + 1):
         if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT:
             grid = _size_grid(d, bound)
             grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
-            costs = model.selection_cost(grid)
-            order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
-            for idx in order[: max(40, 3 * config.top_k)]:
-                pool.setdefault(tuple(int(v) for v in grid[idx]), (float(costs[idx]), bound))
-            warm = [grid[idx].astype(int) for idx in order[:4]]
-        else:
-            starts = [_clip_to_sdk_cap(np.clip(z, -bound, bound), model.max_sdk_half)
-                      for z in warm]
-            for _ in range(config.restarts):
-                z = rng.integers(-bound, bound + 1, size=d)
-                starts.append(_clip_to_sdk_cap(z, model.max_sdk_half))
-            if bound == config.z_bound_max:
-                starts.extend(
-                    _clip_to_sdk_cap(z, model.max_sdk_half)
-                    for z in _continuous_seeds(model, bound, rng)
-                )
-            finals = []
-            for z, cost in zip(*_coordinate_descent(model, np.array(starts), bound)):
-                pool.setdefault(tuple(int(v) for v in z), (float(cost), bound))
-                finals.append((cost, tuple(z)))
-            finals.sort()
-            warm = [np.array(zt, dtype=int) for _, zt in finals[:4]]
+            for gate in gates:
+                costs = model.selection_cost(grid, gate)
+                order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
+                kept = order[: max(40, 3 * config.top_k)]
+                found[gate].append((grid[kept].astype(int), costs[kept], bound))
+                warm[gate] = grid[order[:4]].astype(int)
+            # the grid is the search's largest array: free it before the descents
+            del grid, costs, order, kept
+            continue
+        starts = [[np.clip(z, -bound, bound) for z in warm[gate]]
+                  + [rngs[gate].integers(-bound, bound + 1, size=d)
+                     for _ in range(config.restarts)]
+                  for gate in gates]
+        if bound == config.z_bound_max:
+            for gate, seeds in enumerate(_continuous_seeds(model, bound, rngs)):
+                starts[gate] += seeds
+        lane_gates = np.repeat(gates, [len(s) for s in starts])
+        z, cost = _coordinate_descent(
+            model, _clip_to_sdk_cap(np.concatenate(starts), model.max_sdk_half), bound,
+            gates=lane_gates,
+        )
+        for gate in gates:
+            mine = lane_gates == gate
+            found[gate].append((z[mine], cost[mine], bound))
+            warm[gate] = z[mine][np.lexsort((*z[mine].T[::-1], cost[mine]))[:4]]
 
-    entries = sorted(pool.items(), key=lambda kv: (kv[1][0], sum(abs(v) for v in kv[0]), kv[0]))
+    candidates = [
+        _gate_time_candidates(config, model, gate, found[gate], half_times[gate], gate_times[gate])
+        for gate in gates
+    ]
+    return candidates, model.evaluations
+
+
+def _gate_time_candidates(config, model, gate, found, half_times, gate_time):
+    """The candidates one gate time contributes, best first.
+
+    A size vector found more than once keeps its first cost and bound (one
+    evaluator scores a row the same wherever it comes from).  The rest are
+    ranked by cost, then sum |z|, then lexicographic z.
+    """
+    sizes, costs = (np.concatenate(parts) for parts in list(zip(*found))[:2])
+    bounds = np.repeat([bound for _, _, bound in found], [len(z) for z, _, _ in found])
+    first = np.unique(sizes, axis=0, return_index=True)[1]
+    sizes, costs, bounds = sizes[first], costs[first], bounds[first]
+    norms = np.sum(np.abs(sizes), axis=1)
+    order = np.lexsort((*sizes.T[::-1], norms, costs)).tolist()
     # Guarantee stage 2 sees a low-pulse-count pattern from this gate time:
     # large-|z| optima of the uniform-timing cost otherwise crowd out the
     # small patterns that refine best once timings move.
-    selected = entries[: config.top_k]
-    small = [kv for kv in entries if 2 * sum(abs(v) for v in kv[0]) <= 30]
+    selected = order[: config.top_k]
+    small = [i for i in order if 2 * norms[i] <= 30]
     if small and small[0] not in selected:
         selected = selected[: max(1, config.top_k - 1)] + [small[0]]
     candidates = []
-    for z_key, (cost, bound) in selected:
+    for i in selected:
         seq = PulseGroupSequence.from_half(
-            list(z_key), half_times, config.targets, gate_time
+            sizes[i].tolist(), half_times, config.targets, gate_time
         ).trimmed()
-        ideal = model.ideal_infidelity(np.array(z_key, dtype=float))
         candidates.append(
             Stage1Candidate(
                 sequence=seq,
-                ideal_infidelity=ideal,
-                adjusted_infidelity=cost,
+                ideal_infidelity=model.ideal_infidelity(sizes[i].astype(float), gate),
+                adjusted_infidelity=float(costs[i]),
                 sdk_count=seq.total_sdks,
                 design_gate_time=gate_time,
-                bound_found=bound,
+                bound_found=int(bounds[i]),
             )
         )
-    return candidates, model.evaluations
+    return candidates
+
+
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for `tasks` tasks: at most `threads`, one per task
+    and one per CPU, and at least one."""
+    return max(1, min(threads, tasks, os.cpu_count() or 1))
 
 
 def _map_ordered(fn, items, threads):
     """`fn(*item)` for each argument tuple of `items`, in a deterministic
-    work pool: results always merged in submission order."""
-    if threads <= 1 or len(items) <= 1:
+    work pool of `_worker_count` workers: results always merged in
+    submission order."""
+    workers = _worker_count(threads, len(items))
+    if workers == 1:
         return [fn(*item) for item in items]
     # the fork start method starts every worker at the first submit
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*items), chunksize=1))
 
 
 def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int = 1):
     """Integer group-size search across the gate-time scan.
 
-    Returns the global top-K `Stage1Candidate`s ranked by pulse-error-adjusted
-    infidelity (ties broken by SDK count, gate time, then lexicographic z),
-    plus a telemetry dict.
+    The scan is split into `_worker_count` contiguous parts, one per
+    worker, each searched in lockstep (`_stage1_gate_times`); a gate time's
+    candidates do not depend on which gate times share its stack, so the
+    result does not depend on `threads`.  Returns the global top-K
+    `Stage1Candidate`s ranked by pulse-error-adjusted infidelity (ties
+    broken by SDK count, gate time, then lexicographic z), plus a telemetry
+    dict.
     """
     mu, nu = config.targets
     if abs(mu - nu) != 1:
@@ -411,16 +597,16 @@ def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int 
     if not (0 <= min(mu, nu) and max(mu, nu) < chain.num_ions):
         raise ValueError("target ions out of range")
 
-    tasks = [
-        (chain, config, gate_time, idx, seed)
-        for idx, gate_time in enumerate(config.gate_time_scan)
-    ]
-    outputs = _map_ordered(_stage1_single_gate_time, tasks, threads)
+    scan = np.arange(len(config.gate_time_scan))
+    parts = np.array_split(scan, _worker_count(threads, len(scan)))
+    tasks = [(chain, config, part.tolist(), seed) for part in parts]
+    outputs = _map_ordered(_stage1_gate_times, tasks, threads)
 
     merged: list[Stage1Candidate] = []
     evaluations = 0
-    for candidates, evals in outputs:
-        merged.extend(candidates)
+    for per_gate_time, evals in outputs:
+        for candidates in per_gate_time:
+            merged.extend(candidates)
         evaluations += evals
     merged.sort(key=Stage1Candidate.sort_key)
     telemetry = {
@@ -762,9 +948,11 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
         improved = False
         move = 0
         while True:
-            trials, feasible = _neighbourhood(z, bound, cap_half)
+            trials = z + _descent_moves(len(z))[0]
             # a move whose bursts cannot fit some gap's window is infeasible
-            feasible &= ~np.any(_burst_floors(np.abs(trials), period) > gap_hi, axis=1)
+            feasible = _move_reach(z[None], bound, cap_half)[0][0] & ~np.any(
+                _burst_floors(np.abs(trials), period) > gap_hi, axis=1
+            )
             batch = np.flatnonzero(feasible & np.any(trials, axis=1))
             batch = list(itertools.islice(
                 (m for m in batch[batch >= move].tolist() if scorer(0.0, trials[m]) < cost), lanes

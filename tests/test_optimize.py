@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fastgate.optimize import (
     _continuous_seeds,
     _coordinate_descent,
     _damped_steps,
+    _descent_moves,
     _first_improving,
     _fit_gaps,
     _grid_descent,
@@ -32,7 +34,7 @@ from fastgate.optimize import (
     _joint_refine,
     _lane_count,
     _lockstep,
-    _neighbourhood,
+    _move_reach,
     _refine_times,
     _size_grid,
     _inside_windows,
@@ -113,7 +115,7 @@ class TestCostModel:
         weights = (4.0 / 3.0) * (0.5 + NBAR.occupations(w)) * (b_mu**2 + b_nu**2)
         sines = np.sin(np.outer(w, t_full)) @ fold
         expected = (0.5 * (folded + folded.T), (2.0 * eta * np.sqrt(weights))[:, None] * sines)
-        for got, want in zip((model.phase_quadratic, model.scaled), expected):
+        for got, want in zip((model.phase_quadratic[0], model.scaled[0]), expected):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -157,7 +159,7 @@ class TestCostModel:
         half_times = [((j + 1) / 16) * 1e-6 for j in range(8)]
         model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
         samples = [rng.uniform(-3.0, 3.0, size=8) for _ in range(200)]
-        thetas = np.array([z @ model.phase_quadratic @ z for z in samples])
+        thetas = np.array([z @ model.phase_quadratic[0] @ z for z in samples])
         assert thetas.min() < 0.0 < thetas.max()
         # both branches of |theta|, each well away from the kink at theta = 0
         points = [samples[i] for i in np.argsort(thetas)[[0, 1, 2, -3, -2, -1]]]
@@ -177,7 +179,7 @@ class TestCostModel:
 
     def test_continuous_seeds_match_the_per_start_loop(self, chain5):
         def reference(model, bound, rng, starts=12):
-            d = model.phase_quadratic.shape[0]
+            d = model.phase_quadratic.shape[-1]
             optima = []
             for _ in range(starts):
                 x0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=(1, d))
@@ -186,7 +188,7 @@ class TestCostModel:
             optima.sort(key=lambda p: p[0])
             seeds = []
             for _, zc in optima[:4]:
-                theta = zc @ model.phase_quadratic @ zc
+                theta = zc @ model.phase_quadratic[0] @ zc
                 if theta != 0.0:
                     scale_star = math.sqrt(math.pi / 4 / abs(theta))
                     for s in np.linspace(0.75, 1.3, 8):
@@ -202,19 +204,36 @@ class TestCostModel:
             model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
             rngs = [np.random.default_rng(90 + n) for _ in range(2)]
             expected = reference(model, bound, rngs[0])
-            seeds = _continuous_seeds(model, bound, rngs[1])
+            seeds = _continuous_seeds(model, bound, [rngs[1]])[0]
             assert len(seeds) == len(expected)
             assert all(np.array_equal(a, b) for a, b in zip(seeds, expected))
             assert rngs[0].random() == rngs[1].random()
 
+        # the fits of three gate times as lanes of one stack, each gate time
+        # drawing from its own rng, give every gate time its lone seeds
+        n, bound = 8, 10
+        rows = [[(j + 1) / (2 * n) * gate_time for j in range(n)]
+                for gate_time in (0.8e-6, 1.0e-6, 1.2e-6)]
+        stacked = CostModel(chain5, Stage1Config(targets=(2, 3)), rows)
+        rngs = [np.random.default_rng(40 + gate) for gate in range(len(rows))]
+        together = _continuous_seeds(stacked, bound, rngs)
+        for gate, row in enumerate(rows):
+            rng = np.random.default_rng(40 + gate)
+            alone = _continuous_seeds(CostModel(chain5, Stage1Config(targets=(2, 3)), row),
+                                      bound, [rng])[0]
+            assert len(alone) == len(together[gate])
+            assert all(np.array_equal(a, b) for a, b in zip(alone, together[gate]))
+            assert rng.random() == rngs[gate].random()
 
-def _reference_coordinate_descent(model, z0, bound, max_passes=400):
-    """The per-move descent loop: one trial array per move, checked in turn."""
+
+def _reference_coordinate_descent(model, z0, bound, max_passes=400, gate=0):
+    """The per-move descent loop at the model's gate time `gate`: one trial
+    array per move, checked in turn, every trial scored exactly."""
     d = len(z0)
     moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
     z = z0.astype(float).copy()
-    cost = model.selection_cost(z[None])[0]
+    cost = model.selection_cost(z[None], gate)[0]
     for _ in range(max_passes):
         trials = []
         for idx, deltas in moves:
@@ -228,7 +247,7 @@ def _reference_coordinate_descent(model, z0, bound, max_passes=400):
             trials.append(trial)
         if not trials:
             break
-        costs = model.selection_cost(np.asarray(trials))
+        costs = model.selection_cost(np.asarray(trials), gate)
         best = int(np.argmin(costs))
         if costs[best] >= cost:
             break
@@ -276,7 +295,7 @@ class TestCoordinateDescent:
             starts.append(_coordinate_descent(model(), starts[0][None], bound)[0][0])
             # a lane so far outside the bound that it has no feasible trial
             stuck = np.full(d, bound + 3)
-            assert not _neighbourhood(stuck, bound, max_sdks // 2)[1].any()
+            assert not _move_reach(stuck[None], bound, max_sdks // 2)[0].any()
             starts.append(stuck)
 
             lone_model = model()
@@ -316,6 +335,82 @@ class TestCoordinateDescent:
         mirrored = (models[0].selection_cost(starts.astype(float)) < zero_cost).tolist()
         assert any(mirrored)
         assert all(np.array_equal(z, z0) for z, z0, m in zip(z_stack, starts, mirrored) if m)
+
+    @pytest.mark.parametrize("screen_rows", [4096, 150])
+    def test_gate_times_share_one_stack(self, chain5, monkeypatch, screen_rows):
+        # lanes of five gate times, interleaved in one stack (and, with few
+        # screen rows, split over many screening steps), each descend as the
+        # per-move reference does at their own gate time
+        from fastgate import optimize
+
+        monkeypatch.setattr(optimize, "_SCREEN_ROWS", screen_rows)
+        d, bound, max_sdks = 8, 5, 60
+        rng = np.random.default_rng(500)
+        half_times = [[t * (j + 1) / (2 * d) for j in range(d)]
+                      for t in rng.uniform(0.6e-6, 1.4e-6, size=5)]
+
+        def model():
+            return CostModel(chain5, Stage1Config(targets=(2, 3), max_sdks=max_sdks), half_times)
+
+        for gate, row in enumerate(half_times):
+            lone = CostModel(chain5, Stage1Config(targets=(2, 3), max_sdks=max_sdks), row)
+            assert lone.phase_quadratic[0].tobytes() == model().phase_quadratic[gate].tobytes()
+            assert lone.scaled[0].tobytes() == model().scaled[gate].tobytes()
+        starts = np.array([_clip_to_sdk_cap(rng.integers(-bound, bound + 1, size=d), max_sdks // 2)
+                           for _ in range(40)])
+        gates = rng.integers(0, len(half_times), size=len(starts))
+        lone_model, stack_model = model(), model()
+        z_stack, cost_stack = _coordinate_descent(stack_model, starts, bound, gates=gates)
+        for z0, gate, z, cost in zip(starts, gates, z_stack, cost_stack):
+            z_ref, cost_ref = _reference_coordinate_descent(lone_model, z0, bound, gate=gate)
+            assert np.array_equal(z, z_ref)
+            assert cost.hex() == cost_ref.hex()
+        assert stack_model.evaluations == lone_model.evaluations
+        assert 0 < stack_model.rescored < stack_model.evaluations
+
+    def test_mirror_ties_take_the_first_move(self, chain5):
+        # From z0 = e_j - e_i the trials e_i + e_j and -(e_i + e_j) are exact
+        # mirrors: their exact scores are the same bits, while their screened
+        # estimates differ by rounding.  Where they are the best trials the
+        # descent must take the first in move order, as the reference does,
+        # which needs the screen's error band (with a zero band some of
+        # these lanes take the mirror).
+        d, bound = 8, 3
+        deltas = _descent_moves(d)[0]
+        starts = []
+        for i, j in itertools.combinations(range(d), 2):
+            z0 = np.zeros(d, dtype=int)
+            z0[[i, j]] = -1, 1
+            starts += [z0, -z0]
+        ties = 0
+        for gate_time in np.linspace(0.6e-6, 1.4e-6, 9):
+            half_times = [gate_time * (j + 1) / (2 * d) for j in range(d)]
+            model = CostModel(chain5, Stage1Config(targets=(2, 3)), half_times)
+            z_stack, cost_stack = _coordinate_descent(model, np.array(starts), bound, 1)
+            for z0, z, cost in zip(starts, z_stack, cost_stack):
+                z_ref, cost_ref = _reference_coordinate_descent(model, z0, bound, 1)
+                assert np.array_equal(z, z_ref) and cost == cost_ref
+                mirror = -z_ref - z0
+                ties += bool(np.any(z_ref != z0) and np.any(np.all(deltas == mirror, axis=1)))
+        assert ties > 0
+
+
+def test_clip_to_sdk_cap_clips_each_row_of_a_stack_alone():
+    def clipped(z, cap):
+        # the row-by-row loop: shrink the first largest entry by one
+        z = z.copy()
+        while np.sum(np.abs(z)) > cap:
+            i = int(np.argmax(np.abs(z)))
+            z[i] -= int(np.sign(z[i]))
+        return z
+
+    rng = np.random.default_rng(7)
+    stack = rng.integers(-10, 11, size=(200, 8))
+    for cap in (0, 7, 30, 80):
+        expected = np.array([clipped(z, cap) for z in stack])
+        assert np.array_equal(_clip_to_sdk_cap(stack, cap), expected)
+        assert np.array_equal(_clip_to_sdk_cap(stack[3], cap), expected[3])
+        assert np.array_equal(_clip_to_sdk_cap(stack.astype(float), cap), expected)
 
 
 @pytest.mark.parametrize("d, bound", [(8, 1), (9, 1), (4, 3)])
@@ -476,7 +571,8 @@ class TestJointRefine:
         def scorer(ideal, z):
             return ideal + 1e-4 * float(np.sum(np.abs(z)))
 
-        trials, feasible = _neighbourhood(np.array([1.0, -2.0, 1.0, 0.0, 1.0]), 3, 50)
+        z0 = np.array([1.0, -2.0, 1.0, 0.0, 1.0])
+        trials, feasible = z0 + _descent_moves(5)[0], _move_reach(z0[None], 3, 50)[0][0]
         trials = trials[feasible & np.any(trials, axis=1)]
         # every lane fitted to its end, with no hook
         costs, times = _fit_gaps(surrogate.bind(trials), np.tile(gaps, (len(trials), 1)),
@@ -529,7 +625,7 @@ class TestJointRefine:
             return ideal
 
         z0 = np.array([3, -4, 4, -3])
-        trials, feasible = _neighbourhood(z0, 6, 50)
+        trials, feasible = z0 + _descent_moves(4)[0], _move_reach(z0[None], 6, 50)[0][0]
         too_wide = np.any(_burst_floors(np.abs(trials), surrogate.period) > 1.25 * gaps, axis=1)
         assert np.any(feasible & too_wide)
         outcomes = []
@@ -821,6 +917,22 @@ class TestDefaults:
             Stage2Config(local_restarts=most + 1)
 
 
+RECORDED_STAGE1 = json.loads(
+    (pathlib.Path(__file__).parent / "stage1_candidates.json").read_text(encoding="utf-8")
+)
+
+
+def _recorded_stage1_inputs(case, chain5, chain20):
+    """The chain and config of a `stage1_candidates.json` case: the N=20
+    edge pair over the default scan, or the N=5 middle pair over
+    0.9/1.0/1.1 us, each at the benchmark's nbar, epsilon and SDK cap."""
+    inputs, top_k = case.split("/top_k=")
+    config = dict(thermal=ThermalSpec(nbar=0.1), epsilon=1e-5, max_sdks=100, top_k=int(top_k))
+    if inputs == "n20-edge-default-scan":
+        return chain20, Stage1Config(targets=(0, 1), **config)
+    return chain5, Stage1Config(targets=(2, 3), gate_time_scan=(0.9e-6, 1.0e-6, 1.1e-6), **config)
+
+
 class TestStage1:
     def test_exhaustive_matches_heuristic_tiny(self, chain2):
         # N_k = 4 at bound 1: the 3^2 = 9 half-vectors (antisymmetry halves
@@ -864,12 +976,16 @@ class TestStage1:
         with pytest.raises(ValueError):
             stage1(chain5, small_stage1_config(targets=(0, 2)), seed=0)
 
-    def test_threads_do_not_change_result(self, chain5):
+    def test_threads_do_not_change_result(self, chain5, monkeypatch):
         # at 20 groups even bound 1 has 3^10 > EXHAUSTIVE_LIMIT size vectors,
-        # so every bound goes through the descent and the continuous seeds
-        config = small_stage1_config(targets=(2, 3), group_count=20,
-                                     gate_time_scan=(0.8e-6, 0.9e-6, 1.0e-6), z_bound_max=3)
-        runs = [stage1(chain5, config, seed=6, threads=threads) for threads in (1, 2)]
+        # so every bound goes through the descent and the continuous seeds;
+        # five gate times split unevenly over two and over three workers
+        from fastgate import optimize
+
+        monkeypatch.setattr(optimize.os, "cpu_count", lambda: 3)
+        config = small_stage1_config(targets=(2, 3), group_count=20, z_bound_max=3,
+                                     gate_time_scan=(0.8e-6, 0.85e-6, 0.9e-6, 0.95e-6, 1.0e-6))
+        runs = [stage1(chain5, config, seed=6, threads=threads) for threads in (1, 2, 3)]
 
         def fingerprint(candidates):
             return [
@@ -878,15 +994,55 @@ class TestStage1:
                 for c in candidates
             ]
 
-        (serial, serial_telemetry), (parallel, parallel_telemetry) = runs
-        assert fingerprint(parallel) == fingerprint(serial)
-        assert parallel_telemetry == serial_telemetry
+        (serial, serial_telemetry), *parallel_runs = runs
+        for parallel, parallel_telemetry in parallel_runs:
+            assert fingerprint(parallel) == fingerprint(serial)
+            assert parallel_telemetry == serial_telemetry
 
     def test_deterministic(self, chain2):
         a, _ = stage1(chain2, small_stage1_config(), seed=7)
         b, _ = stage1(chain2, small_stage1_config(), seed=7)
         assert [c.sequence.group_sizes for c in a] == [c.sequence.group_sizes for c in b]
         assert [c.adjusted_infidelity for c in a] == [c.adjusted_infidelity for c in b]
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_STAGE1))
+    def test_candidates_match_the_recorded_lists(self, chain5, chain20, case):
+        # recorded from the search that ran each gate time on its own and
+        # scored every descent trial exactly
+        recorded = RECORDED_STAGE1[case]
+        chain, config = _recorded_stage1_inputs(case, chain5, chain20)
+        candidates, telemetry = stage1(chain, config, seed=11)
+        assert telemetry == {key: recorded[key] for key in ("stage1_evaluations",
+                                                            "stage1_candidates")}
+        assert [
+            {"half_sizes": list(c.sequence.half_sizes),
+             "design_gate_time": c.design_gate_time.hex(), "bound_found": c.bound_found,
+             "sdk_count": c.sdk_count, "ideal_infidelity": c.ideal_infidelity.hex(),
+             "adjusted_infidelity": c.adjusted_infidelity.hex()}
+            for c in candidates
+        ] == recorded["candidates"]
+
+    def test_screen_scores_few_trials_exactly(self, chain20, monkeypatch):
+        # on the benchmark's N=20 edge scan fewer than 5 % of the descent
+        # trials reach the exact evaluator
+        from fastgate import optimize
+
+        trials = rescored = 0
+        descent = optimize._coordinate_descent
+
+        def counting(model, z0, *args, **kwargs):
+            nonlocal trials, rescored
+            before = model.evaluations, model.rescored
+            out = descent(model, z0, *args, **kwargs)
+            trials += model.evaluations - before[0] - len(z0)
+            rescored += model.rescored - before[1]
+            return out
+
+        monkeypatch.setattr(optimize, "_coordinate_descent", counting)
+        _, config = _recorded_stage1_inputs("n20-edge-default-scan/top_k=10", None, chain20)
+        stage1(chain20, config, seed=11)
+        assert trials == 1255154
+        assert rescored < 0.05 * trials
 
 
 def _gaps(half_times):
@@ -1089,14 +1245,14 @@ class TestStage2:
 
 
 class TestWorkerPool:
-    def test_pool_has_no_more_workers_than_items(self, chain2, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The worker counts asked of a pool that runs the work in-process."""
         from fastgate import optimize
 
         sizes = []
 
         class RecordingPool:
-            """Runs the work in-process, recording the pool size asked for."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -1110,13 +1266,45 @@ class TestWorkerPool:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(optimize, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_items(self, chain2, monkeypatch, pool_sizes):
+        from fastgate import optimize
+
+        monkeypatch.setattr(optimize.os, "cpu_count", lambda: 64)
         assert optimize._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], 64) == [2, 4, 8]
         assert optimize._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], 2) == [2, 4, 8]
         config = small_stage1_config()
         serial, _ = stage1(chain2, config, seed=2)
         pooled, _ = stage1(chain2, config, seed=2, threads=16)
-        assert sizes == [3, 2, len(config.gate_time_scan)]
+        assert pool_sizes == [3, 2, len(config.gate_time_scan)]
         assert [c.sequence.half_sizes for c in pooled] == [c.sequence.half_sizes for c in serial]
+
+    def test_pool_has_no_more_workers_than_cpus(self, chain2, monkeypatch, pool_sizes):
+        # the largest scan a config may give, with far more threads than it
+        # has gate times: one worker per CPU, each searching one contiguous
+        # part of the scan; no search runs
+        from fastgate import optimize
+
+        parts = []
+
+        def recording(chain, config, scan_indices, seed):
+            parts.append(scan_indices)
+            return [[] for _ in scan_indices], 0
+
+        monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(optimize, "_stage1_gate_times", recording)
+        items = [(2, k) for k in range(9_999)]
+        assert optimize._map_ordered(pow, items, 10**6) == [2**k for k in range(9_999)]
+        scan = tuple(0.5e-6 + 1e-10 * k for k in range(9_999))
+        assert stage1(chain2, small_stage1_config(gate_time_scan=scan), threads=10**6)[0] == []
+        assert pool_sizes == [4, 4]
+        assert [len(part) for part in parts] == [2_500, 2_500, 2_500, 2_499]
+        assert sum(parts, []) == list(range(9_999))
+        # with the CPU count unknown, one worker: no pool at all
+        monkeypatch.setattr(optimize.os, "cpu_count", lambda: None)
+        assert optimize._map_ordered(pow, items[:3], 10**6) == [1, 2, 4]
+        assert pool_sizes == [4, 4]
 
 
 class TestOptimizeGate:
