@@ -26,9 +26,9 @@ trajectory-based cost, each inter-group gap constrained to within a fraction
 of its Stage-1 value.  `stage2` drives named steps.  `_joint_paths` lets
 integer moves from the same move matrix, re-scored by quick timing
 refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
-snaps a timing to both grid phases and polishes it by on-grid coordinate
-descent, which scores its moves as stacks and checks them against the gap
-windows in one call (`_inside_windows`), returning the evaluations it spent;
+snaps a timing to both grid phases and polishes it by slot shifts of one
+group or two adjacent groups, each pass scoring every shift the gap windows
+allow (`_inside_windows`) as one stack and taking the best improving one;
 it runs for the stage-1 seed and each refined joint solution, all in the
 one set of stage-1 windows.  `_expand` turns the best solution the grid
 expresses into the gate.  The timing refinement is a small projected
@@ -688,12 +688,13 @@ def _damped_steps(jac, grad, free, damping):
     """Marquardt-damped Gauss-Newton steps over each lane's free variables,
     every lane in one solve: a frozen variable gets an identity row and
     column and a zero right-hand side, so its step is zero and the free
-    variables solve the system they would solve on their own.
+    variables solve the system they would solve on their own.  An entry of
+    J^T J reads only its own two columns of J, so the frozen rows and
+    columns are zeroed after the product.
     """
-    block = np.where(free[:, None, :], jac, 0.0)
-    normal = block.swapaxes(1, 2) @ block
+    normal = np.where(free[:, :, None] & free[:, None, :], jac.swapaxes(1, 2) @ jac, 0.0)
     diagonal = normal.diagonal(axis1=1, axis2=2)
-    # floor keeps the damped system definite when a column of J vanishes
+    # floor keeps the damped system definite when a free column of J vanishes
     scale = np.maximum(diagonal, 1e-12 * diagonal.max(axis=1, keepdims=True))
     normal.reshape(len(normal), -1)[:, :: normal.shape[-1] + 1] = np.where(
         free, diagonal + damping[:, None] * scale, 1.0
@@ -1008,22 +1009,18 @@ def _inside_windows(times, gap_lo, gap_hi, period):
 
 
 def _grid_descent(timing_cost, half_sizes, start_times, gap_lo, gap_hi):
-    """On-grid coordinate descent over the group times.
+    """On-grid descent over the group times on the analytic surrogate, which
+    matches the expanded-train trajectory cost to float precision on the grid.
 
-    Runs on the analytic surrogate, which matches the expanded-train
-    trajectory cost to float precision for valid on-grid configurations;
-    single-slot moves of up to five slots plus paired shifts of adjacent
-    groups by up to two.  Every move keeps `_burst_fits` and keeps each
-    moved group inside its gap windows (`_inside_windows`).  Each group's
-    single-slot scan is scored as one stack and takes the cheapest strictly
-    improving slot, the earliest on ties.  The paired shifts take the first
-    improvement in order: the shifts still to come are scored from the
-    current times as one stack, and those after an improving one are
-    scored again from the new times, so only the shifts a one-at-a-time
-    scan would score count as evaluations.  Returns (cost, times, surrogate
-    evaluations); the cost is infinite when the start times are
-    infeasible, or when the descent ends with some group still outside its
-    windows (a snapped start may begin up to a slot outside them).
+    One move table: each nonempty group shifted by +-1 to +-5 slots, group
+    by group, then each two adjacent nonempty groups shifted together by +-1
+    or +-2.  A move must keep `_burst_fits` and each group it moves inside
+    its gap windows (`_inside_windows`).  Each pass scores every feasible
+    move as one stack and takes the best strictly improving one, the first
+    in table order on ties, as stage 1's descent does.  Returns (cost,
+    times, trials scored); the cost is infinite when the start times are
+    infeasible or when the descent ends with a group outside its windows (a
+    snapped start may begin up to a slot outside them).
     """
     period = timing_cost.period
     active = np.flatnonzero(half_sizes)
@@ -1034,49 +1031,25 @@ def _grid_descent(timing_cost, half_sizes, start_times, gap_lo, gap_hi):
     bound_cost = timing_cost.bind(half_sizes)
     cost = float(bound_cost.cost(times[None])[0])
     evaluations = 1
-    slots = np.r_[-5:0, 1:6] * period
-    pairs = np.array([(index, partner, step) for index, partner in zip(active, active[1:])
-                      for step in (-2, -1, 1, 2)], dtype=int).reshape(-1, 3)
-
+    moves = [((i,), step) for i in active for step in (*range(-5, 0), *range(1, 6))]
+    moves += [((i, j), step) for i, j in zip(active, active[1:]) for step in (-2, -1, 1, 2)]
+    shifts = np.zeros((len(moves), len(times)))
+    for row, (groups, step) in enumerate(moves):
+        shifts[row, list(groups)] = step
     for _ in range(40):
-        moved = False
-        for index in active:
-            trials = np.tile(times, (len(slots), 1))
-            trials[:, index] += slots
-            trials = trials[_burst_fits(half_sizes, trials, period)
-                            & _inside_windows(trials, gap_lo, gap_hi, period)[:, index]]
-            if not len(trials):
-                continue
-            costs = bound_cost.cost(trials)
-            evaluations += len(trials)
-            best = int(np.argmin(costs))
-            if costs[best] < cost:
-                cost, times, moved = float(costs[best]), trials[best], True
-        first = 0
-        while first < len(pairs):
-            index, partner, step = pairs[first:].T
-            rows = np.arange(len(step))
-            trials = np.tile(times, (len(step), 1))
-            trials[rows, index] += step * period
-            trials[rows, partner] += step * period
-            inside = _inside_windows(trials, gap_lo, gap_hi, period)
-            feasible = np.flatnonzero(_burst_fits(half_sizes, trials, period)
-                                      & inside[rows, index] & inside[rows, partner])
-            costs = bound_cost.cost(trials[feasible])
-            improving = np.flatnonzero(costs < cost)
-            if not len(improving):
-                evaluations += len(feasible)
-                break
-            # first improvement: the shifts after it move from the new times
-            taken = int(improving[0])
-            evaluations += taken + 1
-            row = int(feasible[taken])
-            cost, times, first, moved = float(costs[taken]), trials[row], first + row + 1, True
-        if not moved:
+        trials = times + shifts * period
+        outside = (shifts != 0) & ~_inside_windows(trials, gap_lo, gap_hi, period)
+        trials = trials[_burst_fits(half_sizes, trials, period) & ~outside.any(axis=1)]
+        if not len(trials):
             break
-    if not _inside_windows(times, gap_lo, gap_hi, period)[active].all():
-        return math.inf, times.tolist(), evaluations
-    return cost, times.tolist(), evaluations
+        costs = bound_cost.cost(trials)
+        evaluations += len(trials)
+        best = int(np.argmin(costs))
+        if not costs[best] < cost:
+            break
+        cost, times = float(costs[best]), trials[best]
+    inside = _inside_windows(times, gap_lo, gap_hi, period)[active].all()
+    return (cost if inside else math.inf), times.tolist(), evaluations
 
 
 def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
@@ -1166,12 +1139,12 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
 
 def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
     """`half_times` snapped to each grid phase inside the gap windows
-    [gap_lo, gap_hi] (`_snapped_in_windows`) and polished there by
-    `_grid_descent`.
+    [gap_lo, gap_hi] (`_snapped_in_windows`) and polished there by the
+    best-move slot descent `_grid_descent`.
 
     Returns a (adjusted cost, sizes, half times, phase) tuple for each phase
     whose snapped start is feasible and whose polish ends inside the
-    windows, and the surrogate evaluations spent.
+    windows, and the trials the polishes scored.
     """
     solutions, evaluations = [], 0
     for phase in (0.0, 0.5 * timing_cost.period):
@@ -1215,7 +1188,7 @@ def stage2(
     Continuous gap refinement and integer re-scoring against the analytic
     surrogate come first (`_joint_paths`); the stage-1 seed and the refit
     solutions of the best three joint paths are then snapped to the grid and
-    polished by coordinate descent over the group times (`_grid_solutions`),
+    polished by a best-move descent over slot shifts (`_grid_solutions`),
     and the best solution the grid expresses is scored by the
     trajectory-based infidelity of its expanded train.  Every fit and polish
     keeps one window set: each gap within +-`timing_variation` of its
@@ -1231,7 +1204,7 @@ def stage2(
     `stage1_config`'s thermal state, pulse error, pulse counting and limits:
     integer moves keep every group within `z_bound_max` (or the candidate's
     largest group) and the gate within `max_sdks` SDKs.
-    `stage2_evaluations` counts the on-grid surrogate evaluations.
+    `stage2_evaluations` counts every trial the on-grid polish scores.
     """
     rate = stage2_config.repetition_rate
     base = candidate.sequence.trimmed()

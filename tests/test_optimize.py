@@ -1077,6 +1077,11 @@ def _in_windows(half_times, gap_lo, gap_hi, period):
     return bool(reached)
 
 
+RECORDED_STAGE2 = json.loads(
+    (pathlib.Path(__file__).parent / "stage2_winners.json").read_text(encoding="utf-8")
+)
+
+
 class TestStage2:
     @pytest.fixture(scope="class")
     def chain2_result(self, chain2):
@@ -1242,6 +1247,25 @@ class TestStage2:
             assert paths
             for _, z, _ in paths:
                 assert max(abs(v) for v in z) <= 1
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_STAGE2))
+    def test_benchmark_winners_match_the_recorded_gates(self, case):
+        # the two benchmark gate configs, recorded with the polish that
+        # scanned each group's slots before the paired shifts
+        recorded = RECORDED_STAGE2[case]
+        chain = build_chain(TrapConfig(num_ions=recorded["num_ions"]))
+        config = Stage1Config(targets=tuple(recorded["targets"]),
+                              gate_time_scan=(0.9e-6, 1.0e-6, 1.1e-6), top_k=1,
+                              thermal=NBAR, epsilon=1e-5, max_sdks=100)
+        result = optimize_gate(chain, config, Stage2Config(repetition_rate=300e6,
+                                                           local_restarts=0), seed=11)
+        assert {
+            "num_ions": recorded["num_ions"], "targets": recorded["targets"],
+            "half_sizes": list(result.sequence.half_sizes),
+            "half_times": [t.hex() for t in result.sequence.half_times],
+            "ideal_infidelity": result.report.ideal_infidelity.hex(),
+            "adjusted_infidelity": (1.0 - result.adjusted_fidelity).hex(),
+        } == recorded
 
 
 class TestWorkerPool:
@@ -1626,10 +1650,15 @@ class TestDampedSteps:
         columns = np.exp(rng.uniform(-1, 1, size=(lanes, 1, d)))
         jac = rng.normal(size=(lanes, residuals, d)) * columns
         jac[5, :, 2] = 0.0  # a vanishing column: the floor keeps the system definite
+        # a vanishing free column beside a frozen column larger than every
+        # free one: the floor must read the free diagonals only
+        jac[6, :, 2] = 0.0
+        jac[6, :, 3] *= 1e6
         grad = rng.normal(size=(lanes, d))
         free = rng.random((lanes, d)) < 0.7
         free[0], free[1], free[2] = True, False, np.arange(d) == 3
         free[5, 2] = True
+        free[6] = np.arange(d) != 3
         damping = np.exp(rng.uniform(-7, 1, size=lanes))
         steps = _damped_steps(jac, grad, free, damping)
         for lane in range(lanes):
@@ -1747,7 +1776,11 @@ def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
 
 def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
                             max_slots=5):
-    """The on-grid descent scoring one trial at a time."""
+    """The on-grid descent scoring one trial at a time: each pass tries
+    every shift of one nonempty group by +-1 to +-`max_slots` slots, group
+    by group, then every shift of two adjacent nonempty groups together by
+    +-1 or +-2 slots, and takes the best strictly improving one, the first
+    on ties."""
     period = timing_cost.period
     active = [i for i, zval in enumerate(half_sizes) if zval != 0]
     times = list(start_times)
@@ -1760,46 +1793,28 @@ def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo,
     def windowed(trial, index):
         return _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period)
 
+    steps = [step for step in range(-max_slots, max_slots + 1) if step]
+    moves = [((index,), step) for index in active for step in steps]
+    moves += [((index, partner), step) for index, partner in zip(active, active[1:])
+              for step in (-2, -1, 1, 2)]
     for _ in range(40):
-        moved = False
-        for index in active:
-            low, high = windowed(times, index)
-            best = (cost, times[index])
-            for step in range(-max_slots, max_slots + 1):
-                if step == 0:
-                    continue
-                position = times[index] + step * period
-                if position < low or position > high:
-                    continue
-                trial = list(times)
-                trial[index] = position
-                if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
-                    continue
-                c = float(bound_cost.cost(np.array([trial]))[0])
-                evaluations += 1
-                if c < best[0]:
-                    best = (c, position)
-            if best[1] != times[index]:
-                cost, times[index] = best[0], best[1]
-                moved = True
-        for pos, index in enumerate(active[:-1]):
-            partner = active[pos + 1]
-            for step in (-2, -1, 1, 2):
-                trial = list(times)
+        best_cost, best_times = cost, None
+        for groups, step in moves:
+            trial = list(times)
+            for index in groups:
                 trial[index] += step * period
-                trial[partner] += step * period
-                if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
-                    continue
-                if not all(low <= trial[k] <= high
-                           for k in (index, partner) for low, high in [windowed(trial, k)]):
-                    continue
-                c = float(bound_cost.cost(np.array([trial]))[0])
-                evaluations += 1
-                if c < cost:
-                    cost, times = c, trial
-                    moved = True
-        if not moved:
+            if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
+                continue
+            if not all(low <= trial[k] <= high
+                       for k in groups for low, high in [windowed(trial, k)]):
+                continue
+            c = float(bound_cost.cost(np.array([trial]))[0])
+            evaluations += 1
+            if c < best_cost:
+                best_cost, best_times = c, trial
+        if best_times is None:
             break
+        cost, times = best_cost, best_times
     if not all(low <= times[k] <= high for k in active for low, high in [windowed(times, k)]):
         return math.inf, times, evaluations
     return cost, times, evaluations
@@ -1878,6 +1893,36 @@ class TestGridDescent:
                 assert _in_windows(polished, *args[3:], period)
             outcomes.add((started_outside, math.isfinite(cost)))
         assert {(True, True), (True, False)} <= outcomes
+
+    def test_one_pass_takes_the_best_move_over_improving_singles(self):
+        # moving group 0 back a slot improves, but shifting both groups on
+        # by a slot together is the best move, and the first pass takes it
+        period = 1.0 / 300e6
+        start = np.array([20.0, 40.0]) * period
+        landscape = {(0, 0): 10.0, (-1, 0): 5.0, (1, 1): 0.0}
+
+        class SlotCost:
+            """A surrogate read from a table of slot offsets from `start`."""
+
+            def __init__(self):
+                self.period = period
+
+            def bind(self, half_sizes):
+                return self
+
+            def cost(self, t_half):
+                offsets = np.rint((np.atleast_2d(t_half) - start) / period).astype(int)
+                return np.array([landscape.get(tuple(row), 20.0) for row in offsets.tolist()])
+
+        gaps = _gaps(start)
+        args = (SlotCost(), [1, 1], start.tolist(), 0.5 * gaps, 1.5 * gaps)
+        cost, polished, evals = _grid_descent(*args)
+        assert cost == 0.0
+        assert polished == (start + period).tolist()
+        # 10 + 10 single shifts and 4 paired ones, scored from the start and
+        # from the pair's end, where nothing improves
+        assert evals == 1 + 2 * 24
+        assert (cost, polished, evals) == _reference_grid_descent(*args)
 
 
 class TestInsideWindows:
