@@ -312,6 +312,12 @@ class ChainModel:
         if not (chain.positions.shape == chain.mode_frequencies.shape
                 == chain.lamb_dicke.shape == (n,) and chain.mode_couplings.shape == (n, n)):
             raise ValueError(f"chain arrays do not all fit {n} ions")
+        positive = np.append(chain.mode_frequencies, [chain.ion_mass, chain.wavenumber])
+        if not (all(np.all(np.isfinite(a)) for a in (chain.positions, chain.mode_couplings,
+                                                     chain.lamb_dicke, positive))
+                and np.all(positive > 0.0)):
+            raise ValueError("chain values must be finite, with positive mode frequencies, "
+                             "ion mass and wavenumber")
         return chain
 
     @classmethod

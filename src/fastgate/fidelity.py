@@ -42,14 +42,17 @@ PULSE_COUNTINGS = ("pi_pulses", "sdks")  # the names `pulse_count_for` knows
 
 def thermal_occupation(temperature: float, mode_frequency: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar w / kB T) - 1); 0 at T = 0."""
-    if temperature < 0.0:
-        raise ValueError("temperature must be non-negative")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError("temperature must be non-negative and finite")
     if not mode_frequency > 0.0:
         raise ValueError("mode_frequency must be positive")
     if temperature == 0.0:
         return 0.0
     x = CONSTANTS.hbar * mode_frequency / (CONSTANTS.boltzmann * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # above x ~ 709.8, where e^x - 1 is e^x to double precision
+        return math.exp(-x)
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,12 @@ class ThermalSpec:
     def __post_init__(self):
         if (self.nbar is None) == (self.temperature is None):
             raise ValueError("specify exactly one of nbar or temperature")
-        if self.temperature is not None and self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if self.temperature is not None and not 0.0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
         if self.nbar is not None:
             values = np.atleast_1d(np.asarray(self.nbar, dtype=float))
-            if np.any(values < 0.0):
-                raise ValueError("mean occupations must be non-negative")
+            if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+                raise ValueError("mean occupations must be non-negative and finite")
 
     def occupations(self, mode_frequencies: np.ndarray) -> np.ndarray:
         """Per-mode mean occupations for the given mode frequencies."""

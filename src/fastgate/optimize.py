@@ -26,12 +26,14 @@ trajectory-based cost, each inter-group gap constrained to within a fraction
 of its Stage-1 value.  `stage2` drives named steps.  `_joint_paths` lets
 integer moves from the same move matrix, re-scored by quick timing
 refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
-snaps a timing to both grid phases and polishes it by slot shifts of one
-group or two adjacent groups, each pass scoring every shift the gap windows
-allow (`_inside_windows`) as one stack and taking the best improving one;
-it runs for the stage-1 seed and each refined joint solution, all in the
-one set of stage-1 windows.  `_expand` turns the best solution the grid
-expresses into the gate.  The timing refinement is a small projected
+puts a timing on the grid at both phases as one integer slot per nonempty
+group, each group time the centre of its burst, and polishes the slots by
+shifts of one group or two adjacent groups, each pass scoring every shift
+that keeps the bursts on the grid (`bursts_fit`) and inside the gap
+windows (`_inside_windows`) as one stack and taking the best improving
+one; it runs for the stage-1 seed and each refined joint solution, all in
+the one set of stage-1 windows.  The best solution expands to the gate's
+train exactly.  The timing refinement is a small projected
 Levenberg-Marquardt solver on the box-bounded gaps, which clamps every start
 into the box, written in numpy because the fits are tiny: one gap per group
 against one residual per mode plus the phase.  Independent fits run as
@@ -76,8 +78,10 @@ from .sequence import (
     GridResolutionError,
     KickTrain,
     PulseGroupSequence,
+    burst_center,
+    burst_slot,
+    bursts_fit,
     expand_groups,
-    snap_group_time,
 )
 
 DEFAULT_GATE_TIME_SCAN = tuple(0.5e-6 + 50e-9 * k for k in range(21))  # 0.5-1.5 us
@@ -797,13 +801,13 @@ def _burst_floors(counts, period):
     """The least width of each gap on the grid of `period` for groups of
     `counts` kicks: half of each neighbouring burst plus one period, and
     half the first burst plus half a period before the first group (its
-    mirror image lies across the midpoint).  `_burst_fits` holds the gaps
-    between the nonempty groups to these floors.  An empty group takes a
-    half-width of -1/2, which splits the room its two neighbours need
-    between the two gaps beside it: the two floors sum to what
-    `_burst_fits` asks of their sum, so holding each gap to its own floor
-    is sufficient but stricter than needed.  Row by row for a (lanes, d)
-    stack of counts."""
+    mirror image lies across the midpoint): on the grid, burst centres
+    whose gaps between the nonempty groups reach these floors have slots
+    that fit (`bursts_fit`).  An empty group takes a half-width of -1/2,
+    which splits the room its two neighbours need between the two gaps
+    beside it: the two floors sum to the floor of the gap between those
+    neighbours, so holding each gap to its own floor is sufficient but
+    stricter than needed.  Row by row for a (lanes, d) stack of counts."""
     half = (np.asarray(counts, dtype=float) - 1.0) / 2.0
     return np.concatenate(
         [half[..., :1] + 0.5, half[..., :-1] + half[..., 1:] + 1.0], axis=-1
@@ -975,24 +979,6 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     return scorer(ideal, z), [int(v) for v in z], t
 
 
-def _burst_fits(half_sizes, times, period):
-    """Whether the group times are in order and every burst fits its gap on
-    the grid of `period`: the gap before each nonempty group, from the one
-    before it or from the midpoint, reaches its `_burst_floors` value.  Row
-    by row for a (k, d) stack of times."""
-    kept = np.flatnonzero(half_sizes)
-    if not len(kept):
-        return np.zeros(np.shape(times)[:-1], dtype=bool)
-    times = np.asarray(times, dtype=float)
-    kept_times = times[..., kept]
-    floors = _burst_floors(np.abs(np.asarray(half_sizes))[kept], period) * (1 - 1e-9)
-    return (
-        (times[..., 1:] >= times[..., :-1]).all(axis=-1)
-        & (kept_times[..., 0] >= floors[0])
-        & (kept_times[..., 1:] - kept_times[..., :-1] >= floors[1:]).all(axis=-1)
-    )
-
-
 def _inside_windows(times, gap_lo, gap_hi, period):
     """Whether each group of a (k, d) stack of half times lies inside both
     of its gap windows, [gap_lo, gap_hi] from the group before (or from
@@ -1008,95 +994,98 @@ def _inside_windows(times, gap_lo, gap_hi, period):
     return (low - 0.25 * period <= times) & (times <= high + 0.25 * period)
 
 
-def _grid_descent(timing_cost, half_sizes, start_times, gap_lo, gap_hi):
-    """On-grid descent over the group times on the analytic surrogate, which
-    matches the expanded-train trajectory cost to float precision on the grid.
+def _grid_descent(timing_cost, half_sizes, slots, half_times, phase, gap_lo, gap_hi):
+    """On-grid descent over the slots of the nonempty groups on the analytic
+    surrogate, which matches the expanded-train trajectory cost to float
+    precision on the grid.
 
-    One move table: each nonempty group shifted by +-1 to +-5 slots, group
-    by group, then each two adjacent nonempty groups shifted together by +-1
-    or +-2.  A move must keep `_burst_fits` and each group it moves inside
-    its gap windows (`_inside_windows`).  Each pass scores every feasible
-    move as one stack and takes the best strictly improving one, the first
-    in table order on ties, as stage 1's descent does.  Returns (cost,
-    times, trials scored); the cost is infinite when the start times are
-    infeasible or when the descent ends with a group outside its windows (a
-    snapped start may begin up to a slot outside them).
+    The state is the grid `phase` and the first slot of each nonempty
+    group's burst, whose centre (`burst_center`) is the group's time, so a
+    slot configuration scores the same whatever path reached it; an empty
+    group keeps its time from `half_times`.  One move table: each nonempty
+    group shifted by +-1 to +-5 slots, group by group, then each two
+    adjacent nonempty groups together by +-1 or +-2.  A move must keep the
+    bursts on the grid (`bursts_fit`) and each group it moves inside its gap
+    windows (`_inside_windows`).  Each pass scores every feasible move as
+    one stack and takes the best strictly improving one, the first in table
+    order on ties, as stage 1's descent does.  Returns (cost, half times,
+    trials scored); the cost is infinite when the start slots do not fit or
+    when the descent ends with a group outside its windows (a snapped start
+    may begin up to a slot outside them).
     """
     period = timing_cost.period
     active = np.flatnonzero(half_sizes)
-    times = np.array(start_times, dtype=float)
-    if not _burst_fits(half_sizes, times, period):
-        return math.inf, times.tolist(), 0
+    sizes = np.asarray(half_sizes)[active]
+    slots = np.asarray(slots)
+
+    def placed(rows):
+        times = np.tile(np.asarray(half_times, dtype=float), rows.shape[:-1] + (1,))
+        times[..., active] = burst_center(rows, sizes, period, phase)
+        return times
+
+    if not bursts_fit(slots, sizes, phase):
+        return math.inf, placed(slots).tolist(), 0
     # the sizes are fixed for the whole descent: bind them once
     bound_cost = timing_cost.bind(half_sizes)
-    cost = float(bound_cost.cost(times[None])[0])
+    cost = float(bound_cost.cost(placed(slots)[None])[0])
     evaluations = 1
-    moves = [((i,), step) for i in active for step in (*range(-5, 0), *range(1, 6))]
-    moves += [((i, j), step) for i, j in zip(active, active[1:]) for step in (-2, -1, 1, 2)]
-    shifts = np.zeros((len(moves), len(times)))
-    for row, (groups, step) in enumerate(moves):
-        shifts[row, list(groups)] = step
+    unit = np.eye(len(active), dtype=int)
+    shifts = np.array([step * unit[i] for i in range(len(active))
+                       for step in (*range(-5, 0), *range(1, 6))]
+                      + [step * (unit[i] + unit[i + 1]) for i in range(len(active) - 1)
+                         for step in (-2, -1, 1, 2)])
     for _ in range(40):
-        trials = times + shifts * period
-        outside = (shifts != 0) & ~_inside_windows(trials, gap_lo, gap_hi, period)
-        trials = trials[_burst_fits(half_sizes, trials, period) & ~outside.any(axis=1)]
+        trials = slots + shifts
+        times = placed(trials)
+        outside = (shifts != 0) & ~_inside_windows(times, gap_lo, gap_hi, period)[:, active]
+        feasible = bursts_fit(trials, sizes, phase) & ~outside.any(axis=1)
+        trials, times = trials[feasible], times[feasible]
         if not len(trials):
             break
-        costs = bound_cost.cost(trials)
+        costs = bound_cost.cost(times)
         evaluations += len(trials)
         best = int(np.argmin(costs))
         if not costs[best] < cost:
             break
-        cost, times = float(costs[best]), trials[best]
+        cost, slots = float(costs[best]), trials[best]
+    times = placed(slots)
     inside = _inside_windows(times, gap_lo, gap_hi, period)[active].all()
     return (cost if inside else math.inf), times.tolist(), evaluations
 
 
 def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
-    """Each group's time snapped to its slot on the grid of `rate` at
-    `phase`, moved group by group from the midpoint out so that each gap
-    from the group before lies inside [gap_lo, gap_hi]: a nonempty group
-    whose gap falls outside the window widened by a quarter slot, or short
-    of its burst floor (`_burst_floors`), moves by whole slots to the
-    nearest slot that meets both, or keeps its snapped time when none does;
-    an empty group, which has no slot, is clipped into its window.
+    """The slots of the nonempty groups on the grid of `rate` at `phase`,
+    and the half times, placed group by group from the midpoint out so that
+    each gap from the group before lies inside [gap_lo, gap_hi]: a nonempty
+    group takes the slot nearest its snapped one (`burst_slot`) whose burst
+    centre, its time, lies in the window widened by a quarter slot and
+    whose burst fits after the ones before it (`bursts_fit`), or keeps its
+    snapped slot when none does; an empty group is clipped into its window.
     Snapping moves each group by up to half a slot, so a gap that a fit
     left at the edge of its window may land up to a slot outside it."""
     period = 1.0 / rate
-    times = [snap_group_time(t, z, rate, phase) if z != 0 else t
-             for z, t in zip(half_sizes, half_times)]
-    floors = iter((_burst_floors(np.abs(np.asarray(half_sizes))[np.flatnonzero(half_sizes)],
-                                 period) * (1 - 1e-9)).tolist())
-    previous = 0.0
+    sizes = [z for z in half_sizes if z != 0]
+    slots, times = [], list(half_times)
     for index, size in enumerate(half_sizes):
         prev_t = times[index - 1] if index > 0 else 0.0
+        low, high = prev_t + gap_lo[index], prev_t + gap_hi[index]
         if size == 0:
-            times[index] = min(max(times[index], prev_t + gap_lo[index]), prev_t + gap_hi[index])
+            times[index] = min(max(times[index], low), high)
             continue
-        low = max(prev_t + gap_lo[index] - 0.25 * period, previous + next(floors))
-        high = prev_t + gap_hi[index] + 0.25 * period
-        t = times[index]
-        if t < low:
-            t += math.ceil((low - t) / period) * period
-        elif t > high:
-            t -= math.ceil((t - high) / period) * period
-        if low <= t <= high:
-            times[index] = t
-        previous = times[index]
-    return times
-
-
-def _expand(half_sizes, half_times, targets, rate, phase=0.0):
-    """The sequence of the nonempty groups and its train on the grid of
-    `rate` at `phase`; None when the grid cannot express it."""
-    kept = [(z, t) for z, t in zip(half_sizes, half_times) if z != 0]
-    try:
-        sequence = PulseGroupSequence.from_half(
-            [z for z, _ in kept], [t for _, t in kept], targets, 2.0 * kept[-1][1]
-        )
-        return sequence, expand_groups(sequence, rate, grid_phase=phase)
-    except ValueError:  # BurstOverlap and GridResolutionError among them
-        return None
+        low, high = low - 0.25 * period, high + 0.25 * period
+        slot = burst_slot(times[index], size, rate, phase)
+        # every slot whose burst centre may lie in the window, and more
+        trial = slot + np.arange(math.floor((low - times[index]) / period) - 1,
+                                 math.ceil((high - times[index]) / period) + 2)
+        centres = burst_center(trial, size, period, phase)
+        rows = np.column_stack([np.tile(slots, (len(trial), 1)), trial])
+        trial = trial[bursts_fit(rows, sizes[: len(slots) + 1], phase) & (low <= centres)
+                      & (centres <= high)]
+        if len(trial):
+            slot = int(trial[np.argmin(np.abs(trial - slot))])
+        slots.append(slot)
+        times[index] = float(burst_center(slot, size, period, phase))
+    return slots, times
 
 
 def _adjusted_cost(ideal, z_half, epsilon, counting):
@@ -1138,20 +1127,21 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
 
 
 def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
-    """`half_times` snapped to each grid phase inside the gap windows
+    """`half_times` put on slots at each grid phase inside the gap windows
     [gap_lo, gap_hi] (`_snapped_in_windows`) and polished there by the
     best-move slot descent `_grid_descent`.
 
     Returns a (adjusted cost, sizes, half times, phase) tuple for each phase
-    whose snapped start is feasible and whose polish ends inside the
-    windows, and the trials the polishes scored.
+    whose snapped start fits the grid and whose polish ends inside the
+    windows, each nonempty group's time the centre of its burst, and the
+    trials the polishes scored.
     """
     solutions, evaluations = [], 0
     for phase in (0.0, 0.5 * timing_cost.period):
         cost, polished, spent = _grid_descent(
             timing_cost, half_sizes,
-            _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi),
-            gap_lo, gap_hi,
+            *_snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi),
+            phase, gap_lo, gap_hi,
         )
         evaluations += spent
         if math.isfinite(cost):
@@ -1187,20 +1177,20 @@ def stage2(
 
     Continuous gap refinement and integer re-scoring against the analytic
     surrogate come first (`_joint_paths`); the stage-1 seed and the refit
-    solutions of the best three joint paths are then snapped to the grid and
+    solutions of the best three joint paths are then put on grid slots and
     polished by a best-move descent over slot shifts (`_grid_solutions`),
-    and the best solution the grid expresses is scored by the
-    trajectory-based infidelity of its expanded train.  Every fit and polish
-    keeps one window set: each gap within +-`timing_variation` of its
-    Stage-1 value (a quarter slot wider on the grid), the solver clamping
-    the fits' starts into it, and the negative-time half mirroring the
-    positive half; a polish that cannot bring every group inside its windows
-    gives no solution.  Whenever the grid expresses the snapped Stage-1 seed
-    inside them, the result is never worse than that seed under the
-    trajectory objective; when it does not, the joint paths, whose fits keep
-    every gap at or above the burst floor of its sizes, may still give a
-    gate.  Raises `GridResolutionError` only when no path gives a timing the
-    grid expresses inside the windows.  Stage 2 searches under
+    and the best solution, whose group times are its burst centres, is
+    expanded and scored by the trajectory-based infidelity of its train.
+    Every fit and polish keeps one window set: each gap within
+    +-`timing_variation` of its Stage-1 value (a quarter slot wider on the
+    grid), the solver clamping the fits' starts into it, and the
+    negative-time half mirroring the positive half; a polish that cannot
+    bring every group inside its windows gives no solution.  Whenever the
+    grid expresses the snapped Stage-1 seed inside them, the result is never
+    worse than that seed under the trajectory objective; when it does not,
+    the joint paths, whose fits keep every gap at or above the burst floor
+    of its sizes, may still give a gate.  Raises `GridResolutionError` only
+    when no polish gives a solution.  Stage 2 searches under
     `stage1_config`'s thermal state, pulse error, pulse counting and limits:
     integer moves keep every group within `z_bound_max` (or the candidate's
     largest group) and the gate within `max_sdks` SDKs.
@@ -1239,13 +1229,15 @@ def stage2(
                 for sizes, times in starts]
     solutions = [solution for found, _ in polished for solution in found]
     evaluations = sum(spent for _, spent in polished)
-    expressed = (_expand(z, t, targets, rate, phase) for _, z, t, phase in sorted(solutions))
-    gate = next(filter(None, expressed), None)
-    if gate is None:
+    if not solutions:
         raise GridResolutionError(
             f"repetition rate {rate:.3g} Hz cannot express any timing found "
             f"for gate time {candidate.design_gate_time:.3g} s"
         )
+    _, sizes, times, phase = min(solutions)
+    kept = [(z, t) for z, t in zip(sizes, times) if z != 0]
+    sequence = PulseGroupSequence.from_half(*zip(*kept), targets, 2.0 * kept[-1][1])
+    gate = (sequence, expand_groups(sequence, rate, grid_phase=phase))
     return _stage2_result(candidate, gate, evaluations, chain, stage1_config, seed)
 
 

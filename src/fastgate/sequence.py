@@ -212,26 +212,33 @@ def instantaneous_train(sequence: PulseGroupSequence) -> KickTrain:
     return KickTrain(tuple(times), tuple(signs), sequence.target_ions, repetition_rate=None)
 
 
-def snap_group_time(
-    time: float, size: int, repetition_rate: float, grid_phase: float = 0.0
-) -> float:
-    """Snap a group centre to the grid slot compatible with its burst parity.
+def burst_slot(time: float, size: int, repetition_rate: float, grid_phase: float = 0.0) -> int:
+    """The grid slot of the first kick of the burst of |size| kicks centred
+    nearest `time`.  Slot k lies at k/R + `grid_phase`; an odd burst is
+    centred on a slot and an even burst half a period off one, so mirrored
+    bursts stay exact mirrors.  The only grid offsets compatible with an
+    antisymmetric train are zero and half a period, a free discrete choice
+    the optimiser may exploit."""
+    steps = (time - grid_phase) * repetition_rate
+    return (round(steps) if abs(size) % 2 else math.floor(steps) + 1) - abs(size) // 2
 
-    Odd bursts sit on integer grid points n/R; even bursts sit half a period
-    off the integer grid so that their kicks land on it.  Mirrored groups at
-    -t then stay exact mirrors, preserving the antisymmetry of the train.
 
-    `grid_phase` offsets the whole laser grid; the only offset compatible
-    with an antisymmetric train besides zero is half a period, which is a
-    free discrete choice the optimiser may exploit.
-    """
-    period = 1.0 / repetition_rate
-    base = time - grid_phase
-    if abs(size) % 2 == 1:
-        snapped = round(base * repetition_rate) * period
-    else:
-        snapped = (math.floor(base * repetition_rate) + 0.5) * period
-    return snapped + grid_phase
+def burst_center(slot, size, period, grid_phase=0.0):
+    """The centre time of the burst of |size| kicks whose first kick takes
+    grid slot `slot`, the inverse of `burst_slot`; elementwise for arrays
+    of slots and sizes."""
+    return (slot + 0.5 * (abs(size) - 1)) * period + grid_phase
+
+
+def bursts_fit(slots, sizes, grid_phase=0.0):
+    """Whether bursts of |sizes| kicks starting at grid `slots` fit the grid
+    in order: each burst's first slot comes after the previous burst's
+    last, and the first is at least 1, or at least 0 on the grid offset by
+    half a period (a nonzero `grid_phase`): a period or more from its
+    mirror image.  Row by row for a (k, m) stack of slots."""
+    slots = np.asarray(slots)
+    after = slots[..., :-1] + np.abs(np.asarray(sizes)[:-1])  # the slot after each burst
+    return (slots[..., 0] >= (0 if grid_phase else 1)) & np.all(slots[..., 1:] >= after, axis=-1)
 
 
 def _burst_times(center: float, size: int, period: float) -> list:
@@ -245,38 +252,29 @@ def expand_groups(
 ) -> KickTrain:
     """Expand an antisymmetric group sequence into individual SDKs on the grid.
 
-    Each group j becomes |z_j| kicks of sign sgn(z_j) separated by exactly one
-    repetition period and centred on the group time (snapped to the grid slot
-    of matching parity, on the grid offset by `grid_phase`).  The
-    negative-time half is generated by mirroring so the expanded train is
-    exactly antisymmetric.
+    Each nonempty group j becomes |z_j| kicks of sign sgn(z_j) separated by
+    exactly one repetition period: the burst centred nearest its group time
+    (`burst_slot`) on the grid offset by `grid_phase`, laid out from that
+    centre (`burst_center`), so a group time that is a burst centre is
+    reproduced bit for bit.  The negative-time half is generated by
+    mirroring so the expanded train is exactly antisymmetric.
 
-    Raises `BurstOverlap` when neighbouring bursts collide and
-    `GridResolutionError` when snapping reorders the groups.
+    Raises `BurstOverlap` when the bursts do not fit the grid in order
+    (`bursts_fit`).
     """
     if not repetition_rate > 0.0:
         raise ValueError("repetition_rate must be positive")
     period = 1.0 / repetition_rate
-    half = [(z, t) for z, t in zip(sequence.half_sizes, sequence.half_times) if z != 0]
+    sizes = [z for z in sequence.half_sizes if z != 0]
+    slots = [burst_slot(t, z, repetition_rate, grid_phase)
+             for z, t in zip(sequence.half_sizes, sequence.half_times) if z != 0]
+    if sizes and not bursts_fit(slots, sizes, grid_phase):
+        raise BurstOverlap(f"bursts overlap on the {repetition_rate:.3g} Hz grid")
 
     pos_times, pos_signs = [], []
-    previous_center = None
-    for z, t in half:
-        center = snap_group_time(t, z, repetition_rate, grid_phase)
-        if previous_center is not None and center <= previous_center:
-            raise GridResolutionError(
-                f"repetition rate {repetition_rate:.3g} Hz cannot resolve group times "
-                f"{previous_center:.3e} and {center:.3e}"
-            )
-        previous_center = center
-        burst = _burst_times(center, z, period)
-        if pos_times and burst[0] - pos_times[-1] < period * (1.0 - 1e-9):
-            raise BurstOverlap("adjacent bursts overlap; increase spacing or reduce |z|")
-        pos_times.extend(burst)
+    for z, slot in zip(sizes, slots):
+        pos_times.extend(_burst_times(float(burst_center(slot, z, period, grid_phase)), z, period))
         pos_signs.extend([1 if z > 0 else -1] * abs(z))
-
-    if pos_times and 2.0 * pos_times[0] < period * (1.0 - 1e-9):
-        raise BurstOverlap("innermost bursts overlap across the gate midpoint")
 
     times = [-tv for tv in reversed(pos_times)] + pos_times
     signs = [-sv for sv in reversed(pos_signs)] + pos_signs

@@ -174,6 +174,14 @@ class TestOptimizeCommand:
         data = json.loads((out3 / "result.json").read_text())
         assert data["seed"] == 77
 
+    def test_cold_temperature_runs(self, tmp_path):
+        # hbar w / kB T is far past where e^x - 1 overflows at 10 nK
+        data = {"thermal": {"temperature_k": 1e-8}, "trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1}}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        assert json.loads((out / "result.json").read_text())["thermal"] == {"temperature_k": 1e-8}
+
     def test_evaluate_round_trip(self, run_dir, capsys):
         _, _, out = run_dir
         code = main(["evaluate", str(out / "result.json")])
@@ -241,6 +249,10 @@ class TestEvaluatePulseCounting:
         assert len(lines) == 1 and "'pairs'" in lines[0]
 
 
+_UNPHYSICAL_CHAIN = ("chain values must be finite, with positive mode frequencies, ion mass and "
+                     "wavenumber")
+
+
 class TestEvaluateInputErrors:
     def _exit_and_message(self, argv, capsys):
         code = main(argv)
@@ -294,6 +306,35 @@ class TestEvaluateInputErrors:
     ], ids=["couplings", "mode_freqs", "targets", "same_target", "nbar", "zero_rate",
             "negative_rate", "negative_epsilon"])
     def test_parts_that_do_not_fit_together(self, stored_n5, tmp_path, capsys, edit, message):
+        self._check_edit_exits_2(stored_n5, tmp_path, capsys, edit, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(thermal={"temperature_k": math.inf}),
+         "temperature must be non-negative and finite"),
+        (lambda d: d.update(thermal={"nbar": math.nan}),
+         "mean occupations must be non-negative and finite"),
+        (lambda d: d.update(thermal={"nbar": math.inf}),
+         "mean occupations must be non-negative and finite"),
+        (lambda d: d.update(thermal={"nbar": [0.1, 0.1, math.nan, 0.1, 0.1]}),
+         "mean occupations must be non-negative and finite"),
+        (lambda d: d.update(thermal={"nbar": [0.1, math.inf, 0.1, 0.1, 0.1]}),
+         "mean occupations must be non-negative and finite"),
+        (lambda d: d["chain"].update(ion_mass_kg=0.0), _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"].update(ion_mass_kg=-6.6e-26), _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"]["mode_freqs_rad_s"].__setitem__(0, 0.0), _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"]["mode_freqs_rad_s"].__setitem__(1, -1e7), _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"]["mode_freqs_rad_s"].__setitem__(2, math.nan),
+         _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"].update(wavenumber_m=math.inf), _UNPHYSICAL_CHAIN),
+        (lambda d: d["chain"]["couplings"][0].__setitem__(0, math.inf),
+         _UNPHYSICAL_CHAIN),
+    ], ids=["inf_temperature", "nan_nbar", "inf_nbar", "nan_nbar_entry", "inf_nbar_entry",
+            "zero_mass", "negative_mass", "zero_frequency", "negative_frequency",
+            "nan_frequency", "inf_wavenumber", "inf_coupling"])
+    def test_values_that_are_not_physical(self, stored_n5, tmp_path, capsys, edit, message):
+        self._check_edit_exits_2(stored_n5, tmp_path, capsys, edit, message)
+
+    def _check_edit_exits_2(self, stored_n5, tmp_path, capsys, edit, message):
         data = json.loads(json.dumps(stored_n5))
         edit(data)
         path = tmp_path / "mismatched.json"

@@ -44,6 +44,20 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(-1.0, 1e6)
 
+    def test_cold_limit_past_the_overflow_of_expm1(self):
+        w = 2 * math.pi * 1e6
+        # hbar w / kB T is about 4800 at 10 nK: e^-x underflows to zero
+        assert thermal_occupation(1e-8, w) == 0.0
+        for x in (709.0, 710.0, 720.0):
+            temperature = CONSTANTS.hbar * w / (CONSTANTS.boltzmann * x)
+            exact = CONSTANTS.hbar * w / (CONSTANTS.boltzmann * temperature)
+            expected = 1.0 / math.expm1(exact) if exact < 709.5 else math.exp(-exact)
+            assert 0.0 < thermal_occupation(temperature, w) == expected
+        # where expm1 does not overflow, its reciprocal bit for bit
+        for temperature in (1e-4, 3e-4, 1e-3, 2e-3):
+            x = CONSTANTS.hbar * w / (CONSTANTS.boltzmann * temperature)
+            assert thermal_occupation(temperature, w) == 1.0 / math.expm1(x)
+
 
 class TestThermalSpec:
     def test_scalar_broadcast(self, chain5):
@@ -69,6 +83,15 @@ class TestThermalSpec:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ThermalSpec(nbar=-0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"nbar": math.nan}, {"nbar": math.inf}, {"nbar": (0.1, math.nan)},
+        {"nbar": (math.inf, 0.1)}, {"nbar": None, "temperature": math.inf},
+        {"nbar": None, "temperature": math.nan},
+    ], ids=["nan", "inf", "nan_entry", "inf_entry", "inf_temperature", "nan_temperature"])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            ThermalSpec(**kwargs)
 
     def test_json_round_trip(self):
         for spec in (ThermalSpec(nbar=0.1), ThermalSpec(nbar=(0.1, 0.2)),

@@ -19,7 +19,6 @@ from fastgate.optimize import (
     _TimingCost,
     _adjusted_cost,
     _box_least_squares,
-    _burst_fits,
     _burst_floors,
     _clip_to_sdk_cap,
     _continuous_seeds,
@@ -47,11 +46,15 @@ from fastgate.optimize import (
     stage2,
 )
 from fastgate.sequence import (
+    BurstOverlap,
     GridResolutionError,
     KickTrain,
     PulseGroupSequence,
+    burst_center,
+    burst_slot,
+    bursts_fit,
+    expand_groups,
     instantaneous_train,
-    snap_group_time,
 )
 
 NBAR = ThermalSpec(nbar=0.1)
@@ -639,7 +642,7 @@ class TestJointRefine:
         assert np.array_equal(t_new, t_ref)
         assert draw_new == draw_ref
         assert np.all(_burst_floors(np.abs(z_new), surrogate.period) <= 1.25 * gaps)
-        assert _burst_fits(z_new, list(t_new), surrogate.period)
+        assert _clear_of_burst_floors(z_new, t_new, surrogate.period)
 
     def test_moves_that_cannot_win_are_never_fitted(self, chain5, monkeypatch):
         from fastgate import optimize
@@ -697,8 +700,6 @@ class TestJointRefine:
 
 class TestTimingCostSurrogate:
     def test_matches_expanded_train_on_grid(self, chain5):
-        from fastgate.sequence import expand_groups, snap_group_time
-
         rng = np.random.default_rng(3)
         rate = 300e6
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / rate)
@@ -711,7 +712,7 @@ class TestTimingCostSurrogate:
             times = np.sort(rng.uniform(0.1e-6, 0.7e-6, size=d))
             if np.any(np.diff(times) < 35e-9):
                 continue
-            snapped = [snap_group_time(t, int(zv), rate) for zv, t in zip(z, times)]
+            snapped = _snapped([int(v) for v in z], times, rate)
             try:
                 seq = PulseGroupSequence.from_half(
                     [int(v) for v in z], snapped, (2, 3), 2 * snapped[-1]
@@ -1049,11 +1050,26 @@ def _gaps(half_times):
     return np.diff(np.concatenate([[0.0], half_times]))
 
 
+def _slots(half_sizes, half_times, rate, phase=0.0):
+    """The slot of each nonempty group's burst centred nearest its time on
+    the grid of `rate` at `phase`, with no window enforced."""
+    return [burst_slot(t, z, rate, phase) for z, t in zip(half_sizes, half_times) if z != 0]
+
+
 def _snapped(half_sizes, half_times, rate, phase=0.0):
-    """Each nonempty group's time snapped to its slot on the grid of `rate`
-    at `phase`, with no window enforced; an empty group keeps its time."""
-    return [snap_group_time(t, z, rate, phase) if z != 0 else t
+    """Each nonempty group's time snapped to the centre of its burst at
+    `_slots`; an empty group keeps its time."""
+    slots = iter(_slots(half_sizes, half_times, rate, phase))
+    return [float(burst_center(next(slots), z, 1.0 / rate, phase)) if z != 0 else t
             for z, t in zip(half_sizes, half_times)]
+
+
+def _clear_of_burst_floors(half_sizes, half_times, period):
+    """Whether every gap between the nonempty groups, and from the midpoint
+    to the first, reaches its burst floor (`_burst_floors`), to rounding."""
+    kept = np.flatnonzero(half_sizes)
+    floors = _burst_floors(np.abs(np.asarray(half_sizes))[kept], period)
+    return bool(np.all(_gaps(np.asarray(half_times)[kept]) >= floors * (1.0 - 1e-9)))
 
 
 def _in_windows(half_times, gap_lo, gap_hi, period):
@@ -1091,16 +1107,11 @@ class TestStage2:
         return candidates[0], result
 
     def test_never_worse_than_seed(self, chain2, chain2_result):
-        from fastgate.sequence import expand_groups, snap_group_time
-
         candidate, result = chain2_result
         base = candidate.sequence.trimmed()
         sizes = [z for z in base.half_sizes if z != 0]
-        times = [
-            snap_group_time(t, z, 300e6)
-            for z, t in zip(base.half_sizes, base.half_times)
-            if z != 0
-        ]
+        times = _snapped(sizes, [t for z, t in zip(base.half_sizes, base.half_times) if z != 0],
+                         300e6)
         seed_seq = PulseGroupSequence.from_half(sizes, times, base.target_ions, 2 * times[-1])
         seed_train = expand_groups(seed_seq, 300e6)
         seed_report = evaluate_train(seed_train, chain2, NBAR)
@@ -1173,9 +1184,6 @@ class TestStage2:
                    Stage2Config(repetition_rate=20e6), seed=0)
 
     def test_inexpressible_seed_still_yields_a_gate(self, chain20):
-        from fastgate.optimize import _expand
-        from fastgate.sequence import BurstOverlap, expand_groups
-
         rate = 100e6
         config = Stage1Config(targets=(0, 1), gate_time_scan=(0.9e-6,), top_k=1)
         candidate = stage1(chain20, config, seed=11)[0][0]
@@ -1183,7 +1191,10 @@ class TestStage2:
         sizes = [z for z in base.half_sizes if z != 0]
         times = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
         # the grid cannot express the snapped stage-1 seed
-        assert _expand(sizes, _snapped(sizes, times, rate), base.target_ions, rate) is None
+        assert not bursts_fit(_slots(sizes, times, rate), sizes)
+        with pytest.raises(BurstOverlap):
+            expand_groups(PulseGroupSequence.from_half(sizes, times, base.target_ions,
+                                                       2.0 * times[-1]), rate)
         result = stage2(candidate, chain20, config,
                         Stage2Config(repetition_rate=rate, local_restarts=0), seed=11)
         trains = []
@@ -1248,17 +1259,20 @@ class TestStage2:
             for _, z, _ in paths:
                 assert max(abs(v) for v in z) <= 1
 
-    @pytest.mark.parametrize("case", sorted(RECORDED_STAGE2))
-    def test_benchmark_winners_match_the_recorded_gates(self, case):
-        # the two benchmark gate configs, recorded with the polish that
-        # scanned each group's slots before the paired shifts
-        recorded = RECORDED_STAGE2[case]
+    @pytest.fixture(scope="class", params=sorted(RECORDED_STAGE2))
+    def benchmark_winner(self, request):
+        """A benchmark gate config's recorded winner and the winner it gives."""
+        recorded = RECORDED_STAGE2[request.param]
         chain = build_chain(TrapConfig(num_ions=recorded["num_ions"]))
         config = Stage1Config(targets=tuple(recorded["targets"]),
                               gate_time_scan=(0.9e-6, 1.0e-6, 1.1e-6), top_k=1,
                               thermal=NBAR, epsilon=1e-5, max_sdks=100)
         result = optimize_gate(chain, config, Stage2Config(repetition_rate=300e6,
                                                            local_restarts=0), seed=11)
+        return recorded, result
+
+    def test_benchmark_winners_match_the_recorded_gates(self, benchmark_winner):
+        recorded, result = benchmark_winner
         assert {
             "num_ions": recorded["num_ions"], "targets": recorded["targets"],
             "half_sizes": list(result.sequence.half_sizes),
@@ -1266,6 +1280,24 @@ class TestStage2:
             "ideal_infidelity": result.report.ideal_infidelity.hex(),
             "adjusted_infidelity": (1.0 - result.adjusted_fidelity).hex(),
         } == recorded
+
+    def test_group_times_are_the_burst_centres_of_the_train(self, benchmark_winner):
+        # each group time is the centre of its burst, (slot + (|z| - 1) / 2) T
+        # plus the grid phase, and its kicks are laid out from it, bit for bit
+        _, result = benchmark_winner
+        rate = 300e6
+        period = 1.0 / rate
+        kicks = [t for t in result.train.kick_times if t > 0.0]
+        phase = 0.0 if abs(kicks[0] * rate - round(kicks[0] * rate)) < 0.25 else 0.5 * period
+        first = 0
+        for size, time in zip(result.sequence.half_sizes, result.sequence.half_times):
+            count = abs(size)
+            slot = round((kicks[first] - phase) * rate)
+            assert time == (slot + 0.5 * (count - 1)) * period + phase
+            assert kicks[first:first + count] == [time + (k - 0.5 * (count - 1)) * period
+                                                  for k in range(count)]
+            first += count
+        assert first == len(kicks)
 
 
 class TestWorkerPool:
@@ -1589,7 +1621,7 @@ class TestLanes:
         assert np.all(fitted <= gap_hi * (1.0 + 1e-12))
         for lane in range(lanes):
             if np.all(floors[lane] <= gap_hi):
-                assert _burst_fits(sizes[lane], list(times[lane]), period)
+                assert _clear_of_burst_floors(sizes[lane], times[lane], period)
             cost, lone = _fit_gaps(
                 surrogate.bind(sizes[lane]), starts[lane:lane + 1], gap_lo, gap_hi, budget=60
             )
@@ -1597,44 +1629,43 @@ class TestLanes:
             assert np.array_equal(lone[0], times[lane])
 
     def test_empty_group_splits_the_room_of_its_neighbours(self):
-        period = 1.0 / 100e6
+        rate = 100e6
+        period = 1.0 / rate
         sizes = [5, 0, -7]
         floors = _burst_floors(np.abs(sizes), period)
         assert np.allclose(floors / period, [2.5, 2.5, 3.5])
+        # centres at the floors put the bursts of 5 and 7 at the least slots
+        # they fit, on the grid offset by half a period
         times = np.cumsum(floors)
-        assert _burst_fits(sizes, times, period)
-        # the bursts of 5 and 7 need 6 T in all, however the empty group
+        assert _slots(sizes, times, rate, 0.5 * period) == [0, 5]
+        stack = np.array([[0, 5], [0, 4], [-1, 5], [1, 7]])
+        assert bursts_fit(stack, [5, -7], 0.5 * period).tolist() == [True, False, False, True]
+        assert bursts_fit(stack + 1, [5, -7]).tolist() == [True, False, False, True]
+        # the bursts need 6 T between their centres, however the empty group
         # splits it: the per-gap floors are sufficient, not necessary
-        assert _burst_fits(sizes, [times[0], times[0] + 0.5 * period, times[2]], period)
-        assert not _burst_fits(sizes, [times[0], times[1], times[2] - 0.01 * period], period)
-        # the empty group's time still has to keep the groups in order
-        assert not _burst_fits(sizes, [times[0], times[2] + period, times[2]], period)
-        stack = np.array([times, [times[0], times[1], times[2] - 0.01 * period]])
-        assert _burst_fits(sizes, stack, period).tolist() == [True, False]
+        centres = burst_center(np.array([0, 5]), np.array([5, -7]), period, 0.5 * period)
+        assert floors[1] + floors[2] == pytest.approx(centres[1] - centres[0]) == 6 * period
+        moved = [times[0], times[0] + 0.5 * period, times[2]]
+        assert _gaps(moved)[1] < floors[1]
+        assert _slots(sizes, moved, rate, 0.5 * period) == [0, 5]
 
-    def test_burst_fits_matches_the_pairwise_rule(self):
-        def pairwise(half_sizes, times, period):
-            kept = [(abs(z), t) for z, t in zip(half_sizes, times) if z != 0]
-            if not kept or list(times) != sorted(times):
-                return False
-            if kept[0][1] < ((kept[0][0] - 1) / 2 + 0.5) * period * (1 - 1e-9):
-                return False
-            return all(tb - ta >= ((na - 1) / 2 + (nb - 1) / 2 + 1) * period * (1 - 1e-9)
-                       for (na, ta), (nb, tb) in zip(kept, kept[1:]))
-
+    def test_bursts_fit_matches_the_pairwise_rule(self):
         rng = np.random.default_rng(66)
         period = 1.0 / 300e6
         checked = set()
         for _ in range(30):
-            d = int(rng.integers(1, 7))
-            sizes = [int(v) for v in rng.integers(-4, 5, size=d)]
-            # on-grid gaps of 0-5 slots, some taken back to break the order
-            stack = np.cumsum(rng.integers(-1, 6, size=(8, d)) * 0.5 * period, axis=1)
-            fits = _burst_fits(sizes, stack, period)
-            expected = [pairwise(sizes, list(row), period) for row in stack]
-            assert fits.tolist() == expected
-            assert [bool(_burst_fits(sizes, row, period)) for row in stack] == expected
-            checked.update(expected)
+            m = int(rng.integers(1, 7))
+            sizes = [int(v) for v in rng.integers(1, 5, size=m) * rng.choice([-1, 1], size=m)]
+            # each burst from one slot before the first free slot to five after
+            steps = rng.integers(-1, 6, size=(8, m)) + np.abs([0] + sizes[:-1])
+            stack = np.cumsum(steps, axis=1)
+            for phase in (0.0, 0.5 * period):
+                fits = bursts_fit(stack, sizes, phase)
+                expected = [_pairwise_fit(sizes, (row + 0.5 * (np.abs(sizes) - 1)) * period + phase,
+                                          period) for row in stack]
+                assert fits.tolist() == expected
+                assert [bool(bursts_fit(row, sizes, phase)) for row in stack] == expected
+                checked.update(expected)
         assert checked == {True, False}
 
     def test_lane_count_scales_with_modes(self):
@@ -1774,47 +1805,70 @@ def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
     return low - 0.25 * period, high + 0.25 * period
 
 
-def _reference_grid_descent(timing_cost, half_sizes, start_times, anchor_gap_lo, anchor_gap_hi,
-                            max_slots=5):
+def _pairwise_fit(half_sizes, half_times, period):
+    """The burst rule on group times, pair by pair: the first nonempty
+    group's burst ends its first kick half a period or more from the
+    midpoint, and each two neighbouring nonempty bursts keep a period
+    between their kicks."""
+    kept = [(abs(z), t) for z, t in zip(half_sizes, half_times) if z != 0]
+    if kept[0][1] < ((kept[0][0] - 1) / 2 + 0.5) * period * (1 - 1e-9):
+        return False
+    return all(tb - ta >= ((na - 1) / 2 + (nb - 1) / 2 + 1) * period * (1 - 1e-9)
+               for (na, ta), (nb, tb) in zip(kept, kept[1:]))
+
+
+def _reference_grid_descent(timing_cost, half_sizes, slots, half_times, phase,
+                            anchor_gap_lo, anchor_gap_hi, max_slots=5):
     """The on-grid descent scoring one trial at a time: each pass tries
-    every shift of one nonempty group by +-1 to +-`max_slots` slots, group
+    every shift of one nonempty group's slot by +-1 to +-`max_slots`, group
     by group, then every shift of two adjacent nonempty groups together by
     +-1 or +-2 slots, and takes the best strictly improving one, the first
-    on ties."""
+    on ties.  A nonempty group's time is the centre of its burst, (slot +
+    (|z| - 1) / 2) T plus the grid phase; an empty group keeps its time."""
     period = timing_cost.period
     active = [i for i, zval in enumerate(half_sizes) if zval != 0]
-    times = list(start_times)
-    if not (times == sorted(times) and _burst_fits(half_sizes, times, period)):
+
+    def placed(trial_slots):
+        times = list(half_times)
+        for index, slot in zip(active, trial_slots):
+            times[index] = (slot + 0.5 * (abs(half_sizes[index]) - 1)) * period + phase
+        return times
+
+    def windowed(trial, index):
+        return _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period)
+
+    slots = list(slots)
+    times = placed(slots)
+    if not _pairwise_fit(half_sizes, times, period):
         return math.inf, times, 0
     bound_cost = timing_cost.bind(half_sizes)
     cost = float(bound_cost.cost(np.array([times]))[0])
     evaluations = 1
 
-    def windowed(trial, index):
-        return _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period)
-
     steps = [step for step in range(-max_slots, max_slots + 1) if step]
-    moves = [((index,), step) for index in active for step in steps]
-    moves += [((index, partner), step) for index, partner in zip(active, active[1:])
+    moves = [((group,), step) for group in range(len(active)) for step in steps]
+    moves += [((group, group + 1), step) for group in range(len(active) - 1)
               for step in (-2, -1, 1, 2)]
     for _ in range(40):
-        best_cost, best_times = cost, None
+        best_cost, best_slots = cost, None
         for groups, step in moves:
-            trial = list(times)
-            for index in groups:
-                trial[index] += step * period
-            if trial != sorted(trial) or not _burst_fits(half_sizes, trial, period):
+            trial_slots = list(slots)
+            for group in groups:
+                trial_slots[group] += step
+            trial = placed(trial_slots)
+            if not _pairwise_fit(half_sizes, trial, period):
                 continue
-            if not all(low <= trial[k] <= high
-                       for k in groups for low, high in [windowed(trial, k)]):
+            if not all(low <= trial[active[g]] <= high
+                       for g in groups for low, high in [windowed(trial, active[g])]):
                 continue
             c = float(bound_cost.cost(np.array([trial]))[0])
             evaluations += 1
             if c < best_cost:
-                best_cost, best_times = c, trial
-        if best_times is None:
+                best_cost, best_slots = c, trial_slots
+        if best_slots is None:
             break
-        cost, times = best_cost, best_times
+        cost, slots = best_cost, best_slots
+    times = placed(slots)
     if not all(low <= times[k] <= high for k in active for low, high in [windowed(times, k)]):
         return math.inf, times, evaluations
     return cost, times, evaluations
@@ -1834,15 +1888,16 @@ class TestGridDescent:
                     sizes[0] = 1
                 times = np.cumsum(rng.uniform(45e-9, 80e-9, size=d))
                 gaps = np.diff(np.concatenate([[0.0], times]))
-                snapped = [snap_group_time(t, z, rate) if z else t for z, t in zip(sizes, times)]
-                args = (surrogate, sizes, snapped, 0.75 * gaps, 1.25 * gaps)
-                cost_ref, times_ref, evals_ref = _reference_grid_descent(*args)
-                cost, polished, evals = _grid_descent(*args)
-                assert cost == cost_ref
-                assert polished == times_ref
-                assert evals == evals_ref
-                checked += math.isfinite(cost)
-        assert checked >= 8
+                for phase in (0.0, 0.5 / rate):
+                    args = (surrogate, sizes, _slots(sizes, times, rate, phase), list(times),
+                            phase, 0.75 * gaps, 1.25 * gaps)
+                    cost_ref, times_ref, evals_ref = _reference_grid_descent(*args)
+                    cost, polished, evals = _grid_descent(*args)
+                    assert cost == cost_ref
+                    assert polished == times_ref
+                    assert evals == evals_ref
+                    checked += math.isfinite(cost)
+        assert checked >= 16
 
     def test_ties_keep_the_first_slot(self, chain5):
         class CoarseCost:
@@ -1867,8 +1922,8 @@ class TestGridDescent:
             sizes = [int(v) for v in rng.integers(1, 3, size=d)]
             times = np.cumsum(rng.uniform(50e-9, 80e-9, size=d))
             gaps = np.diff(np.concatenate([[0.0], times]))
-            snapped = [snap_group_time(t, z, rate) for z, t in zip(sizes, times)]
-            args = (CoarseCost(1.0 / rate), sizes, snapped, 0.75 * gaps, 1.25 * gaps)
+            args = (CoarseCost(1.0 / rate), sizes, _slots(sizes, times, rate), list(times), 0.0,
+                    0.75 * gaps, 1.25 * gaps)
             assert _grid_descent(*args) == _reference_grid_descent(*args)
 
     def test_ends_inside_the_windows_or_gives_no_solution(self, chain5):
@@ -1884,13 +1939,14 @@ class TestGridDescent:
             sizes = [int(v) for v in rng.integers(1, 3, size=d)]
             times = np.cumsum(rng.uniform(40e-9, 60e-9, size=d))
             gaps = _gaps(times)
-            snapped = [snap_group_time(t, z, rate) for z, t in zip(sizes, times)]
-            args = (surrogate, sizes, snapped, gaps - 0.1 * period, gaps + 0.1 * period)
+            args = (surrogate, sizes, _slots(sizes, times, rate), list(times), 0.0,
+                    gaps - 0.1 * period, gaps + 0.1 * period)
             cost, polished, evals = _grid_descent(*args)
             assert (cost, polished, evals) == _reference_grid_descent(*args)
+            snapped = _snapped(sizes, times, rate)
             started_outside = np.any(np.abs(_gaps(snapped) - gaps) > 0.35 * period)
             if math.isfinite(cost):
-                assert _in_windows(polished, *args[3:], period)
+                assert _in_windows(polished, *args[5:], period)
             outcomes.add((started_outside, math.isfinite(cost)))
         assert {(True, True), (True, False)} <= outcomes
 
@@ -1915,10 +1971,10 @@ class TestGridDescent:
                 return np.array([landscape.get(tuple(row), 20.0) for row in offsets.tolist()])
 
         gaps = _gaps(start)
-        args = (SlotCost(), [1, 1], start.tolist(), 0.5 * gaps, 1.5 * gaps)
+        args = (SlotCost(), [1, 1], [20, 40], start.tolist(), 0.0, 0.5 * gaps, 1.5 * gaps)
         cost, polished, evals = _grid_descent(*args)
         assert cost == 0.0
-        assert polished == (start + period).tolist()
+        assert polished == [21 * period, 41 * period]
         # 10 + 10 single shifts and 4 paired ones, scored from the start and
         # from the pair's end, where nothing improves
         assert evals == 1 + 2 * 24
@@ -1972,10 +2028,10 @@ class TestSnappedInWindows:
             times = np.cumsum(rng.uniform(45e-9, 80e-9, size=d))
             gaps = _gaps(times)
             for phase in (0.0, 0.5 / rate):
-                snapped = _snapped(sizes, times, rate, phase)
-                assert _burst_fits(sizes, snapped, 1.0 / rate)
+                slots = _slots(sizes, times, rate, phase)
+                assert bursts_fit(slots, [z for z in sizes if z != 0], phase)
                 assert _snapped_in_windows(sizes, times, rate, phase, 0.75 * gaps,
-                                           1.25 * gaps) == snapped
+                                           1.25 * gaps) == (slots, _snapped(sizes, times, rate, phase))
 
     @staticmethod
     def pinned_cases(rng, period, count):
@@ -1991,7 +2047,7 @@ class TestSnappedInWindows:
                 continue
             fitted = np.where(rng.random(d) < 0.5, gap_hi, np.maximum(gap_lo, floors))
             times = np.cumsum(fitted)
-            assert _burst_fits(sizes, times, period)
+            assert _clear_of_burst_floors(sizes, times, period)
             count -= 1
             yield sizes, times, gap_lo, gap_hi
 
@@ -2005,14 +2061,14 @@ class TestSnappedInWindows:
                                                               period, 40):
             for phase in (0.0, 0.5 * period):
                 plain = _snapped(sizes, times, rate, phase)
-                snapped = _snapped_in_windows(sizes, times, rate, phase, gap_lo, gap_hi)
+                slots, snapped = _snapped_in_windows(sizes, times, rate, phase, gap_lo, gap_hi)
                 assert _in_windows(snapped, gap_lo, gap_hi, period)
-                assert _burst_fits(sizes, snapped, period)
+                assert bursts_fit(slots, [z for z in sizes if z != 0], phase)
                 outside += not _in_windows(plain, gap_lo, gap_hi, period)
-                for z, t, t_plain in zip(sizes, snapped, plain):
-                    if z != 0:
-                        slots = (t - t_plain) / period
-                        assert slots == pytest.approx(round(slots), abs=1e-6)
+                # each nonempty group sits at the centre of its burst
+                kept = [t for z, t in zip(sizes, snapped) if z != 0]
+                assert kept == [float(burst_center(slot, z, period, phase))
+                                for slot, z in zip(slots, [z for z in sizes if z != 0])]
                 moved += snapped != plain
         assert outside >= 10 and moved >= outside
 

@@ -8,9 +8,10 @@ from fastgate.sequence import (
     GridResolutionError,
     KickTrain,
     PulseGroupSequence,
+    burst_center,
+    burst_slot,
     expand_groups,
     instantaneous_train,
-    snap_group_time,
     _burst_times,
 )
 
@@ -87,12 +88,37 @@ class TestBurstPlacement:
         times = _burst_times(0.0, 3, 1.0 / 300e6)
         assert times == pytest.approx([-1 / 300e6, 0.0, 1 / 300e6])
 
-    def test_snap_even_burst_off_grid(self):
+    def test_even_burst_centred_off_grid(self):
         rate = 300e6
-        snapped = snap_group_time(1.0e-7, 2, rate)
-        assert snapped * rate == pytest.approx(30.5)
-        snapped_odd = snap_group_time(1.0e-7, 3, rate)
-        assert snapped_odd * rate == pytest.approx(30.0)
+        period = 1.0 / rate
+        assert burst_slot(1.0e-7, 2, rate) == 30
+        assert burst_center(30, 2, period) * rate == pytest.approx(30.5)
+        assert burst_slot(1.0e-7, 3, rate) == 29
+        assert burst_center(29, 3, period) * rate == pytest.approx(30.0)
+        # on the grid offset by half a period the parities swap
+        assert burst_slot(1.0e-7, 2, rate, 0.5 * period) == 29
+        assert burst_slot(1.0e-7, -3, rate, 0.5 * period) == 28
+        assert burst_center(28, -3, period, 0.5 * period) * rate == pytest.approx(29.5)
+
+    def test_centres_round_trip_through_their_slots(self):
+        # a burst centre snaps back to its own slot, so expand_groups lays
+        # each burst out from the group time itself, bit for bit
+        rng = np.random.default_rng(5)
+        for rate in (100e6, 300e6, 1e9):
+            period = 1.0 / rate
+            for phase in (0.0, 0.5 * period):
+                sizes = [int(v) for v in rng.integers(1, 9, size=6) * rng.choice([-1, 1], size=6)]
+                slots = (1 + np.cumsum(np.abs([0] + sizes[:-1]) + rng.integers(0, 40, size=6)))
+                centres = [float(burst_center(int(a), z, period, phase))
+                           for a, z in zip(slots, sizes)]
+                assert [burst_slot(t, z, rate, phase) for z, t in zip(sizes, centres)] == \
+                    slots.tolist()
+                seq = simple_sequence(sizes, centres, gate_time=2.0 * centres[-1])
+                train = expand_groups(seq, rate, grid_phase=phase)
+                kicks = [t for t in train.kick_times if t > 0.0]
+                expected = [t + (k - 0.5 * (abs(z) - 1)) * period
+                            for z, t in zip(sizes, centres) for k in range(abs(z))]
+                assert kicks == expected
 
 
 class TestExpandGroups:
