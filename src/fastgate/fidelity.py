@@ -373,8 +373,23 @@ class _TimingCost:
         return self._form_cache[count]
 
     def bind(self, z_half) -> "_BoundTimingCost":
-        """Freeze the group sizes, caching their burst form factors."""
-        return _BoundTimingCost(self, np.asarray(z_half, dtype=float))
+        """Freeze the group sizes, one (d,) row shared by every lane or a
+        (lanes, d) stack, caching their burst form factors."""
+        z_half = np.asarray(z_half, dtype=float)
+        counts = np.abs(z_half).astype(int)
+        terms = [self._burst_terms(c) for c in range(int(np.max(counts, initial=0)) + 1)]
+        forms = np.array([form for form, _ in terms])
+        withins = np.array([within for _, within in terms])
+        # positive-half slots only: a group's mirrored slot has the opposite sign
+        effective = np.ascontiguousarray(
+            np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
+        )
+        # a mirrored burst has the same within-burst phase as its own
+        within_total = np.zeros(counts.shape[:-1] + (len(self.w),))
+        for slot in range(counts.shape[-1]):
+            within_total += withins[counts[..., slot]]
+        within_theta = 2.0 * np.sum(self.phase_scale * within_total, axis=-1)
+        return _BoundTimingCost(self, counts, effective, within_theta)
 
     def fixed_timing_forms(self, t_half) -> tuple:
         """The period-0 kernel at fixed half times as forms in the half sizes
@@ -398,24 +413,17 @@ class _BoundTimingCost:
     what the Levenberg-Marquardt timing refinement exploits.  Every method
     takes the half times as a (lanes, d) stack and answers lane by lane,
     each lane computed exactly as it would be alone.  The sizes are one (d,)
-    row shared by every lane or a (lanes, d) stack, one row per lane.
+    row shared by every lane or a (lanes, d) stack, one row per lane, held
+    as what `_TimingCost.bind` derives from them: the counts |z|, each
+    slot's signed form factors and the within-burst phase, so the rows of
+    several bindings make a binding too.
     """
 
-    def __init__(self, parent: _TimingCost, z_half: np.ndarray):
+    def __init__(self, parent: _TimingCost, counts, effective, within_theta):
         self.parent = parent
-        self.counts = counts = np.abs(z_half).astype(int)
-        terms = [parent._burst_terms(c) for c in range(int(np.max(counts, initial=0)) + 1)]
-        forms = np.array([form for form, _ in terms])
-        withins = np.array([within for _, within in terms])
-        # positive-half slots only: a group's mirrored slot has the opposite sign
-        self.effective = np.ascontiguousarray(
-            np.swapaxes(np.sign(z_half)[..., None] * forms[counts], -1, -2)
-        )
-        # a mirrored burst has the same within-burst phase as its own
-        within_total = np.zeros(counts.shape[:-1] + (len(parent.w),))
-        for slot in range(counts.shape[-1]):
-            within_total += withins[counts[..., slot]]
-        self.within_theta = 2.0 * np.sum(parent.phase_scale * within_total, axis=-1)
+        self.counts = counts
+        self.effective = effective
+        self.within_theta = within_theta
 
     def _phasors(self, t_half, lanes=None):
         """Weighted phasors w_j of the positive-half slots of a (lanes, d)
@@ -435,8 +443,14 @@ class _BoundTimingCost:
         return half, half.cumsum(axis=-1) - half, half.sum(axis=-1), within_theta
 
     def _phase_and_sums(self, half, prefix, total, within_theta):
-        """Theta and the per-mode sums of z_k sin(w t_k) over every slot."""
-        pairs = 2.0 * (half * prefix.conj()).sum(axis=-1).imag - (total * total).imag
+        """Theta and the per-mode sums of z_k sin(w t_k) over every slot.
+
+        Complex products of two stacks go through `np.multiply`: `a * b()`
+        lets numpy reuse a temporary b() of 256 KiB or more as the output,
+        and that in-place complex loop rounds differently from the one a
+        smaller stack takes, so a lane's bits would depend on its stack.
+        """
+        pairs = 2.0 * np.multiply(half, prefix.conj()).sum(axis=-1).imag - (total * total).imag
         return (self.parent.phase_scale * pairs).sum(axis=-1) + within_theta, 2.0 * total.imag
 
     def _residuals_from(self, *phasors):
@@ -471,7 +485,7 @@ class _BoundTimingCost:
             h = half[rows]
             # dTheta_m/dt_k = 2 w_m Re(w_k conj(2 Q_k + w_k - 2 Re A))
             spread = 2.0 * prefix[rows] + h - 2.0 * total[rows].real[..., None]
-            theta_grad = self.parent.phase_scale @ (2.0 * w * (h * spread.conj()).real)
+            theta_grad = self.parent.phase_scale @ (2.0 * w * np.multiply(h, spread.conj()).real)
             jac = np.empty(h.shape[:-2] + out.shape[1:] + h.shape[-1:])
             jac[:, 0] = (math.sqrt(2.0 / 3.0) * np.copysign(1.0, theta[rows]))[:, None] * theta_grad
             jac[:, 1:] = 2.0 * self.parent.alpha_scale * (w * h.real)

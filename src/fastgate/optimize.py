@@ -18,8 +18,8 @@ trials within a proven rounding bound of the lane's best estimate; starts,
 trials and exhaustive grids share one exact evaluator, so a row scores the
 same bits wherever it comes from, and every decision uses exact scores.
 The relaxations are box-bounded least-squares fits of the closed-form cost
-on the stage-2 solver `_box_least_squares`, the twelve starts of every gate
-time as lanes of one stack.
+on stage 2's solver step (`_box_least_squares`), the twelve starts of every
+gate time as lanes of one stack.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
@@ -37,15 +37,20 @@ train exactly.  The timing refinement is a small projected
 Levenberg-Marquardt solver on the box-bounded gaps, which clamps every start
 into the box, written in numpy because the fits are tiny: one gap per group
 against one residual per mode plus the phase.  Independent fits run as
-lanes of one stack, each
+lanes of one stack (`_LMLanes`, the one solver step of both stages), each
 lane doing exactly the arithmetic it would do alone, so the numpy call
-overhead is paid once per stack: the joint paths yield their fit requests
-(a refinement's starts, or a batch of integer moves) and `_lockstep` fits
-every pending request in one stack per round.  A batch of moves abandons
-the lanes after the first lane whose running cost already scores below the
-bar, and takes the first improving move once the lanes before it have
-finished, which keeps the decisions of scoring the moves one at a time.
-The lanes per batch of moves follow from the mode count (`_lane_count`).
+overhead is paid once per iteration of the whole stack.  Each joint path is
+a chain of explicit states (`_JointPath`), each waiting on one request: a
+refinement's starts, or a batch of integer moves.  `_SolverPool` batches
+continuously: a request's lanes join the running stack as soon as it is
+made, so no path waits for another.  A batch of moves carries its
+first-improvement rule as data, a bar and each lane's pulse-error factor,
+tested across every batch at once: the lanes after the first lane whose
+adjusted cost, running or final, falls below the bar are dropped; once that
+lane has stopped, the path's next state starts speculatively, and is
+dropped with everything built on it if an earlier lane improves after all.
+Every path ends where scoring its moves one at a time would end.  The lanes
+per batch of moves follow from the mode count (`_lane_count`).
 Both stages are deterministic under a seed, and parallel work is merged in
 a fixed order so serial and parallel runs produce identical output.
 """
@@ -53,12 +58,12 @@ a fixed order so serial and parallel runs produce identical output.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +73,7 @@ from .fidelity import (
     PULSE_COUNTINGS,
     GateReport,
     ThermalSpec,
+    _BoundTimingCost,
     _TimingCost,
     evaluate_train,
     evaluate_trains,
@@ -669,11 +675,13 @@ class OptimizationResult:
 
 
 _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
-# Lanes times modes in one batch of speculative joint-refinement fits: with
-# few modes an iteration is mostly numpy call overhead, so lanes are nearly
-# free; with many, lanes abandoned after an accepted move are wasted work.
-# Stage 2 of the N=100 benchmark candidate took a median 1.46 s of CPU at
-# 800, against 1.61 s at 400 and 1.60 s at 1600.
+# Lanes times modes in one batch of joint-refinement moves: with few modes
+# an iteration is mostly numpy call overhead, so lanes are nearly free; with
+# many, lanes abandoned after an accepted move are wasted work.  In the
+# solver pool, `_joint_paths` of the N=100 benchmark candidate took a median
+# 0.536 s at 800, against 0.558 s at 400 and 0.588 s at 1600 (9 runs each,
+# one core); the N=5 candidate fits a whole pass per batch at all three
+# (0.075-0.076 s).
 _LANE_BUDGET = 800
 
 
@@ -706,95 +714,162 @@ def _damped_steps(jac, grad, free, damping):
     return np.linalg.solve(normal, np.where(free, -grad, 0.0)[:, :, None])[:, :, 0]
 
 
-def _box_least_squares(fun, x0, lower, upper, budget, stop=None):
-    """Minimise sum r(x)^2 subject to lower <= x <= upper, for a stack of
-    independent fits.  The bounds are shared by every lane, or (lanes, d)
-    stacks with one row per lane.
+class _LMLanes:
+    """Box-bounded least-squares fits as lanes of one stack that lanes join
+    and leave between iterations; each lane minimises sum r(x)^2 subject to
+    its own lower <= x <= upper.
 
     Projected Levenberg-Marquardt (More 1978) with an active set: a variable
     at a bound whose gradient points out of the box is frozen for the step,
     and the Marquardt-damped normal equations are solved over the free
     variables only; starts and trial points are clamped into the box.  The
     damping is scaled by the diagonal of J^T J, so underdetermined fits
-    (fewer residuals than variables) need no special case.  Each fit stops
-    when the relative cost decrease (ftol), the relative step length (xtol)
-    or the projected gradient (gtol) falls to `_LM_TOL`, or when its budget
-    runs out.
+    (fewer residuals than variables) need no special case.  A lane stops
+    when its relative cost decrease (ftol), relative step length (xtol) or
+    projected gradient (gtol) falls to `_LM_TOL`, or when its evaluations
+    reach its budget; one that stops on its step length still evaluates
+    that step, but keeps its point.
 
-    The fits run as lanes.  `x0` is a (lanes, d) stack of starts, and
-    `budget` is shared or one per lane.  `fun(x, lanes)` gets the rows still
-    running with their lane indices and returns their (rows, residuals)
-    residuals and a function that gives the (rows, residuals, d) Jacobian of
-    the rows a boolean mask picks; the solver asks only for the rows whose
-    step it accepts.  All lanes advance one iteration at a time, each doing
-    exactly the arithmetic it would do alone and stopping once the shared
-    evaluation count reaches its budget.  A lane that stops drops out of the
-    stack at the top of the next iteration; one that stops on its step
-    length still evaluates that step, but keeps its point.
-    `stop(finished, cost)`, if given, is called once per iteration, right
-    after that iteration's retirements, and once more after every lane has
-    stopped, with which lanes have finished and every lane's latest cost
-    (final for a finished lane, NaN for an abandoned one); it returns a mask
-    of the lanes to abandon, and a running lane it marks leaves the stack
-    with NaN results.  Returns (sum r^2, x) per lane.
+    `admit` queues lanes, each with its own rows of the data `fun` reads.
+    `advance` runs one iteration of every running lane and evaluates the
+    starts of the queued lanes in the same call `fun(x, *rows)`, which
+    returns the (lanes, residuals) residuals and a function that gives the
+    (lanes, residuals, d) Jacobian of the lanes a boolean mask picks: the
+    solver asks only for the lanes whose point it takes.  Each lane counts
+    its own evaluations and does exactly the arithmetic it would do alone,
+    so its result depends neither on the lanes beside it nor on when it
+    joined.  A lane's scalars and data rows are one record; its vectors
+    (point, bounds, gradient, free variables, residuals, Jacobian) are rows
+    of contiguous stacks beside it, which numpy walks faster than the
+    strided fields of a record.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    lower, upper = np.broadcast_to(lower, x.shape), np.broadcast_to(upper, x.shape)
-    budget = np.broadcast_to(budget, len(x))
-    best_cost = np.full(len(x), np.nan)
-    best_x = np.full_like(x, np.nan)
-    finished = np.zeros(len(x), dtype=bool)
-    lanes = np.arange(len(x))
-    r, jacobian = fun(x, lanes)
-    jac = jacobian(np.ones(len(x), dtype=bool))
-    evaluations = 1
-    cost = _rowdot(r, r)
-    damping = np.full(len(x), 1e-3)
-    growth = np.full(len(x), 2.0)
-    ended = np.zeros(len(x), dtype=bool)  # stopped on the step length or cost decrease
-    while True:
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.lanes = None      # per running lane: a record of its scalars and data rows
+        self.x = self.lower = self.upper = self.grad = self.free = self.r = self.jac = None
+        self.rows = 0          # data arrays per lane
+        self.joining = []      # (record, start, lower, upper) of each admit since the last advance
+        self.count = 0         # lanes admitted so far: the next lane's id
+
+    @property
+    def ids(self):
+        return self.lanes["id"]
+
+    def admit(self, x0, lower, upper, budget, *rows):
+        """Queue a (k, d) stack of starts as k lanes, each start clamped into
+        its box, with the lanes' budgets (shared or one each) and rows of
+        `fun`'s data; returns their ids, consecutive from `count`."""
+        x0 = np.asarray(x0, dtype=float)
+        if self.lanes is None:
+            self.rows = len(rows)
+            self.lanes = np.zeros(0, np.dtype(
+                [(name, float) for name in ("cost", "damping", "growth")]
+                + [(name, np.int64) for name in ("evaluations", "budget", "id")]
+                + [(f"row{i}", row.dtype, row.shape[1:]) for i, row in enumerate(rows)]
+                + [("ended", bool)], align=True))
+        new = np.zeros(len(x0), self.lanes.dtype)
+        new["damping"], new["growth"] = 1e-3, 2.0
+        new["budget"] = budget
+        new["id"] = np.arange(self.count, self.count + len(x0))
+        for i, row in enumerate(rows):
+            new[f"row{i}"] = row
+        lower, upper = (np.broadcast_to(bound, x0.shape) for bound in (lower, upper))
+        self.count += len(x0)
+        self.joining.append((new, np.clip(x0, lower, upper), lower, upper))
+        return new["id"]
+
+    def advance(self):
+        """One iteration of every running lane, the queued lanes evaluating
+        their starts in the same call of `fun`, then every lane's stopping
+        test; returns the ids, costs and points of the lanes that stop."""
+        lanes, n = self.lanes, len(self.lanes)
+        x, lower, upper, jac = self.x, self.lower, self.upper, self.jac
+        if n:
+            x_new = np.minimum(np.maximum(
+                x + _damped_steps(jac, self.grad, self.free, lanes["damping"]), lower), upper)
+            delta = x_new - x
+            ended = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
+            linear = self.r + (jac @ delta[:, :, None])[:, :, 0]
+            predicted = lanes["cost"] - _rowdot(linear, linear)
+            points = x_new
+        if self.joining:
+            parts = list(zip(*self.joining))
+            self.joining = []
+            if n:
+                parts = [[old, *new] for old, new in zip((lanes, x_new, lower, upper), parts)]
+            lanes, points, lower, upper = (np.concatenate(part) for part in parts)
+            x = points.copy() if not n else np.concatenate([x, points[n:]])
+        r, jacobian = self.fun(points, *(lanes[f"row{i}"] for i in range(self.rows)))
+        cost = _rowdot(r, r)
+        taken = np.ones(len(lanes), dtype=bool)  # the lanes whose evaluated point becomes theirs
+        lanes["evaluations"][n:] = 1
+        if n:
+            old = lanes[:n]
+            accepted = ~ended & (predicted > 0.0) & (cost[:n] < old["cost"])
+            gain = old["cost"] - cost[:n]
+            # Nielsen's damping rule, floored because J^T J is singular when the
+            # fit has fewer residuals than free variables
+            damping = old["damping"] * old["growth"]
+            better = np.flatnonzero(accepted)
+            ratio = gain[better] / predicted[better]
+            # Python's float power, as a lone fit computes it: numpy's vectorised
+            # power can differ in the last bit
+            cube = np.array([u**3 for u in (2.0 * ratio - 1.0).tolist()])
+            damping[better] = np.maximum(
+                old["damping"][better] * np.maximum(1.0 / 3.0, 1.0 - cube), 1e-12
+            )
+            old["damping"] = damping
+            old["growth"] = np.where(accepted, 2.0, 2.0 * old["growth"])
+            old["ended"] = ended | (accepted & (gain <= _LM_TOL * old["cost"]))
+            old["evaluations"] += 1
+            taken[:n] = accepted
+            np.copyto(x[:n], x_new, where=accepted[:, None])
+            # `fun` hands r over: it keeps no reference
+            np.copyto(r[:n], self.r, where=~accepted[:, None])
+        np.copyto(lanes["cost"], cost, where=taken)
+        if len(lanes) > n:
+            jac = np.empty(r.shape + points.shape[1:])
+            jac[:n] = self.jac
+        jac[taken] = jacobian(taken)
+
         grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
         free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
-        done = ended | (cost <= 0.0) | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
-        done |= evaluations >= budget[lanes]
-        finished[lanes[done]] = True
-        best_cost[lanes], best_x[lanes] = cost, x
-        dropped = done if stop is None else done | stop(finished, best_cost)[lanes]
-        best_cost[lanes[dropped & ~done]], best_x[lanes[dropped & ~done]] = np.nan, np.nan
-        if dropped.any():
-            lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper = (
-                a[~dropped]
-                for a in (lanes, x, r, jac, cost, damping, growth, grad, free, lower, upper)
-            )
-        if not len(lanes):
-            return best_cost, best_x
-        x_new = np.minimum(np.maximum(x + _damped_steps(jac, grad, free, damping), lower), upper)
-        delta = x_new - x
-        ended = np.sqrt(_rowdot(delta, delta)) <= _LM_TOL * (_LM_TOL + np.sqrt(_rowdot(x, x)))
-        linear = r + (jac @ delta[:, :, None])[:, :, 0]
-        predicted = cost - _rowdot(linear, linear)
-        r_new, jacobian = fun(x_new, lanes)
-        evaluations += 1
-        cost_new = _rowdot(r_new, r_new)
-        # Nielsen's damping rule, floored because J^T J is singular when the
-        # fit has fewer residuals than free variables
-        accepted = ~ended & (predicted > 0.0) & (cost_new < cost)
-        gain = cost - cost_new
-        ratio = np.divide(gain, predicted, out=np.zeros_like(gain), where=accepted)
-        # Python's float power, as a lone fit computes it: numpy's vectorised
-        # power can differ in the last bit
-        cube = np.array([u**3 for u in (2.0 * ratio - 1.0).tolist()])
-        damping = np.where(
-            accepted,
-            np.maximum(damping * np.maximum(1.0 / 3.0, 1.0 - cube), 1e-12),
-            damping * growth,
-        )
-        growth = np.where(accepted, 2.0, 2.0 * growth)
-        ended |= accepted & (gain <= _LM_TOL * cost)
-        x = np.where(accepted[:, None], x_new, x)
-        r = np.where(accepted[:, None], r_new, r)
-        jac[accepted] = jacobian(accepted)
-        cost = np.where(accepted, cost_new, cost)
+        done = (lanes["ended"] | (lanes["cost"] <= 0.0)
+                | (np.abs(np.where(free, grad, 0.0)).max(axis=1) <= _LM_TOL)
+                | (lanes["evaluations"] >= lanes["budget"]))
+        self.lanes, self.x, self.lower, self.upper = lanes, x, lower, upper
+        self.grad, self.free, self.r, self.jac = grad, free, r, jac
+        if not done.any():
+            return lanes["id"][:0], lanes["cost"][:0], x[:0]
+        stopped = lanes["id"][done], lanes["cost"][done], x[done]
+        self.drop(done)
+        return stopped
+
+    def drop(self, mask):
+        """Remove the running lanes `mask` picks."""
+        keep = ~mask
+        (self.lanes, self.x, self.lower, self.upper, self.grad, self.free, self.r,
+         self.jac) = (part[keep] for part in (self.lanes, self.x, self.lower, self.upper,
+                                               self.grad, self.free, self.r, self.jac))
+
+
+def _box_least_squares(fun, x0, lower, upper, budget):
+    """Box-bounded least-squares fits (`_LMLanes`) of a (lanes, d) stack of
+    starts, every lane from its start to its end.  The bounds are shared by
+    every lane, or (lanes, d) stacks with one row per lane, and `budget` is
+    shared or one per lane.  `fun(x, lanes)` gets the rows still running
+    with their lane indices and returns what `_LMLanes` asks of its
+    function.  Returns (sum r^2, x) per lane.
+    """
+    fits = _LMLanes(fun)
+    fits.admit(x0, lower, upper, budget, np.arange(len(x0)))
+    costs, xs = np.empty(len(x0)), np.empty(np.shape(x0))
+    while True:
+        ids, cost, x = fits.advance()
+        costs[ids], xs[ids] = cost, x
+        if not len(fits.lanes):
+            return costs, xs
 
 
 def _burst_floors(counts, period):
@@ -814,169 +889,391 @@ def _burst_floors(counts, period):
     ) * period
 
 
-def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget, stop=None):
+def _gap_box(sizes, start_gaps, gap_lo, gap_hi, period):
+    """The starts and bounds of timing fits of sizes `sizes`, one (d,) row
+    or a (lanes, d) stack, from `start_gaps`, rescaled to O(1): every gap
+    inside [gap_lo, gap_hi], each lane's lower bounds raised to the burst
+    floors of its sizes (`_burst_floors`, capped at `gap_hi`), so a fit
+    whose floors fit its windows returns times whose bursts fit the grid."""
+    lower = np.maximum(gap_lo, np.minimum(_burst_floors(np.abs(sizes), period), gap_hi))
+    return start_gaps / _GAP_UNIT, lower / _GAP_UNIT, gap_hi / _GAP_UNIT
+
+
+def _gap_residuals(bound_cost, scaled_gaps, lanes=None):
+    """The residuals of `bound_cost` at the half times of a (lanes, d) stack
+    of rescaled gaps, and the function that gives their Jacobian with
+    respect to the rescaled gaps, as `_LMLanes` asks of its function;
+    `lanes` as for `_BoundTimingCost.residuals_and_jacobian`."""
+    r, per_time = bound_cost.residuals_and_jacobian(
+        (scaled_gaps * _GAP_UNIT).cumsum(axis=1), lanes
+    )
+    # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
+    return r, lambda rows: per_time(rows)[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
+
+
+def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget):
     """Timing fits of a stack of lanes, each from its own (d,) row of start
-    gaps, every gap held inside [gap_lo, gap_hi].
-
-    Each lane's lower bounds are raised to the burst floors of its sizes
-    (`_burst_floors`, capped at `gap_hi`), so a fit whose floors fit its
-    windows returns times whose bursts fit the grid.  The gaps are rescaled
-    to O(1) for `_box_least_squares`; `budget` and `stop` are passed on to
-    it.  Returns the per-lane sum r^2 and refined half times.
+    gaps, inside the windows and above the burst floors (`_gap_box`), each
+    lane to its end.  Returns the per-lane sum r^2 and refined half times.
     """
-    floors = _burst_floors(bound_cost.counts, bound_cost.parent.period)
-    lower = np.maximum(gap_lo, np.minimum(floors, gap_hi))
-
-    def residuals_and_jacobian(scaled_gaps, lanes):
-        r, per_time = bound_cost.residuals_and_jacobian(
-            (scaled_gaps * _GAP_UNIT).cumsum(axis=1), lanes
-        )
-        # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
-        return r, lambda rows: per_time(rows)[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
-
     costs, scaled = _box_least_squares(
-        residuals_and_jacobian, start_gaps / _GAP_UNIT, lower / _GAP_UNIT,
-        gap_hi / _GAP_UNIT, budget, stop,
+        functools.partial(_gap_residuals, bound_cost),
+        *_gap_box(bound_cost.counts, start_gaps, gap_lo, gap_hi, bound_cost.parent.period),
+        budget,
     )
     return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
 
 
-def _lockstep(timing_cost, paths, gap_lo, gap_hi):
-    """What each generator of timing-fit requests in `paths` returns.
+@dataclass(frozen=True)
+class _AdjustedCost:
+    """The pulse-error-adjusted infidelity 1 - f (1 - ideal) of half sizes z
+    at ideal infidelity `ideal`, f the pulse-error factor of z's pulse
+    count: a callable (ideal, z), and the factor of a half-sum of |z| as
+    data (`factor`), from which `_adjusted` scores a stack of lanes to the
+    same bits."""
 
-    A request is (sizes, start gaps, budget, stop): (k, d) stacks, the
-    budget of those k lanes, and a `_box_least_squares` hook over them or
-    None.  Each round fits every path's pending request as lanes of one
-    `_fit_gaps` stack inside [gap_lo, gap_hi], and sends each path its
-    per-lane (costs, half times): the results it would get alone, since a
-    lane's arithmetic does not depend on the stack.
-    """
-    results = [None] * len(paths)
-    pending = dict.fromkeys(range(len(paths)))  # what each running path is sent next
-    while True:
-        requests = {}
-        for path, sent in pending.items():
-            try:
-                requests[path] = paths[path].send(sent)
-            except StopIteration as end:
-                results[path] = end.value
-        if not requests:
-            return results
-        sizes, starts, budgets, hooks = zip(*requests.values())
-        edges = np.cumsum([0] + [len(start) for start in starts]).tolist()
-        spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    epsilon: float
+    counting: str
 
-        def stop(finished, cost):
-            abandon = np.zeros(len(finished), dtype=bool)
-            for hook, span in zip(hooks, spans):
-                if hook is not None:
-                    abandon[span] = hook(finished[span], cost[span])
-            return abandon
+    def factor(self, norm) -> float:
+        """f of half sizes whose |z| sums to `norm`."""
+        return pulse_error_factor(pulse_count_for(2 * int(norm), self.counting), self.epsilon)
 
-        costs, times = _fit_gaps(
-            timing_cost.bind(np.concatenate(sizes)), np.concatenate(starts), gap_lo, gap_hi,
-            np.repeat(budgets, np.diff(edges)), stop,
-        )
-        pending = {path: (costs[span], times[span]) for path, span in zip(requests, spans)}
+    def __call__(self, ideal, z_half) -> float:
+        return _adjusted(ideal, self.factor(np.sum(np.abs(z_half))))
 
 
-def _refine_times(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
-    """Bounded least-squares refinement of the gaps inside the windows, a
-    generator of one `_lockstep` request.  The sum of squared residuals
-    (phase mismatch plus weighted per-mode displacements) is minimised over
-    the gaps from `t_start` clipped into the windows and from extra starts
-    jittered around them (drawn from `rng` in start order), each start a
-    lane; returns every solution as (sum r^2, half times), best first.
-    """
+def _adjusted(ideal, factor):
+    """1 - f (1 - ideal), elementwise for arrays of ideal costs and factors."""
+    return 1.0 - factor * (1.0 - ideal)
+
+
+class _Request(NamedTuple):
+    """The timing fits a stage-2 path waits on: a (k, d) stack of sizes and
+    of start gaps, and the k lanes' budget.  A batch of moves also carries
+    its bar and each lane's pulse-error factor: a lane improves when its
+    adjusted cost (`_adjusted`) falls below the bar."""
+
+    sizes: np.ndarray
+    gaps: np.ndarray
+    budget: int
+    bar: float | None = None
+    factors: np.ndarray | None = None
+
+
+def _refine_request(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
+    """A bounded least-squares refinement of the gaps of sizes z inside the
+    windows, each start a lane: the sum of squared residuals (phase
+    mismatch plus weighted per-mode displacements) is minimised over the
+    gaps from `t_start` clipped into the windows and from extra starts
+    jittered around them, drawn from `rng` in start order."""
     gaps0 = np.clip(np.diff(np.concatenate([[0.0], t_start])), gap_lo, gap_hi)
     start_gaps = np.array([gaps0] + [
         gaps0 * (1.0 + rng.uniform(-0.15, 0.15, size=len(gaps0))) for _ in range(starts - 1)
     ])
-    costs, times = yield np.broadcast_to(z, start_gaps.shape), start_gaps, budget, None
+    return _Request(np.broadcast_to(z, start_gaps.shape), start_gaps, budget)
+
+
+def _ranked(costs, times):
+    """A refinement's per-lane results as (sum r^2, half times), best first."""
     return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
 
 
-def _first_improving(trials, t, cost, scorer):
-    """The first of `trials`, in order, whose quick timing fit from `t`
-    scores below `cost`, as (index, score, half times); None if none does.
+def _refine(timing_cost, starts, gap_lo, gap_hi, budget, count=1, rng=None):
+    """The refinements (`_refine_request`) of each (sizes, half times) of
+    `starts`, from `count` starts each, as lanes of one `_fit_gaps` stack;
+    returns each one's solutions, best first (`_ranked`)."""
+    requests = [_refine_request(np.asarray(z, dtype=float), np.asarray(t, dtype=float),
+                                gap_lo, gap_hi, budget, count, rng) for z, t in starts]
+    costs, times = _fit_gaps(
+        timing_cost.bind(np.concatenate([request.sizes for request in requests])),
+        np.concatenate([request.gaps for request in requests]), gap_lo, gap_hi, budget,
+    )
+    return [_ranked(costs[lo:lo + count], times[lo:lo + count])
+            for lo in range(0, len(costs), count)]
 
-    A generator of one `_lockstep` request, each trial a lane of a budget-60
-    fit.  Its hook abandons the lanes after the first one whose running cost
-    already scores below `cost`: accepted steps only lower a lane's cost and
-    the score never falls as the cost rises, so that lane improves, and so
-    the first improving lane is the one a trial-by-trial scan would take.
-    """
-    gaps = np.diff(np.concatenate([[0.0], t]))
-    cleared = np.full(len(trials), np.inf)  # the lowest cost found not to improve
-    cut = len(trials)  # the first lane known to improve
 
-    def first_improvement(finished, fit_costs):
-        nonlocal cut
-        for lane in np.flatnonzero(fit_costs[:cut] < cleared[:cut]).tolist():
-            if scorer(float(fit_costs[lane]), trials[lane]) < cost:
-                cut = lane
-                break
-            cleared[lane] = fit_costs[lane]
-        return np.arange(len(trials)) > cut
+@dataclass(frozen=True, eq=False)
+class _Moves:
+    """What every state of a joint refinement shares: the windows, the
+    limits of its integer moves, its adjusted cost, the lanes per batch of
+    moves and the pulse-error factor of each half-sum of |z| up to
+    `cap_half`."""
 
-    fit_costs, times = yield trials, np.tile(gaps, (len(trials), 1)), 60, first_improvement
-    if cut == len(trials):
-        return None
-    return cut, scorer(float(fit_costs[cut]), trials[cut]), times[cut]
+    period: float
+    gap_lo: np.ndarray
+    gap_hi: np.ndarray
+    bound: int
+    cap_half: int
+    scorer: _AdjustedCost
+    lanes: int
+    factors: np.ndarray
+    trials: dict = field(default_factory=dict)  # per z: its moves (`moves_of`)
+
+    def moves_of(self, z):
+        """The trials z + delta of every move, each one's pulse-error factor,
+        and which are feasible: inside the bound and the SDK cap, nonzero,
+        and with burst floors (`_burst_floors`) within every gap's upper
+        bound, since no timing in the windows expresses the others on the
+        grid.  Worked out once per z, and returned read-only."""
+        key = z.tobytes()
+        if key not in self.trials:
+            trials = z + _descent_moves(len(z))[0]
+            feasible, norms = (part[0] for part in _move_reach(z[None], self.bound, self.cap_half))
+            feasible &= np.any(trials, axis=1) & ~np.any(
+                _burst_floors(np.abs(trials), self.period) > self.gap_hi, axis=1
+            )
+            found = trials, self.factors[np.where(feasible, norms, 0).astype(int)], feasible
+            for part in found:
+                part.flags.writeable = False
+            self.trials[key] = found
+        return self.trials[key]
+
+    def after(self, z, t, cost, passes, move, improved):
+        """The state that fits the next batch of moves of sizes z at half
+        times t and adjusted cost `cost`: at most `lanes` moves from move
+        `move` on, in move order, of pass `passes`, which has `improved` or
+        not.  A move is skipped when it is infeasible (`moves_of`) or when
+        even a perfect fit would not improve on `cost`.  A pass with no
+        moves left ends the passes unless it improved; after six, or when
+        they end, the state's request is the last refinement."""
+        trials, factors, feasible = self.moves_of(z)
+        winnable = np.flatnonzero(feasible & (_adjusted(0.0, factors) < cost))
+        while True:
+            batch = winnable[winnable >= move][: self.lanes]
+            if len(batch):
+                gaps = np.tile(np.diff(np.concatenate([[0.0], t])), (len(batch), 1))
+                request = _Request(trials[batch], gaps, 60, cost, factors[batch])
+                return _JointPath(self, "moves", z, t, request, cost, passes, improved, batch)
+            if not improved or passes == 5:
+                request = _refine_request(z, t, self.gap_lo, self.gap_hi, 500)
+                return _JointPath(self, "end", z, t, request, cost)
+            passes, move, improved = passes + 1, 0, False
+
+
+@dataclass(frozen=True, eq=False)
+class _JointPath:
+    """A state of a joint refinement (`_joint_refine`): sizes z at half
+    times t with adjusted cost `cost`, the pass of moves it is in, and the
+    request it waits on: the "start" or "end" refinement, a batch of
+    "moves", or none once it is "done" with its `value`."""
+
+    moves: _Moves
+    step: str
+    z: np.ndarray
+    t: np.ndarray
+    request: _Request | None
+    cost: float = math.nan
+    passes: int = 0
+    improved: bool = False
+    batch: np.ndarray | None = None   # the moves a "moves" request fits, in move order
+    value: tuple | None = None
+
+    def successor(self, result):
+        """The next state, from the result of this state's request: a
+        refinement's per-lane (sum r^2, half times), or a batch's first
+        improving lane as (lane, sum r^2, half times), None when no lane
+        improves.  First improvement: the rest of the pass moves from the
+        new sizes and timings.  This state stays as it is."""
+        moves = self.moves
+        if self.step == "moves":
+            if result is None:
+                return moves.after(self.z, self.t, self.cost, self.passes, self.batch[-1] + 1,
+                                   self.improved)
+            lane, fit_cost, t = result
+            z = self.z + _descent_moves(len(self.z))[0][self.batch[lane]]
+            return moves.after(z, t, moves.scorer(float(fit_cost), z), self.passes,
+                               self.batch[lane] + 1, True)
+        ideal, t = _ranked(*result)[0]
+        if self.step == "start":
+            return moves.after(self.z, t, moves.scorer(ideal, self.z), 0, 0, False)
+        value = (moves.scorer(ideal, self.z), [int(v) for v in self.z], t)
+        return replace(self, step="done", request=None, value=value)
 
 
 def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
-    """Integer moves re-scored by quick timing refinement.
+    """Integer moves re-scored by quick timing refinement, as the first
+    state of a path of `_SolverPool`, whose value is (adjusted cost, sizes,
+    half times).
 
     Escapes the uniform-timing lattice: each candidate z is judged by the
     best analytic cost reachable inside the timing windows, not by its cost
-    at the current timings.  `scorer(ideal, z)`, nondecreasing in `ideal`,
-    folds in the pulse-error selection pressure.  A move is skipped when its
-    burst floors (`_burst_floors`) exceed some gap's upper bound, since no
-    timing in the windows expresses it on the grid, or when even a perfect
-    fit would not improve on the current cost.  The moves are scored in
-    move order, a batch of lanes at a time (`_lane_count`), with first
-    improvement: the first improving move of a batch is taken, and the next
-    batch starts after it from the new sizes and timings, so the decisions
-    are those of scoring the moves one at a time.  A generator for
-    `_lockstep`: it yields its timing-fit requests and returns (adjusted
-    cost, sizes, half times).
+    at the current timings.  `scorer`, an `_AdjustedCost`, folds in the
+    pulse-error selection pressure.  The path refines z0's timings from t0
+    (three starts, drawn from `rng` now), then scores the moves in move
+    order, a batch of lanes at a time (`_lane_count`), each lane a budget-60
+    fit, with first improvement: the first improving move of a batch is
+    taken and the next batch starts after it from the new sizes and
+    timings (`_JointPath.successor`), so the decisions are those of scoring
+    the moves one at a time.  Skipped moves and passes: `_Moves.after`.
     """
-    z = np.asarray(z0, dtype=float)
-    ideal, t = (yield from _refine_times(
-        z, np.asarray(t0, dtype=float), gap_lo, gap_hi, 400, starts=3, rng=rng
-    ))[0]
-    cost = scorer(ideal, z)
-    lanes = _lane_count(len(timing_cost.w))
-    period = timing_cost.period
-    for _ in range(6):
-        improved = False
-        move = 0
-        while True:
-            trials = z + _descent_moves(len(z))[0]
-            # a move whose bursts cannot fit some gap's window is infeasible
-            feasible = _move_reach(z[None], bound, cap_half)[0][0] & ~np.any(
-                _burst_floors(np.abs(trials), period) > gap_hi, axis=1
-            )
-            batch = np.flatnonzero(feasible & np.any(trials, axis=1))
-            batch = list(itertools.islice(
-                (m for m in batch[batch >= move].tolist() if scorer(0.0, trials[m]) < cost), lanes
-            ))
-            if not batch:
-                break
-            taken = yield from _first_improving(trials[batch], t, cost, scorer)
-            if taken is None:
-                move = batch[-1] + 1
-                continue
-            # first improvement: the rest of the pass moves from the new z
-            lane, cost, t = taken
-            z = trials[batch[lane]]
-            move = batch[lane] + 1
-            improved = True
-        if not improved:
-            break
-    ideal, t = (yield from _refine_times(z, t, gap_lo, gap_hi, 500))[0]
-    return scorer(ideal, z), [int(v) for v in z], t
+    moves = _Moves(timing_cost.period, gap_lo, gap_hi, bound, cap_half, scorer,
+                   _lane_count(len(timing_cost.w)),
+                   np.array([scorer.factor(norm) for norm in range(cap_half + 1)]))
+    z, t = np.asarray(z0, dtype=float), np.asarray(t0, dtype=float)
+    return _JointPath(moves, "start", z, t, _refine_request(z, t, gap_lo, gap_hi, 400, 3, rng))
+
+
+def _lane_residuals(timing_cost, scaled_gaps, *rows):
+    """`_gap_residuals` of the binding that the rows of a stack of lanes make
+    (counts, slot form factors, within-burst phase: `_TimingCost.bind`)."""
+    return _gap_residuals(_BoundTimingCost(timing_cost, *rows), scaled_gaps)
+
+
+@dataclass(eq=False)
+class _Node:
+    """A request of one path in `_SolverPool`: its lanes' results so far
+    and the state built from them."""
+
+    path: int
+    index: int
+    state: object
+    costs: np.ndarray = None     # per lane: the final sum r^2, NaN until the lane stops
+    times: np.ndarray = None
+    child: "_Node | None" = None
+    assumed: int = 0             # the cut `child` was built on
+    final: bool = False
+    dropped: bool = False
+
+
+class _SolverPool:
+    """Stage 2's solver pool: paths of timing-fit requests, every request's
+    fits lanes of one `_LMLanes` stack inside [gap_lo, gap_hi] (`_gap_box`).
+
+    A path is a state with a `request` and a `successor(result)`, or with
+    no request and a `value`.  A request's lanes join the stack as soon as
+    the request is made, so a path waits for no other.  A refinement's
+    result is every lane's (sum r^2, half times).  A batch of moves applies
+    the first-improvement rule as data, every lane of every batch in one
+    vectorised test: a lane improves once its adjusted cost, running or
+    final, falls below its batch's bar.  Accepted steps only lower a lane's
+    cost and the score never falls as the cost rises, so such a lane ends
+    improving; the batch's cut, its first improving lane so far, drops the
+    lanes after it.  Once the lane at the cut has stopped, the successor
+    built on it starts at once, speculatively, while lanes before the cut
+    still run; when one of them improves, the cut moves to it and the
+    successor is dropped with every state built on it.  A batch's result
+    is final once every lane up to its cut has stopped: the cut lane as
+    (lane, sum r^2, half times), or None when no lane improves.  Each path
+    takes its states in order, the value of its last: no dropped successor
+    delivers a result.  Every lane does exactly the arithmetic it would do
+    alone, so the values are those of running the requests one at a time.
+    """
+
+    def __init__(self, timing_cost, gap_lo, gap_hi):
+        self.timing_cost, self.gap_lo, self.gap_hi = timing_cost, gap_lo, gap_hi
+        # a function that holds no reference to the pool, which is then freed
+        # as soon as its run returns, not by a later cycle collection
+        self.fits = _LMLanes(functools.partial(_lane_residuals, timing_cost))
+        self.nodes = []
+        self.owner = np.zeros(0, dtype=int)   # per lane id: its node
+        self.factor = np.zeros(0)             # per lane id: its pulse-error factor
+        self.bar = np.zeros(0)                # per lane id: its batch's bar
+        self.first = np.zeros(0, dtype=int)   # per node: the id of its first lane
+        self.cut = np.zeros(0, dtype=int)     # per node: its cut, or its lane count
+
+    def run(self, states):
+        """The value each path, from its state of `states`, ends with."""
+        self.fronts = [self._start(path, state) for path, state in enumerate(states)]
+        self.values = [None] * len(states)
+        self.open = set(range(len(states)))
+        while self.open:
+            ids, costs, xs = self.fits.advance()
+            owners = self.owner[ids]
+            if len(ids):
+                lanes = ids - self.first[owners]
+                times = np.cumsum(xs * _GAP_UNIT, axis=1)
+                for index in set(owners.tolist()):
+                    node, mine = self.nodes[index], owners == index
+                    node.costs[lanes[mine]], node.times[lanes[mine]] = costs[mine], times[mine]
+            moved = self._cut(np.concatenate([ids, self.fits.ids]),
+                              np.concatenate([costs, self.fits.lanes["cost"]]))
+            for index in sorted(moved.union(owners.tolist())):
+                if not self.nodes[index].dropped:
+                    self._settle(self.nodes[index])
+        return self.values
+
+    def _start(self, path, state):
+        """A node for `state`, its request's lanes queued in the stack."""
+        node = _Node(path, len(self.nodes), state)
+        self.nodes.append(node)
+        request, count, first = state.request, 0, 0
+        if request is None:
+            node.final = True
+        else:
+            count = len(request.sizes)
+            bound = self.timing_cost.bind(request.sizes)
+            box = _gap_box(request.sizes, request.gaps, self.gap_lo, self.gap_hi,
+                           self.timing_cost.period)
+            ids = self.fits.admit(*box, request.budget, bound.counts, bound.effective,
+                                  bound.within_theta)
+            first = ids[0]
+            node.costs, node.times = np.full(count, np.nan), np.empty(request.sizes.shape)
+            moves = request.bar is not None
+            self.owner = np.append(self.owner, np.full(count, node.index))
+            self.factor = np.append(self.factor, request.factors if moves else np.zeros(count))
+            self.bar = np.append(self.bar, np.full(count, request.bar if moves else -np.inf))
+        self.first = np.append(self.first, first)
+        self.cut = np.append(self.cut, count)
+        return node
+
+    def _cut(self, ids, costs):
+        """Move each batch's cut to its first lane among `ids` whose adjusted
+        cost already falls below the bar, drop the running lanes after each
+        cut, and return the nodes whose cut moved."""
+        hit = ids[_adjusted(costs, self.factor[ids]) < self.bar[ids]]
+        nodes = self.owner[hit]
+        moved = set()
+        for index, lane in zip(nodes.tolist(), (hit - self.first[nodes]).tolist()):
+            if lane < self.cut[index]:
+                self.cut[index] = lane
+                moved.add(index)
+        running = self.fits.ids
+        owners = self.owner[running]
+        beyond = running - self.first[owners] > self.cut[owners]
+        if beyond.any():
+            self.fits.drop(beyond)
+        return moved
+
+    def _settle(self, node):
+        """Act on what `node`'s lanes have given: drop a successor built on a
+        cut that has since moved, start the successor once its result is in
+        (speculatively while lanes before the cut run), and end the node
+        once its result is final."""
+        stopped = ~np.isnan(node.costs)
+        cut = int(self.cut[node.index])
+        if node.child is not None and node.assumed != cut:
+            self._drop(node.child)
+            node.child = None
+        if node.state.request.bar is None:
+            ready = final = stopped.all()
+            result = node.costs, node.times
+        elif cut < len(stopped):
+            ready, final = stopped[cut], stopped[:cut + 1].all()
+            result = cut, node.costs[cut], node.times[cut]
+        else:
+            ready = final = stopped.all()
+            result = None
+        if ready and node.child is None:
+            node.child, node.assumed = self._start(node.path, node.state.successor(result)), cut
+        if final:
+            node.final = True
+            front = self.fronts[node.path]
+            while front.final and front.child is not None:
+                front = front.child
+            self.fronts[node.path] = front
+            if front.state.request is None and node.path in self.open:
+                self.values[node.path] = front.state.value
+                self.open.discard(node.path)
+
+    def _drop(self, node):
+        """Drop `node` and every node built on it, with their running lanes."""
+        dropped = []
+        while node is not None:
+            node.dropped = True
+            dropped.append(node.index)
+            node = node.child
+        self.fits.drop(np.isin(self.owner[self.fits.ids], dropped))
 
 
 def _inside_windows(times, gap_lo, gap_hi, period):
@@ -1053,6 +1350,28 @@ def _grid_descent(timing_cost, half_sizes, slots, half_times, phase, gap_lo, gap
     return (cost if inside else math.inf), times.tolist(), evaluations
 
 
+def _slot_run(low, high, size, period, phase):
+    """The least and the greatest grid slot of a burst of |size| kicks whose
+    centre (`burst_center`) lies in [low, high]: the first exceeds the
+    second when none does.  A centre never falls as its slot rises, so the
+    slots between are exactly those whose centres lie in the interval."""
+    def centre(slot):
+        return burst_center(slot, size, period, phase)
+
+    offset = 0.5 * (abs(size) - 1)
+    first = math.ceil((low - phase) / period - offset)
+    while centre(first) < low:
+        first += 1
+    while centre(first - 1) >= low:
+        first -= 1
+    last = math.floor((high - phase) / period - offset)
+    while centre(last) > high:
+        last -= 1
+    while centre(last + 1) <= high:
+        last += 1
+    return first, last
+
+
 def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
     """The slots of the nonempty groups on the grid of `rate` at `phase`,
     and the half times, placed group by group from the midpoint out so that
@@ -1061,38 +1380,30 @@ def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
     centre, its time, lies in the window widened by a quarter slot and
     whose burst fits after the ones before it (`bursts_fit`), or keeps its
     snapped slot when none does; an empty group is clipped into its window.
-    Snapping moves each group by up to half a slot, so a gap that a fit
-    left at the edge of its window may land up to a slot outside it."""
+    Those slots are one run of integers (`_slot_run`) cut below by the end
+    of the burst before, so a group costs the same at any rate.  Snapping
+    moves each group by up to half a slot, so a gap that a fit left at the
+    edge of its window may land up to a slot outside it."""
     period = 1.0 / rate
-    sizes = [z for z in half_sizes if z != 0]
     slots, times = [], list(half_times)
+    fitting = True  # whether the bursts placed so far fit (`bursts_fit`)
+    after = 0 if phase else 1  # the least slot a burst placed next may take
     for index, size in enumerate(half_sizes):
         prev_t = times[index - 1] if index > 0 else 0.0
         low, high = prev_t + gap_lo[index], prev_t + gap_hi[index]
         if size == 0:
             times[index] = min(max(times[index], low), high)
             continue
-        low, high = low - 0.25 * period, high + 0.25 * period
         slot = burst_slot(times[index], size, rate, phase)
-        # every slot whose burst centre may lie in the window, and more
-        trial = slot + np.arange(math.floor((low - times[index]) / period) - 1,
-                                 math.ceil((high - times[index]) / period) + 2)
-        centres = burst_center(trial, size, period, phase)
-        rows = np.column_stack([np.tile(slots, (len(trial), 1)), trial])
-        trial = trial[bursts_fit(rows, sizes[: len(slots) + 1], phase) & (low <= centres)
-                      & (centres <= high)]
-        if len(trial):
-            slot = int(trial[np.argmin(np.abs(trial - slot))])
+        first, last = _slot_run(low - 0.25 * period, high + 0.25 * period, size, period, phase)
+        first = max(first, after)
+        if fitting and first <= last:
+            slot = min(max(slot, first), last)
+        fitting = fitting and slot >= after
+        after = slot + abs(size)
         slots.append(slot)
         times[index] = float(burst_center(slot, size, period, phase))
     return slots, times
-
-
-def _adjusted_cost(ideal, z_half, epsilon, counting):
-    """Pulse-error-adjusted infidelity of the half sizes `z_half` at ideal
-    infidelity `ideal`."""
-    pulses = pulse_count_for(2 * int(np.sum(np.abs(z_half))), counting)
-    return 1.0 - pulse_error_factor(pulses, epsilon) * (1.0 - ideal)
 
 
 def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, restarts,
@@ -1105,7 +1416,9 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
     so never rank in stage 1.  The envelopes are clipped to +-`bound` per
     group and to a half-sum of |z| of `cap_half` (half the SDK cap), which
     the scaled copies already respect; an all-zero or repeated start is
-    skipped.
+    skipped.  The paths start in start order, each drawing its refinement's
+    starts from `rng`, and run together in one `_SolverPool`; each ends
+    where it would alone, whatever the lanes per batch (`_lane_count`).
     """
     z = np.asarray(sizes, dtype=float)
     envelope = np.sin(math.pi * (np.arange(len(z)) + 0.5) / len(z))
@@ -1123,7 +1436,8 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
             timing_cost, start, np.asarray(times, dtype=float), gap_lo, gap_hi,
             bound, cap_half, scorer, rng,
         ))
-    return sorted(_lockstep(timing_cost, paths, gap_lo, gap_hi), key=lambda p: (p[0], tuple(p[1])))
+    joint = _SolverPool(timing_cost, gap_lo, gap_hi).run(paths)
+    return sorted(joint, key=lambda p: (p[0], tuple(p[1])))
 
 
 def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
@@ -1176,11 +1490,13 @@ def stage2(
     """Refine one candidate on the repetition-rate grid.
 
     Continuous gap refinement and integer re-scoring against the analytic
-    surrogate come first (`_joint_paths`); the stage-1 seed and the refit
-    solutions of the best three joint paths are then put on grid slots and
-    polished by a best-move descent over slot shifts (`_grid_solutions`),
-    and the best solution, whose group times are its burst centres, is
-    expanded and scored by the trajectory-based infidelity of its train.
+    surrogate come first (`_joint_paths`, every path in one solver pool);
+    the best three joint paths are refitted as lanes of one stack
+    (`_refine`); the stage-1 seed and the refit solutions are then put on
+    grid slots and polished by a best-move descent over slot shifts
+    (`_grid_solutions`), and the best solution, whose group times are its
+    burst centres, is expanded and scored by the trajectory-based
+    infidelity of its train.
     Every fit and polish keeps one window set: each gap within
     +-`timing_variation` of its Stage-1 value (a quarter slot wider on the
     grid), the solver clamping the fits' starts into it, and the
@@ -1209,8 +1525,7 @@ def stage2(
     gap_lo = (1.0 - stage2_config.timing_variation) * gaps0
     gap_hi = (1.0 + stage2_config.timing_variation) * gaps0
     timing_cost = _TimingCost(chain, targets, stage1_config.thermal, period=1.0 / rate)
-    scorer = functools.partial(_adjusted_cost, epsilon=stage1_config.epsilon,
-                               counting=stage1_config.pulse_counting)
+    scorer = _AdjustedCost(stage1_config.epsilon, stage1_config.pulse_counting)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
 
     joint = _joint_paths(
@@ -1218,10 +1533,8 @@ def stage2(
         max(max(map(abs, sizes0)), stage1_config.z_bound_max),
         stage1_config.max_sdks // 2, stage2_config.local_restarts, scorer, rng,
     )
-    refits = _lockstep(timing_cost, [
-        _refine_times(np.asarray(sizes, dtype=float), t_joint, gap_lo, gap_hi, 600, 3, rng)
-        for _, sizes, t_joint in joint[:3]
-    ], gap_lo, gap_hi)
+    refits = _refine(timing_cost, [(sizes, t_joint) for _, sizes, t_joint in joint[:3]],
+                     gap_lo, gap_hi, 600, 3, rng)
     # the stage-1 seed first: the result is never worse than the seed
     starts = [(sizes0, times0)] + [(sizes, t) for (_, sizes, _), refined in zip(joint, refits)
                                    for _, t in refined]

@@ -25,6 +25,9 @@ SWEEP_VARIABLES = ("num_ions", "repetition_rate", "epsilon", "temperature", "jit
 # The most entries of a {start, stop, step} scan or a sweep; the largest restarts,
 # z_bound_max and sweep samples
 ENTRY_LIMIT = 10_000
+# The most grid slots a gate time may span: stage 2 numbers the slots with
+# integers that must stay exact in a float
+SLOT_LIMIT = 2**53
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -292,10 +295,20 @@ def load_run_config(data: dict | None) -> RunConfig:
 
     trap = _parse_trap(data.get("trap", {}))
     thermal = _parse_thermal(data.get("thermal", {}))
+    stage1 = _parse_stage1(data.get("stage1", {}), thermal)
+    stage2 = _parse_stage2(data.get("stage2", {}))
+    rates = [("stage2.repetition_rate_mhz", stage2.repetition_rate)]
+    if sweep_variable == "repetition_rate":
+        rates += [("sweep.values", value * 1e6) for value in sweep_values]
+    gate_time = max(stage1.gate_time_scan)
+    for name, rate in rates:
+        if not rate * gate_time < SLOT_LIMIT:
+            raise ConfigError(f"{name} too high: a {gate_time:g} s gate spans 2**53 or more "
+                              "grid slots")
     return RunConfig(
         trap=trap,
-        stage1=_parse_stage1(data.get("stage1", {}), thermal),
-        stage2=_parse_stage2(data.get("stage2", {})),
+        stage1=stage1,
+        stage2=stage2,
         sweep_variable=sweep_variable,
         sweep_values=sweep_values,
         jitter_samples=samples,

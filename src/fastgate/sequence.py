@@ -143,8 +143,13 @@ class KickTrain:
         if self.repetition_rate is not None:
             if not 0.0 < self.repetition_rate < math.inf:
                 raise ValueError("repetition rate must be positive and finite")
+            period = 1.0 / self.repetition_rate
+            # kicks one period apart, up to 1e-9 periods or, at rates where that
+            # is finer than the times resolve, four ulps of the latest kick time
+            latest = max(abs(times[0]), abs(times[-1])) if times else 0.0
+            least = min(period * (1.0 - 1e-9), period - 4.0 * math.ulp(latest))
             with np.errstate(invalid="ignore"):  # a non-finite step is off the grid
-                overlap = np.any(np.diff(t) < 1.0 / self.repetition_rate * (1.0 - 1e-9))
+                overlap = np.any(np.diff(t) < least)
                 steps = (t - t[:1]) * self.repetition_rate
                 off_grid = ~(np.abs(steps - np.rint(steps)) <= 1e-6)
             if overlap:

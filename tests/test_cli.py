@@ -182,6 +182,15 @@ class TestOptimizeCommand:
         assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
         assert json.loads((out / "result.json").read_text())["thermal"] == {"temperature_k": 1e-8}
 
+    def test_femtosecond_grid_runs(self, tmp_path):
+        # 1e9 MHz: each 1 us gate spans 1e9 slots, placed without listing them
+        data = {"trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1},
+                "stage2": {"repetition_rate_mhz": 1e9}}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        assert json.loads((out / "result.json").read_text())["train"]["rep_rate_hz"] == 1e15
+
     def test_evaluate_round_trip(self, run_dir, capsys):
         _, _, out = run_dir
         code = main(["evaluate", str(out / "result.json")])
@@ -723,6 +732,22 @@ class TestConfigErrorsBeforeRunning:
         assert len(lines) == 1 and message in lines[0]
         assert not (out / "sweep.csv").exists()
 
+    def test_repetition_rate_sweep_past_the_slot_limit_exits_2(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started before its rates were checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        data = json.loads(json.dumps(FAST_OPTIMIZE))
+        data["sweep"] = {"variable": "repetition_rate", "values": [300.0, 1e308]}
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "sweep"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "sweep.values too high" in lines[0]
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("sweep, message", [
         ({"variable": "epsilon", "values": ["abc"]}, "sweep.values must be numbers"),
         ({"variable": "temperature", "values": [None]}, "sweep.values must be numbers"),
@@ -766,6 +791,9 @@ class TestConfigErrorsBeforeRunning:
         ("thermal", {"nbar": [0.1, 10**400]}, "thermal.nbar entry must be a finite number"),
         ("stage2", {"repetition_rate_mhz": 10**400},
          "stage2.repetition_rate_mhz must be a finite number"),
+        # a rate past the float range, and one whose 1 us gate spans 1e16 slots
+        ("stage2", {"repetition_rate_mhz": 1e308}, "stage2.repetition_rate_mhz too high"),
+        ("stage2", {"repetition_rate_mhz": 1e16}, "stage2.repetition_rate_mhz too high"),
         ("stage1", {"gate_time_scan_us": {"start": 1.0, "stop": 10_001.0, "step": 1.0}},
          "stage1.gate_time_scan_us has more than 10000 entries"),
     ])

@@ -1,8 +1,8 @@
-import functools
 import itertools
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -16,8 +16,11 @@ from fastgate.optimize import (
     Stage2Config,
     _GAP_UNIT,
     _RESTART_SCALES,
+    _AdjustedCost,
+    _LMLanes,
+    _Request,
+    _SolverPool,
     _TimingCost,
-    _adjusted_cost,
     _box_least_squares,
     _burst_floors,
     _clip_to_sdk_cap,
@@ -25,16 +28,14 @@ from fastgate.optimize import (
     _coordinate_descent,
     _damped_steps,
     _descent_moves,
-    _first_improving,
     _fit_gaps,
     _grid_descent,
     _grid_solutions,
     _joint_paths,
     _joint_refine,
     _lane_count,
-    _lockstep,
     _move_reach,
-    _refine_times,
+    _refine,
     _size_grid,
     _inside_windows,
     _snapped_in_windows,
@@ -425,9 +426,8 @@ def test_size_grid_matches_itertools(d, bound):
 
 
 def _refine_alone(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
-    """`_refine_times` as the one path of `_lockstep`."""
-    path = _refine_times(z, t_start, gap_lo, gap_hi, budget, starts, rng)
-    return _lockstep(timing_cost, [path], gap_lo, gap_hi)[0]
+    """One refinement of `_refine` on its own."""
+    return _refine(timing_cost, [(z, t_start)], gap_lo, gap_hi, budget, starts, rng)[0]
 
 
 def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
@@ -469,9 +469,56 @@ def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half
 
 
 def _joint_refine_alone(timing_cost, z0, t0, gap_lo, gap_hi, *args):
-    """`_joint_refine` as the one path of `_lockstep`."""
+    """`_joint_refine` as the one path of a `_SolverPool`."""
     path = _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, *args)
-    return _lockstep(timing_cost, [path], gap_lo, gap_hi)[0]
+    return _SolverPool(timing_cost, gap_lo, gap_hi).run([path])[0]
+
+
+def _recorded_successors(monkeypatch):
+    """Record every `_JointPath.successor` call as (state, result, next
+    state), speculative ones included."""
+    from fastgate import optimize
+
+    calls = []
+    successor = optimize._JointPath.successor
+
+    def recording(self, result):
+        state = successor(self, result)
+        calls.append((self, result, state))
+        return state
+
+    monkeypatch.setattr(optimize._JointPath, "successor", recording)
+    return calls
+
+
+def _recorded_batches(monkeypatch):
+    """Record the request of every batch of moves the pool fits,
+    speculative ones included."""
+    from fastgate import optimize
+
+    batches = []
+    start = optimize._SolverPool._start
+
+    def recording(pool, path, state):
+        if state.request is not None and state.request.bar is not None:
+            batches.append(state.request)
+        return start(pool, path, state)
+
+    monkeypatch.setattr(optimize._SolverPool, "_start", recording)
+    return batches
+
+
+def _taken_chain(calls):
+    """The states a path went through, from the successor calls recorded
+    by `_recorded_successors`: each state's last call is the one on its
+    final result, so the chain follows it from the start."""
+    last = {id(state): (state, result, after) for state, result, after in calls}
+    chain, state = [], calls[0][0]
+    while id(state) in last:
+        state, result, after = last[id(state)]
+        chain.append((state, result))
+        state = after
+    return chain
 
 
 class TestJointRefine:
@@ -479,9 +526,8 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.array([0.12e-6, 0.24e-6, 0.36e-6])
         gaps = np.diff(np.concatenate([[0.0], times]))
-
-        def scorer(ideal, z):
-            return ideal + 1e-4 * float(np.sum(np.abs(z)))
+        # about ideal + 1e-4 sum |z|: 4 pi-pulses per unit of |z|
+        scorer = _AdjustedCost(1.25e-5, "pi_pulses")
 
         for z0, bound, cap_half in (([1, -2, 1], 3, 50), ([2, -1, 0], 2, 3)):
             outcomes = []
@@ -497,25 +543,13 @@ class TestJointRefine:
             assert draw_new == draw_ref
 
     def test_batches_straddling_accepted_moves_match_per_move_loop(self, chain20, monkeypatch):
-        from fastgate import optimize
-
         surrogate = _TimingCost(chain20, (0, 1), NBAR, period=1.0 / 300e6)
         d = 8
         times = np.cumsum(np.full(d, 1e-6 / 18))
         gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = _AdjustedCost(2.5e-6, "pi_pulses")  # about ideal + 2e-5 sum |z|
 
-        def scorer(ideal, z):
-            return ideal + 2e-5 * float(np.sum(np.abs(z)))
-
-        batches = []
-        first_improving = optimize._first_improving
-
-        def recording(trials, *args):
-            taken = yield from first_improving(trials, *args)
-            batches.append((len(trials), None if taken is None else taken[0]))
-            return taken
-
-        monkeypatch.setattr(optimize, "_first_improving", recording)
+        calls = _recorded_successors(monkeypatch)
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(22)
@@ -527,16 +561,18 @@ class TestJointRefine:
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
         assert draw_new == draw_ref
+        batches = [(len(state.batch), None if result is None else result[0])
+                   for state, result in _taken_chain(calls) if state.step == "moves"]
         # several moves were taken part-way through a batch of lanes
         cut_short = [lane for size, lane in batches if lane is not None and lane < size - 1]
         assert len(cut_short) >= 2
         assert max(size for size, _ in batches) == _lane_count(20)
 
-    def test_lockstep_paths_match_each_path_alone(self, chain5):
+    def test_pool_paths_match_each_path_alone(self, chain5):
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = functools.partial(_adjusted_cost, epsilon=1e-5, counting="pi_pulses")
+        scorer = _AdjustedCost(1e-5, "pi_pulses")
         sizes, bound, cap_half, restarts = [2, -3, 1, 3, -1], 4, 50, 2
         # the starts of `_joint_paths`, each refined alone, one move at a time
         z = np.asarray(sizes, dtype=float)
@@ -565,56 +601,68 @@ class TestJointRefine:
             assert t_new.tobytes() == t_ref.tobytes()
         assert rng.random() == draw_ref
 
-    def test_early_abandonment_takes_the_move_of_a_full_scan(self, chain5):
+    @staticmethod
+    def one_batch(chain5):
+        """A batch of moves fitted to the end of every lane, as (surrogate,
+        windows, trials, start times, each lane's fit and score, scorer)."""
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         t = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], t]))
         gap_lo, gap_hi = 0.75 * gaps, 1.25 * gaps
-
-        def scorer(ideal, z):
-            return ideal + 1e-4 * float(np.sum(np.abs(z)))
-
+        scorer = _AdjustedCost(1.25e-5, "pi_pulses")  # about ideal + 1e-4 sum |z|
         z0 = np.array([1.0, -2.0, 1.0, 0.0, 1.0])
         trials, feasible = z0 + _descent_moves(5)[0], _move_reach(z0[None], 3, 50)[0][0]
         trials = trials[feasible & np.any(trials, axis=1)]
-        # every lane fitted to its end, with no hook
+        # every lane fitted to its end, with no cut
         costs, times = _fit_gaps(surrogate.bind(trials), np.tile(gaps, (len(trials), 1)),
                                  gap_lo, gap_hi, 60)
         scores = np.array([scorer(c, z) for c, z in zip(costs.tolist(), trials)])
+        return surrogate, (gap_lo, gap_hi), trials, t, (costs, times, scores), scorer
 
-        def watched(path, log):
-            sizes, start, budget, hook = next(path)
+    @staticmethod
+    def run_batch(surrogate, windows, trials, t, bar, scorer):
+        """The batch as the one request of a pool path whose successor
+        holds the result as its value.  Returns the value and the pool."""
+        gaps = np.diff(np.concatenate([[0.0], t]))
+        factors = np.array([scorer.factor(np.sum(np.abs(z))) for z in trials])
+        path = types.SimpleNamespace(
+            request=_Request(trials, np.tile(gaps, (len(trials), 1)), 60, bar, factors),
+            successor=lambda result: types.SimpleNamespace(request=None, value=result),
+        )
+        pool = _SolverPool(surrogate, *windows)
+        return pool.run([path])[0], pool
 
-            def spy(finished, cost):
-                abandon = hook(finished, cost)
-                log.append((finished.copy(), abandon.copy()))
-                return abandon
+    def test_early_abandonment_takes_the_move_of_a_full_scan(self, chain5, monkeypatch):
+        from fastgate import optimize
 
-            fits = yield sizes, start, budget, spy
-            log.append(fits)
-            try:
-                path.send(fits)
-            except StopIteration as end:
-                return end.value
+        surrogate, windows, trials, t, (costs, times, scores), scorer = self.one_batch(chain5)
+        cut = optimize._SolverPool._cut
+        log = []
 
+        def spy(pool, ids, fit_costs):
+            running = set(pool.fits.ids.tolist())
+            moved = cut(pool, ids, fit_costs)
+            log.append((int(pool.cut[0]), running))
+            return moved
+
+        monkeypatch.setattr(optimize._SolverPool, "_cut", spy)
         cut_by_a_running_lane = 0
         for bar in np.append(np.unique(scores), np.inf):
-            log = []
-            path = watched(_first_improving(trials, t, bar, scorer), log)
-            taken = _lockstep(surrogate, [path], gap_lo, gap_hi)[0]
+            log.clear()
+            taken, pool = self.run_batch(surrogate, windows, trials, t, bar, scorer)
             improving = np.flatnonzero(scores < bar)
             if not len(improving):
                 assert taken is None
                 continue
             lane = improving[0]
-            assert taken[0] == lane and taken[1] == scores[lane]
+            assert taken[0] == lane and scorer(taken[1], trials[lane]) == scores[lane]
             assert taken[2].tobytes() == times[lane].tobytes()
             # the lanes after the taken one were abandoned, the others finished
-            fit_costs, _ = log.pop()
+            fit_costs = pool.nodes[0].costs
             assert np.all(np.isnan(fit_costs[lane + 1:]))
             assert fit_costs[:lane + 1].tobytes() == costs[:lane + 1].tobytes()
-            first_cut = next((f, a) for f, a in log if a.any())
-            cut_by_a_running_lane += not first_cut[0][np.argmax(first_cut[1]) - 1]
+            first_cut, running = next((c, r) for c, r in log if c < len(trials))
+            cut_by_a_running_lane += first_cut in running
         assert cut_by_a_running_lane >= 3
 
     def test_moves_whose_bursts_cannot_fit_are_skipped(self, chain5):
@@ -623,9 +671,7 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 100e6)
         times = np.cumsum(np.full(4, 35e-9))
         gaps = np.diff(np.concatenate([[0.0], times]))
-
-        def scorer(ideal, z):
-            return ideal
+        scorer = _AdjustedCost(0.0, "pi_pulses")  # no pulse error: 1 - (1 - ideal)
 
         z0 = np.array([3, -4, 4, -3])
         trials, feasible = z0 + _descent_moves(4)[0], _move_reach(z0[None], 6, 50)[0][0]
@@ -645,24 +691,13 @@ class TestJointRefine:
         assert _clear_of_burst_floors(z_new, t_new, surrogate.period)
 
     def test_moves_that_cannot_win_are_never_fitted(self, chain5, monkeypatch):
-        from fastgate import optimize
-
         # a steep per-SDK penalty: a move adding kicks cannot pay for them
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = _AdjustedCost(1.25e-4, "pi_pulses")  # about ideal + 1e-3 sum |z|
 
-        def scorer(ideal, z):
-            return ideal + 1e-3 * float(np.sum(np.abs(z)))
-
-        fitted = []
-        first_improving = optimize._first_improving
-
-        def recording(trials, t, cost, scorer):
-            fitted.extend(scorer(0.0, trial) < cost for trial in trials)
-            return (yield from first_improving(trials, t, cost, scorer))
-
-        monkeypatch.setattr(optimize, "_first_improving", recording)
+        batches = _recorded_batches(monkeypatch)
         unwinnable, outcomes = [], []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(21)
@@ -675,27 +710,97 @@ class TestJointRefine:
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
         assert draw_new == draw_ref
+        fitted = [scorer(0.0, trial) < batch.bar for batch in batches for trial in batch.sizes]
         assert unwinnable and fitted and all(fitted)
 
-    def test_equal_scores_are_not_improvements(self, chain5):
-        # a score blind to the timing fit ties every move that keeps sum |z|
+    def test_equal_scores_are_not_improvements(self, chain5, monkeypatch):
+        # the pulse-error factor vanishes at the start's 16 SDKs, so every fit
+        # there scores 1, blind to the timing: each move that keeps sum |z|
+        # ties the start's score
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = _AdjustedCost(1.0 / 16.0, "sdks")
+        z0 = np.array([3, -2, 0, 1, 2])
+        ties = [trial for trial in z0 + _descent_moves(5)[0]
+                if np.max(np.abs(trial)) <= 3 and scorer(0.0, trial) == scorer(0.5, z0) == 1.0]
+        assert ties
 
-        def scorer(ideal, z):
-            return float(np.sum(np.abs(z - 1.0)))
-
+        batches = _recorded_batches(monkeypatch)
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(23)
-            cost, z, t = joint(surrogate, np.array([3, -2, 0, 1, 2]), times,
-                               0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
+            cost, z, t = joint(surrogate, z0, times, 0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
             outcomes.append((cost, z, t))
         (c_ref, z_ref, t_ref), (c_new, z_new, t_new) = outcomes
         assert c_new == c_ref
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
+        # a move that at best ties its batch's bar is not even fitted
+        assert batches and all(scorer(0.0, trial) < batch.bar
+                               for batch in batches for trial in batch.sizes)
+
+
+    def test_failed_speculation_keeps_the_per_move_outcome(self, chain5, monkeypatch):
+        from fastgate import optimize
+
+        # in one batch, the lane first found improving stops before an earlier
+        # lane improves, so the successor started on it is dropped
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = _AdjustedCost(1.25e-5, "pi_pulses")
+        calls = _recorded_successors(monkeypatch)
+        dropped = []  # (successor calls made before the drop, ids of the dropped states)
+        drop = optimize._SolverPool._drop
+
+        def recording(pool, node):
+            states, built = [], node
+            while built is not None:
+                states.append(id(built.state))
+                built = built.child
+            dropped.append((len(calls), states))
+            return drop(pool, node)
+
+        monkeypatch.setattr(optimize._SolverPool, "_drop", recording)
+        outcomes = []
+        for joint in (_reference_joint_refine, _joint_refine_alone):
+            rng = np.random.default_rng(21)
+            cost, z, t = joint(surrogate, np.array([1, -1, 3, -3, 1]), times, 0.75 * gaps,
+                               1.25 * gaps, 3, 50, scorer, rng)
+            outcomes.append((cost.hex(), [int(v) for v in z], t.tobytes(), rng.random()))
+        assert outcomes[0] == outcomes[1]
+        assert dropped
+        # a batch was settled twice: first on a later lane, then on an earlier one
+        lanes = {}
+        for state, result, _ in calls:
+            if state.step == "moves" and result is not None:
+                lanes.setdefault(id(state), []).append(result[0])
+        assert any(len(taken) == 2 and taken[0] > taken[1] for taken in lanes.values())
+        # no dropped state is stepped on once dropped
+        for made, states in dropped:
+            assert not any(id(state) in states for state, _, _ in calls[made:])
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_lane_count_does_not_change_the_paths(self, n, chain5, chain20, monkeypatch):
+        from fastgate import optimize
+
+        chain, targets = {5: (chain5, (2, 3)), 20: (chain20, (0, 1))}[n]
+        surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / 300e6)
+        sizes = [2, -3, 1, 3, -1]
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gaps = np.diff(np.concatenate([[0.0], times]))
+        scorer = _AdjustedCost(1e-5, "pi_pulses")
+        default = optimize._lane_count
+        outcomes = []
+        for count in (1, 3, None):
+            monkeypatch.setattr(optimize, "_lane_count",
+                                default if count is None else lambda modes, count=count: count)
+            rng = np.random.default_rng(26)
+            paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, 4, 50, 2,
+                                 scorer, rng)
+            outcomes.append(([(c.hex(), z, t.tobytes()) for c, z, t in paths], rng.random()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestTimingCostSurrogate:
@@ -1246,7 +1351,7 @@ class TestStage2:
         # the 2.2x envelope start rounds to size 2 in the middle groups
         config = small_stage1_config(z_bound_max=1, top_k=2)
         candidates, _ = stage1(chain2, config, seed=11)
-        scorer = functools.partial(_adjusted_cost, epsilon=1e-5, counting="pi_pulses")
+        scorer = _AdjustedCost(1e-5, "pi_pulses")
         surrogate = _TimingCost(chain2, (0, 1), NBAR, period=1.0 / 300e6)
         for candidate in candidates:
             base = candidate.sequence.trimmed()
@@ -1448,6 +1553,26 @@ def lane_fit(bound_cost, offsets, evaluations):
     return fun
 
 
+def _fits_with_stop(fun, x0, lower, upper, budget, stop):
+    """`_box_least_squares` with lanes abandoned between iterations: after
+    each iteration's stops, `stop(finished, cost)` gets which lanes have
+    finished and every lane's latest cost (final for a finished lane, NaN
+    for an abandoned one), and the running lanes it marks are dropped
+    (`_LMLanes.drop`), leaving NaN results."""
+    fits = _LMLanes(fun)
+    fits.admit(x0, lower, upper, budget, np.arange(len(x0)))
+    costs, xs = np.full(len(x0), np.nan), np.full(np.shape(x0), np.nan)
+    finished = np.zeros(len(x0), dtype=bool)
+    while True:
+        ids, cost, x = fits.advance()
+        costs[ids], xs[ids], finished[ids] = cost, x, True
+        latest = costs.copy()
+        latest[fits.ids] = fits.lanes["cost"]
+        fits.drop(stop(finished, latest)[fits.ids])
+        if not len(fits.lanes):
+            return costs, xs
+
+
 class TestLanes:
     @pytest.mark.parametrize("n", [5, 20])
     def test_stacked_fits_match_lone_fits(self, n, chain5, chain20):
@@ -1497,7 +1622,7 @@ class TestLanes:
 
         starts = np.tile(gaps, (4, 1))
         starts[0] *= 1.01
-        costs, xs = _box_least_squares(
+        costs, xs = _fits_with_stop(
             lane_fit(surrogate.bind(sizes), np.zeros((4, 1)), np.zeros(4, dtype=int)),
             starts, 0.75 * gaps, 1.25 * gaps, 60, stop,
         )
@@ -1542,7 +1667,7 @@ class TestLanes:
         assert [(c.hex(), x.tobytes()) for c, x in zip(costs, xs)] == lone
 
         # abandon the lanes still running once lane 1 has finished
-        costs, xs = _box_least_squares(
+        costs, xs = _fits_with_stop(
             stacked, starts, lower, upper, budget,
             lambda finished, cost: np.full(len(finished), finished[1]),
         )
@@ -1584,7 +1709,7 @@ class TestLanes:
                              for lane in range(lanes)])
 
         evaluations = np.zeros(lanes, dtype=int)
-        costs, xs = _box_least_squares(
+        costs, xs = _fits_with_stop(
             lane_fit(surrogate.bind(sizes), offsets, evaluations), starts, lower, upper,
             budgets, stop,
         )
@@ -1791,6 +1916,22 @@ class TestHalfPhasorKernel:
                 assert r_lane.tobytes() == r[lane:lane + 1].tobytes()
                 assert jacobian_lane().tobytes() == jac[lane:lane + 1].tobytes()
                 assert alone.cost(times[lane:lane + 1])[0] == np.sum(r[lane] ** 2)
+
+
+    def test_stacks_past_256_kib_keep_each_lane_bits(self, chain20):
+        # 300 lanes of 20 modes x 7 groups make 672 KiB complex temporaries,
+        # past the size from which numpy computes `a * temporary` in place
+        rng = np.random.default_rng(52)
+        surrogate = _TimingCost(chain20, (0, 1), NBAR, period=1.0 / 100e6)
+        sizes = rng.integers(-8, 9, size=(300, 7)).astype(float)
+        times = np.cumsum(rng.uniform(30e-9, 70e-9, size=(300, 7)), axis=1)
+        r, jacobian = surrogate.bind(sizes).residuals_and_jacobian(times)
+        jac = jacobian()
+        for lane in rng.choice(300, size=12, replace=False):
+            r_lane, jacobian_lane = surrogate.bind(sizes[lane]).residuals_and_jacobian(
+                times[lane:lane + 1])
+            assert r_lane.tobytes() == r[lane:lane + 1].tobytes()
+            assert jacobian_lane().tobytes() == jac[lane:lane + 1].tobytes()
 
 
 def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
@@ -2071,6 +2212,82 @@ class TestSnappedInWindows:
                                 for slot, z in zip(slots, [z for z in sizes if z != 0])]
                 moved += snapped != plain
         assert outside >= 10 and moved >= outside
+
+    @staticmethod
+    def listed(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
+        """The windowed snap found by listing every slot whose burst centre
+        may lie in each window, and a slot more on each side."""
+        period = 1.0 / rate
+        sizes = [z for z in half_sizes if z != 0]
+        slots, times = [], list(half_times)
+        for index, size in enumerate(half_sizes):
+            prev_t = times[index - 1] if index > 0 else 0.0
+            low, high = prev_t + gap_lo[index], prev_t + gap_hi[index]
+            if size == 0:
+                times[index] = min(max(times[index], low), high)
+                continue
+            low, high = low - 0.25 * period, high + 0.25 * period
+            slot = burst_slot(times[index], size, rate, phase)
+            trial = slot + np.arange(math.floor((low - times[index]) / period) - 1,
+                                     math.ceil((high - times[index]) / period) + 2)
+            centres = burst_center(trial, size, period, phase)
+            rows = np.column_stack([np.tile(slots, (len(trial), 1)), trial])
+            trial = trial[bursts_fit(rows, sizes[: len(slots) + 1], phase) & (low <= centres)
+                          & (centres <= high)]
+            if len(trial):
+                slot = int(trial[np.argmin(np.abs(trial - slot))])
+            slots.append(slot)
+            times[index] = float(burst_center(slot, size, period, phase))
+        return slots, times
+
+    @staticmethod
+    def edge_cases(period, phase):
+        """One group whose window, widened by a quarter slot, starts or ends
+        exactly on a burst centre, as (sizes, times, gap_lo, gap_hi)."""
+        for size in (1, 2, 3, -4):
+            for slot in range(30, 34):
+                centre = float(burst_center(slot, size, period, phase))
+                for side in (-1.0, 1.0):  # the low or the high edge
+                    edge = centre - side * 0.25 * period
+                    for _ in range(4):
+                        widened = edge + side * 0.25 * period
+                        if widened == centre:
+                            break
+                        edge = float(np.nextafter(edge, np.inf if widened < centre else -np.inf))
+                    lo, hi = (edge, edge + 3 * period) if side < 0 else (edge - 3 * period, edge)
+                    yield [size], [centre + side * 0.3 * period], np.array([lo]), np.array([hi])
+
+    @pytest.mark.parametrize("rate", [100e6, 300e6, 1000e6])
+    def test_slot_runs_match_listing_every_slot(self, rate):
+        rng = np.random.default_rng(67)
+        period = 1.0 / rate
+        cases = list(self.pinned_cases(rng, period, 30))
+        while len(cases) < 80:
+            # gaps of a few slots, often too narrow for their bursts
+            d = int(rng.integers(2, 7))
+            sizes = [int(v) for v in rng.integers(-6, 7, size=d)]
+            gaps = rng.uniform(1.0, 12.0, size=d) * period
+            times = np.cumsum(gaps * (1.0 + rng.uniform(-0.3, 0.3, size=d)))
+            cases.append((sizes, times, 0.75 * gaps, 1.25 * gaps))
+        moved = unplaced = 0
+        on_edge = 0
+        for phase in (0.0, 0.5 * period):
+            for sizes, times, gap_lo, gap_hi in self.edge_cases(period, phase):
+                assert _snapped_in_windows(sizes, times, rate, phase, gap_lo, gap_hi) == \
+                    self.listed(sizes, times, rate, phase, gap_lo, gap_hi)
+                on_edge += float(burst_center(_snapped_in_windows(
+                    sizes, times, rate, phase, gap_lo, gap_hi)[0][0], sizes[0], period, phase)) in (
+                    gap_lo[0] - 0.25 * period, gap_hi[0] + 0.25 * period)
+        assert on_edge >= 16
+        for sizes, times, gap_lo, gap_hi in cases:
+            for phase in (0.0, 0.5 * period):
+                expected = self.listed(sizes, list(times), rate, phase, gap_lo, gap_hi)
+                assert _snapped_in_windows(sizes, list(times), rate, phase, gap_lo,
+                                           gap_hi) == expected
+                slots = expected[0]
+                moved += slots != _slots(sizes, list(times), rate, phase)
+                unplaced += not bursts_fit(slots, [z for z in sizes if z != 0], phase)
+        assert moved >= 10 and unplaced >= 10
 
     def test_every_phase_polishes_to_a_solution(self, chain5):
         # a start outside the windows could only be polished back by moves

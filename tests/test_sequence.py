@@ -186,6 +186,20 @@ class TestKickTrain:
         with pytest.raises(BurstOverlap):
             KickTrain((0.0, 0.4e-9), (1, 1), (0, 1), repetition_rate=1e9)
 
+    def test_overlap_tolerance_covers_the_rounding_of_late_kicks(self):
+        # at 1e15 Hz a period is 1e-15 s while a kick time near 100 ns rounds
+        # by 1.3e-23 s, more than the 1e-24 s that 1e-9 periods allow
+        rate = 1e15
+        period = 1.0 / rate
+        sizes = [5, -4, 3]
+        slots = [100_000_000, 100_000_009, 100_000_020]
+        centres = [float(burst_center(a, z, period)) for a, z in zip(slots, sizes)]
+        train = expand_groups(simple_sequence(sizes, centres, 2.0 * centres[-1]), rate)
+        gaps = np.diff(train.kick_times)
+        assert train.num_kicks == 24 and np.any(gaps < period * (1.0 - 1e-9))
+        with pytest.raises(BurstOverlap):
+            KickTrain((1e-7, 1e-7 + 0.5 * period), (1, 1), (0, 1), repetition_rate=rate)
+
     @pytest.mark.parametrize("rate", [0.0, -3e8, float("inf"), float("nan")])
     def test_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(ValueError, match="repetition rate must be positive and finite"):
