@@ -8,10 +8,13 @@ Stage 1 searches integer group sizes at uniform timings against the
 closed-form cost, tightening then gradually loosening the per-group bound
 with warm starts; exhaustive enumeration replaces the heuristic below a size
 threshold, and rounded continuous relaxations seed the search at the final
-bound.  Every gate time of the scan (or of one worker's contiguous part of
-it) runs in lockstep, one bound level at a time: a lane carries its gate
-time's index, each gate time keeping its own rng, warm starts and finds,
-and each lane ends where it would alone.  A descent pass screens every
+bound.  Only the warm starts wait on the bound level before, so the search
+runs in two phases: every level's random restarts and seeds descend as
+lanes of one stack, each within its level's bound, then the warm starts
+walk the levels in order.  Every gate time of the scan (or of one worker's
+contiguous part of it) shares those stacks: a lane carries its gate time's
+index, each gate time keeping its own rng, warm starts and finds, and each
+lane ends where it would alone.  A descent pass screens every
 move of every lane from the forms' products with the lane's sizes
 (`CostModel.screened_moves`), then builds and scores exactly only the
 trials within a proven rounding bound of the lane's best estimate; starts,
@@ -328,31 +331,33 @@ def _descent_moves(d: int):
     return deltas, coords, steps, touched
 
 
-def _move_reach(z: np.ndarray, bound: int, cap_half: int):
+def _move_reach(z: np.ndarray, bound, cap_half: int):
     """Which trials z + delta of the `_descent_moves` deltas are feasible,
     and each trial's half-sum of |z|, as (lanes, moves) arrays for a
     (lanes, d) stack of z, worked out from the coordinates each move touches
     alone.  A trial is feasible when each coordinate the move touches stays
-    within `bound` and the half-sum of |z| stays within `cap_half`."""
+    within `bound` (one for every lane, or one per lane) and the half-sum of
+    |z| stays within `cap_half`."""
     _, coords, steps, touched = _descent_moves(z.shape[1])
     before = z[:, coords]
     after = np.abs(before + steps)
-    feasible = ~np.any(touched & (after > bound), axis=-1)
+    feasible = ~np.any(touched & (after > np.reshape(bound, (-1, 1, 1))), axis=-1)
     # an untouched slot has no step, so it adds nothing to the norm
     norms = np.sum(np.abs(z), axis=1)[:, None] + np.sum(after - np.abs(before), axis=-1)
     return feasible & (norms <= cap_half), norms
 
 
-def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes: int = 400,
+def _coordinate_descent(model: CostModel, z0: np.ndarray, bound, max_passes: int = 400,
                         gates=None):
     """Greedy integer descent over single and adjacent-pair moves.
 
     Each pass takes the best strictly improving move (the first in move
     order on ties) until none remains.  `z0` is a (lanes, d) stack of
     starts whose descents run as lanes, lane l at gate time `gates[l]` of
-    the model (gate time 0 for every lane by default); a lane stops on its
-    own.  A pass works through the running lanes in steps of at most
-    `_SCREEN_ROWS` trials (`_descent_pass`) and scores in two steps.  The
+    the model (gate time 0 for every lane by default) and within the
+    per-group bound `bound` (one for every lane, or one per lane); a lane
+    stops on its own.  A pass works through the running lanes in steps of
+    at most `_SCREEN_ROWS` trials (`_descent_pass`) and scores in two steps.  The
     screen (`CostModel.screened_moves`) estimates every trial at once, with
     feasibility and pulse counts from the touched coordinates alone
     (`_move_reach`).  With exact scores e, estimates s and error bounds b,
@@ -366,6 +371,7 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes
     """
     z = np.array(z0, dtype=float)
     gates = np.zeros(len(z), dtype=int) if gates is None else np.asarray(gates)
+    bounds = np.broadcast_to(bound, len(z))
     step = max(1, _SCREEN_ROWS // len(_descent_moves(z.shape[1])[0]))
 
     def blocks(lanes):
@@ -376,17 +382,18 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound: int, max_passes
     for _ in range(max_passes):
         if not len(lanes):
             break
-        lanes = np.concatenate([b[_descent_pass(model, z, cost, b, gates[b], bound)]
+        lanes = np.concatenate([b[_descent_pass(model, z, cost, b, gates[b], bounds[b])]
                                 for b in blocks(lanes)])
     return z.astype(int), cost
 
 
-def _descent_pass(model, z, cost, lanes, gates, bound):
+def _descent_pass(model, z, cost, lanes, gates, bounds):
     """One pass of `_coordinate_descent` for the rows `lanes` of z, at
-    gate times `gates`: moves each lane that has a strictly improving move,
-    updating z and cost in place, and returns which lanes moved."""
+    gate times `gates` and per-group bounds `bounds`: moves each lane that
+    has a strictly improving move, updating z and cost in place, and
+    returns which lanes moved."""
     here = z[lanes]
-    feasible, norms = _move_reach(here, bound, model.max_sdk_half)
+    feasible, norms = _move_reach(here, bounds, model.max_sdk_half)
     model.evaluations += int(np.count_nonzero(feasible))
     estimate, error = model.screened_moves(here, gates, pulse_count_for(2 * norms, model.counting))
     estimate[~feasible] = np.inf
@@ -479,13 +486,34 @@ class Stage1Candidate:
         )
 
 
+def _lowest_rows(costs, norms, count):
+    """The first `count` rows of `np.lexsort((norms, costs))`: lowest cost
+    first, then lowest norm, then lowest index.  Only the rows at or below
+    the count-th lowest cost (`np.partition`) are sorted; they hold the
+    first `count` rows of the full order, in the same order."""
+    rows = np.arange(len(costs))
+    if len(costs) > count:
+        rows = np.flatnonzero(costs <= np.partition(costs, count - 1)[count - 1])
+    return rows[np.lexsort((norms[rows], costs[rows]))[:count]]
+
+
 def _stage1_gate_times(chain, config, scan_indices, seed):
     """Full bound-schedule search at the gate times `scan_indices` of the
-    scan, run in lockstep: each bound level descends every gate time's
-    starts as lanes of one stack.  Each gate time keeps its own rng, warm
-    starts and finds, so its candidates do not depend on which gate times
-    share its stack.  Returns each gate time's candidate list and the
-    evaluations spent."""
+    scan.  A bound level at or below `EXHAUSTIVE_LIMIT` size vectors keeps
+    the best of its whole grid; a level above it descends its warm starts
+    (the best four finds of the level before, clipped to its bound), its
+    random restarts and, at `z_bound_max`, the continuous seeds.  The
+    enumerated levels are the lowest and come first.  Only the warm starts
+    wait on the level before, so the descended levels run in two phases.
+    Phase 1 draws every level's restarts and seeds, from each gate time's
+    rng in the order a level-by-level search draws them, and descends them
+    all as lanes of one stack, each lane within its level's bound.  Phase 2
+    walks the descended levels in order, each level's warm starts of every
+    gate time as lanes of one stack, and records a level's finds in the
+    order warm starts, restarts, seeds.  Each gate time keeps its own rng, warm starts
+    and finds, so its candidates depend neither on which gate times share
+    its stacks nor on the phases.  Returns each gate time's candidate list
+    and the evaluations spent."""
     n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
     d = n_k // 2
     gate_times = [config.gate_time_scan[index] for index in scan_indices]
@@ -494,38 +522,55 @@ def _stage1_gate_times(chain, config, scan_indices, seed):
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, index)))
             for index in scan_indices]
     gates = range(len(scan_indices))
+    levels = range(1, config.z_bound_max + 1)
+    enumerated = [bound for bound in levels if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT]
+    descended = levels[len(enumerated):]
 
+    # the enumerated levels start the warm chain
     found = [[] for _ in gates]  # per gate time: (sizes, costs, bound) in the order found
     warm = [np.zeros((1, d), dtype=int) for _ in gates]
-    for bound in range(1, config.z_bound_max + 1):
-        if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT:
-            grid = _size_grid(d, bound)
-            grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
-            for gate in gates:
-                costs = model.selection_cost(grid, gate)
-                order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
-                kept = order[: max(40, 3 * config.top_k)]
-                found[gate].append((grid[kept].astype(int), costs[kept], bound))
-                warm[gate] = grid[order[:4]].astype(int)
-            # the grid is the search's largest array: free it before the descents
-            del grid, costs, order, kept
-            continue
-        starts = [[np.clip(z, -bound, bound) for z in warm[gate]]
-                  + [rngs[gate].integers(-bound, bound + 1, size=d)
-                     for _ in range(config.restarts)]
-                  for gate in gates]
-        if bound == config.z_bound_max:
-            for gate, seeds in enumerate(_continuous_seeds(model, bound, rngs)):
-                starts[gate] += seeds
-        lane_gates = np.repeat(gates, [len(s) for s in starts])
+    for bound in enumerated:
+        grid = _size_grid(d, bound)
+        grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
+        norms = np.sum(np.abs(grid), axis=1)
+        for gate in gates:
+            costs = model.selection_cost(grid, gate)
+            kept = _lowest_rows(costs, norms, max(40, 3 * config.top_k))
+            found[gate].append((grid[kept].astype(int), costs[kept], bound))
+            warm[gate] = grid[kept[:4]].astype(int)
+        # the grid is the search's largest array: free it before the descents
+        del grid, norms, costs
+
+    # phase 1: the starts that wait on nothing, as (bound, gate, starts)
+    # blocks; each gate time's rng draws its restarts level by level, then
+    # its seeds
+    fresh = [(bound, gate, rngs[gate].integers(-bound, bound + 1, size=(config.restarts, d)))
+             for bound in descended for gate in gates]
+    if config.z_bound_max in descended:
+        fresh += [(config.z_bound_max, gate, np.reshape(seeds, (-1, d))) for gate, seeds
+                  in enumerate(_continuous_seeds(model, config.z_bound_max, rngs))]
+    counts = [len(z) for _, _, z in fresh]
+    fresh_levels = np.repeat(np.array([bound for bound, _, _ in fresh], dtype=int), counts)
+    fresh_gates = np.repeat(np.array([gate for _, gate, _ in fresh], dtype=int), counts)
+    starts = np.concatenate([np.empty((0, d), dtype=int)] + [z for _, _, z in fresh])
+    fresh_z, fresh_cost = _coordinate_descent(
+        model, _clip_to_sdk_cap(starts, model.max_sdk_half), fresh_levels, gates=fresh_gates
+    )
+
+    # phase 2: the warm chain through the descended levels
+    for bound in descended:
+        warm_gates = np.repeat(gates, [len(w) for w in warm])
         z, cost = _coordinate_descent(
-            model, _clip_to_sdk_cap(np.concatenate(starts), model.max_sdk_half), bound,
-            gates=lane_gates,
+            model, _clip_to_sdk_cap(np.clip(np.concatenate(warm), -bound, bound),
+                                    model.max_sdk_half),
+            bound, gates=warm_gates,
         )
         for gate in gates:
-            mine = lane_gates == gate
-            found[gate].append((z[mine], cost[mine], bound))
-            warm[gate] = z[mine][np.lexsort((*z[mine].T[::-1], cost[mine]))[:4]]
+            mine, theirs = warm_gates == gate, (fresh_levels == bound) & (fresh_gates == gate)
+            sizes = np.concatenate([z[mine], fresh_z[theirs]])
+            costs = np.concatenate([cost[mine], fresh_cost[theirs]])
+            found[gate].append((sizes, costs, bound))
+            warm[gate] = sizes[np.lexsort((*sizes.T[::-1], costs))[:4]]
 
     candidates = [
         _gate_time_candidates(config, model, gate, found[gate], half_times[gate], gate_times[gate])
@@ -1440,7 +1485,8 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
     return sorted(joint, key=lambda p: (p[0], tuple(p[1])))
 
 
-def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer):
+def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer,
+                    polishes=None):
     """`half_times` put on slots at each grid phase inside the gap windows
     [gap_lo, gap_hi] (`_snapped_in_windows`) and polished there by the
     best-move slot descent `_grid_descent`.
@@ -1448,15 +1494,20 @@ def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, s
     Returns a (adjusted cost, sizes, half times, phase) tuple for each phase
     whose snapped start fits the grid and whose polish ends inside the
     windows, each nonempty group's time the centre of its burst, and the
-    trials the polishes scored.
+    trials the polishes scored.  `polishes`, a dict shared by calls with
+    the same cost and windows, keeps each polish by its snapped start (the
+    sizes, slots, every half time and the phase): a start polished before
+    is not polished again, and its trials count again.
     """
     solutions, evaluations = [], 0
+    polishes = {} if polishes is None else polishes
     for phase in (0.0, 0.5 * timing_cost.period):
-        cost, polished, spent = _grid_descent(
-            timing_cost, half_sizes,
-            *_snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi),
-            phase, gap_lo, gap_hi,
-        )
+        slots, times = _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi)
+        key = (tuple(half_sizes), tuple(slots), tuple(times), phase)
+        if key not in polishes:
+            polishes[key] = _grid_descent(timing_cost, half_sizes, slots, times, phase,
+                                          gap_lo, gap_hi)
+        cost, polished, spent = polishes[key]
         evaluations += spent
         if math.isfinite(cost):
             solutions.append((scorer(cost, half_sizes), tuple(half_sizes), tuple(polished), phase))
@@ -1510,7 +1561,9 @@ def stage2(
     `stage1_config`'s thermal state, pulse error, pulse counting and limits:
     integer moves keep every group within `z_bound_max` (or the candidate's
     largest group) and the gate within `max_sdks` SDKs.
-    `stage2_evaluations` counts every trial the on-grid polish scores.
+    Each distinct snapped start is polished once (`_grid_solutions`'
+    `polishes`); `stage2_evaluations` counts the trials of every start's
+    polish, a repeated start's again.
     """
     rate = stage2_config.repetition_rate
     base = candidate.sequence.trimmed()
@@ -1538,7 +1591,9 @@ def stage2(
     # the stage-1 seed first: the result is never worse than the seed
     starts = [(sizes0, times0)] + [(sizes, t) for (_, sizes, _), refined in zip(joint, refits)
                                    for _, t in refined]
-    polished = [_grid_solutions(timing_cost, rate, sizes, times, gap_lo, gap_hi, scorer)
+    polishes = {}
+    polished = [_grid_solutions(timing_cost, rate, sizes, times, gap_lo, gap_hi, scorer,
+                                polishes=polishes)
                 for sizes, times in starts]
     solutions = [solution for found, _ in polished for solution in found]
     evaluations = sum(spent for _, spent in polished)

@@ -25,9 +25,11 @@ SWEEP_VARIABLES = ("num_ions", "repetition_rate", "epsilon", "temperature", "jit
 # The most entries of a {start, stop, step} scan or a sweep; the largest restarts,
 # z_bound_max and sweep samples
 ENTRY_LIMIT = 10_000
-# The most grid slots a gate time may span: stage 2 numbers the slots with
-# integers that must stay exact in a float
-SLOT_LIMIT = 2**53
+# The most grid slots a gate time may span.  Float kick times resolve the
+# grid only to a few ulps, so `KickTrain` allows eight ulps of the latest kick
+# time off the grid where that exceeds 1e-6 periods, and rejects a train whose
+# eight ulps pass 2**-13 of a period; below this limit they stay under it.
+SLOT_LIMIT = 2**36
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -303,7 +305,7 @@ def load_run_config(data: dict | None) -> RunConfig:
     gate_time = max(stage1.gate_time_scan)
     for name, rate in rates:
         if not rate * gate_time < SLOT_LIMIT:
-            raise ConfigError(f"{name} too high: a {gate_time:g} s gate spans 2**53 or more "
+            raise ConfigError(f"{name} too high: a {gate_time:g} s gate spans 2**36 or more "
                               "grid slots")
     return RunConfig(
         trap=trap,

@@ -144,14 +144,17 @@ class KickTrain:
             if not 0.0 < self.repetition_rate < math.inf:
                 raise ValueError("repetition rate must be positive and finite")
             period = 1.0 / self.repetition_rate
-            # kicks one period apart, up to 1e-9 periods or, at rates where that
-            # is finer than the times resolve, four ulps of the latest kick time
+            # kicks one period apart, up to 1e-9 periods, and on the grid, up to
+            # 1e-6 periods; at rates where those are finer than the times
+            # resolve, up to four and eight ulps of the latest kick time.  Times
+            # whose eight ulps pass 2**-13 periods cannot place a kick at all.
             latest = max(abs(times[0]), abs(times[-1])) if times else 0.0
             least = min(period * (1.0 - 1e-9), period - 4.0 * math.ulp(latest))
+            slack = max(1e-6, 8.0 * math.ulp(latest) * self.repetition_rate)
             with np.errstate(invalid="ignore"):  # a non-finite step is off the grid
                 overlap = np.any(np.diff(t) < least)
                 steps = (t - t[:1]) * self.repetition_rate
-                off_grid = ~(np.abs(steps - np.rint(steps)) <= 1e-6)
+                off_grid = ~(np.abs(steps - np.rint(steps)) <= slack)
             if overlap:
                 raise BurstOverlap("consecutive kicks closer than one repetition period")
             if off_grid.any():
@@ -160,6 +163,8 @@ class KickTrain:
                 raise GridResolutionError(
                     "kick times are not integer multiples of the repetition period"
                 )
+            if slack > 2.0**-13:
+                raise GridResolutionError("kick times too late to resolve the repetition period")
 
     @property
     def num_kicks(self) -> int:

@@ -191,6 +191,29 @@ class TestOptimizeCommand:
         assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
         assert json.loads((out / "result.json").read_text())["train"]["rep_rate_hz"] == 1e15
 
+    @pytest.mark.parametrize("rate_mhz", [1e10, 6e10])
+    def test_grids_below_the_slot_limit_run(self, tmp_path, rate_mhz):
+        # 1e10 and 6e10 slots per 1 us gate: the kick times resolve the grid
+        # only to a few 1e-6 periods there, which the grid check allows
+        data = {"trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1},
+                "stage2": {"repetition_rate_mhz": rate_mhz}}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        train = json.loads((out / "result.json").read_text())["train"]
+        assert train["rep_rate_hz"] == rate_mhz * 1e6
+
+    def test_grid_past_the_slot_limit_exits_2(self, tmp_path, capsys):
+        # 1e11 slots per 1 us gate, more than 2**36
+        data = {"trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1},
+                "stage2": {"repetition_rate_mhz": 1e11}}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "stage2.repetition_rate_mhz too high" in lines[0]
+        assert not (out / "result.json").exists()
+
     def test_evaluate_round_trip(self, run_dir, capsys):
         _, _, out = run_dir
         code = main(["evaluate", str(out / "result.json")])

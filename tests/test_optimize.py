@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from fastgate.chain import TrapConfig, build_chain
 from fastgate.fidelity import ThermalSpec, evaluate_train
 from fastgate.optimize import (
+    DEFAULT_GATE_TIME_SCAN,
+    EXHAUSTIVE_LIMIT,
     CostModel,
     OptimizationResult,
     Stage1Config,
@@ -29,16 +32,19 @@ from fastgate.optimize import (
     _damped_steps,
     _descent_moves,
     _fit_gaps,
+    _gate_time_candidates,
     _grid_descent,
     _grid_solutions,
     _joint_paths,
     _joint_refine,
     _lane_count,
+    _lowest_rows,
     _move_reach,
     _refine,
     _size_grid,
     _inside_windows,
     _snapped_in_windows,
+    _stage1_gate_times,
     default_group_count,
     jitter_sensitivity,
     optimize_gate,
@@ -1151,6 +1157,170 @@ class TestStage1:
         assert rescored < 0.05 * trials
 
 
+def _serial_stage1_gate_times(chain, config, scan_indices, seed):
+    """Stage 1 one bound level at a time, each level descending its warm
+    starts, restarts and seeds in one stack, and each exhaustive level
+    sorting its whole grid.  Returns what `_stage1_gate_times` returns and
+    each gate time's rng."""
+    n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
+    d = n_k // 2
+    gate_times = [config.gate_time_scan[index] for index in scan_indices]
+    half_times = [[gate_time * ((j + 1) / n_k) for j in range(d)] for gate_time in gate_times]
+    model = CostModel(chain, config, half_times)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1, index)))
+            for index in scan_indices]
+    gates = range(len(scan_indices))
+    found = [[] for _ in gates]
+    warm = [np.zeros((1, d), dtype=int) for _ in gates]
+    for bound in range(1, config.z_bound_max + 1):
+        if (2 * bound + 1) ** d <= EXHAUSTIVE_LIMIT:
+            grid = _size_grid(d, bound)
+            grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
+            for gate in gates:
+                costs = model.selection_cost(grid, gate)
+                order = np.lexsort((np.sum(np.abs(grid), axis=1), costs))
+                kept = order[: max(40, 3 * config.top_k)]
+                found[gate].append((grid[kept].astype(int), costs[kept], bound))
+                warm[gate] = grid[order[:4]].astype(int)
+            continue
+        starts = [[np.clip(z, -bound, bound) for z in warm[gate]]
+                  + [rngs[gate].integers(-bound, bound + 1, size=d)
+                     for _ in range(config.restarts)]
+                  for gate in gates]
+        if bound == config.z_bound_max:
+            for gate, seeds in enumerate(_continuous_seeds(model, bound, rngs)):
+                starts[gate] += seeds
+        lane_gates = np.repeat(gates, [len(s) for s in starts])
+        z, cost = _coordinate_descent(
+            model, _clip_to_sdk_cap(np.concatenate(starts), model.max_sdk_half), bound,
+            gates=lane_gates,
+        )
+        for gate in gates:
+            mine = lane_gates == gate
+            found[gate].append((z[mine], cost[mine], bound))
+            warm[gate] = z[mine][np.lexsort((*z[mine].T[::-1], cost[mine]))[:4]]
+    candidates = [
+        _gate_time_candidates(config, model, gate, found[gate], half_times[gate], gate_times[gate])
+        for gate in gates
+    ]
+    return candidates, model.evaluations, rngs
+
+
+def _stage1_fingerprint(candidates):
+    return [(list(c.sequence.half_sizes), c.ideal_infidelity.hex(), c.adjusted_infidelity.hex(),
+             c.bound_found, c.design_gate_time.hex(), c.sdk_count) for c in candidates]
+
+
+def _schedule_case(case, chain5, chain20):
+    """The chain and config of a `TestStage1Schedule` case."""
+    bench = dict(thermal=ThermalSpec(nbar=0.1), epsilon=1e-5, max_sdks=100)
+    middle = dict(targets=(2, 3), gate_time_scan=(0.9e-6, 1.0e-6, 1.1e-6), **bench)
+    if case == "n5-middle":
+        return chain5, Stage1Config(top_k=10, **middle)
+    if case == "n20-edge-slice":
+        return chain20, Stage1Config(targets=(0, 1), gate_time_scan=DEFAULT_GATE_TIME_SCAN[8:12],
+                                     top_k=10, **bench)
+    if case == "d4":
+        # 8 groups: levels 1-5 enumerate their grids, 6-10 descend
+        return chain5, Stage1Config(group_count=8, top_k=4, **middle)
+    # the top level enumerates its grid: no level descends, no seeds
+    return chain5, Stage1Config(group_count=8, z_bound_max=4, top_k=4, **middle)
+
+
+class TestStage1Schedule:
+    """The two-phase search against the level-by-level search, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["n5-middle", "n20-edge-slice", "d4", "d4-top-exhaustive"])
+    def test_matches_the_level_by_level_search(self, chain5, chain20, monkeypatch, case):
+        chain, config = _schedule_case(case, chain5, chain20)
+        d = (config.group_count or default_group_count(chain.num_ions, config.targets)) // 2
+        enumerated = [b for b in range(1, config.z_bound_max + 1)
+                      if (2 * b + 1) ** d <= EXHAUSTIVE_LIMIT]
+        expected_enumerated = {"d4": [1, 2, 3, 4, 5], "d4-top-exhaustive": [1, 2, 3, 4]}
+        assert enumerated == expected_enumerated.get(case, [1])
+        scan = list(range(len(config.gate_time_scan)))
+        expected, expected_evaluations, expected_rngs = _serial_stage1_gate_times(
+            chain, config, scan, 11
+        )
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording(*args, **kwargs):
+            made.append(default_rng(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        candidates, evaluations = _stage1_gate_times(chain, config, scan, 11)
+        assert evaluations == expected_evaluations
+        assert [_stage1_fingerprint(c) for c in candidates] == [
+            _stage1_fingerprint(c) for c in expected
+        ]
+        # every gate time drew exactly what the level-by-level search drew
+        assert len(made) == len(scan)
+        assert [rng.random() for rng in made] == [rng.random() for rng in expected_rngs]
+
+    def test_threads_match_the_level_by_level_search(self, chain5, monkeypatch):
+        from fastgate import optimize
+
+        chain, config = _schedule_case("n5-middle", chain5, None)
+        runs = [stage1(chain, config, seed=11, threads=threads) for threads in (1, 2)]
+
+        def serial(chain, config, scan_indices, seed):
+            return _serial_stage1_gate_times(chain, config, scan_indices, seed)[:2]
+
+        monkeypatch.setattr(optimize, "_stage1_gate_times", serial)
+        expected, expected_telemetry = stage1(chain, config, seed=11)
+        for candidates, telemetry in runs:
+            assert telemetry == expected_telemetry
+            assert _stage1_fingerprint(candidates) == _stage1_fingerprint(expected)
+
+    def test_benchmark_stage1_runs_few_descent_passes(self, chain5, monkeypatch):
+        # the benchmark's N=5 config: the passes of the longest fresh descent
+        # plus those of each level's warm descent (77), where a
+        # level-by-level search runs 183
+        from fastgate import optimize
+
+        passes = 0
+        descent_pass = optimize._descent_pass
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            return descent_pass(*args)
+
+        monkeypatch.setattr(optimize, "_descent_pass", counting)
+        chain, config = _schedule_case("n5-middle", chain5, None)
+        stage1(chain, replace(config, top_k=1), seed=11)
+        assert passes <= 80
+
+
+class TestLowestRows:
+    @pytest.mark.parametrize("rows, count", [(500, 40), (41, 40), (40, 40), (7, 40), (300, 60)])
+    def test_matches_a_full_lexsort_with_ties_at_the_cut(self, rows, count):
+        rng = np.random.default_rng(rows + count)
+        # few distinct costs and norms, so ties fall at the count-th cost
+        costs = rng.integers(0, 6, size=rows) * 0.125
+        norms = rng.integers(0, 3, size=rows).astype(float)
+        order = np.lexsort((norms, costs))
+        if rows > count:
+            cut = costs[order[count - 1]]
+            assert np.count_nonzero(costs == cut) > 1
+            assert costs[order[count]] == cut
+        kept = _lowest_rows(costs, norms, count)
+        assert np.array_equal(kept, order[:count])
+        assert np.array_equal(kept[:4], order[:4])
+
+    def test_matches_a_full_lexsort_on_an_exhaustive_grid(self, chain5):
+        grid = _size_grid(9, 1)
+        model = CostModel(chain5, Stage1Config(targets=(2, 3)),
+                          [(j + 1) / 18 * 1e-6 for j in range(9)])
+        costs = model.selection_cost(grid)
+        norms = np.sum(np.abs(grid), axis=1)
+        order = np.lexsort((norms, costs))
+        kept = _lowest_rows(costs, norms, 40)
+        assert np.array_equal(kept, order[:40])
+
+
 def _gaps(half_times):
     return np.diff(np.concatenate([[0.0], half_times]))
 
@@ -1234,9 +1404,10 @@ class TestStage2:
         calls = []
         grid_solutions = optimize._grid_solutions
 
-        def recording(timing_cost, rate, half_sizes, half_times, lo, hi, scorer):
+        def recording(timing_cost, rate, half_sizes, half_times, lo, hi, scorer, **kwargs):
             calls.append((list(half_sizes), list(half_times), lo, hi))
-            return grid_solutions(timing_cost, rate, half_sizes, half_times, lo, hi, scorer)
+            return grid_solutions(timing_cost, rate, half_sizes, half_times, lo, hi, scorer,
+                                  **kwargs)
 
         monkeypatch.setattr(optimize, "_grid_solutions", recording)
         stage2(candidate, chain2, config, Stage2Config(local_restarts=1), seed=2)
@@ -1246,6 +1417,69 @@ class TestStage2:
         for _, _, lo, hi in calls:
             assert lo.tobytes() == gap_lo.tobytes()
             assert hi.tobytes() == gap_hi.tobytes()
+
+    def test_benchmark_polishes_each_distinct_start_once(self, chain5, monkeypatch):
+        # the benchmark's N=5 gate polishes ten starts at two phases, 14 of
+        # them distinct.  Three starts with sizes (1, 2, 3, 1, 0, -2, -1)
+        # take the same slots and differ only in the empty group's time,
+        # which moves the windows of its neighbours: at phase 0 they polish
+        # to different gates, so each is polished on its own
+        from fastgate import optimize
+
+        runs, starts = [], []
+        grid_descent, grid_solutions = optimize._grid_descent, optimize._grid_solutions
+
+        def recording(timing_cost, half_sizes, slots, half_times, phase, gap_lo, gap_hi):
+            out = grid_descent(timing_cost, half_sizes, slots, half_times, phase, gap_lo, gap_hi)
+            runs.append(((tuple(half_sizes), tuple(slots), tuple(half_times), phase), out))
+            return out
+
+        def counting(*args, **kwargs):
+            starts.append(args[2:4])
+            return grid_solutions(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "_grid_descent", recording)
+        monkeypatch.setattr(optimize, "_grid_solutions", counting)
+        _, config = _schedule_case("n5-middle", chain5, None)
+        config = replace(config, top_k=1)
+        candidate = stage1(chain5, config, seed=11)[0][0]
+        result = stage2(candidate, chain5, config, Stage2Config(local_restarts=0), seed=11)
+        keys = [key for key, _ in runs]
+        assert 2 * len(starts) == 20
+        assert len(keys) == len(set(keys)) == 14
+        assert result.telemetry["stage2_evaluations"] == 2596
+        pair = [(key, out) for key, out in runs
+                if key[0] == (1, 2, 3, 1, 0, -2, -1) and key[3] == 0.0]
+        assert len(pair) == 3
+        assert len({key[1] for key, _ in pair}) == 1
+        assert len({key[2][4] for key, _ in pair}) == 3
+        assert {f"{out[0]:.4e}" for _, out in pair} == {"1.6638e-03", "9.6917e-04"}
+
+    def test_shared_polishes_replay_their_trials(self, chain5, monkeypatch):
+        # a start polished before gives the same solutions and trial count
+        # without a second descent
+        from fastgate import optimize
+
+        rate = 300e6
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / rate)
+        sizes, times = [1, 2, -3, 1], [0.1e-6, 0.2e-6, 0.32e-6, 0.45e-6]
+        gap_lo, gap_hi = 0.75 * _gaps(times), 1.25 * _gaps(times)
+        scorer = _AdjustedCost(1e-5, "pi_pulses")
+        alone = _grid_solutions(surrogate, rate, sizes, times, gap_lo, gap_hi, scorer)
+        descents = []
+        grid_descent = optimize._grid_descent
+
+        def counting(*args):
+            descents.append(args)
+            return grid_descent(*args)
+
+        monkeypatch.setattr(optimize, "_grid_descent", counting)
+        polishes = {}
+        first, again = (_grid_solutions(surrogate, rate, sizes, times, gap_lo, gap_hi, scorer,
+                                        polishes=polishes) for _ in range(2))
+        assert len(descents) == len(polishes) == 2
+        assert first == again == alone
+        assert alone[1] > 0
 
     def test_result_reproducible_from_stored_train(self, chain2, chain2_result):
         _, result = chain2_result

@@ -266,6 +266,18 @@ class TestKickTrainChecks:
         cases.append((t0, t0 + 2 * period, float(np.nextafter(t0 + 2 * period, -1.0))))
         return cases
 
+    def test_times_too_late_to_resolve_the_grid_are_rejected(self):
+        # near 1e6 s a float time resolves 1.2e-10 s: on the 300 MHz grid
+        # the kicks still land within 0.04 periods of their slots, inside
+        # the allowance of eight ulps (0.28 periods), which no longer places
+        # a kick
+        first = 3 * 10**14
+        times = tuple(k / self.RATE for k in range(first, first + 3))
+        with pytest.raises(GridResolutionError, match="too late"):
+            KickTrain(times, (1, 1, 1), (0, 1), self.RATE)
+        # the same slots a gate's length from zero are kept
+        KickTrain(tuple(k / self.RATE for k in range(300, 303)), (1, 1, 1), (0, 1), self.RATE)
+
     def test_array_checks_match_the_per_kick_loop(self):
         outcomes = set()
         for times in self._cases():
