@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CA40_ION_MASS, CONSTANTS, SDK_WAVELENGTH
+from .jsonnumbers import json_array, json_number
 
 
 class EquilibriumNotConverged(RuntimeError):
@@ -301,12 +302,12 @@ class ChainModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainModel":
         chain = cls(
-            positions=np.asarray(data["positions_m"], dtype=float),
-            mode_frequencies=np.asarray(data["mode_freqs_rad_s"], dtype=float),
-            mode_couplings=np.asarray(data["couplings"], dtype=float),
-            lamb_dicke=np.asarray(data["lamb_dicke"], dtype=float),
-            ion_mass=float(data["ion_mass_kg"]),
-            wavenumber=float(data["wavenumber_m"]),
+            positions=json_array(data["positions_m"], "chain.positions_m"),
+            mode_frequencies=json_array(data["mode_freqs_rad_s"], "chain.mode_freqs_rad_s"),
+            mode_couplings=json_array(data["couplings"], "chain.couplings"),
+            lamb_dicke=json_array(data["lamb_dicke"], "chain.lamb_dicke"),
+            ion_mass=json_number(data["ion_mass_kg"], "chain.ion_mass_kg"),
+            wavenumber=json_number(data["wavenumber_m"], "chain.wavenumber_m"),
         )
         n = chain.num_ions
         if not (chain.positions.shape == chain.mode_frequencies.shape

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import sys
@@ -28,8 +27,11 @@ from .chain import (
     NonConfiningPotential,
     build_chain,
 )
-from .dynamics import PhaseSymmetryError, trajectory_samples
+from .dynamics import PhaseSymmetryError, trajectory_blocks
+# nothing here calls trajectory_samples; the name stays because perfbench's tracer wraps it
+from .dynamics import trajectory_samples  # noqa: F401
 from .fidelity import PULSE_COUNTINGS, ThermalSpec, evaluate_train, evaluate_train_thermals
+from .jsonnumbers import json_integer, json_number
 from .optimize import (
     NoCandidatesError,
     OptimizationResult,
@@ -138,31 +140,33 @@ def _summary_lines(result: OptimizationResult) -> list:
     return lines
 
 
-def _write_trajectory_rows(handle, rows: list, num_modes: int, basis: tuple):
-    """The bytes csv.writer would write for `trajectory_samples` rows.
+def _write_trajectory_csv(path: Path, provenance: dict, train: KickTrain, chain: ChainModel):
+    """trajectory.csv: the samples of the (1, 1) and (1, -1) basis states,
+    written block by block as `trajectory_blocks` computes them, with the
+    bytes csv.writer would write for `trajectory_samples` rows.
 
-    Each sample time heads a block of `num_modes` rows, one per mode, and
-    is formatted once per block; each block is written by one `%`.
+    Each block is written by one `%`: every sample time heads one row per
+    mode and is formatted once.
     """
-    row_format = ",%d,%.12e,%.12e," + "%d,%d\r\n" % basis
-    for start in range(0, len(rows), num_modes):
-        block = rows[start:start + num_modes]
-        values = list(itertools.chain.from_iterable(block))
-        del values[::4]  # the sample time, written as its text
-        handle.write((("%.12e" % block[0][0] + row_format) * len(block)) % tuple(values))
+    header = ["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"]
+    modes = list(range(chain.num_ions))
+    with _csv_file(path, provenance, header) as handle:
+        for basis in ((1, 1), (1, -1)):
+            row_format = ",%d,%.12e,%.12e," + "%d,%d\r\n" % basis
+            for times, qs, vs in trajectory_blocks(train, chain, basis):
+                values = [0] * (3 * qs.size)  # mode, Q, V of each row
+                values[0::3] = modes * len(times)
+                values[1::3] = qs.ravel().tolist()
+                values[2::3] = vs.ravel().tolist()
+                lines = "".join(("%.12e" % t + row_format) * len(modes) for t in times.tolist())
+                handle.write(lines % tuple(values))
 
 
 def cmd_optimize(config: RunConfig, out_dir: Path, threads: int) -> int:
     started = time.perf_counter()
     chain, result = _optimize_once(config, threads)
     _write_json(out_dir / "result.json", _result_document(config, chain, result))
-
-    header = ["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"]
-    with _csv_file(out_dir / "trajectory.csv", _provenance(config), header) as handle:
-        for basis in ((1, 1), (1, -1)):
-            _write_trajectory_rows(
-                handle, trajectory_samples(result.train, chain, basis), chain.num_ions, basis
-            )
+    _write_trajectory_csv(out_dir / "trajectory.csv", _provenance(config), result.train, chain)
     summary = _summary_lines(result)
     (out_dir / "summary.txt").write_text(
         "\n".join(["# " + json.dumps(_provenance(config), sort_keys=True)] + summary) + "\n",
@@ -315,10 +319,12 @@ def _read_result_document(path: str):
         chain = ChainModel.from_json_dict(document["chain"])
         train = KickTrain.from_json_dict(document["train"])
         thermal = ThermalSpec.from_json_dict(document["thermal"])
-        stored = {key: float(document["report_ideal"][key])
-                  for key in ("ideal_inf", "motional_inf", "dphi", "pulses")}
-        stored["adjusted_fidelity"] = float(document["adjusted_fidelity"])
-        epsilon = float(document["epsilon"])
+        stored = {key: json_number(document["report_ideal"][key], f"report_ideal.{key}")
+                  for key in ("ideal_inf", "motional_inf", "dphi")}
+        stored["pulses"] = json_integer(document["report_ideal"]["pulses"], "report_ideal.pulses")
+        stored["adjusted_fidelity"] = json_number(document["adjusted_fidelity"],
+                                                  "adjusted_fidelity")
+        epsilon = json_number(document["epsilon"], "epsilon")
         if not 0.0 <= epsilon < math.inf:
             raise ValueError(f"epsilon {epsilon!r} is not a non-negative finite number")
         counting = document["provenance"]["config"]["stage1"]["pulse_counting"]

@@ -222,53 +222,66 @@ def entangling_phase(results) -> float:
     )
 
 
-def trajectory_samples(
+def trajectory_blocks(
     train: KickTrain,
     chain: ChainModel,
     basis_state: tuple,
     points_per_segment: int = 12,
-) -> list:
-    """Sampled (time_s, mode, Q_m, V_m) rows for phase-space plotting.
+):
+    """Phase-space samples of every mode, one block at a time, as they are
+    computed: (times, Q, V) with Q and V of shape (len(times), modes).
 
-    Each free segment is sampled at `points_per_segment` even steps, all
-    samples of a segment computed together; every sample time gives one row
-    per mode.
+    The first block is the rest state at the first kick.  Each free segment
+    of nonzero length gives a block of its `points_per_segment - 1` interior
+    steps, all computed together, and a block at its end; each kick gives a
+    block after its velocity jump.  A run holds one block at a time, however
+    long its train.
     """
-    n = chain.num_ions
+    if train.num_kicks == 0:
+        return
     w = chain.mode_frequencies
     mu, nu = train.target_ions
     s_mu, s_nu = basis_state
     coupling = s_mu * chain.mode_couplings[:, mu] + s_nu * chain.mode_couplings[:, nu]
     dv_unit = (2.0 * CONSTANTS.hbar * chain.wavenumber / chain.ion_mass) * coupling
 
-    rows = []
-    if train.num_kicks == 0:
-        return rows
-    q = np.zeros(n)
-    v = np.zeros(n)
+    q = np.zeros(chain.num_ions)
+    v = np.zeros(chain.num_ions)
     t_cur = train.kick_times[0]
-    modes = list(range(n))
     steps = np.arange(1, points_per_segment)
-
-    def emit(times, qs, vs):
-        rows.extend(zip(
-            np.repeat(times, n).tolist(), modes * len(times),
-            qs.ravel().tolist(), vs.ravel().tolist(),
-        ))
-
-    emit([t_cur], q, v)
+    yield np.array([t_cur]), q[None], v[None]
     for t_k, sign in zip(train.kick_times, train.kick_signs):
         tau = t_k - t_cur
         if tau > 0.0:
             dt = tau * steps / points_per_segment
             c, s = np.cos(dt[:, None] * w), np.sin(dt[:, None] * w)
-            emit(t_cur + dt, q * c + (v / w) * s, v * c - w * q * s)
+            yield t_cur + dt, q * c + (v / w) * s, v * c - w * q * s
             c, s = np.cos(w * tau), np.sin(w * tau)
             q, v = q * c + (v / w) * s, v * c - w * q * s
             t_cur = t_k
-            emit([t_cur], q, v)
+            yield np.array([t_cur]), q[None], v[None]
         v = v + sign * dv_unit
-        emit([t_cur], q, v)
+        yield np.array([t_cur]), q[None], v[None]
+
+
+def trajectory_samples(
+    train: KickTrain,
+    chain: ChainModel,
+    basis_state: tuple,
+    points_per_segment: int = 12,
+) -> list:
+    """Sampled (time_s, mode, Q_m, V_m) rows for phase-space plotting: the
+    blocks of `trajectory_blocks` as one list, one row per sample time and
+    mode.  The list grows with the train; `fastgate optimize` writes
+    trajectory.csv from the blocks instead.
+    """
+    modes = list(range(chain.num_ions))
+    rows = []
+    for times, qs, vs in trajectory_blocks(train, chain, basis_state, points_per_segment):
+        rows.extend(zip(
+            np.repeat(times, len(modes)).tolist(), modes * len(times),
+            qs.ravel().tolist(), vs.ravel().tolist(),
+        ))
     return rows
 
 

@@ -34,6 +34,7 @@ from .constants import CONSTANTS
 from .dynamics import BASIS_STATES, entangling_phase, propagate_lanes
 # nothing in the package calls propagate; the name stays because perfbench's tracer wraps it
 from .dynamics import propagate  # noqa: F401
+from .jsonnumbers import json_number
 from .sequence import KickTrain, PulseGroupSequence
 
 PHASE_TARGET = math.pi / 4.0
@@ -100,9 +101,12 @@ class ThermalSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThermalSpec":
         if "temperature_k" in data:
-            return cls(nbar=None, temperature=float(data["temperature_k"]))
+            return cls(nbar=None,
+                       temperature=json_number(data["temperature_k"], "thermal.temperature_k"))
         nbar = data["nbar"]
-        return cls(nbar=tuple(nbar) if isinstance(nbar, (list, tuple)) else float(nbar))
+        if isinstance(nbar, list):
+            return cls(nbar=tuple(json_number(v, "thermal.nbar entry") for v in nbar))
+        return cls(nbar=json_number(nbar, "thermal.nbar"))
 
 
 _SYMMETRY_PAIRS = {(1, 1): (-1, -1), (1, -1): (-1, 1)}
@@ -404,6 +408,16 @@ class _TimingCost:
         return -2.0 * (upper + np.triu(mixed, 1).T), 2.0 * self.alpha_scale * p.imag
 
 
+# Phasor entries (rows x modes x groups) of each complex array of one block
+# that `_BoundTimingCost.cost` scores, 256 KiB; a row's bits do not depend on
+# its block.  The on-grid polish at N=100 scores up to 108 rows of 800
+# entries at a time, whose arrays took 3.9 MB whole.  With trajectory.csv
+# streamed, the benchmark's N=100 gate run peaked at 89.8-90.0 MB RSS with
+# whole stacks, 90.1-90.2 MB at 1 << 16 entries, 87.6 MB at 1 << 15 and
+# 86.5-86.9 MB at this cap.  N=5 rows (about 45 entries) stay one block.
+_PHASOR_ENTRIES = 1 << 14
+
+
 class _BoundTimingCost:
     """`_TimingCost` with the sizes frozen: fast residuals and an analytic
     Jacobian with respect to the positive-half group times.
@@ -439,6 +453,9 @@ class _BoundTimingCost:
         effective, within_theta = self.effective, self.within_theta
         if lanes is not None and effective.ndim == 3:
             effective, within_theta = effective[lanes], within_theta[lanes]
+        # a Fortran-ordered or strided stack would give the products and
+        # sums below another memory order, and with it other rounding
+        t_half = np.ascontiguousarray(t_half)
         half = np.exp(1j * (self.parent.w[:, None] * t_half[:, None, :])) * effective
         return half, half.cumsum(axis=-1) - half, half.sum(axis=-1), within_theta
 
@@ -469,8 +486,17 @@ class _BoundTimingCost:
         return self._residuals_from(*self._phasors(t_half))[0]
 
     def cost(self, t_half) -> np.ndarray:
-        """Sum of squared residuals: the surrogate ideal infidelity."""
-        return (self.residuals(t_half) ** 2).sum(axis=-1)
+        """Sum of squared residuals: the surrogate ideal infidelity.
+
+        The rows are scored in blocks of at most `_PHASOR_ENTRIES` phasors;
+        a lane's bits do not depend on its stack, so neither do the costs.
+        """
+        rows = max(1, _PHASOR_ENTRIES // (len(self.parent.w) * max(1, t_half.shape[-1])))
+        blocks = [slice(start, start + rows) for start in range(0, max(1, len(t_half)), rows)]
+        return np.concatenate([
+            (self._residuals_from(*self._phasors(t_half[block], block))[0] ** 2).sum(axis=-1)
+            for block in blocks
+        ])
 
     def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
         """Residuals of a (lanes, d) stack of half times, and a function

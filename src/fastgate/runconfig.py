@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from .chain import TrapConfig
 from .constants import CONSTANTS
 from .fidelity import ThermalSpec
+from .jsonnumbers import json_float
 from .optimize import EXHAUSTIVE_LIMIT, Stage1Config, Stage2Config
 
 
@@ -43,21 +44,10 @@ def _get_number(block: dict, key: str, where: str, default=None, positive=False)
     return None if value is None else _number(value, f"{where}.{key}", positive)
 
 
-def _float(value) -> float | None:
-    """A JSON number as a float, infinite when it is an integer past the
-    float range; None for a boolean, string or anything else."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _number(value, name: str, positive=False) -> float:
     """`value` as a float; a JSON boolean, string, non-finite value or
     integer past the float range is not a number."""
-    number = _float(value)
+    number = json_float(value)
     if number is None or not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number")
     if positive and not number > 0:
@@ -251,7 +241,7 @@ def _parse_sweep(block: dict):
         values = block["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
-        values = [_float(v) for v in values]
+        values = [json_float(v) for v in values]
         if None in values:
             raise ConfigError("sweep.values must be numbers")
     else:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonnumbers import json_integer, json_number
+
 
 class BurstOverlap(ValueError):
     """Adjacent kick bursts would overlap at the requested repetition rate."""
@@ -109,10 +111,10 @@ class PulseGroupSequence:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseGroupSequence":
         return cls(
-            tuple(int(v) for v in data["group_sizes"]),
-            tuple(float(v) for v in data["group_times_s"]),
-            tuple(int(v) for v in data["targets"]),
-            float(data["gate_time_s"]),
+            tuple(json_integer(v, "sequence.group_sizes entry") for v in data["group_sizes"]),
+            tuple(json_number(v, "sequence.group_times_s entry") for v in data["group_times_s"]),
+            tuple(json_integer(v, "sequence.targets entry") for v in data["targets"]),
+            json_number(data["gate_time_s"], "sequence.gate_time_s"),
         )
 
 
@@ -202,10 +204,10 @@ class KickTrain:
     def from_json_dict(cls, data: dict) -> "KickTrain":
         rate = data.get("rep_rate_hz")
         return cls(
-            kick_times=tuple(float(k["t_s"]) for k in data["kicks"]),
-            kick_signs=tuple(int(k["sign"]) for k in data["kicks"]),
-            target_ions=tuple(int(v) for v in data["targets"]),
-            repetition_rate=None if rate is None else float(rate),
+            kick_times=tuple(json_number(k["t_s"], "train kick t_s") for k in data["kicks"]),
+            kick_signs=tuple(json_integer(k["sign"], "train kick sign") for k in data["kicks"]),
+            target_ions=tuple(json_integer(v, "train.targets entry") for v in data["targets"]),
+            repetition_rate=None if rate is None else json_number(rate, "train.rep_rate_hz"),
         )
 
     @classmethod

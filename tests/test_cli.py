@@ -341,6 +341,22 @@ class TestEvaluateInputErrors:
         self._check_edit_exits_2(stored_n5, tmp_path, capsys, edit, message)
 
     @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(epsilon=True), "epsilon must be a number, not True"),
+        (lambda d: d["thermal"].update(nbar=True), "thermal.nbar must be a number, not True"),
+        (lambda d: next(k for k in d["train"]["kicks"] if k["sign"] == -1).update(sign=True),
+         "train kick sign must be an integer, not True"),
+        (lambda d: d["chain"].update(ion_mass_kg=True),
+         "chain.ion_mass_kg must be a number, not True"),
+        (lambda d: d.update(epsilon="1e-5"), "epsilon must be a number, not '1e-5'"),
+        (lambda d: d["train"].update(targets=[True, 2]),
+         "train.targets entry must be an integer, not True"),
+    ], ids=["true_epsilon", "true_nbar", "true_sign", "true_mass", "string_epsilon",
+            "true_target"])
+    def test_booleans_and_strings_are_not_numbers(self, stored_n5, tmp_path, capsys, edit,
+                                                  message):
+        self._check_edit_exits_2(stored_n5, tmp_path, capsys, edit, message)
+
+    @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(thermal={"temperature_k": math.inf}),
          "temperature must be non-negative and finite"),
         (lambda d: d.update(thermal={"nbar": math.nan}),
@@ -620,13 +636,33 @@ class TestSweepSkipsInfeasibleValues:
         assert [row.split(",")[:2] for row in rows] == [["num_ions", "2"]]
 
 
+def _csv_writer_body(train, chain) -> bytes:
+    """trajectory.csv after its provenance line, as csv.writer writes the
+    header and the `trajectory_samples` rows of both basis states."""
+    import csv
+    import io
+
+    from fastgate.dynamics import trajectory_samples
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"])
+    for basis in ((1, 1), (1, -1)):
+        for t, m, q, v in trajectory_samples(train, chain, basis):
+            writer.writerow([f"{t:.12e}", m, f"{q:.12e}", f"{v:.12e}",
+                             f"{basis[0]}", f"{basis[1]}"])
+    return expected.getvalue().encode("utf-8")
+
+
+def _written_body(path) -> bytes:
+    provenance, body = path.read_bytes().split(b"\n", 1)
+    assert provenance.startswith(b"# provenance: ")
+    return body
+
+
 class TestTrajectoryCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
-        import csv
-        import io
-
         from fastgate.chain import ChainModel
-        from fastgate.dynamics import trajectory_samples
         from fastgate.sequence import KickTrain
 
         config = write_config(tmp_path, FAST_OPTIMIZE)
@@ -635,17 +671,48 @@ class TestTrajectoryCsv:
         document = json.loads((out / "result.json").read_text())
         chain = ChainModel.from_json_dict(document["chain"])
         train = KickTrain.from_json_dict(document["train"])
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["time_s", "mode", "Q_m", "V_m", "s_mu", "s_nu"])
-        for basis in ((1, 1), (1, -1)):
-            for t, m, q, v in trajectory_samples(train, chain, basis):
-                writer.writerow([f"{t:.12e}", m, f"{q:.12e}", f"{v:.12e}",
-                                 f"{basis[0]}", f"{basis[1]}"])
-        written = (out / "trajectory.csv").read_bytes()
-        provenance, body = written.split(b"\n", 1)
-        assert provenance.startswith(b"# provenance: ")
-        assert body == expected.getvalue().encode("utf-8")
+        assert _written_body(out / "trajectory.csv") == _csv_writer_body(train, chain)
+
+    @pytest.mark.parametrize("kind", ["instantaneous", "no_kicks"])
+    def test_streamed_bytes_match_csv_writer(self, tmp_path, chain5, kind):
+        # coincident kicks skip their zero-length segments; a train with no
+        # kicks has no samples
+        from fastgate.cli import _write_trajectory_csv
+        from fastgate.sequence import KickTrain, PulseGroupSequence, instantaneous_train
+
+        if kind == "instantaneous":
+            sequence = PulseGroupSequence.from_half(
+                [2, -3, 1], [80e-9, 150e-9, 260e-9], (2, 3), 0.6e-6)
+            train = instantaneous_train(sequence)
+            assert train.num_kicks == 12 and len(set(train.kick_times)) == 6
+        else:
+            train = KickTrain((), (), (2, 3), 300e6)
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, {"seed": 0}, train, chain5)
+        assert _written_body(path) == _csv_writer_body(train, chain5)
+
+    def test_writing_holds_one_block_at_a_time(self, tmp_path):
+        # N=50, 72 kicks at 300 MHz: 2 x 46 250 rows, which as lists of row
+        # tuples peaked at 7.1 MB
+        import tracemalloc
+
+        from fastgate.chain import TrapConfig, build_chain
+        from fastgate.cli import _write_trajectory_csv
+        from fastgate.sequence import PulseGroupSequence, expand_groups
+
+        chain = build_chain(TrapConfig(num_ions=50))
+        # six alternating bursts of six kicks per half, 50 ns apart
+        sequence = PulseGroupSequence.from_half(
+            [6, -6] * 3, [50e-9 * (k + 1) for k in range(6)], (0, 1), 0.7e-6)
+        train = expand_groups(sequence, 300e6)
+        assert train.num_kicks == 72
+        tracemalloc.start()
+        try:
+            _write_trajectory_csv(tmp_path / "trajectory.csv", {"seed": 0}, train, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestNoCandidates:

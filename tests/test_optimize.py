@@ -2167,6 +2167,26 @@ class TestHalfPhasorKernel:
             assert r_lane.tobytes() == r[lane:lane + 1].tobytes()
             assert jacobian_lane().tobytes() == jac[lane:lane + 1].tobytes()
 
+    @pytest.mark.parametrize("d", [8, 9, 12, 18])
+    def test_memory_layout_keeps_each_lane_bits(self, chain20, d):
+        # a Fortran-ordered stack and a stack of every other row of a wider
+        # one hold the same times as C-ordered rows, in other memory orders
+        rng = np.random.default_rng(53)
+        surrogate = _TimingCost(chain20, (0, 1), NBAR, period=1.0 / 300e6)
+        bound = surrogate.bind(rng.integers(-8, 9, size=d).astype(float))
+        times = np.cumsum(rng.uniform(30e-9, 70e-9, size=(24, d)), axis=1)
+        wide = np.zeros((48, d + 3))
+        wide[::2, 1:d + 1] = times
+        for stack in (np.asfortranarray(times), wide[::2, 1:d + 1]):
+            r, jacobian = bound.residuals_and_jacobian(stack)
+            jac, cost = jacobian(), bound.cost(stack)
+            for lane in range(len(times)):
+                alone = times[lane:lane + 1].copy()
+                r_lane, jacobian_lane = bound.residuals_and_jacobian(alone)
+                assert r_lane.tobytes() == r[lane:lane + 1].tobytes()
+                assert jacobian_lane().tobytes() == jac[lane:lane + 1].tobytes()
+                assert bound.cost(alone).tobytes() == cost[lane:lane + 1].tobytes()
+
 
 def _reference_window(trial, index, anchor_gap_lo, anchor_gap_hi, period):
     """The times group `index` of `trial` may take inside both of its gap
@@ -2354,6 +2374,41 @@ class TestGridDescent:
         # from the pair's end, where nothing improves
         assert evals == 1 + 2 * 24
         assert (cost, polished, evals) == _reference_grid_descent(*args)
+
+    def test_kernel_stacks_stay_under_the_cap_at_n100(self, monkeypatch):
+        # the recorded N=100 winner's groups, each moved a few slots off its
+        # time: every pass scores up to 80 moves of 600 phasor entries
+        from fastgate import fidelity
+
+        recorded = RECORDED_STAGE2["n100-edge"]
+        chain = build_chain(TrapConfig(num_ions=recorded["num_ions"]))
+        rate = 300e6
+        period = 1.0 / rate
+        surrogate = _TimingCost(chain, tuple(recorded["targets"]), NBAR, period=period)
+        sizes = recorded["half_sizes"]
+        times = np.array([float.fromhex(t) for t in recorded["half_times"]])
+        start = times + np.array([2, -2, 1, 2, -1, 1]) * period
+        gaps = _gaps(times)
+        args = (surrogate, sizes, _slots(sizes, start, rate), list(start), 0.0,
+                0.5 * gaps, 1.5 * gaps)
+        cap = fidelity._PHASOR_ENTRIES
+        stacks = []
+        phasors = fidelity._BoundTimingCost._phasors
+
+        def spy(self, t_half, lanes=None):
+            stacks.append(t_half.shape[0] * t_half.shape[1] * len(self.parent.w))
+            return phasors(self, t_half, lanes)
+
+        monkeypatch.setattr(fidelity._BoundTimingCost, "_phasors", spy)
+        capped = _grid_descent(*args)
+        capped_stacks = stacks[:]
+        stacks.clear()
+        monkeypatch.setattr(fidelity, "_PHASOR_ENTRIES", 1 << 40)
+        whole = _grid_descent(*args)
+        assert max(capped_stacks) <= cap < max(stacks)
+        assert len(stacks) >= 3  # the start and at least two passes
+        assert math.isfinite(capped[0])
+        assert capped == whole
 
 
 class TestInsideWindows:
