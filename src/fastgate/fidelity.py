@@ -498,12 +498,11 @@ class _BoundTimingCost:
             for block in blocks
         ])
 
-    def residuals_and_jacobian(self, t_half, lanes=None) -> tuple:
+    def residuals_and_jacobian(self, t_half) -> tuple:
         """Residuals of a (lanes, d) stack of half times, and a function
         that gives the analytic (modes+1) x d Jacobian with respect to t_half
-        of the rows it picks (every row by default), from the same phasors;
-        `lanes` as for `_phasors`."""
-        half, prefix, total, within_theta = self._phasors(t_half, lanes)
+        of the rows it picks (every row by default), from the same phasors."""
+        half, prefix, total, within_theta = self._phasors(t_half)
         out, theta = self._residuals_from(half, prefix, total, within_theta)
         w = self.parent.w[:, None]
 

@@ -26,34 +26,21 @@ gate time as lanes of one stack.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
-of its Stage-1 value.  `stage2` drives named steps.  `_joint_paths` lets
-integer moves from the same move matrix, re-scored by quick timing
-refinement, escape the stiff uniform-timing lattice.  `_grid_solutions`
-puts a timing on the grid at both phases as one integer slot per nonempty
-group, each group time the centre of its burst, and polishes the slots by
-shifts of one group or two adjacent groups, each pass scoring every shift
-that keeps the bursts on the grid (`bursts_fit`) and inside the gap
-windows (`_inside_windows`) as one stack and taking the best improving
-one; it runs for the stage-1 seed and each refined joint solution, all in
-the one set of stage-1 windows.  The best solution expands to the gate's
-train exactly.  The timing refinement is a small projected
-Levenberg-Marquardt solver on the box-bounded gaps, which clamps every start
-into the box, written in numpy because the fits are tiny: one gap per group
-against one residual per mode plus the phase.  Independent fits run as
-lanes of one stack (`_LMLanes`, the one solver step of both stages), each
-lane doing exactly the arithmetic it would do alone, so the numpy call
-overhead is paid once per iteration of the whole stack.  Each joint path is
-a chain of explicit states (`_JointPath`), each waiting on one request: a
-refinement's starts, or a batch of integer moves.  `_SolverPool` batches
-continuously: a request's lanes join the running stack as soon as it is
-made, so no path waits for another.  A batch of moves carries its
-first-improvement rule as data, a bar and each lane's pulse-error factor,
-tested across every batch at once: the lanes after the first lane whose
-adjusted cost, running or final, falls below the bar are dropped; once that
-lane has stopped, the path's next state starts speculatively, and is
-dropped with everything built on it if an earlier lane improves after all.
-Every path ends where scoring its moves one at a time would end.  The lanes
-per batch of moves follow from the mode count (`_lane_count`).
+of its Stage-1 value.  `stage2` drives named steps: `_joint_paths` lets
+integer moves from the same move matrix, re-scored by quick timing fits,
+escape the stiff uniform-timing lattice; the best three joint solutions are
+refitted (`_Refit`); `_grid_solutions` puts the stage-1 seed and each refit
+solution on integer grid slots at both phases, one slot per nonempty group
+whose time is the centre of its burst, and polishes the slots by a
+best-move descent inside the gap windows (`_grid_descent`); the best
+solution expands to the gate's train exactly.  Every stage-2 timing fit is
+a request of a `_SolverPool`: a projected Levenberg-Marquardt fit of the
+box-bounded gaps, one lane per start, in one stack of lanes (`_LMLanes`,
+the one solver step of both stages), each lane doing exactly the
+arithmetic it would do alone.  A path of the pool is a chain of explicit
+states (`_JointPath`, `_Refit`), each waiting on one request; the pool's
+docstring holds its rules for cutting a batch of moves and for
+speculation.
 Both stages are deterministic under a seed, and parallel work is merged in
 a fixed order so serial and parallel runs produce identical output.
 """
@@ -228,7 +215,7 @@ class CostModel:
         is the weighted phase mismatch, the rest the weighted per-mode
         displacements, row by row for a (lanes, d) stack, and a function
         that gives the (modes+1) x d Jacobian of the rows it picks (every
-        row by default), the contract of `_fit_gaps`'s kernel.  Row l is at
+        row by default), as `_LMLanes` asks of its function.  Row l is at
         gate time `gates[l]` (gate time 0 for every row by default).
         """
         gate = 0 if gates is None else gates
@@ -589,6 +576,7 @@ def _gate_time_candidates(config, model, gate, found, half_times, gate_time):
     sizes, costs = (np.concatenate(parts) for parts in list(zip(*found))[:2])
     bounds = np.repeat([bound for _, _, bound in found], [len(z) for z, _, _ in found])
     first = np.unique(sizes, axis=0, return_index=True)[1]
+    first = first[np.any(sizes[first], axis=1)]  # the kick-less vector is no gate
     sizes, costs, bounds = sizes[first], costs[first], bounds[first]
     norms = np.sum(np.abs(sizes), axis=1)
     order = np.lexsort((*sizes.T[::-1], norms, costs)).tolist()
@@ -944,31 +932,6 @@ def _gap_box(sizes, start_gaps, gap_lo, gap_hi, period):
     return start_gaps / _GAP_UNIT, lower / _GAP_UNIT, gap_hi / _GAP_UNIT
 
 
-def _gap_residuals(bound_cost, scaled_gaps, lanes=None):
-    """The residuals of `bound_cost` at the half times of a (lanes, d) stack
-    of rescaled gaps, and the function that gives their Jacobian with
-    respect to the rescaled gaps, as `_LMLanes` asks of its function;
-    `lanes` as for `_BoundTimingCost.residuals_and_jacobian`."""
-    r, per_time = bound_cost.residuals_and_jacobian(
-        (scaled_gaps * _GAP_UNIT).cumsum(axis=1), lanes
-    )
-    # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
-    return r, lambda rows: per_time(rows)[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
-
-
-def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget):
-    """Timing fits of a stack of lanes, each from its own (d,) row of start
-    gaps, inside the windows and above the burst floors (`_gap_box`), each
-    lane to its end.  Returns the per-lane sum r^2 and refined half times.
-    """
-    costs, scaled = _box_least_squares(
-        functools.partial(_gap_residuals, bound_cost),
-        *_gap_box(bound_cost.counts, start_gaps, gap_lo, gap_hi, bound_cost.parent.period),
-        budget,
-    )
-    return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
-
-
 @dataclass(frozen=True)
 class _AdjustedCost:
     """The pulse-error-adjusted infidelity 1 - f (1 - ideal) of half sizes z
@@ -1022,20 +985,6 @@ def _refine_request(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
 def _ranked(costs, times):
     """A refinement's per-lane results as (sum r^2, half times), best first."""
     return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
-
-
-def _refine(timing_cost, starts, gap_lo, gap_hi, budget, count=1, rng=None):
-    """The refinements (`_refine_request`) of each (sizes, half times) of
-    `starts`, from `count` starts each, as lanes of one `_fit_gaps` stack;
-    returns each one's solutions, best first (`_ranked`)."""
-    requests = [_refine_request(np.asarray(z, dtype=float), np.asarray(t, dtype=float),
-                                gap_lo, gap_hi, budget, count, rng) for z, t in starts]
-    costs, times = _fit_gaps(
-        timing_cost.bind(np.concatenate([request.sizes for request in requests])),
-        np.concatenate([request.gaps for request in requests]), gap_lo, gap_hi, budget,
-    )
-    return [_ranked(costs[lo:lo + count], times[lo:lo + count])
-            for lo in range(0, len(costs), count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1159,10 +1108,29 @@ def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, 
     return _JointPath(moves, "start", z, t, _refine_request(z, t, gap_lo, gap_hi, 400, 3, rng))
 
 
+class _Refit(NamedTuple):
+    """A path of `_SolverPool` that waits on one refinement
+    (`_refine_request`); its value is every lane's (sum r^2, half times),
+    best first (`_ranked`)."""
+
+    request: _Request | None
+    value: list | None = None
+
+    def successor(self, result):
+        return _Refit(None, _ranked(*result))
+
+
 def _lane_residuals(timing_cost, scaled_gaps, *rows):
-    """`_gap_residuals` of the binding that the rows of a stack of lanes make
-    (counts, slot form factors, within-burst phase: `_TimingCost.bind`)."""
-    return _gap_residuals(_BoundTimingCost(timing_cost, *rows), scaled_gaps)
+    """The residuals of the binding that the rows of a stack of lanes make
+    (counts, slot form factors, within-burst phase: `_TimingCost.bind`) at
+    the half times of the lanes' rescaled gaps, and the function that gives
+    their Jacobian with respect to the rescaled gaps, as `_LMLanes` asks of
+    its function."""
+    r, per_time = _BoundTimingCost(timing_cost, *rows).residuals_and_jacobian(
+        (scaled_gaps * _GAP_UNIT).cumsum(axis=1)
+    )
+    # d r / d gap_i = sum_{j >= i} d r / d t_j, rescaled to the gap unit
+    return r, lambda picked: per_time(picked)[..., ::-1].cumsum(axis=-1)[..., ::-1] * _GAP_UNIT
 
 
 @dataclass(eq=False)
@@ -1542,8 +1510,8 @@ def stage2(
 
     Continuous gap refinement and integer re-scoring against the analytic
     surrogate come first (`_joint_paths`, every path in one solver pool);
-    the best three joint paths are refitted as lanes of one stack
-    (`_refine`); the stage-1 seed and the refit solutions are then put on
+    the best three joint paths are refitted as the paths of a second pool
+    (`_Refit`); the stage-1 seed and the refit solutions are then put on
     grid slots and polished by a best-move descent over slot shifts
     (`_grid_solutions`), and the best solution, whose group times are its
     burst centres, is expanded and scored by the trajectory-based
@@ -1557,7 +1525,8 @@ def stage2(
     worse than that seed under the trajectory objective; when it does not,
     the joint paths, whose fits keep every gap at or above the burst floor
     of its sizes, may still give a gate.  Raises `GridResolutionError` only
-    when no polish gives a solution.  Stage 2 searches under
+    when no polish gives a solution, and `ValueError` for a candidate with
+    no kick.  Stage 2 searches under
     `stage1_config`'s thermal state, pulse error, pulse counting and limits:
     integer moves keep every group within `z_bound_max` (or the candidate's
     largest group) and the gate within `max_sdks` SDKs.
@@ -1571,9 +1540,7 @@ def stage2(
     sizes0 = [z for z in base.half_sizes if z != 0]
     times0 = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
     if not sizes0:
-        gate = (base, expand_groups(base, rate))
-        return _stage2_result(candidate, gate, 0, chain, stage1_config, seed)
-
+        raise ValueError("stage 2 needs a candidate with at least one kick")
     gaps0 = np.diff(np.concatenate([[0.0], times0]))
     gap_lo = (1.0 - stage2_config.timing_variation) * gaps0
     gap_hi = (1.0 + stage2_config.timing_variation) * gaps0
@@ -1586,8 +1553,10 @@ def stage2(
         max(max(map(abs, sizes0)), stage1_config.z_bound_max),
         stage1_config.max_sdks // 2, stage2_config.local_restarts, scorer, rng,
     )
-    refits = _refine(timing_cost, [(sizes, t_joint) for _, sizes, t_joint in joint[:3]],
-                     gap_lo, gap_hi, 600, 3, rng)
+    refits = _SolverPool(timing_cost, gap_lo, gap_hi).run([
+        _Refit(_refine_request(np.asarray(sizes, dtype=float), t, gap_lo, gap_hi, 600, 3, rng))
+        for _, sizes, t in joint[:3]
+    ])
     # the stage-1 seed first: the result is never worse than the seed
     starts = [(sizes0, times0)] + [(sizes, t) for (_, sizes, _), refined in zip(joint, refits)
                                    for _, t in refined]
@@ -1630,8 +1599,11 @@ def refine_candidates(
 
     A candidate whose timings the repetition rate cannot express is dropped
     instead of aborting the batch.  Returns the results and the number of
-    candidates dropped; raises `GridResolutionError` when none is left.
+    candidates dropped; raises `NoCandidatesError` when there are no
+    candidates and `GridResolutionError` when none is left.
     """
+    if not candidates:
+        raise NoCandidatesError("stage 1 produced no candidates")
     tasks = [(c, chain, stage1_config, stage2_config, seed) for c in candidates]
     outcomes = _map_ordered(_stage2_task, tasks, threads)
     results = [o for o in outcomes if isinstance(o, OptimizationResult)]
@@ -1669,8 +1641,6 @@ def optimize_gate(
     """
     started = time.perf_counter()
     candidates, telemetry = stage1(chain, stage1_config, seed=seed, threads=threads)
-    if not candidates:
-        raise NoCandidatesError("stage 1 produced no candidates")
     results, infeasible = refine_candidates(
         candidates, chain, stage1_config, stage2_config, seed=seed, threads=threads
     )

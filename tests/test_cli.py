@@ -730,6 +730,60 @@ class TestNoCandidates:
         assert not (tmp_path / "o" / "result.json").exists()
 
 
+# stage 1's only find at 0.2 us, on a 10 MHz grid, is the kick-less vector
+# and one pattern the grid cannot express
+ONLY_KICK_LESS = {"trap": {"num_ions": 3},
+                  "stage1": {"targets": "edge", "gate_time_scan_us": [0.2], "top_k": 1,
+                             "max_sdks": 4},
+                  "stage2": {"repetition_rate_mhz": 10}}
+# with one bound level of 1 on two groups, the kick-less vector scores
+# (2/3)(pi/4)^2 = 0.411, below every gate of the grid
+KICK_LESS_FIRST = {"trap": {"num_ions": 2},
+                   "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1,
+                              "z_bound_max": 1, "group_count": 2}}
+# a 50 ns scan with a 2-SDK cap finds nothing but the kick-less vector
+NOTHING_BUT_KICK_LESS = {"trap": {"num_ions": 2},
+                         "stage1": {"targets": "edge", "gate_time_scan_us": [0.05], "top_k": 1,
+                                    "group_count": 20, "z_bound_max": 1, "restarts": 0,
+                                    "max_sdks": 2},
+                         "sweep": {"variable": "repetition_rate", "values": [300.0]}}
+
+
+class TestKickLessVector:
+    def test_a_run_left_with_an_inexpressible_gate_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path, ONLY_KICK_LESS)
+        assert main(["--config", config, "--out", str(tmp_path / "o"), "optimize"]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numerical failure: all 1 stage-1 candidates are infeasible at 1e+07 Hz; first: "
+            "repetition rate 1e+07 Hz cannot express any timing found for gate time 2e-07 s"
+        ]
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_the_winner_has_kicks(self, tmp_path):
+        config = write_config(tmp_path, KICK_LESS_FIRST)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), "optimize"]) == 0
+        data = json.loads((out / "result.json").read_text())
+        assert data["sequence"]["group_sizes"] == [1, -1]
+        assert data["report_ideal"]["ideal_inf"] == pytest.approx(4.040e-1, abs=5e-5)
+        assert "SDK count             : 2 (4 pi pulses)" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_no_candidate_exits_3(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, NOTHING_BUT_KICK_LESS)
+        out = tmp_path / "o"
+        assert main(["--config", config, "--out", str(out), command]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        reason = "stage 1 produced no candidates"
+        if command == "optimize":
+            assert lines == [f"numerical failure: {reason}"]
+            assert not (out / "result.json").exists()
+        else:
+            assert lines == [f"numerical failure: repetition_rate=300 skipped: {reason}"]
+            # the provenance line and the header, no row
+            assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+
 class TestConfigErrorsBeforeRunning:
     @pytest.mark.parametrize("block, setting, message", [
         ("stage1", {"top_k": 0}, "stage1.top_k must be a positive integer"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fastgate.chain import TrapConfig, build_chain
-from fastgate.fidelity import ThermalSpec, evaluate_train
+from fastgate.fidelity import ThermalSpec, _BoundTimingCost, evaluate_train
 from fastgate.optimize import (
     DEFAULT_GATE_TIME_SCAN,
     EXHAUSTIVE_LIMIT,
@@ -21,6 +21,7 @@ from fastgate.optimize import (
     _RESTART_SCALES,
     _AdjustedCost,
     _LMLanes,
+    _Refit,
     _Request,
     _SolverPool,
     _TimingCost,
@@ -31,16 +32,18 @@ from fastgate.optimize import (
     _coordinate_descent,
     _damped_steps,
     _descent_moves,
-    _fit_gaps,
+    _gap_box,
     _gate_time_candidates,
     _grid_descent,
     _grid_solutions,
     _joint_paths,
     _joint_refine,
     _lane_count,
+    _lane_residuals,
     _lowest_rows,
     _move_reach,
-    _refine,
+    _ranked,
+    _refine_request,
     _size_grid,
     _inside_windows,
     _snapped_in_windows,
@@ -431,9 +434,32 @@ def test_size_grid_matches_itertools(d, bound):
     assert np.array_equal(grid, expected)
 
 
+def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget):
+    """Stage 2's timing fits of a stack of lanes outside its solver pool, on
+    `_box_least_squares`: each lane from its own (d,) row of start gaps,
+    inside the windows and above the burst floors (`_gap_box`), to its end;
+    a per-lane binding gives each running lane its own rows.  Returns the
+    per-lane sum r^2 and refined half times."""
+    rows = (bound_cost.counts, bound_cost.effective, bound_cost.within_theta)
+
+    def fun(scaled_gaps, lanes):
+        picked = [row[lanes] for row in rows] if bound_cost.effective.ndim == 3 else rows
+        return _lane_residuals(bound_cost.parent, scaled_gaps, *picked)
+
+    costs, scaled = _box_least_squares(
+        fun, *_gap_box(bound_cost.counts, start_gaps, gap_lo, gap_hi, bound_cost.parent.period),
+        budget,
+    )
+    return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
+
+
 def _refine_alone(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1, rng=None):
-    """One refinement of `_refine` on its own."""
-    return _refine(timing_cost, [(z, t_start)], gap_lo, gap_hi, budget, starts, rng)[0]
+    """One refinement (`_refine_request`) fitted on its own, outside the
+    pool (`_fit_gaps`); its solutions best first (`_ranked`)."""
+    request = _refine_request(np.asarray(z, dtype=float), np.asarray(t_start, dtype=float),
+                              gap_lo, gap_hi, budget, starts, rng)
+    return _ranked(*_fit_gaps(timing_cost.bind(request.sizes), request.gaps, gap_lo, gap_hi,
+                              budget))
 
 
 def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
@@ -595,6 +621,10 @@ class TestJointRefine:
             )
             alone.append((cost, [int(v) for v in z_ref], t_ref))
         alone.sort(key=lambda p: (p[0], tuple(p[1])))
+        # stage 2's refits of the best three, each alone and in one pool
+        refits_alone = [_refine_alone(surrogate, z_ref, t_ref, 0.75 * gaps, 1.25 * gaps,
+                                      budget=600, starts=3, rng=rng)
+                        for _, z_ref, t_ref in alone[:3]]
         draw_ref = rng.random()
 
         rng = np.random.default_rng(25)
@@ -605,6 +635,16 @@ class TestJointRefine:
             assert cost.hex() == c_ref.hex()
             assert z_new == z_ref
             assert t_new.tobytes() == t_ref.tobytes()
+        refits = _SolverPool(surrogate, 0.75 * gaps, 1.25 * gaps).run([
+            _Refit(_refine_request(np.asarray(z, dtype=float), t, 0.75 * gaps, 1.25 * gaps,
+                                   600, 3, rng))
+            for _, z, t in paths[:3]
+        ])
+        assert len(refits) == 3
+        for pooled, lone in zip(refits, refits_alone):
+            assert len(pooled) == len(lone) == 3
+            assert [(c.hex(), t.tobytes()) for c, t in pooled] == [
+                (c.hex(), t.tobytes()) for c, t in lone]
         assert rng.random() == draw_ref
 
     @staticmethod
@@ -1546,6 +1586,17 @@ class TestStage2:
         assert _in_windows(result.sequence.half_times, 0.75 * _gaps(times),
                            1.25 * _gaps(times), 1.0 / rate)
 
+    def test_a_kick_less_candidate_is_refused(self, chain2):
+        from fastgate.optimize import Stage1Candidate
+
+        seq = PulseGroupSequence.from_half([0, 0], [0.3e-6, 0.6e-6], (0, 1), 1.2e-6)
+        candidate = Stage1Candidate(
+            sequence=seq, ideal_infidelity=0.4, adjusted_infidelity=0.4,
+            sdk_count=0, design_gate_time=1.2e-6, bound_found=1,
+        )
+        with pytest.raises(ValueError, match="at least one kick"):
+            stage2(candidate, chain2, small_stage1_config(), Stage2Config())
+
     def test_coarse_grid_gate_stays_in_its_windows(self, chain2):
         from fastgate.sequence import GridResolutionError, BurstOverlap
         from fastgate.optimize import Stage1Candidate
@@ -1778,8 +1829,10 @@ def lane_fit(bound_cost, offsets, evaluations):
     each with its own residual offset; counts the evaluations of every lane."""
     def fun(scaled_gaps, lanes):
         evaluations[lanes] += 1
-        r, per_time = bound_cost.residuals_and_jacobian(
-            np.cumsum(scaled_gaps * _GAP_UNIT, axis=1), lanes
+        rows = (bound_cost.counts[lanes], bound_cost.effective[lanes],
+                bound_cost.within_theta[lanes])
+        r, per_time = _BoundTimingCost(bound_cost.parent, *rows).residuals_and_jacobian(
+            np.cumsum(scaled_gaps * _GAP_UNIT, axis=1)
         )
         return r - offsets[lanes], lambda rows: (
             np.cumsum(per_time(rows)[..., ::-1], axis=-1)[..., ::-1] * _GAP_UNIT
@@ -2136,14 +2189,10 @@ class TestHalfPhasorKernel:
             sizes[2, 3] = 0.0
             times = np.cumsum(rng.uniform(40e-9, 90e-9, size=(lanes, d)), axis=1)
             stacked = surrogate.bind(sizes)
-            r, jacobian = stacked.residuals_and_jacobian(times, np.arange(lanes))
+            r, jacobian = stacked.residuals_and_jacobian(times)
             jac = jacobian()
             picked = rng.random(lanes) < 0.5
             assert jacobian(picked).tobytes() == jac[picked].tobytes()
-            order = rng.permutation(lanes)[:5]
-            r_some, jacobian_some = stacked.residuals_and_jacobian(times[order], order)
-            assert r_some.tobytes() == r[order].tobytes()
-            assert jacobian_some().tobytes() == jac[order].tobytes()
             for lane in range(lanes):
                 alone = surrogate.bind(sizes[lane])
                 r_lane, jacobian_lane = alone.residuals_and_jacobian(times[lane:lane + 1])
