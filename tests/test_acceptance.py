@@ -8,6 +8,7 @@ the `slow` marker (`--runslow`).
 
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -77,24 +78,52 @@ def gate2():
 
 @pytest.fixture(scope="module")
 def gate20_parts(chain20):
-    """Stage-1 candidates plus refined gates at several repetition rates."""
+    """Stage-1 candidates refined at several repetition rates: the config,
+    the best gate at each rate, and every candidate's result at each rate,
+    in candidate order."""
     config = edge_config()
     candidates, _ = stage1(chain20, config, seed=11)
-    gates = {}
+    gates, results = {}, {}
     for rate in (100e6, 300e6, 1000e6):
-        results = [
+        results[rate] = [
             stage2(c, chain20, config, Stage2Config(repetition_rate=rate), seed=11)
             for c in candidates
         ]
-        gates[rate] = min(results, key=lambda r: (1.0 - r.adjusted_fidelity,
-                                                  r.report.sdk_count))
-    return config, gates
+        gates[rate] = min(results[rate], key=lambda r: (1.0 - r.adjusted_fidelity,
+                                                        r.report.sdk_count))
+    return config, gates, results
 
 
 @pytest.fixture(scope="module")
 def gate20(gate20_parts):
-    _, gates = gate20_parts
+    _, gates, _ = gate20_parts
     return gates[300e6]
+
+
+RECORDED_GATE20 = json.loads(
+    (pathlib.Path(__file__).parent / "gate20_results.json").read_text(encoding="utf-8")
+)
+
+
+def recorded_form(result):
+    """What `gate20_results.json` pins of one stage-2 result, bit for bit."""
+    return {
+        "ideal_infidelity": result.report.ideal_infidelity.hex(),
+        "adjusted_infidelity": (1.0 - result.adjusted_fidelity).hex(),
+        "sdk_count": result.report.sdk_count,
+        "kick_times": [t.hex() for t in result.train.kick_times],
+        "kick_signs": "".join("+" if s > 0 else "-" for s in result.train.kick_signs),
+        "stage2_evaluations": result.telemetry["stage2_evaluations"],
+    }
+
+
+class TestGate20Results:
+    def test_every_candidate_result_matches_the_record(self, gate20_parts):
+        # every stage-2 result of the N=20 edge candidates at 100, 300 and
+        # 1000 MHz, so a change that moves a non-winner shows too
+        _, _, results = gate20_parts
+        assert {f"{rate / 1e6:g} MHz": [recorded_form(r) for r in found]
+                for rate, found in results.items()} == RECORDED_GATE20
 
 
 class TestCriterion1ModeSpectrum:
@@ -198,7 +227,7 @@ class TestCriterion6PulseErrorScaling:
 
 class TestCriterion7RepetitionRatePlateau:
     def test_plateau_above_300mhz(self, gate20_parts):
-        _, gates = gate20_parts
+        _, gates, _ = gate20_parts
         inf_300 = gates[300e6].report.ideal_infidelity
         inf_1000 = gates[1000e6].report.ideal_infidelity
         inf_100 = gates[100e6].report.ideal_infidelity
