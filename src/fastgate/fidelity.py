@@ -393,7 +393,7 @@ class _TimingCost:
         for slot in range(counts.shape[-1]):
             within_total += withins[counts[..., slot]]
         within_theta = 2.0 * np.sum(self.phase_scale * within_total, axis=-1)
-        return _BoundTimingCost(self, counts, effective, within_theta)
+        return _BoundTimingCost(self, effective, within_theta)
 
     def fixed_timing_forms(self, t_half) -> tuple:
         """The period-0 kernel at fixed half times as forms in the half sizes
@@ -428,16 +428,13 @@ class _BoundTimingCost:
     takes the half times as a (lanes, d) stack and answers lane by lane,
     each lane computed exactly as it would be alone.  The sizes are one (d,)
     row shared by every lane or a (lanes, d) stack, one row per lane, held
-    as what `_TimingCost.bind` derives from them: the counts |z|, each
-    slot's signed form factors and the within-burst phase, so the rows of
-    several bindings make a binding too.
+    as what `_TimingCost.bind` derives from them: each slot's signed form
+    factors and the within-burst phase, so the rows of several bindings
+    make a binding too.
     """
 
-    def __init__(self, parent: _TimingCost, counts, effective, within_theta):
-        self.parent = parent
-        self.counts = counts
-        self.effective = effective
-        self.within_theta = within_theta
+    def __init__(self, parent: _TimingCost, effective, within_theta):
+        self.parent, self.effective, self.within_theta = parent, effective, within_theta
 
     def _phasors(self, t_half, lanes=None):
         """Weighted phasors w_j of the positive-half slots of a (lanes, d)

@@ -26,19 +26,20 @@ gate time as lanes of one stack.
 
 Stage 2 refines the group timings on the repetition-rate grid against the
 trajectory-based cost, each inter-group gap constrained to within a fraction
-of its Stage-1 value.  `stage2` drives named steps: `_joint_paths` lets
-integer moves from the same move matrix, re-scored by quick timing fits,
-escape the stiff uniform-timing lattice; the best three joint solutions are
-refitted (`_Refit`); `_grid_solutions` puts the stage-1 seed and each refit
-solution on integer grid slots at both phases, one slot per nonempty group
-whose time is the centre of its burst, and polishes the slots by a
-best-move descent inside the gap windows (`_grid_descent`); the best
-solution expands to the gate's train exactly.  Every stage-2 timing fit is
-a request of a `_SolverPool`: a projected Levenberg-Marquardt fit of the
-box-bounded gaps, one lane per start, in one stack of lanes (`_LMLanes`,
-the one solver step of both stages), each lane doing exactly the
-arithmetic it would do alone.  A path of the pool is a chain of explicit
-states (`_JointPath`, `_Refit`), each waiting on one request; the pool's
+of its Stage-1 value.  `stage2` builds one context (`_Stage2`: surrogate,
+windows, move limits, pulse-error table and memos) and drives named steps
+on it: `_joint_paths` lets integer moves from the same move matrix,
+re-scored by quick timing fits, escape the stiff uniform-timing lattice;
+the best three joint solutions are refitted; `_grid_solutions` puts the
+stage-1 seed and each refit solution on integer grid slots at both
+phases, one slot per nonempty group whose time is the centre of its burst,
+and polishes the slots by a best-move descent inside the gap windows
+(`_grid_descent`); the best solution expands to the gate's train exactly.
+Every stage-2 timing fit is a request of a `_SolverPool`: a projected
+Levenberg-Marquardt fit of the box-bounded gaps, one lane per start, in
+one stack of lanes (`_LMLanes`, the one solver step of both stages), each
+lane doing exactly the arithmetic it would do alone.  A path of the pool
+is a chain of `_JointPath` states, each waiting on one request; the pool's
 docstring holds its rules for cutting a batch of moves and for
 speculation.
 Both stages are deterministic under a seed, and parallel work is merged in
@@ -121,6 +122,11 @@ class Stage1Config:
             raise ValueError("invalid stage-1 configuration")
         if self.pulse_counting not in PULSE_COUNTINGS:
             raise ValueError('pulse_counting must be "pi_pulses" or "sdks"')
+        # at N_p epsilon >= 1 the factor (1 - N_p epsilon)^2 grows with N_p
+        pulses = pulse_count_for(self.max_sdks, self.pulse_counting)
+        if pulses * self.epsilon >= 1.0:
+            raise ValueError(f"epsilon {self.epsilon:g} times the {pulses} pulses of max_sdks "
+                             "must be below 1")
 
 
 # scales of the candidate's sizes that start stage 2's joint refinements
@@ -161,6 +167,12 @@ def _quadratic_rows(rows, form):
     reaches it (a three-operand einsum's do at d = 2)."""
     rows = rows[..., None, :]
     return ((rows @ form[..., None, :, :]) @ rows.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _adjusted(ideal, factor):
+    """The pulse-error-adjusted infidelity 1 - f (1 - ideal), elementwise
+    for arrays of ideal costs and pulse-error factors f."""
+    return 1.0 - factor * (1.0 - ideal)
 
 
 class CostModel:
@@ -238,8 +250,7 @@ class CostModel:
     def _score(self, z, gate=0):
         """`selection_cost` without counting the rows."""
         pulses = pulse_count_for(2 * np.sum(np.abs(z), axis=-1), self.counting)
-        ideal = self.ideal_infidelity(z, gate)
-        return 1.0 - pulse_error_factor(pulses, self.epsilon) * (1.0 - ideal)
+        return _adjusted(self.ideal_infidelity(z, gate), pulse_error_factor(pulses, self.epsilon))
 
     def selection_cost(self, z: np.ndarray, gate=0) -> np.ndarray:
         """Pulse-error-adjusted infidelity used to rank candidates, one per
@@ -270,9 +281,9 @@ class CostModel:
         4 A S^2, add at most 8 u A S^2.  To first order
         Theta' and the exact Theta differ by (6d + 13) u A S^2, so by at most
         E = (6d + 16) u A S^2, and M' and the exact M by the same with R.
-        The score is 1 - f (1 - I) with I = (2/3) (|Theta| - pi/4)^2 + M, f
-        the pulse factor, the same float for a trial's estimate and its
-        exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
+        The score is 1 - f (1 - I) (`_adjusted`) with I = (2/3) (|Theta| -
+        pi/4)^2 + M, f the pulse factor, the same float for a trial's
+        estimate and its exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
         + |Theta| + pi/2) + E_M] <= f [1.4 E (|Theta'| + pi/4 + E) + E_M]
         (1.4 covers the rounded 2/3), and the seven roundings of each of the
         two scores add at most u [f (8 I + 3) + 1] each, which 16 u (1 + f (2
@@ -290,7 +301,7 @@ class CostModel:
         (theta, theta_error), (motional, motional_error) = terms
         factor = pulse_error_factor(pulses, self.epsilon)
         mismatch = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2
-        estimate = 1.0 - factor * (1.0 - (mismatch + motional))
+        estimate = _adjusted(mismatch + motional, factor)
         error = factor * (
             1.4 * theta_error * (np.abs(theta) + PHASE_TARGET + theta_error) + motional_error
         ) + 16.0 * _ROUNDOFF * (1.0 + factor * (2.0 + mismatch + np.abs(motional)))
@@ -718,12 +729,6 @@ _LM_TOL = 1e-8  # ftol, xtol and gtol of the stage-2 timing fits
 _LANE_BUDGET = 800
 
 
-def _lane_count(modes: int) -> int:
-    """Lanes per batch of speculative joint-refinement moves for a chain
-    with `modes` modes."""
-    return max(1, _LANE_BUDGET // modes)
-
-
 def _rowdot(a, b):
     """Per-lane dot products of two (lanes, n) stacks, each a 1-D dot."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -932,30 +937,6 @@ def _gap_box(sizes, start_gaps, gap_lo, gap_hi, period):
     return start_gaps / _GAP_UNIT, lower / _GAP_UNIT, gap_hi / _GAP_UNIT
 
 
-@dataclass(frozen=True)
-class _AdjustedCost:
-    """The pulse-error-adjusted infidelity 1 - f (1 - ideal) of half sizes z
-    at ideal infidelity `ideal`, f the pulse-error factor of z's pulse
-    count: a callable (ideal, z), and the factor of a half-sum of |z| as
-    data (`factor`), from which `_adjusted` scores a stack of lanes to the
-    same bits."""
-
-    epsilon: float
-    counting: str
-
-    def factor(self, norm) -> float:
-        """f of half sizes whose |z| sums to `norm`."""
-        return pulse_error_factor(pulse_count_for(2 * int(norm), self.counting), self.epsilon)
-
-    def __call__(self, ideal, z_half) -> float:
-        return _adjusted(ideal, self.factor(np.sum(np.abs(z_half))))
-
-
-def _adjusted(ideal, factor):
-    """1 - f (1 - ideal), elementwise for arrays of ideal costs and factors."""
-    return 1.0 - factor * (1.0 - ideal)
-
-
 class _Request(NamedTuple):
     """The timing fits a stage-2 path waits on: a (k, d) stack of sizes and
     of start gaps, and the k lanes' budget.  A batch of moves also carries
@@ -987,22 +968,26 @@ def _ranked(costs, times):
     return sorted(zip(costs.tolist(), times), key=lambda item: item[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _Moves:
-    """What every state of a joint refinement shares: the windows, the
-    limits of its integer moves, its adjusted cost, the lanes per batch of
-    moves and the pulse-error factor of each half-sum of |z| up to
-    `cap_half`."""
+class _Stage2:
+    """What every step of one `stage2` call shares: the surrogate and the
+    grid `rate`, the gap windows, the move limits (`bound` per group,
+    `cap_half` on the half-sum of |z|), the lanes per batch of moves, the
+    pulse-error factor of each half-sum of |z| up to the larger of
+    `cap_half` and the seed's, and the memos of each z's moves (`trials`)
+    and of each snapped start's polish (`polishes`)."""
 
-    period: float
-    gap_lo: np.ndarray
-    gap_hi: np.ndarray
-    bound: int
-    cap_half: int
-    scorer: _AdjustedCost
-    lanes: int
-    factors: np.ndarray
-    trials: dict = field(default_factory=dict)  # per z: its moves (`moves_of`)
+    def __init__(self, timing_cost, rate, gap_lo, gap_hi, bound, cap_half, epsilon, counting,
+                 seed=()):
+        self.timing_cost, self.rate, self.gap_lo, self.gap_hi = timing_cost, rate, gap_lo, gap_hi
+        self.bound, self.cap_half = bound, cap_half
+        self.lanes = max(1, _LANE_BUDGET // len(timing_cost.w))
+        self.factors = np.array([pulse_error_factor(pulse_count_for(2 * norm, counting), epsilon)
+                                 for norm in range(max(cap_half, int(np.sum(np.abs(seed)))) + 1)])
+        self.trials, self.polishes = {}, {}
+
+    def score(self, ideal, z):
+        """The adjusted infidelity of half sizes z at ideal cost `ideal`."""
+        return float(_adjusted(ideal, self.factors[int(np.sum(np.abs(z)))]))
 
     def moves_of(self, z):
         """The trials z + delta of every move, each one's pulse-error factor,
@@ -1015,7 +1000,7 @@ class _Moves:
             trials = z + _descent_moves(len(z))[0]
             feasible, norms = (part[0] for part in _move_reach(z[None], self.bound, self.cap_half))
             feasible &= np.any(trials, axis=1) & ~np.any(
-                _burst_floors(np.abs(trials), self.period) > self.gap_hi, axis=1
+                _burst_floors(np.abs(trials), self.timing_cost.period) > self.gap_hi, axis=1
             )
             found = trials, self.factors[np.where(feasible, norms, 0).astype(int)], feasible
             for part in found:
@@ -1047,12 +1032,14 @@ class _Moves:
 
 @dataclass(frozen=True, eq=False)
 class _JointPath:
-    """A state of a joint refinement (`_joint_refine`): sizes z at half
-    times t with adjusted cost `cost`, the pass of moves it is in, and the
-    request it waits on: the "start" or "end" refinement, a batch of
-    "moves", or none once it is "done" with its `value`."""
+    """A state of a stage-2 path: sizes z at half times t with adjusted
+    cost `cost`, the pass of moves it is in, and the request it waits on.
+    A joint path goes from its "start" refinement through batches of
+    "moves" to its "end" refinement, a refit path is one "refit"; once
+    "done" a path has no request and its `value`: (adjusted cost, sizes,
+    half times), or a refit's per-lane results best first (`_ranked`)."""
 
-    moves: _Moves
+    context: _Stage2
     step: str
     z: np.ndarray
     t: np.ndarray
@@ -1061,7 +1048,7 @@ class _JointPath:
     passes: int = 0
     improved: bool = False
     batch: np.ndarray | None = None   # the moves a "moves" request fits, in move order
-    value: tuple | None = None
+    value: tuple | list | None = None
 
     def successor(self, result):
         """The next state, from the result of this state's request: a
@@ -1069,63 +1056,30 @@ class _JointPath:
         improving lane as (lane, sum r^2, half times), None when no lane
         improves.  First improvement: the rest of the pass moves from the
         new sizes and timings.  This state stays as it is."""
-        moves = self.moves
+        context = self.context
         if self.step == "moves":
             if result is None:
-                return moves.after(self.z, self.t, self.cost, self.passes, self.batch[-1] + 1,
-                                   self.improved)
+                return context.after(self.z, self.t, self.cost, self.passes, self.batch[-1] + 1,
+                                     self.improved)
             lane, fit_cost, t = result
             z = self.z + _descent_moves(len(self.z))[0][self.batch[lane]]
-            return moves.after(z, t, moves.scorer(float(fit_cost), z), self.passes,
-                               self.batch[lane] + 1, True)
-        ideal, t = _ranked(*result)[0]
+            return context.after(z, t, context.score(float(fit_cost), z), self.passes,
+                                 self.batch[lane] + 1, True)
+        ranked = _ranked(*result)
+        if self.step == "refit":
+            return replace(self, step="done", request=None, value=ranked)
+        ideal, t = ranked[0]
         if self.step == "start":
-            return moves.after(self.z, t, moves.scorer(ideal, self.z), 0, 0, False)
-        value = (moves.scorer(ideal, self.z), [int(v) for v in self.z], t)
+            return context.after(self.z, t, context.score(ideal, self.z), 0, 0, False)
+        value = (context.score(ideal, self.z), [int(v) for v in self.z], t)
         return replace(self, step="done", request=None, value=value)
-
-
-def _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng):
-    """Integer moves re-scored by quick timing refinement, as the first
-    state of a path of `_SolverPool`, whose value is (adjusted cost, sizes,
-    half times).
-
-    Escapes the uniform-timing lattice: each candidate z is judged by the
-    best analytic cost reachable inside the timing windows, not by its cost
-    at the current timings.  `scorer`, an `_AdjustedCost`, folds in the
-    pulse-error selection pressure.  The path refines z0's timings from t0
-    (three starts, drawn from `rng` now), then scores the moves in move
-    order, a batch of lanes at a time (`_lane_count`), each lane a budget-60
-    fit, with first improvement: the first improving move of a batch is
-    taken and the next batch starts after it from the new sizes and
-    timings (`_JointPath.successor`), so the decisions are those of scoring
-    the moves one at a time.  Skipped moves and passes: `_Moves.after`.
-    """
-    moves = _Moves(timing_cost.period, gap_lo, gap_hi, bound, cap_half, scorer,
-                   _lane_count(len(timing_cost.w)),
-                   np.array([scorer.factor(norm) for norm in range(cap_half + 1)]))
-    z, t = np.asarray(z0, dtype=float), np.asarray(t0, dtype=float)
-    return _JointPath(moves, "start", z, t, _refine_request(z, t, gap_lo, gap_hi, 400, 3, rng))
-
-
-class _Refit(NamedTuple):
-    """A path of `_SolverPool` that waits on one refinement
-    (`_refine_request`); its value is every lane's (sum r^2, half times),
-    best first (`_ranked`)."""
-
-    request: _Request | None
-    value: list | None = None
-
-    def successor(self, result):
-        return _Refit(None, _ranked(*result))
 
 
 def _lane_residuals(timing_cost, scaled_gaps, *rows):
     """The residuals of the binding that the rows of a stack of lanes make
-    (counts, slot form factors, within-burst phase: `_TimingCost.bind`) at
-    the half times of the lanes' rescaled gaps, and the function that gives
-    their Jacobian with respect to the rescaled gaps, as `_LMLanes` asks of
-    its function."""
+    (`_TimingCost.bind`) at the half times of the lanes' rescaled gaps, and
+    the function that gives their Jacobian in the rescaled gaps, as
+    `_LMLanes` asks of its function."""
     r, per_time = _BoundTimingCost(timing_cost, *rows).residuals_and_jacobian(
         (scaled_gaps * _GAP_UNIT).cumsum(axis=1)
     )
@@ -1151,21 +1105,22 @@ class _Node:
 
 class _SolverPool:
     """Stage 2's solver pool: paths of timing-fit requests, every request's
-    fits lanes of one `_LMLanes` stack inside [gap_lo, gap_hi] (`_gap_box`).
+    fits lanes of one `_LMLanes` stack on the surrogate of a `_Stage2`
+    context, inside its windows [gap_lo, gap_hi] (`_gap_box`).
 
-    A path is a state with a `request` and a `successor(result)`, or with
-    no request and a `value`.  A request's lanes join the stack as soon as
-    the request is made, so a path waits for no other.  A refinement's
-    result is every lane's (sum r^2, half times).  A batch of moves applies
-    the first-improvement rule as data, every lane of every batch in one
-    vectorised test: a lane improves once its adjusted cost, running or
-    final, falls below its batch's bar.  Accepted steps only lower a lane's
-    cost and the score never falls as the cost rises, so such a lane ends
-    improving; the batch's cut, its first improving lane so far, drops the
-    lanes after it.  Once the lane at the cut has stopped, the successor
-    built on it starts at once, speculatively, while lanes before the cut
-    still run; when one of them improves, the cut moves to it and the
-    successor is dropped with every state built on it.  A batch's result
+    A path is a state with a `request` and a `successor(result)`, or with no
+    request and a `value` (`_JointPath`).  A request's lanes join the stack
+    as soon as the request is made, so a path waits for no other.  A
+    refinement's result is every lane's (sum r^2, half times).  A batch of
+    moves applies the first-improvement rule as data, every lane of every
+    batch in one vectorised test: a lane improves once its adjusted cost,
+    running or final, falls below its batch's bar.  Accepted steps only
+    lower a lane's cost and the score never falls as the cost rises, so such
+    a lane ends improving; the batch's cut, its first improving lane so far,
+    drops the lanes after it.  Once the lane at the cut has stopped, the
+    successor built on it starts at once, speculatively, while lanes before
+    the cut still run; when one of them improves, the cut moves to it and
+    the successor is dropped with every state built on it.  A batch's result
     is final once every lane up to its cut has stopped: the cut lane as
     (lane, sum r^2, half times), or None when no lane improves.  Each path
     takes its states in order, the value of its last: no dropped successor
@@ -1173,11 +1128,11 @@ class _SolverPool:
     alone, so the values are those of running the requests one at a time.
     """
 
-    def __init__(self, timing_cost, gap_lo, gap_hi):
-        self.timing_cost, self.gap_lo, self.gap_hi = timing_cost, gap_lo, gap_hi
+    def __init__(self, context):
+        self.context = context
         # a function that holds no reference to the pool, which is then freed
         # as soon as its run returns, not by a later cycle collection
-        self.fits = _LMLanes(functools.partial(_lane_residuals, timing_cost))
+        self.fits = _LMLanes(functools.partial(_lane_residuals, context.timing_cost))
         self.nodes = []
         self.owner = np.zeros(0, dtype=int)   # per lane id: its node
         self.factor = np.zeros(0)             # per lane id: its pulse-error factor
@@ -1215,11 +1170,10 @@ class _SolverPool:
             node.final = True
         else:
             count = len(request.sizes)
-            bound = self.timing_cost.bind(request.sizes)
-            box = _gap_box(request.sizes, request.gaps, self.gap_lo, self.gap_hi,
-                           self.timing_cost.period)
-            ids = self.fits.admit(*box, request.budget, bound.counts, bound.effective,
-                                  bound.within_theta)
+            bound = self.context.timing_cost.bind(request.sizes)
+            box = _gap_box(request.sizes, request.gaps, self.context.gap_lo, self.context.gap_hi,
+                           self.context.timing_cost.period)
+            ids = self.fits.admit(*box, request.budget, bound.effective, bound.within_theta)
             first = ids[0]
             node.costs, node.times = np.full(count, np.nan), np.empty(request.sizes.shape)
             moves = request.bar is not None
@@ -1419,24 +1373,31 @@ def _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi):
     return slots, times
 
 
-def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, restarts,
-                 scorer, rng):
-    """`_joint_refine` from scaled copies of the sizes and from two smooth
-    same-sign envelopes, as (adjusted cost, sizes, half times), best first.
+def _joint_paths(context, sizes, times, restarts, rng):
+    """Integer moves re-scored by quick timing refinement, from scaled
+    copies of the sizes at `times` and from two smooth same-sign envelopes,
+    as (adjusted cost, sizes, half times), best first.
 
-    The envelope starts matter because the exact-closure solutions at larger
-    N are gentle same-sign pushes that score terribly at uniform timings and
-    so never rank in stage 1.  The envelopes are clipped to +-`bound` per
-    group and to a half-sum of |z| of `cap_half` (half the SDK cap), which
-    the scaled copies already respect; an all-zero or repeated start is
-    skipped.  The paths start in start order, each drawing its refinement's
-    starts from `rng`, and run together in one `_SolverPool`; each ends
-    where it would alone, whatever the lanes per batch (`_lane_count`).
+    Escapes the uniform-timing lattice: each z is judged by the best
+    analytic cost reachable inside the windows, with the pulse-error
+    pressure of `_Stage2.score`.  A path refines its start's timings (three
+    starts, drawn from `rng` in start order), then scores the moves in move
+    order, a batch of lanes at a time, each lane a budget-60 fit, with
+    first improvement: the first improving move of a batch is taken and the
+    next batch starts after it (`_JointPath.successor`), so the decisions
+    are those of scoring the moves one at a time (skips: `_Stage2.after`).
+    The envelopes matter because the exact-closure solutions at larger N
+    are gentle same-sign pushes that score terribly at uniform timings and
+    so never rank in stage 1; they are clipped to the move limits, which
+    the scaled copies already respect.  An all-zero or repeated start is
+    skipped.  Every path runs in one `_SolverPool`, and each ends where it
+    would alone, whatever the lanes per batch.
     """
-    z = np.asarray(sizes, dtype=float)
+    z, t = np.asarray(sizes, dtype=float), np.asarray(times, dtype=float)
     envelope = np.sin(math.pi * (np.arange(len(z)) + 0.5) / len(z))
     starts = [np.rint(scale * z) for scale in _RESTART_SCALES[: 1 + restarts]] + [
-        _clip_to_sdk_cap(np.clip(np.rint(scale * envelope), -bound, bound), cap_half)
+        _clip_to_sdk_cap(np.clip(np.rint(scale * envelope), -context.bound, context.bound),
+                         context.cap_half)
         for scale in (1.3, 2.2)
     ]
     paths, seen = [], set()
@@ -1445,40 +1406,34 @@ def _joint_paths(timing_cost, sizes, times, gap_lo, gap_hi, bound, cap_half, res
         if not np.any(start) or key in seen:
             continue
         seen.add(key)
-        paths.append(_joint_refine(
-            timing_cost, start, np.asarray(times, dtype=float), gap_lo, gap_hi,
-            bound, cap_half, scorer, rng,
-        ))
-    joint = _SolverPool(timing_cost, gap_lo, gap_hi).run(paths)
+        request = _refine_request(start, t, context.gap_lo, context.gap_hi, 400, 3, rng)
+        paths.append(_JointPath(context, "start", start, t, request))
+    joint = _SolverPool(context).run(paths)
     return sorted(joint, key=lambda p: (p[0], tuple(p[1])))
 
 
-def _grid_solutions(timing_cost, rate, half_sizes, half_times, gap_lo, gap_hi, scorer,
-                    polishes=None):
-    """`half_times` put on slots at each grid phase inside the gap windows
-    [gap_lo, gap_hi] (`_snapped_in_windows`) and polished there by the
-    best-move slot descent `_grid_descent`.
-
-    Returns a (adjusted cost, sizes, half times, phase) tuple for each phase
-    whose snapped start fits the grid and whose polish ends inside the
-    windows, each nonempty group's time the centre of its burst, and the
-    trials the polishes scored.  `polishes`, a dict shared by calls with
-    the same cost and windows, keeps each polish by its snapped start (the
-    sizes, slots, every half time and the phase): a start polished before
-    is not polished again, and its trials count again.
-    """
+def _grid_solutions(context, half_sizes, half_times):
+    """`half_times` put on slots at each grid phase inside the windows
+    (`_snapped_in_windows`) and polished there by `_grid_descent`: a
+    (adjusted cost, sizes, half times, phase) tuple for each phase whose
+    snapped start fits the grid and whose polish ends inside the windows,
+    each nonempty group's time the centre of its burst, and the trials the
+    polishes scored.  `context.polishes` keeps each polish by its snapped
+    start (sizes, slots, every half time, phase): a start is polished once,
+    and its trials count each time."""
     solutions, evaluations = [], 0
-    polishes = {} if polishes is None else polishes
-    for phase in (0.0, 0.5 * timing_cost.period):
-        slots, times = _snapped_in_windows(half_sizes, half_times, rate, phase, gap_lo, gap_hi)
+    for phase in (0.0, 0.5 * context.timing_cost.period):
+        slots, times = _snapped_in_windows(half_sizes, half_times, context.rate, phase,
+                                           context.gap_lo, context.gap_hi)
         key = (tuple(half_sizes), tuple(slots), tuple(times), phase)
-        if key not in polishes:
-            polishes[key] = _grid_descent(timing_cost, half_sizes, slots, times, phase,
-                                          gap_lo, gap_hi)
-        cost, polished, spent = polishes[key]
+        if key not in context.polishes:
+            context.polishes[key] = _grid_descent(context.timing_cost, half_sizes, slots, times,
+                                                  phase, context.gap_lo, context.gap_hi)
+        cost, polished, spent = context.polishes[key]
         evaluations += spent
         if math.isfinite(cost):
-            solutions.append((scorer(cost, half_sizes), tuple(half_sizes), tuple(polished), phase))
+            solutions.append((context.score(cost, half_sizes), tuple(half_sizes),
+                              tuple(polished), phase))
     return solutions, evaluations
 
 
@@ -1508,11 +1463,13 @@ def stage2(
 ) -> OptimizationResult:
     """Refine one candidate on the repetition-rate grid.
 
+    One context (`_Stage2`) holds what every step shares: the surrogate,
+    the windows, the move limits, the pulse-error table and the memos.
     Continuous gap refinement and integer re-scoring against the analytic
     surrogate come first (`_joint_paths`, every path in one solver pool);
-    the best three joint paths are refitted as the paths of a second pool
-    (`_Refit`); the stage-1 seed and the refit solutions are then put on
-    grid slots and polished by a best-move descent over slot shifts
+    the best three joint paths are refitted, each a "refit" path of one
+    more pool; the stage-1 seed and the refit solutions are put on grid
+    slots and polished by a best-move descent over slot shifts
     (`_grid_solutions`), and the best solution, whose group times are its
     burst centres, is expanded and scored by the trajectory-based
     infidelity of its train.
@@ -1526,13 +1483,12 @@ def stage2(
     the joint paths, whose fits keep every gap at or above the burst floor
     of its sizes, may still give a gate.  Raises `GridResolutionError` only
     when no polish gives a solution, and `ValueError` for a candidate with
-    no kick.  Stage 2 searches under
-    `stage1_config`'s thermal state, pulse error, pulse counting and limits:
-    integer moves keep every group within `z_bound_max` (or the candidate's
-    largest group) and the gate within `max_sdks` SDKs.
-    Each distinct snapped start is polished once (`_grid_solutions`'
-    `polishes`); `stage2_evaluations` counts the trials of every start's
-    polish, a repeated start's again.
+    no kick.  Stage 2 searches under `stage1_config`'s thermal state, pulse
+    error, pulse counting and limits: integer moves keep every group within
+    `z_bound_max` (or the candidate's largest group) and the gate within
+    `max_sdks` SDKs.  Each distinct snapped start is polished once;
+    `stage2_evaluations` counts the trials of every start's polish, a
+    repeated start's again.
     """
     rate = stage2_config.repetition_rate
     base = candidate.sequence.trimmed()
@@ -1544,26 +1500,23 @@ def stage2(
     gaps0 = np.diff(np.concatenate([[0.0], times0]))
     gap_lo = (1.0 - stage2_config.timing_variation) * gaps0
     gap_hi = (1.0 + stage2_config.timing_variation) * gaps0
-    timing_cost = _TimingCost(chain, targets, stage1_config.thermal, period=1.0 / rate)
-    scorer = _AdjustedCost(stage1_config.epsilon, stage1_config.pulse_counting)
+    context = _Stage2(
+        _TimingCost(chain, targets, stage1_config.thermal, period=1.0 / rate), rate,
+        gap_lo, gap_hi, max(max(map(abs, sizes0)), stage1_config.z_bound_max),
+        stage1_config.max_sdks // 2, stage1_config.epsilon, stage1_config.pulse_counting, sizes0,
+    )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
 
-    joint = _joint_paths(
-        timing_cost, sizes0, times0, gap_lo, gap_hi,
-        max(max(map(abs, sizes0)), stage1_config.z_bound_max),
-        stage1_config.max_sdks // 2, stage2_config.local_restarts, scorer, rng,
-    )
-    refits = _SolverPool(timing_cost, gap_lo, gap_hi).run([
-        _Refit(_refine_request(np.asarray(sizes, dtype=float), t, gap_lo, gap_hi, 600, 3, rng))
-        for _, sizes, t in joint[:3]
+    joint = _joint_paths(context, sizes0, times0, stage2_config.local_restarts, rng)
+    refits = _SolverPool(context).run([
+        _JointPath(context, "refit", z, t,
+                   _refine_request(np.asarray(z, dtype=float), t, gap_lo, gap_hi, 600, 3, rng))
+        for _, z, t in joint[:3]
     ])
     # the stage-1 seed first: the result is never worse than the seed
     starts = [(sizes0, times0)] + [(sizes, t) for (_, sizes, _), refined in zip(joint, refits)
                                    for _, t in refined]
-    polishes = {}
-    polished = [_grid_solutions(timing_cost, rate, sizes, times, gap_lo, gap_hi, scorer,
-                                polishes=polishes)
-                for sizes, times in starts]
+    polished = [_grid_solutions(context, sizes, times) for sizes, times in starts]
     solutions = [solution for found, _ in polished for solution in found]
     evaluations = sum(spent for _, spent in polished)
     if not solutions:

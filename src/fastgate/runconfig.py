@@ -289,6 +289,11 @@ def load_run_config(data: dict | None) -> RunConfig:
     thermal = _parse_thermal(data.get("thermal", {}))
     stage1 = _parse_stage1(data.get("stage1", {}), thermal)
     stage2 = _parse_stage2(data.get("stage2", {}))
+    for value in sweep_values if sweep_variable == "epsilon" else ():
+        try:
+            replace(stage1, epsilon=value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep over epsilon: {exc}") from exc
     rates = [("stage2.repetition_rate_mhz", stage2.repetition_rate)]
     if sweep_variable == "repetition_rate":
         rates += [("sweep.values", value * 1e6) for value in sweep_values]

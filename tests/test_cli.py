@@ -853,6 +853,32 @@ class TestConfigErrorsBeforeRunning:
         assert len(lines) == 1 and f"sweep over {variable}" in lines[0]
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("data, command, message", [
+        ({"trap": {"num_ions": 2}, "stage1": {"targets": "edge", "gate_time_scan_us": [1.0],
+                                             "top_k": 2, "epsilon": 0.02}},
+         "optimize", "stage1: epsilon 0.02 times the 200 pulses of max_sdks must be below 1"),
+        ({"trap": {"num_ions": 2}, "stage1": {"targets": "edge", "gate_time_scan_us": [1.0]},
+          "sweep": {"variable": "epsilon", "values": [1e-5, 0.01]}},
+         "sweep", "sweep over epsilon: epsilon 0.01 times the 200 pulses of max_sdks must be "
+                  "below 1"),
+    ], ids=["optimize", "sweep"])
+    def test_pulse_error_past_its_model_exits_2(self, tmp_path, capsys, monkeypatch, data,
+                                                command, message):
+        # at N_p epsilon >= 1, (1 - N_p epsilon)^2 grows with N_p: both stages
+        # would prefer the longest gates, and the adjusted fidelity could pass 1
+        from fastgate import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started before epsilon was checked")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0] and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block, setting, values, message", [
         ("thermal", {"nbar": [0.1, 0.2]}, [2, 3], "thermal.nbar has 2 entries for 3 modes"),
         ("stage1", {"targets": [2, 3]}, [5, 3], "target ions (2, 3) out of range for 3 ions"),
@@ -1076,6 +1102,17 @@ class TestIntegerLimits:
         with pytest.raises(ValueError):
             Stage1Config(targets=(0, 1), max_sdks=1)
         assert Stage1Config(targets=(0, 1), max_sdks=2).max_sdks == 2
+
+    def test_stage1_config_needs_n_p_epsilon_below_1(self):
+        from fastgate.optimize import Stage1Config
+
+        # 100 SDKs are 200 pi pulses or 100 SDK pulses
+        with pytest.raises(ValueError, match="times the 200 pulses of max_sdks"):
+            Stage1Config(targets=(0, 1), epsilon=1.0 / 200.0)
+        with pytest.raises(ValueError, match="times the 100 pulses of max_sdks"):
+            Stage1Config(targets=(0, 1), epsilon=0.01, pulse_counting="sdks")
+        assert Stage1Config(targets=(0, 1), epsilon=0.9 / 200.0).epsilon == 0.9 / 200.0
+        assert Stage1Config(targets=(0, 1), epsilon=0.009, pulse_counting="sdks").max_sdks == 100
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

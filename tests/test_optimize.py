@@ -18,12 +18,13 @@ from fastgate.optimize import (
     Stage1Config,
     Stage2Config,
     _GAP_UNIT,
+    _LANE_BUDGET,
     _RESTART_SCALES,
-    _AdjustedCost,
+    _JointPath,
     _LMLanes,
-    _Refit,
     _Request,
     _SolverPool,
+    _Stage2,
     _TimingCost,
     _box_least_squares,
     _burst_floors,
@@ -37,8 +38,6 @@ from fastgate.optimize import (
     _grid_descent,
     _grid_solutions,
     _joint_paths,
-    _joint_refine,
-    _lane_count,
     _lane_residuals,
     _lowest_rows,
     _move_reach,
@@ -434,21 +433,22 @@ def test_size_grid_matches_itertools(d, bound):
     assert np.array_equal(grid, expected)
 
 
-def _fit_gaps(bound_cost, start_gaps, gap_lo, gap_hi, budget):
-    """Stage 2's timing fits of a stack of lanes outside its solver pool, on
-    `_box_least_squares`: each lane from its own (d,) row of start gaps,
-    inside the windows and above the burst floors (`_gap_box`), to its end;
-    a per-lane binding gives each running lane its own rows.  Returns the
-    per-lane sum r^2 and refined half times."""
-    rows = (bound_cost.counts, bound_cost.effective, bound_cost.within_theta)
+def _fit_gaps(timing_cost, sizes, start_gaps, gap_lo, gap_hi, budget):
+    """Stage 2's timing fits of sizes `sizes` (one (d,) row or one per lane)
+    outside its solver pool, on `_box_least_squares`: each lane from its
+    own (d,) row of start gaps, inside the windows and above the burst
+    floors (`_gap_box`), to its end; a per-lane binding gives each running
+    lane its own rows.  Returns the per-lane sum r^2 and refined half
+    times."""
+    bound_cost = timing_cost.bind(sizes)
+    rows = (bound_cost.effective, bound_cost.within_theta)
 
     def fun(scaled_gaps, lanes):
         picked = [row[lanes] for row in rows] if bound_cost.effective.ndim == 3 else rows
-        return _lane_residuals(bound_cost.parent, scaled_gaps, *picked)
+        return _lane_residuals(timing_cost, scaled_gaps, *picked)
 
     costs, scaled = _box_least_squares(
-        fun, *_gap_box(bound_cost.counts, start_gaps, gap_lo, gap_hi, bound_cost.parent.period),
-        budget,
+        fun, *_gap_box(np.abs(sizes), start_gaps, gap_lo, gap_hi, timing_cost.period), budget,
     )
     return costs, np.cumsum(scaled * _GAP_UNIT, axis=1)
 
@@ -458,15 +458,16 @@ def _refine_alone(timing_cost, z, t_start, gap_lo, gap_hi, budget=400, starts=1,
     pool (`_fit_gaps`); its solutions best first (`_ranked`)."""
     request = _refine_request(np.asarray(z, dtype=float), np.asarray(t_start, dtype=float),
                               gap_lo, gap_hi, budget, starts, rng)
-    return _ranked(*_fit_gaps(timing_cost.bind(request.sizes), request.gaps, gap_lo, gap_hi,
-                              budget))
+    return _ranked(*_fit_gaps(timing_cost, request.sizes, request.gaps, gap_lo, gap_hi, budget))
 
 
-def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half, scorer, rng,
-                            unwinnable=None):
-    """The per-move first-improvement loop of the stage-2 integer moves.
-    Each fitted trial that could not improve even with a perfect fit is
-    appended to `unwinnable`, if given."""
+def _reference_joint_refine(context, z0, t0, rng, unwinnable=None):
+    """The per-move first-improvement loop of the stage-2 integer moves, on
+    the surrogate, windows, move limits and adjusted cost of a `_Stage2`
+    context.  Each fitted trial that could not improve even with a perfect
+    fit is appended to `unwinnable`, if given."""
+    timing_cost, gap_lo, gap_hi = context.timing_cost, context.gap_lo, context.gap_hi
+    bound, cap_half, scorer = context.bound, context.cap_half, context.score
     d = len(z0)
     moves = [((i,), (delta,)) for i in range(d) for delta in (1, -1, 2, -2)]
     moves += [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
@@ -500,10 +501,12 @@ def _reference_joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, bound, cap_half
     return scorer(ideal, z), z.astype(int), t
 
 
-def _joint_refine_alone(timing_cost, z0, t0, gap_lo, gap_hi, *args):
-    """`_joint_refine` as the one path of a `_SolverPool`."""
-    path = _joint_refine(timing_cost, z0, t0, gap_lo, gap_hi, *args)
-    return _SolverPool(timing_cost, gap_lo, gap_hi).run([path])[0]
+def _joint_refine_alone(context, z0, t0, rng):
+    """One joint path from z0 at t0, its "start" state built as
+    `_joint_paths` builds it, as the one path of a `_SolverPool`."""
+    z, t = np.asarray(z0, dtype=float), np.asarray(t0, dtype=float)
+    request = _refine_request(z, t, context.gap_lo, context.gap_hi, 400, 3, rng)
+    return _SolverPool(context).run([_JointPath(context, "start", z, t, request)])[0]
 
 
 def _recorded_successors(monkeypatch):
@@ -558,15 +561,14 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.array([0.12e-6, 0.24e-6, 0.36e-6])
         gaps = np.diff(np.concatenate([[0.0], times]))
-        # about ideal + 1e-4 sum |z|: 4 pi-pulses per unit of |z|
-        scorer = _AdjustedCost(1.25e-5, "pi_pulses")
-
         for z0, bound, cap_half in (([1, -2, 1], 3, 50), ([2, -1, 0], 2, 3)):
+            # about ideal + 1e-4 sum |z|: 4 pi-pulses per unit of |z|
+            context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, bound, cap_half,
+                              1.25e-5, "pi_pulses")
             outcomes = []
             for joint in (_reference_joint_refine, _joint_refine_alone):
                 rng = np.random.default_rng(21)
-                cost, z, t = joint(surrogate, np.array(z0), times, 0.75 * gaps, 1.25 * gaps,
-                                   bound, cap_half, scorer, rng)
+                cost, z, t = joint(context, np.array(z0), times, rng)
                 outcomes.append((cost, z, t, rng.random()))
             (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
             assert c_new == c_ref
@@ -579,14 +581,14 @@ class TestJointRefine:
         d = 8
         times = np.cumsum(np.full(d, 1e-6 / 18))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(2.5e-6, "pi_pulses")  # about ideal + 2e-5 sum |z|
+        # about ideal + 2e-5 sum |z|
+        context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 3, 50, 2.5e-6, "pi_pulses")
 
         calls = _recorded_successors(monkeypatch)
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(22)
-            cost, z, t = joint(surrogate, np.array([1, 2, -1, 1, 0, -2, 1, 1]), times,
-                               0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
+            cost, z, t = joint(context, np.array([1, 2, -1, 1, 0, -2, 1, 1]), times, rng)
             outcomes.append((cost, z, t, rng.random()))
         (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
         assert c_new == c_ref
@@ -598,14 +600,15 @@ class TestJointRefine:
         # several moves were taken part-way through a batch of lanes
         cut_short = [lane for size, lane in batches if lane is not None and lane < size - 1]
         assert len(cut_short) >= 2
-        assert max(size for size, _ in batches) == _lane_count(20)
+        assert max(size for size, _ in batches) == context.lanes == _LANE_BUDGET // 20
 
     def test_pool_paths_match_each_path_alone(self, chain5):
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(1e-5, "pi_pulses")
         sizes, bound, cap_half, restarts = [2, -3, 1, 3, -1], 4, 50, 2
+        context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, bound, cap_half, 1e-5,
+                          "pi_pulses", sizes)
         # the starts of `_joint_paths`, each refined alone, one move at a time
         z = np.asarray(sizes, dtype=float)
         envelope = np.sin(math.pi * (np.arange(len(z)) + 0.5) / len(z))
@@ -616,9 +619,7 @@ class TestJointRefine:
         rng = np.random.default_rng(25)
         alone = []
         for start in starts:
-            cost, z_ref, t_ref = _reference_joint_refine(
-                surrogate, start, times, 0.75 * gaps, 1.25 * gaps, bound, cap_half, scorer, rng
-            )
+            cost, z_ref, t_ref = _reference_joint_refine(context, start, times, rng)
             alone.append((cost, [int(v) for v in z_ref], t_ref))
         alone.sort(key=lambda p: (p[0], tuple(p[1])))
         # stage 2's refits of the best three, each alone and in one pool
@@ -628,16 +629,16 @@ class TestJointRefine:
         draw_ref = rng.random()
 
         rng = np.random.default_rng(25)
-        paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, bound, cap_half,
-                             restarts, scorer, rng)
+        paths = _joint_paths(context, sizes, times, restarts, rng)
         assert len(paths) == len(alone) == 5
         for (cost, z_new, t_new), (c_ref, z_ref, t_ref) in zip(paths, alone):
             assert cost.hex() == c_ref.hex()
             assert z_new == z_ref
             assert t_new.tobytes() == t_ref.tobytes()
-        refits = _SolverPool(surrogate, 0.75 * gaps, 1.25 * gaps).run([
-            _Refit(_refine_request(np.asarray(z, dtype=float), t, 0.75 * gaps, 1.25 * gaps,
-                                   600, 3, rng))
+        refits = _SolverPool(context).run([
+            _JointPath(context, "refit", np.asarray(z, dtype=float), t,
+                       _refine_request(np.asarray(z, dtype=float), t, 0.75 * gaps, 1.25 * gaps,
+                                       600, 3, rng))
             for _, z, t in paths[:3]
         ])
         assert len(refits) == 3
@@ -649,39 +650,40 @@ class TestJointRefine:
 
     @staticmethod
     def one_batch(chain5):
-        """A batch of moves fitted to the end of every lane, as (surrogate,
-        windows, trials, start times, each lane's fit and score, scorer)."""
+        """A batch of moves fitted to the end of every lane, as (context,
+        trials, start times, each lane's fit and score)."""
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         t = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], t]))
         gap_lo, gap_hi = 0.75 * gaps, 1.25 * gaps
-        scorer = _AdjustedCost(1.25e-5, "pi_pulses")  # about ideal + 1e-4 sum |z|
+        # about ideal + 1e-4 sum |z|
+        context = _Stage2(surrogate, 300e6, gap_lo, gap_hi, 3, 50, 1.25e-5, "pi_pulses")
         z0 = np.array([1.0, -2.0, 1.0, 0.0, 1.0])
         trials, feasible = z0 + _descent_moves(5)[0], _move_reach(z0[None], 3, 50)[0][0]
         trials = trials[feasible & np.any(trials, axis=1)]
         # every lane fitted to its end, with no cut
-        costs, times = _fit_gaps(surrogate.bind(trials), np.tile(gaps, (len(trials), 1)),
+        costs, times = _fit_gaps(surrogate, trials, np.tile(gaps, (len(trials), 1)),
                                  gap_lo, gap_hi, 60)
-        scores = np.array([scorer(c, z) for c, z in zip(costs.tolist(), trials)])
-        return surrogate, (gap_lo, gap_hi), trials, t, (costs, times, scores), scorer
+        scores = np.array([context.score(c, z) for c, z in zip(costs.tolist(), trials)])
+        return context, trials, t, (costs, times, scores)
 
     @staticmethod
-    def run_batch(surrogate, windows, trials, t, bar, scorer):
+    def run_batch(context, trials, t, bar):
         """The batch as the one request of a pool path whose successor
         holds the result as its value.  Returns the value and the pool."""
         gaps = np.diff(np.concatenate([[0.0], t]))
-        factors = np.array([scorer.factor(np.sum(np.abs(z))) for z in trials])
+        factors = np.array([context.factors[int(np.sum(np.abs(z)))] for z in trials])
         path = types.SimpleNamespace(
             request=_Request(trials, np.tile(gaps, (len(trials), 1)), 60, bar, factors),
             successor=lambda result: types.SimpleNamespace(request=None, value=result),
         )
-        pool = _SolverPool(surrogate, *windows)
+        pool = _SolverPool(context)
         return pool.run([path])[0], pool
 
     def test_early_abandonment_takes_the_move_of_a_full_scan(self, chain5, monkeypatch):
         from fastgate import optimize
 
-        surrogate, windows, trials, t, (costs, times, scores), scorer = self.one_batch(chain5)
+        context, trials, t, (costs, times, scores) = self.one_batch(chain5)
         cut = optimize._SolverPool._cut
         log = []
 
@@ -695,13 +697,13 @@ class TestJointRefine:
         cut_by_a_running_lane = 0
         for bar in np.append(np.unique(scores), np.inf):
             log.clear()
-            taken, pool = self.run_batch(surrogate, windows, trials, t, bar, scorer)
+            taken, pool = self.run_batch(context, trials, t, bar)
             improving = np.flatnonzero(scores < bar)
             if not len(improving):
                 assert taken is None
                 continue
             lane = improving[0]
-            assert taken[0] == lane and scorer(taken[1], trials[lane]) == scores[lane]
+            assert taken[0] == lane and context.score(taken[1], trials[lane]) == scores[lane]
             assert taken[2].tobytes() == times[lane].tobytes()
             # the lanes after the taken one were abandoned, the others finished
             fit_costs = pool.nodes[0].costs
@@ -717,7 +719,8 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 100e6)
         times = np.cumsum(np.full(4, 35e-9))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(0.0, "pi_pulses")  # no pulse error: 1 - (1 - ideal)
+        # no pulse error: 1 - (1 - ideal)
+        context = _Stage2(surrogate, 100e6, 0.75 * gaps, 1.25 * gaps, 6, 50, 0.0, "pi_pulses")
 
         z0 = np.array([3, -4, 4, -3])
         trials, feasible = z0 + _descent_moves(4)[0], _move_reach(z0[None], 6, 50)[0][0]
@@ -726,7 +729,7 @@ class TestJointRefine:
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(24)
-            cost, z, t = joint(surrogate, z0, times, 0.75 * gaps, 1.25 * gaps, 6, 50, scorer, rng)
+            cost, z, t = joint(context, z0, times, rng)
             outcomes.append((cost, z, t, rng.random()))
         (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
         assert c_new == c_ref
@@ -741,22 +744,23 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(1.25e-4, "pi_pulses")  # about ideal + 1e-3 sum |z|
+        # about ideal + 1e-3 sum |z|
+        context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 3, 50, 1.25e-4, "pi_pulses")
 
         batches = _recorded_batches(monkeypatch)
         unwinnable, outcomes = [], []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(21)
             extra = {"unwinnable": unwinnable} if joint is _reference_joint_refine else {}
-            cost, z, t = joint(surrogate, np.array([1, -2, 1, 0, 1]), times, 0.75 * gaps,
-                               1.25 * gaps, 3, 50, scorer, rng, **extra)
+            cost, z, t = joint(context, np.array([1, -2, 1, 0, 1]), times, rng, **extra)
             outcomes.append((cost, z, t, rng.random()))
         (c_ref, z_ref, t_ref, draw_ref), (c_new, z_new, t_new, draw_new) = outcomes
         assert c_new == c_ref
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
         assert draw_new == draw_ref
-        fitted = [scorer(0.0, trial) < batch.bar for batch in batches for trial in batch.sizes]
+        fitted = [context.score(0.0, trial) < batch.bar
+                  for batch in batches for trial in batch.sizes]
         assert unwinnable and fitted and all(fitted)
 
     def test_equal_scores_are_not_improvements(self, chain5, monkeypatch):
@@ -766,24 +770,24 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(1.0 / 16.0, "sdks")
+        context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 3, 50, 1.0 / 16.0, "sdks")
         z0 = np.array([3, -2, 0, 1, 2])
-        ties = [trial for trial in z0 + _descent_moves(5)[0]
-                if np.max(np.abs(trial)) <= 3 and scorer(0.0, trial) == scorer(0.5, z0) == 1.0]
+        ties = [trial for trial in z0 + _descent_moves(5)[0] if np.max(np.abs(trial)) <= 3
+                and context.score(0.0, trial) == context.score(0.5, z0) == 1.0]
         assert ties
 
         batches = _recorded_batches(monkeypatch)
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(23)
-            cost, z, t = joint(surrogate, z0, times, 0.75 * gaps, 1.25 * gaps, 3, 50, scorer, rng)
+            cost, z, t = joint(context, z0, times, rng)
             outcomes.append((cost, z, t))
         (c_ref, z_ref, t_ref), (c_new, z_new, t_new) = outcomes
         assert c_new == c_ref
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
         # a move that at best ties its batch's bar is not even fitted
-        assert batches and all(scorer(0.0, trial) < batch.bar
+        assert batches and all(context.score(0.0, trial) < batch.bar
                                for batch in batches for trial in batch.sizes)
 
 
@@ -795,7 +799,7 @@ class TestJointRefine:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(1.25e-5, "pi_pulses")
+        context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 3, 50, 1.25e-5, "pi_pulses")
         calls = _recorded_successors(monkeypatch)
         dropped = []  # (successor calls made before the drop, ids of the dropped states)
         drop = optimize._SolverPool._drop
@@ -812,8 +816,7 @@ class TestJointRefine:
         outcomes = []
         for joint in (_reference_joint_refine, _joint_refine_alone):
             rng = np.random.default_rng(21)
-            cost, z, t = joint(surrogate, np.array([1, -1, 3, -3, 1]), times, 0.75 * gaps,
-                               1.25 * gaps, 3, 50, scorer, rng)
+            cost, z, t = joint(context, np.array([1, -1, 3, -3, 1]), times, rng)
             outcomes.append((cost.hex(), [int(v) for v in z], t.tobytes(), rng.random()))
         assert outcomes[0] == outcomes[1]
         assert dropped
@@ -828,23 +831,20 @@ class TestJointRefine:
             assert not any(id(state) in states for state, _, _ in calls[made:])
 
     @pytest.mark.parametrize("n", [5, 20])
-    def test_lane_count_does_not_change_the_paths(self, n, chain5, chain20, monkeypatch):
-        from fastgate import optimize
-
+    def test_lane_count_does_not_change_the_paths(self, n, chain5, chain20):
         chain, targets = {5: (chain5, (2, 3)), 20: (chain20, (0, 1))}[n]
         surrogate = _TimingCost(chain, targets, NBAR, period=1.0 / 300e6)
         sizes = [2, -3, 1, 3, -1]
         times = np.cumsum(np.full(5, 1e-6 / 12))
         gaps = np.diff(np.concatenate([[0.0], times]))
-        scorer = _AdjustedCost(1e-5, "pi_pulses")
-        default = optimize._lane_count
         outcomes = []
         for count in (1, 3, None):
-            monkeypatch.setattr(optimize, "_lane_count",
-                                default if count is None else lambda modes, count=count: count)
+            context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 4, 50, 1e-5,
+                              "pi_pulses")
+            if count is not None:
+                context.lanes = count
             rng = np.random.default_rng(26)
-            paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, 4, 50, 2,
-                                 scorer, rng)
+            paths = _joint_paths(context, sizes, times, 2, rng)
             outcomes.append(([(c.hex(), z, t.tobytes()) for c, z, t in paths], rng.random()))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -1020,7 +1020,7 @@ class TestBoxLeastSquares:
         starts = gaps * (1.0 + rng.uniform(-0.5, 0.5, size=(lanes, d)))
         assert np.any(starts < gap_lo) and np.any(starts > gap_hi)
         raw, clipped = (
-            _fit_gaps(surrogate.bind(sizes), x0, gap_lo, gap_hi, 60)
+            _fit_gaps(surrogate, sizes, x0, gap_lo, gap_hi, 60)
             for x0 in (starts, np.clip(starts, gap_lo, gap_hi))
         )
         assert raw[0].tobytes() == clipped[0].tobytes()
@@ -1444,10 +1444,9 @@ class TestStage2:
         calls = []
         grid_solutions = optimize._grid_solutions
 
-        def recording(timing_cost, rate, half_sizes, half_times, lo, hi, scorer, **kwargs):
-            calls.append((list(half_sizes), list(half_times), lo, hi))
-            return grid_solutions(timing_cost, rate, half_sizes, half_times, lo, hi, scorer,
-                                  **kwargs)
+        def recording(context, half_sizes, half_times):
+            calls.append((list(half_sizes), list(half_times), context.gap_lo, context.gap_hi))
+            return grid_solutions(context, half_sizes, half_times)
 
         monkeypatch.setattr(optimize, "_grid_solutions", recording)
         stage2(candidate, chain2, config, Stage2Config(local_restarts=1), seed=2)
@@ -1474,9 +1473,9 @@ class TestStage2:
             runs.append(((tuple(half_sizes), tuple(slots), tuple(half_times), phase), out))
             return out
 
-        def counting(*args, **kwargs):
-            starts.append(args[2:4])
-            return grid_solutions(*args, **kwargs)
+        def counting(*args):
+            starts.append(args[1:3])
+            return grid_solutions(*args)
 
         monkeypatch.setattr(optimize, "_grid_descent", recording)
         monkeypatch.setattr(optimize, "_grid_solutions", counting)
@@ -1504,8 +1503,10 @@ class TestStage2:
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / rate)
         sizes, times = [1, 2, -3, 1], [0.1e-6, 0.2e-6, 0.32e-6, 0.45e-6]
         gap_lo, gap_hi = 0.75 * _gaps(times), 1.25 * _gaps(times)
-        scorer = _AdjustedCost(1e-5, "pi_pulses")
-        alone = _grid_solutions(surrogate, rate, sizes, times, gap_lo, gap_hi, scorer)
+        def context():
+            return _Stage2(surrogate, rate, gap_lo, gap_hi, 3, 50, 1e-5, "pi_pulses")
+
+        alone = _grid_solutions(context(), sizes, times)
         descents = []
         grid_descent = optimize._grid_descent
 
@@ -1514,10 +1515,9 @@ class TestStage2:
             return grid_descent(*args)
 
         monkeypatch.setattr(optimize, "_grid_descent", counting)
-        polishes = {}
-        first, again = (_grid_solutions(surrogate, rate, sizes, times, gap_lo, gap_hi, scorer,
-                                        polishes=polishes) for _ in range(2))
-        assert len(descents) == len(polishes) == 2
+        shared = context()
+        first, again = (_grid_solutions(shared, sizes, times) for _ in range(2))
+        assert len(descents) == len(shared.polishes) == 2
         assert first == again == alone
         assert alone[1] > 0
 
@@ -1636,15 +1636,15 @@ class TestStage2:
         # the 2.2x envelope start rounds to size 2 in the middle groups
         config = small_stage1_config(z_bound_max=1, top_k=2)
         candidates, _ = stage1(chain2, config, seed=11)
-        scorer = _AdjustedCost(1e-5, "pi_pulses")
         surrogate = _TimingCost(chain2, (0, 1), NBAR, period=1.0 / 300e6)
         for candidate in candidates:
             base = candidate.sequence.trimmed()
             sizes = [z for z in base.half_sizes if z != 0]
             times = [t for z, t in zip(base.half_sizes, base.half_times) if z != 0]
             gaps = np.diff(np.concatenate([[0.0], times]))
-            paths = _joint_paths(surrogate, sizes, times, 0.75 * gaps, 1.25 * gaps, 1, 50, 0,
-                                 scorer, np.random.default_rng(0))
+            context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 1, 50, 1e-5,
+                              "pi_pulses")
+            paths = _joint_paths(context, sizes, times, 0, np.random.default_rng(0))
             assert paths
             for _, z, _ in paths:
                 assert max(abs(v) for v in z) <= 1
@@ -1829,8 +1829,7 @@ def lane_fit(bound_cost, offsets, evaluations):
     each with its own residual offset; counts the evaluations of every lane."""
     def fun(scaled_gaps, lanes):
         evaluations[lanes] += 1
-        rows = (bound_cost.counts[lanes], bound_cost.effective[lanes],
-                bound_cost.within_theta[lanes])
+        rows = (bound_cost.effective[lanes], bound_cost.within_theta[lanes])
         r, per_time = _BoundTimingCost(bound_cost.parent, *rows).residuals_and_jacobian(
             np.cumsum(scaled_gaps * _GAP_UNIT, axis=1)
         )
@@ -2026,7 +2025,7 @@ class TestLanes:
         floors = _burst_floors(np.abs(sizes), period)
         assert np.any(floors > gap_lo) and np.any(floors > gap_hi)
         starts = gaps * (1.0 + rng.uniform(-0.2, 0.2, size=(lanes, d)))
-        costs, times = _fit_gaps(surrogate.bind(sizes), starts, gap_lo, gap_hi, budget=60)
+        costs, times = _fit_gaps(surrogate, sizes, starts, gap_lo, gap_hi, budget=60)
         fitted = np.diff(np.concatenate([np.zeros((lanes, 1)), times], axis=1), axis=1)
         lower = np.maximum(gap_lo, np.minimum(floors, gap_hi))
         assert np.all(fitted >= lower * (1.0 - 1e-12))
@@ -2035,7 +2034,7 @@ class TestLanes:
             if np.all(floors[lane] <= gap_hi):
                 assert _clear_of_burst_floors(sizes[lane], times[lane], period)
             cost, lone = _fit_gaps(
-                surrogate.bind(sizes[lane]), starts[lane:lane + 1], gap_lo, gap_hi, budget=60
+                surrogate, sizes[lane], starts[lane:lane + 1], gap_lo, gap_hi, budget=60
             )
             assert cost[0] == costs[lane]
             assert np.array_equal(lone[0], times[lane])
@@ -2081,8 +2080,13 @@ class TestLanes:
         assert checked == {True, False}
 
     def test_lane_count_scales_with_modes(self):
-        assert _lane_count(5) > _lane_count(20) > _lane_count(100) >= 1
-        assert _lane_count(10_000) == 1
+        def lanes(modes):
+            """The lanes per batch of moves of a context for `modes` modes."""
+            surrogate = types.SimpleNamespace(w=np.zeros(modes))
+            return _Stage2(surrogate, 300e6, None, None, 1, 1, 0.0, "pi_pulses").lanes
+
+        assert lanes(5) > lanes(20) > lanes(100) >= 1
+        assert lanes(10_000) == 1
 
 
 class TestDampedSteps:
@@ -2633,14 +2637,11 @@ class TestSnappedInWindows:
         rate = 100e6
         period = 1.0 / rate
         surrogate = _TimingCost(chain5, (2, 3), NBAR, period=period)
-
-        def scorer(ideal, z):
-            return ideal
-
         for sizes, times, gap_lo, gap_hi in self.pinned_cases(np.random.default_rng(65),
                                                               period, 20):
-            solutions, _ = _grid_solutions(surrogate, rate, sizes, list(times), gap_lo, gap_hi,
-                                           scorer)
+            # no pulse error: 1 - (1 - ideal)
+            context = _Stage2(surrogate, rate, gap_lo, gap_hi, 0, 0, 0.0, "pi_pulses", sizes)
+            solutions, _ = _grid_solutions(context, sizes, list(times))
             assert [phase for *_, phase in solutions] == [0.0, 0.5 * period]
             for _, _, polished, _ in solutions:
                 assert _in_windows(polished, gap_lo, gap_hi, period)
