@@ -281,9 +281,9 @@ class CostModel:
         4 A S^2, add at most 8 u A S^2.  To first order
         Theta' and the exact Theta differ by (6d + 13) u A S^2, so by at most
         E = (6d + 16) u A S^2, and M' and the exact M by the same with R.
-        The score is 1 - f (1 - I) (`_adjusted`) with I = (2/3) (|Theta| -
-        pi/4)^2 + M, f the pulse factor, the same float for a trial's
-        estimate and its exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
+        The score is 1 - f (1 - I) with I = (2/3) (|Theta| - pi/4)^2 + M, f
+        the pulse factor, the same float for a trial's estimate and its
+        exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
         + |Theta| + pi/2) + E_M] <= f [1.4 E (|Theta'| + pi/4 + E) + E_M]
         (1.4 covers the rounded 2/3), and the seven roundings of each of the
         two scores add at most u [f (8 I + 3) + 1] each, which 16 u (1 + f (2
