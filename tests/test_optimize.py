@@ -1651,30 +1651,45 @@ class TestStage2:
 
     @pytest.fixture(scope="class", params=sorted(RECORDED_STAGE2))
     def benchmark_winner(self, request):
-        """A benchmark gate config's recorded winner and the winner it gives."""
+        """A benchmark gate config's recorded winner, the winner it gives, and
+        the number of `_LMLanes.advance` calls of the whole run (stage 1's
+        continuous seeds included)."""
+        from fastgate import optimize
+
         recorded = RECORDED_STAGE2[request.param]
         chain = build_chain(TrapConfig(num_ions=recorded["num_ions"]))
         config = Stage1Config(targets=tuple(recorded["targets"]),
                               gate_time_scan=(0.9e-6, 1.0e-6, 1.1e-6), top_k=1,
                               thermal=NBAR, epsilon=1e-5, max_sdks=100)
-        result = optimize_gate(chain, config, Stage2Config(repetition_rate=300e6,
-                                                           local_restarts=0), seed=11)
-        return recorded, result
+        advance, calls = optimize._LMLanes.advance, []
+
+        def counting(fits):
+            calls.append(None)
+            return advance(fits)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize._LMLanes, "advance", counting)
+            result = optimize_gate(chain, config, Stage2Config(repetition_rate=300e6,
+                                                               local_restarts=0), seed=11)
+        return recorded, result, len(calls)
 
     def test_benchmark_winners_match_the_recorded_gates(self, benchmark_winner):
-        recorded, result = benchmark_winner
+        # the advance count pins the solver pool's schedule: a pool that loses
+        # speculation or early abandonment takes more steps to the same gate
+        recorded, result, advances = benchmark_winner
         assert {
             "num_ions": recorded["num_ions"], "targets": recorded["targets"],
             "half_sizes": list(result.sequence.half_sizes),
             "half_times": [t.hex() for t in result.sequence.half_times],
             "ideal_infidelity": result.report.ideal_infidelity.hex(),
             "adjusted_infidelity": (1.0 - result.adjusted_fidelity).hex(),
+            "lm_advances": advances,
         } == recorded
 
     def test_group_times_are_the_burst_centres_of_the_train(self, benchmark_winner):
         # each group time is the centre of its burst, (slot + (|z| - 1) / 2) T
         # plus the grid phase, and its kicks are laid out from it, bit for bit
-        _, result = benchmark_winner
+        _, result, _ = benchmark_winner
         rate = 300e6
         period = 1.0 / rate
         kicks = [t for t in result.train.kick_times if t > 0.0]
