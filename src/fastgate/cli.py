@@ -30,7 +30,13 @@ from .chain import (
 from .dynamics import PhaseSymmetryError, trajectory_blocks
 # nothing here calls trajectory_samples; the name stays because perfbench's tracer wraps it
 from .dynamics import trajectory_samples  # noqa: F401
-from .fidelity import PULSE_COUNTINGS, ThermalSpec, evaluate_train, evaluate_train_thermals
+from .fidelity import (
+    PULSE_COUNTINGS,
+    ThermalSpec,
+    evaluate_train,
+    evaluate_train_thermals,
+    pulse_count_for,
+)
 from .jsonnumbers import json_integer, json_number
 from .optimize import (
     NoCandidatesError,
@@ -330,6 +336,10 @@ def _read_result_document(path: str):
         counting = document["provenance"]["config"]["stage1"]["pulse_counting"]
         if counting not in PULSE_COUNTINGS:
             raise ValueError(f"unknown pulse counting {counting!r}")
+        pulses = pulse_count_for(train.num_kicks, counting)
+        if pulses * epsilon >= 1.0:  # Stage1Config's rule: past it F grows with N_p
+            raise ValueError(f"epsilon {epsilon:g} times the {pulses} pulses of the train "
+                             "must be below 1")
         targets = train.target_ions
         if not (len(set(targets)) == len(targets) == 2
                 and all(0 <= ion < chain.num_ions for ion in targets)):

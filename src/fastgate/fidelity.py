@@ -479,9 +479,6 @@ class _BoundTimingCost:
         a (lanes, d) stack of half times."""
         return self._phase_and_sums(*self._phasors(t_half))
 
-    def residuals(self, t_half) -> np.ndarray:
-        return self._residuals_from(*self._phasors(t_half))[0]
-
     def cost(self, t_half) -> np.ndarray:
         """Sum of squared residuals: the surrogate ideal infidelity.
 

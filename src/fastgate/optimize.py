@@ -39,9 +39,10 @@ Every stage-2 timing fit is a request of a `_SolverPool`: a projected
 Levenberg-Marquardt fit of the box-bounded gaps, one lane per start, in
 one stack of lanes (`_LMLanes`, the one solver step of both stages), each
 lane doing exactly the arithmetic it would do alone.  A path of the pool
-is a chain of `_JointPath` states, each waiting on one request; the pool's
-docstring holds its rules for cutting a batch of moves and for
-speculation.
+is a chain of `_JointPath` states, each waiting on one request, and a run
+ends when no lane is left; the pool's docstring holds its one result rule,
+first improvement against a bar that a refinement keeps at -inf, and its
+rule for speculation.
 Both stages are deterministic under a seed, and parallel work is merged in
 a fixed order so serial and parallel runs produce identical output.
 """
@@ -939,15 +940,15 @@ def _gap_box(sizes, start_gaps, gap_lo, gap_hi, period):
 
 class _Request(NamedTuple):
     """The timing fits a stage-2 path waits on: a (k, d) stack of sizes and
-    of start gaps, and the k lanes' budget.  A batch of moves also carries
-    its bar and each lane's pulse-error factor: a lane improves when its
-    adjusted cost (`_adjusted`) falls below the bar."""
+    of start gaps, the k lanes' budget, a bar and each lane's pulse-error
+    factor: a lane improves when its adjusted cost (`_adjusted`) falls below
+    the bar.  A refinement keeps the bar at -inf, so no lane of it improves."""
 
     sizes: np.ndarray
     gaps: np.ndarray
     budget: int
-    bar: float | None = None
-    factors: np.ndarray | None = None
+    bar: float = -math.inf
+    factors: np.ndarray | float = 0.0
 
 
 def _refine_request(z, t_start, gap_lo, gap_hi, budget, starts=1, rng=None):
@@ -1050,22 +1051,21 @@ class _JointPath:
     batch: np.ndarray | None = None   # the moves a "moves" request fits, in move order
     value: tuple | list | None = None
 
-    def successor(self, result):
-        """The next state, from the result of this state's request: a
-        refinement's per-lane (sum r^2, half times), or a batch's first
-        improving lane as (lane, sum r^2, half times), None when no lane
-        improves.  First improvement: the rest of the pass moves from the
-        new sizes and timings.  This state stays as it is."""
+    def successor(self, lane, costs, times):
+        """The next state, from the result of this state's request: every
+        lane's sum r^2 and half times, and the first improving lane, None
+        when no lane improves (always, for a refinement).  First
+        improvement: the rest of the pass moves from the new sizes and
+        timings.  This state stays as it is."""
         context = self.context
         if self.step == "moves":
-            if result is None:
+            if lane is None:
                 return context.after(self.z, self.t, self.cost, self.passes, self.batch[-1] + 1,
                                      self.improved)
-            lane, fit_cost, t = result
             z = self.z + _descent_moves(len(self.z))[0][self.batch[lane]]
-            return context.after(z, t, context.score(float(fit_cost), z), self.passes,
-                                 self.batch[lane] + 1, True)
-        ranked = _ranked(*result)
+            return context.after(z, times[lane], context.score(float(costs[lane]), z),
+                                 self.passes, self.batch[lane] + 1, True)
+        ranked = _ranked(costs, times)
         if self.step == "refit":
             return replace(self, step="done", request=None, value=ranked)
         ideal, t = ranked[0]
@@ -1089,17 +1089,15 @@ def _lane_residuals(timing_cost, scaled_gaps, *rows):
 
 @dataclass(eq=False)
 class _Node:
-    """A request of one path in `_SolverPool`: its lanes' results so far
-    and the state built from them."""
+    """A request in `_SolverPool`, its lanes' results so far and the node
+    of the state built on them: a path is the chain `child` links."""
 
-    path: int
     index: int
     state: object
     costs: np.ndarray = None     # per lane: the final sum r^2, NaN until the lane stops
     times: np.ndarray = None
     child: "_Node | None" = None
     assumed: int = 0             # the cut `child` was built on
-    final: bool = False
     dropped: bool = False
 
 
@@ -1108,24 +1106,23 @@ class _SolverPool:
     fits lanes of one `_LMLanes` stack on the surrogate of a `_Stage2`
     context, inside its windows [gap_lo, gap_hi] (`_gap_box`).
 
-    A path is a state with a `request` and a `successor(result)`, or with no
-    request and a `value` (`_JointPath`).  A request's lanes join the stack
-    as soon as the request is made, so a path waits for no other.  A
-    refinement's result is every lane's (sum r^2, half times).  A batch of
-    moves applies the first-improvement rule as data, every lane of every
-    batch in one vectorised test: a lane improves once its adjusted cost,
-    running or final, falls below its batch's bar.  Accepted steps only
-    lower a lane's cost and the score never falls as the cost rises, so such
-    a lane ends improving; the batch's cut, its first improving lane so far,
-    drops the lanes after it.  Once the lane at the cut has stopped, the
-    successor built on it starts at once, speculatively, while lanes before
-    the cut still run; when one of them improves, the cut moves to it and
-    the successor is dropped with every state built on it.  A batch's result
-    is final once every lane up to its cut has stopped: the cut lane as
-    (lane, sum r^2, half times), or None when no lane improves.  Each path
-    takes its states in order, the value of its last: no dropped successor
-    delivers a result.  Every lane does exactly the arithmetic it would do
-    alone, so the values are those of running the requests one at a time.
+    A path is a chain of states, each with a `request` and a
+    `successor(lane, costs, times)`, up to one with no request and a
+    `value` (`_JointPath`).  A request's lanes join the stack as soon as
+    the request is made, so a path waits for no other.  Every request has
+    one result rule, first improvement as data, every lane in one
+    vectorised test: a lane improves once its adjusted cost, running or
+    final, falls below its request's bar (-inf for a refinement).  Accepted
+    steps only lower a lane's cost and the score never falls as the cost
+    rises, so such a lane ends improving; the request's cut, its first
+    improving lane so far, drops the lanes after it.  Once the lane at the
+    cut has stopped, or every lane when none has cut, the successor built
+    on it starts at once, speculatively while lanes before the cut still
+    run; when one of them improves, the cut moves to it and the successor
+    is dropped with every state built on it.  A run ends when no lane is
+    left, each path's value that of the last state of its chain.  Every
+    lane does exactly the arithmetic it would do alone, so the values are
+    those of running the requests one at a time.
     """
 
     def __init__(self, context):
@@ -1136,58 +1133,58 @@ class _SolverPool:
         self.nodes = []
         self.owner = np.zeros(0, dtype=int)   # per lane id: its node
         self.factor = np.zeros(0)             # per lane id: its pulse-error factor
-        self.bar = np.zeros(0)                # per lane id: its batch's bar
+        self.bar = np.zeros(0)                # per lane id: its request's bar
         self.first = np.zeros(0, dtype=int)   # per node: the id of its first lane
         self.cut = np.zeros(0, dtype=int)     # per node: its cut, or its lane count
 
     def run(self, states):
-        """The value each path, from its state of `states`, ends with."""
-        self.fronts = [self._start(path, state) for path, state in enumerate(states)]
-        self.values = [None] * len(states)
-        self.open = set(range(len(states)))
-        while self.open:
-            ids, costs, xs = self.fits.advance()
-            owners = self.owner[ids]
-            if len(ids):
-                lanes = ids - self.first[owners]
-                times = np.cumsum(xs * _GAP_UNIT, axis=1)
-                for index in set(owners.tolist()):
-                    node, mine = self.nodes[index], owners == index
-                    node.costs[lanes[mine]], node.times[lanes[mine]] = costs[mine], times[mine]
-            moved = self._cut(np.concatenate([ids, self.fits.ids]),
-                              np.concatenate([costs, self.fits.lanes["cost"]]))
+        """The value each path, from its state of `states`, ends with: the
+        stack runs until no lane is running or queued, and then each path's
+        chain ends in a state with no request."""
+        paths = [self._start(state) for state in states]
+        fits = self.fits
+        while fits.joining or fits.lanes is not None and len(fits.lanes):
+            ids, costs, xs = fits.advance()
+            owners, times = self.owner[ids], np.cumsum(xs * _GAP_UNIT, axis=1)
+            lanes = ids - self.first[owners]
+            for index in set(owners.tolist()):
+                node, mine = self.nodes[index], owners == index
+                node.costs[lanes[mine]], node.times[lanes[mine]] = costs[mine], times[mine]
+            moved = self._cut(np.concatenate([ids, fits.ids]),
+                              np.concatenate([costs, fits.lanes["cost"]]))
             for index in sorted(moved.union(owners.tolist())):
                 if not self.nodes[index].dropped:
                     self._settle(self.nodes[index])
-        return self.values
+        values = []
+        for node in paths:
+            while node.child is not None:
+                node = node.child
+            values.append(node.state.value)
+        return values
 
-    def _start(self, path, state):
+    def _start(self, state):
         """A node for `state`, its request's lanes queued in the stack."""
-        node = _Node(path, len(self.nodes), state)
+        node = _Node(len(self.nodes), state)
         self.nodes.append(node)
         request, count, first = state.request, 0, 0
-        if request is None:
-            node.final = True
-        else:
+        if request is not None:
             count = len(request.sizes)
             bound = self.context.timing_cost.bind(request.sizes)
             box = _gap_box(request.sizes, request.gaps, self.context.gap_lo, self.context.gap_hi,
                            self.context.timing_cost.period)
-            ids = self.fits.admit(*box, request.budget, bound.effective, bound.within_theta)
-            first = ids[0]
+            first = self.fits.admit(*box, request.budget, bound.effective, bound.within_theta)[0]
             node.costs, node.times = np.full(count, np.nan), np.empty(request.sizes.shape)
-            moves = request.bar is not None
             self.owner = np.append(self.owner, np.full(count, node.index))
-            self.factor = np.append(self.factor, request.factors if moves else np.zeros(count))
-            self.bar = np.append(self.bar, np.full(count, request.bar if moves else -np.inf))
+            self.factor = np.append(self.factor, np.full(count, request.factors))
+            self.bar = np.append(self.bar, np.full(count, request.bar))
         self.first = np.append(self.first, first)
         self.cut = np.append(self.cut, count)
         return node
 
     def _cut(self, ids, costs):
-        """Move each batch's cut to its first lane among `ids` whose adjusted
-        cost already falls below the bar, drop the running lanes after each
-        cut, and return the nodes whose cut moved."""
+        """Move each request's cut to its first lane among `ids` whose
+        adjusted cost already falls below the bar, drop the running lanes
+        after each cut, and return the nodes whose cut moved."""
         hit = ids[_adjusted(costs, self.factor[ids]) < self.bar[ids]]
         nodes = self.owner[hit]
         moved = set()
@@ -1204,34 +1201,18 @@ class _SolverPool:
 
     def _settle(self, node):
         """Act on what `node`'s lanes have given: drop a successor built on a
-        cut that has since moved, start the successor once its result is in
-        (speculatively while lanes before the cut run), and end the node
-        once its result is final."""
+        cut that has since moved, and start the successor once the lane at
+        the cut has stopped, or every lane when none has cut (speculatively
+        while lanes before the cut run)."""
         stopped = ~np.isnan(node.costs)
         cut = int(self.cut[node.index])
         if node.child is not None and node.assumed != cut:
             self._drop(node.child)
             node.child = None
-        if node.state.request.bar is None:
-            ready = final = stopped.all()
-            result = node.costs, node.times
-        elif cut < len(stopped):
-            ready, final = stopped[cut], stopped[:cut + 1].all()
-            result = cut, node.costs[cut], node.times[cut]
-        else:
-            ready = final = stopped.all()
-            result = None
-        if ready and node.child is None:
-            node.child, node.assumed = self._start(node.path, node.state.successor(result)), cut
-        if final:
-            node.final = True
-            front = self.fronts[node.path]
-            while front.final and front.child is not None:
-                front = front.child
-            self.fronts[node.path] = front
-            if front.state.request is None and node.path in self.open:
-                self.values[node.path] = front.state.value
-                self.open.discard(node.path)
+        lane = cut if cut < len(stopped) else None
+        if node.child is None and (stopped.all() if lane is None else stopped[lane]):
+            node.child = self._start(node.state.successor(lane, node.costs, node.times))
+            node.assumed = cut
 
     def _drop(self, node):
         """Drop `node` and every node built on it, with their running lanes."""

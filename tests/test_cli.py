@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,51 @@ class TestEvaluateInputErrors:
         code, lines = self._exit_and_message(["evaluate", str(path)], capsys)
         assert code == 2
         assert len(lines) == 1 and message in lines[0]
+
+
+class TestEvaluatePulseErrorPastItsModel:
+    """A stored result is held to `Stage1Config`'s rule N_p epsilon < 1: past
+    it the adjusted fidelity (1 - N_p epsilon)^2 (1 - ideal) grows with
+    N_p, and re-scoring it reproduces nothing meaningful."""
+
+    @pytest.fixture(scope="class")
+    def stored_edge(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("edge")
+        data = {"trap": {"num_ions": 2},
+                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1}}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
+        return json.loads((out / "result.json").read_text())
+
+    def _evaluate_at(self, stored, epsilon, tmp_path, capsys):
+        data = json.loads(json.dumps(stored))
+        data["epsilon"] = epsilon
+        data["adjusted_fidelity"] = ((1.0 - data["report_ideal"]["pulses"] * epsilon) ** 2
+                                     * (1.0 - data["report_ideal"]["ideal_inf"]))
+        path = tmp_path / "stored.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.strip().splitlines(), caught
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0 / 28.0])
+    def test_n_p_epsilon_of_1_or_more_exits_2(self, stored_edge, tmp_path, capsys, epsilon):
+        assert stored_edge["report_ideal"]["pulses"] == 28
+        code, _, lines, caught = self._evaluate_at(stored_edge, epsilon, tmp_path, capsys)
+        assert code == 2
+        assert len(lines) == 1
+        assert f"epsilon {epsilon:g} times the 28 pulses of the train must be below 1" in lines[0]
+        assert not caught
+
+    def test_n_p_epsilon_below_1_still_evaluates(self, stored_edge, tmp_path, capsys):
+        code, out, lines, caught = self._evaluate_at(stored_edge, 0.01, tmp_path, capsys)
+        assert code == 0
+        assert "adjusted fidelity at eps=0.01 (pi_pulses)" in out
+        assert "stored report reproduced to 1e-12 relative" in out
+        assert lines == [] and not caught
 
 
 class TestSweepCommand:

@@ -3,8 +3,10 @@ function or class of `src/fastgate` whose name starts with `_`, and every
 method of a class there whose name starts with `_` (dunders aside), is
 referenced somewhere in the package outside its own body.  A reference is
 a name or attribute read, so an import alone, a docstring mention or a use
-only from the tests does not count.  Public names are API and are not
-checked."""
+only from the tests does not count.  Every field of a private dataclass or
+NamedTuple is also read as an attribute somewhere in the package: a field
+that is only ever written holds nothing anyone uses.  Public names are API
+and are not checked."""
 
 import ast
 from pathlib import Path
@@ -62,3 +64,35 @@ def test_every_private_method_is_referenced_outside_its_body():
     methods = [d for d in definitions if d[-1]]
     assert len(methods) >= 9
     assert unreferenced(methods, references) == []
+
+
+def _record(cls):
+    """Whether a class definition is a dataclass or a NamedTuple."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return ("dataclass" in map(name, cls.decorator_list)
+            or "NamedTuple" in map(name, cls.bases))
+
+
+def private_record_fields_and_reads():
+    """The fields of every private module-level dataclass or NamedTuple,
+    each as (module, class, field), and the set of attribute names read."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in _private(tree.body, ast.ClassDef):
+            if _record(cls):
+                fields += [(path.name, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return fields, reads
+
+
+def test_every_private_record_field_is_read():
+    fields, reads = private_record_fields_and_reads()
+    assert len(fields) >= 20
+    assert [f"{module} {cls}.{field}" for module, cls, field in fields
+            if field not in reads] == []

@@ -510,16 +510,16 @@ def _joint_refine_alone(context, z0, t0, rng):
 
 
 def _recorded_successors(monkeypatch):
-    """Record every `_JointPath.successor` call as (state, result, next
-    state), speculative ones included."""
+    """Record every `_JointPath.successor` call as (state, improving lane,
+    next state), speculative ones included."""
     from fastgate import optimize
 
     calls = []
     successor = optimize._JointPath.successor
 
-    def recording(self, result):
-        state = successor(self, result)
-        calls.append((self, result, state))
+    def recording(self, lane, costs, times):
+        state = successor(self, lane, costs, times)
+        calls.append((self, lane, state))
         return state
 
     monkeypatch.setattr(optimize._JointPath, "successor", recording)
@@ -534,24 +534,25 @@ def _recorded_batches(monkeypatch):
     batches = []
     start = optimize._SolverPool._start
 
-    def recording(pool, path, state):
-        if state.request is not None and state.request.bar is not None:
+    def recording(pool, state):
+        if state.request is not None and state.request.bar > -math.inf:
             batches.append(state.request)
-        return start(pool, path, state)
+        return start(pool, state)
 
     monkeypatch.setattr(optimize._SolverPool, "_start", recording)
     return batches
 
 
 def _taken_chain(calls):
-    """The states a path went through, from the successor calls recorded
-    by `_recorded_successors`: each state's last call is the one on its
-    final result, so the chain follows it from the start."""
-    last = {id(state): (state, result, after) for state, result, after in calls}
+    """The states a path went through, each with the improving lane of its
+    result, from the successor calls recorded by `_recorded_successors`:
+    each state's last call is the one on its final result, so the chain
+    follows it from the start."""
+    last = {id(state): (state, lane, after) for state, lane, after in calls}
     chain, state = [], calls[0][0]
     while id(state) in last:
-        state, result, after = last[id(state)]
-        chain.append((state, result))
+        state, lane, after = last[id(state)]
+        chain.append((state, lane))
         state = after
     return chain
 
@@ -595,8 +596,8 @@ class TestJointRefine:
         assert np.array_equal(z_new, z_ref)
         assert np.array_equal(t_new, t_ref)
         assert draw_new == draw_ref
-        batches = [(len(state.batch), None if result is None else result[0])
-                   for state, result in _taken_chain(calls) if state.step == "moves"]
+        batches = [(len(state.batch), lane)
+                   for state, lane in _taken_chain(calls) if state.step == "moves"]
         # several moves were taken part-way through a batch of lanes
         cut_short = [lane for size, lane in batches if lane is not None and lane < size - 1]
         assert len(cut_short) >= 2
@@ -670,12 +671,18 @@ class TestJointRefine:
     @staticmethod
     def run_batch(context, trials, t, bar):
         """The batch as the one request of a pool path whose successor
-        holds the result as its value.  Returns the value and the pool."""
+        holds its improving lane as (lane, sum r^2, half times), or None, as
+        its value.  Returns the value and the pool."""
         gaps = np.diff(np.concatenate([[0.0], t]))
         factors = np.array([context.factors[int(np.sum(np.abs(z)))] for z in trials])
+
+        def successor(lane, costs, times):
+            taken = None if lane is None else (lane, costs[lane], times[lane])
+            return types.SimpleNamespace(request=None, value=taken)
+
         path = types.SimpleNamespace(
             request=_Request(trials, np.tile(gaps, (len(trials), 1)), 60, bar, factors),
-            successor=lambda result: types.SimpleNamespace(request=None, value=result),
+            successor=successor,
         )
         pool = _SolverPool(context)
         return pool.run([path])[0], pool
@@ -822,9 +829,9 @@ class TestJointRefine:
         assert dropped
         # a batch was settled twice: first on a later lane, then on an earlier one
         lanes = {}
-        for state, result, _ in calls:
-            if state.step == "moves" and result is not None:
-                lanes.setdefault(id(state), []).append(result[0])
+        for state, lane, _ in calls:
+            if state.step == "moves" and lane is not None:
+                lanes.setdefault(id(state), []).append(lane)
         assert any(len(taken) == 2 and taken[0] > taken[1] for taken in lanes.values())
         # no dropped state is stepped on once dropped
         for made, states in dropped:
@@ -899,14 +906,15 @@ class TestTimingCostSurrogate:
             t = np.cumsum(rng.uniform(50e-9, 80e-9, size=(1, 6)), axis=1)
             r, jacobian = bound.residuals_and_jacobian(t)
             jac = jacobian()
-            assert np.array_equal(r, bound.residuals(t))
+            assert np.array_equal(r, bound.residuals_and_jacobian(t)[0])
             r, jac = r[0], jac[0]
             step = 1e-13
             numeric = np.empty_like(jac)
             for k in range(t.shape[1]):
                 shift = np.zeros_like(t)
                 shift[0, k] = step
-                difference = bound.residuals(t + shift) - bound.residuals(t - shift)
+                difference = (bound.residuals_and_jacobian(t + shift)[0]
+                              - bound.residuals_and_jacobian(t - shift)[0])
                 numeric[:, k] = difference[0] / (2 * step)
             assert np.allclose(jac, numeric, rtol=1e-5, atol=1e-6 * np.max(np.abs(jac)))
 
@@ -929,7 +937,7 @@ def solvable_fit(chain, targets, rng, d=8):
     z = rng.integers(1, 4, size=d) * rng.choice([-1, 1], size=d)
     bound = surrogate.bind(z)
     true_gaps = (1e-6 / 16) * (1.0 + rng.uniform(-0.1, 0.1, size=d)) / _GAP_UNIT
-    offset = bound.residuals(np.cumsum(true_gaps * _GAP_UNIT)[None])[0]
+    offset = bound.residuals_and_jacobian(np.cumsum(true_gaps * _GAP_UNIT)[None])[0][0]
     lower, upper = 0.75 * true_gaps, 1.25 * true_gaps
     start = true_gaps * (1.0 + rng.uniform(-0.1, 0.1, size=d))
     return gap_fit(bound, offset), true_gaps, start, lower, upper
@@ -1888,7 +1896,7 @@ class TestLanes:
         true_gaps = nominal * (1.0 + rng.uniform(-0.1, 0.1, size=(lanes, d)))
         true_gaps[1, 2] = 1.4 * nominal[2]  # optimum outside the box: pinned at a bound
         offsets = np.array([
-            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            surrogate.bind(z).residuals_and_jacobian(np.cumsum(g * _GAP_UNIT)[None])[0][0]
             for z, g in zip(sizes, true_gaps)
         ])
         offsets[5:] = 0.0  # no exact solution: these lanes run out their budget
@@ -1942,7 +1950,7 @@ class TestLanes:
         # optima up to 40 % off nominal, so many lanes end pinned at the box
         true_gaps = nominal * (1.0 + rng.uniform(-0.4, 0.4, size=(lanes, d)))
         offsets = np.array([
-            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            surrogate.bind(z).residuals_and_jacobian(np.cumsum(g * _GAP_UNIT)[None])[0][0]
             for z, g in zip(sizes, true_gaps)
         ])
         offsets[6:] = 0.0
@@ -1986,7 +1994,7 @@ class TestLanes:
         lower, upper = 0.75 * nominal, 1.25 * nominal
         true_gaps = nominal * (1.0 + rng.uniform(-0.4, 0.4, size=(lanes, d)))
         offsets = np.array([
-            surrogate.bind(z).residuals(np.cumsum(g * _GAP_UNIT)[None])[0]
+            surrogate.bind(z).residuals_and_jacobian(np.cumsum(g * _GAP_UNIT)[None])[0][0]
             for z, g in zip(sizes, true_gaps)
         ])
         offsets[6:] = 0.0
