@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +285,16 @@ _UNPHYSICAL_CHAIN = ("chain values must be finite, with positive mode frequencie
                      "wavenumber")
 
 
+def _past_the_error_model(stored):
+    """Store epsilon at 2 / N_p with the adjusted fidelity (1 - N_p epsilon)^2
+    (1 - ideal) that goes with it: a result `Stage1Config` would refuse,
+    whose fidelity grows with N_p and which re-scores consistently."""
+    report = stored["report_ideal"]
+    stored["epsilon"] = 2.0 / report["pulses"]
+    stored["adjusted_fidelity"] = ((1.0 - report["pulses"] * stored["epsilon"]) ** 2
+                                   * (1.0 - report["ideal_inf"]))
+
+
 class TestEvaluateInputErrors:
     def _exit_and_message(self, argv, capsys):
         code = main(argv)
@@ -336,8 +345,9 @@ class TestEvaluateInputErrors:
         (lambda d: d["train"].update(rep_rate_hz=-3e8),
          "repetition rate must be positive and finite"),
         (lambda d: d.update(epsilon=-1e-5), "epsilon -1e-05 is not a non-negative finite number"),
+        (_past_the_error_model, "pulses of the train must be below 1"),
     ], ids=["couplings", "mode_freqs", "targets", "same_target", "nbar", "zero_rate",
-            "negative_rate", "negative_epsilon"])
+            "negative_rate", "negative_epsilon", "n_p_epsilon_2"])
     def test_parts_that_do_not_fit_together(self, stored_n5, tmp_path, capsys, edit, message):
         self._check_edit_exits_2(stored_n5, tmp_path, capsys, edit, message)
 
@@ -391,51 +401,6 @@ class TestEvaluateInputErrors:
         code, lines = self._exit_and_message(["evaluate", str(path)], capsys)
         assert code == 2
         assert len(lines) == 1 and message in lines[0]
-
-
-class TestEvaluatePulseErrorPastItsModel:
-    """A stored result is held to `Stage1Config`'s rule N_p epsilon < 1: past
-    it the adjusted fidelity (1 - N_p epsilon)^2 (1 - ideal) grows with
-    N_p, and re-scoring it reproduces nothing meaningful."""
-
-    @pytest.fixture(scope="class")
-    def stored_edge(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("edge")
-        data = {"trap": {"num_ions": 2},
-                "stage1": {"targets": "edge", "gate_time_scan_us": [1.0], "top_k": 1}}
-        out = tmp_path / "out"
-        assert main(["--config", write_config(tmp_path, data), "--out", str(out), "optimize"]) == 0
-        return json.loads((out / "result.json").read_text())
-
-    def _evaluate_at(self, stored, epsilon, tmp_path, capsys):
-        data = json.loads(json.dumps(stored))
-        data["epsilon"] = epsilon
-        data["adjusted_fidelity"] = ((1.0 - data["report_ideal"]["pulses"] * epsilon) ** 2
-                                     * (1.0 - data["report_ideal"]["ideal_inf"]))
-        path = tmp_path / "stored.json"
-        path.write_text(json.dumps(data))
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["evaluate", str(path)])
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err.strip().splitlines(), caught
-
-    @pytest.mark.parametrize("epsilon", [0.1, 1.0 / 28.0])
-    def test_n_p_epsilon_of_1_or_more_exits_2(self, stored_edge, tmp_path, capsys, epsilon):
-        assert stored_edge["report_ideal"]["pulses"] == 28
-        code, _, lines, caught = self._evaluate_at(stored_edge, epsilon, tmp_path, capsys)
-        assert code == 2
-        assert len(lines) == 1
-        assert f"epsilon {epsilon:g} times the 28 pulses of the train must be below 1" in lines[0]
-        assert not caught
-
-    def test_n_p_epsilon_below_1_still_evaluates(self, stored_edge, tmp_path, capsys):
-        code, out, lines, caught = self._evaluate_at(stored_edge, 0.01, tmp_path, capsys)
-        assert code == 0
-        assert "adjusted fidelity at eps=0.01 (pi_pulses)" in out
-        assert "stored report reproduced to 1e-12 relative" in out
-        assert lines == [] and not caught
 
 
 class TestSweepCommand:
