@@ -17,9 +17,14 @@ index, each gate time keeping its own rng, warm starts and finds, and each
 lane ends where it would alone.  A descent pass screens every
 move of every lane from the forms' products with the lane's sizes
 (`CostModel.screened_moves`), then builds and scores exactly only the
-trials within a proven rounding bound of the lane's best estimate; starts,
-trials and exhaustive grids share one exact evaluator, so a row scores the
-same bits wherever it comes from, and every decision uses exact scores.
+trials within a proven rounding bound of the lane's best estimate.  An
+exhaustive level is screened the same way (`CostModel.lowest_rows`): every
+grid row is estimated from one product per form, and only the rows that
+can be among those the level keeps are scored exactly.  Starts, trials and
+exhaustive grids share one exact evaluator, so a row scores the same bits
+wherever it comes from, and every decision uses exact scores.  Candidates
+are ranked by a sort key built from their sizes alone, and only the ones
+stage 1 returns become sequences (`_diverse`).
 The relaxations are box-bounded least-squares fits of the closed-form cost
 on stage 2's solver step (`_box_least_squares`), the twelve starts of every
 gate time as lanes of one stack.
@@ -154,10 +159,12 @@ class Stage2Config:
 _ROUNDOFF = 2.0**-53  # unit roundoff of a float
 # The most trials one screening step of the descent holds: each step keeps
 # about a dozen (lanes, moves) arrays, so this bounds the memory of a
-# lockstep stack.  On the benchmark's N=20 scan, unbounded steps raised
-# stage 1's traced memory peak from 2.4 to 7.5 MB, while 2 048, 4 096 and
-# 8 192 took the same time.
-_SCREEN_ROWS = 4096
+# lockstep stack, while each step's numpy calls cost the same at any size.
+# Stage 1 of the benchmark's N=20 scan, CPU time, median of 25 interleaved
+# runs on a 2-core Intel Xeon: 2 048, 4 096, 8 192 and 16 384 took 0.384,
+# 0.321, 0.285 and 0.306 s, with a traced memory peak of 1.60 MB at the
+# first three, 2.21 MB at 16 384 and 12.2 MB unbounded.
+_SCREEN_ROWS = 8192
 
 
 def _quadratic_rows(rows, form):
@@ -189,10 +196,15 @@ class CostModel:
     one per lane of a (lanes, rows, d) stack).  Every exact score goes
     through one evaluator (`_quadratic_rows`), so a row gets the same bits
     alone or in any stack and next to any other gate time, and z and -z
-    score equal.  `screened_moves` estimates the scores of every descent
-    move at once, with a proven bound on each estimate's error;
-    `evaluations` counts the rows scored or screened as feasible trials, and
-    `rescored` the trials the screen sent to the exact evaluator.
+    score equal.  Two screens estimate scores with a proven bound on each
+    estimate's error, so that only the rows that can decide are scored
+    exactly: `screened_moves` every descent move at once, `lowest_rows`
+    an exhaustive bound level's grid.  Stage 1 builds on demand: it ranks
+    its candidates by their exact adjusted costs and asks
+    `ideal_infidelity` only of the ones it returns.  `evaluations` counts
+    the rows scored or screened, every grid row and every feasible trial,
+    and `rescored` the trials the descent screen sent to the exact
+    evaluator.
     """
 
     def __init__(self, chain, config: Stage1Config, half_times):
@@ -201,14 +213,15 @@ class CostModel:
         self.phase_quadratic = np.array([phase for phase, _ in forms])
         self.scaled = np.array([scaled for _, scaled in forms])
         self.residual_quadratic = np.array([scaled.T @ scaled for _, scaled in forms])
-        deltas = _descent_moves(self.phase_quadratic.shape[-1])[0]
-        # per form: delta^T F delta for every move at every gate time (at most
-        # four nonzero products, each exact: the steps are powers of two), and
-        # the largest |F_ij|
-        self._moves = [
-            (((deltas @ form) * deltas).sum(axis=-1), np.abs(form).max(axis=(1, 2)))
-            for form in (self.phase_quadratic, self.residual_quadratic)
-        ]
+        # for the screens, per gate time: the rows of K, then those of R, as
+        # one (2d, d) stack, the largest |F_ij| of each form, and delta^T F
+        # delta for every move and form (at most four nonzero products, each
+        # exact: the steps are powers of two)
+        pair = (self.phase_quadratic, self.residual_quadratic)
+        self._forms = np.concatenate(pair, axis=1)
+        self._magnitudes = np.stack([np.abs(form).max(axis=(1, 2)) for form in pair], axis=1)
+        deltas = _descent_moves(self._forms.shape[-1])
+        self._moved = np.stack([((deltas @ form) * deltas).sum(axis=-1) for form in pair], axis=1)
         self.epsilon = config.epsilon
         self.counting = config.pulse_counting
         self.max_sdk_half = config.max_sdks // 2
@@ -259,91 +272,152 @@ class CostModel:
         self.evaluations += np.size(z) // np.shape(z)[-1]
         return self._score(z, gate)
 
-    def screened_moves(self, z, gates, pulses) -> tuple:
+    def factors(self, top: int) -> np.ndarray:
+        """The pulse-error factor of each half-sum of |z| from 0 to `top`,
+        the floats `_score` computes for those half-sums."""
+        return pulse_error_factor(pulse_count_for(2 * np.arange(top + 1), self.counting),
+                                  self.epsilon)
+
+    def screened_moves(self, z, gates, factors) -> tuple:
         """Estimates of `selection_cost` for every trial z + delta of the
         `_descent_moves` deltas, from a (lanes, d) stack of z, lane l at gate
-        time `gates[l]`, whose trials carry the (lanes, moves) `pulses`;
-        returns the (lanes, moves) estimates and bounds on their errors.
+        time `gates[l]`, whose trials carry the (lanes, moves) pulse-error
+        `factors`; returns the (lanes, moves) estimates and bounds on their
+        errors.
 
         Theta' = Theta + 2 delta^T K z + delta^T K delta, and the motional
-        term M' likewise with the residual form R, from one matrix-vector
-        product per lane.  The bound, with u the unit roundoff, g_n = n u /
-        (1 - n u), S = |z|_1 + 2 (at least |y|_1 for every trial y, and at
-        least 2) and A the largest |K_ij|: a product x^T K y of length-d
-        vectors, in any summation order, is within g_2d |x|^T |K| |y| <=
-        g_2d A |x|_1 |y|_1 of its value (Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 3), which bounds the exact evaluator's
-        Theta(y) and the estimate's Theta(z) by g_2d A S^2 each.  Kz is
-        within g_d A |z|_1 per entry and |delta|_1 <= 2, so 2 delta^T Kz
-        carries 2 g_d A S^2; delta's entries are powers of two, so delta^T Kz
-        and delta^T K delta are sums of at most two and four exact products,
-        whose roundings add 2 u A S^2 (once doubled) and g_3 A S^2; the two
-        additions that join the terms, whose magnitudes sum to at most
-        4 A S^2, add at most 8 u A S^2.  To first order
-        Theta' and the exact Theta differ by (6d + 13) u A S^2, so by at most
-        E = (6d + 16) u A S^2, and M' and the exact M by the same with R.
-        The score is 1 - f (1 - I) with I = (2/3) (|Theta| - pi/4)^2 + M, f
-        the pulse factor, the same float for a trial's estimate and its
-        exact score.  The two inputs move it by at most f [(2/3) E (|Theta'|
-        + |Theta| + pi/2) + E_M] <= f [1.4 E (|Theta'| + pi/4 + E) + E_M]
-        (1.4 covers the rounded 2/3), and the seven roundings of each of the
-        two scores add at most u [f (8 I + 3) + 1] each, which 16 u (1 + f (2
-        + I)) covers with the exact I at most I + 1 (the input errors are
-        below 1e-10).
+        term M' likewise with the residual form R, both forms from one
+        batched matrix-vector product per lane.  The bound, with u the unit
+        roundoff, g_n = n u / (1 - n u), S = |z|_1 + 2 (at least |y|_1 for
+        every trial y, and at least 2) and A the largest |K_ij|: a product
+        x^T K y of length-d vectors, in any summation order, is within
+        g_2d |x|^T |K| |y| <= g_2d A |x|_1 |y|_1 of its value (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 3), which bounds
+        the exact evaluator's Theta(y) and the estimate's Theta(z) by
+        g_2d A S^2 each.  Kz is within g_d A |z|_1 per entry and
+        |delta|_1 <= 2, so 2 delta^T Kz carries 2 g_d A S^2; delta's entries
+        are powers of two, so delta^T Kz and delta^T K delta are sums of at
+        most two and four exact products, whose roundings add 2 u A S^2
+        (once doubled) and g_3 A S^2; the two additions that join the terms,
+        whose magnitudes sum to at most 4 A S^2, add at most 8 u A S^2.  To
+        first order Theta' and the exact Theta differ by (6d + 13) u A S^2,
+        so by at most E = (6d + 16) u A S^2, and M' and the exact M by the
+        same with R; `_screened_scores` carries the bound to the score.
         """
-        deltas = _descent_moves(z.shape[1])[0]
-        reach = ((6 * z.shape[1] + 16) * _ROUNDOFF) * (np.sum(np.abs(z), axis=1) + 2.0) ** 2
-        terms = []
-        for form, (moved, magnitude) in zip((self.phase_quadratic, self.residual_quadratic),
-                                            self._moves):
-            fz = (form[gates] @ z[:, :, None])[:, :, 0]
-            value = _rowdot(z, fz)[:, None] + 2.0 * (fz @ deltas.T) + moved[gates]
-            terms.append((value, (magnitude[gates] * reach)[:, None]))
-        (theta, theta_error), (motional, motional_error) = terms
-        factor = pulse_error_factor(pulses, self.epsilon)
-        mismatch = (2.0 / 3.0) * (np.abs(theta) - PHASE_TARGET) ** 2
-        estimate = _adjusted(mismatch + motional, factor)
-        error = factor * (
-            1.4 * theta_error * (np.abs(theta) + PHASE_TARGET + theta_error) + motional_error
-        ) + 16.0 * _ROUNDOFF * (1.0 + factor * (2.0 + mismatch + np.abs(motional)))
-        return estimate, error
+        lanes, d = z.shape
+        fz = (self._forms[gates] @ z[:, :, None]).reshape(lanes, 2, d)   # Kz and Rz
+        terms = (fz.reshape(-1, d) @ _descent_moves(d).T).reshape(lanes, 2, -1)
+        terms *= 2.0
+        terms += fz @ z[:, :, None]
+        terms += self._moved[gates]
+        reach = ((6 * d + 16) * _ROUNDOFF) * (np.sum(np.abs(z), axis=1) + 2.0) ** 2
+        theta_error, motional_error = (self._magnitudes[gates] * reach[:, None]).T[..., None]
+        return _screened_scores(terms[:, 0], theta_error, terms[:, 1], motional_error, factors)
+
+    def lowest_rows(self, rows, gate, count) -> tuple:
+        """The first `count` rows of a (rows, d) grid at gate time `gate` in
+        `_lowest_rows` order (exact `selection_cost`, then sum |z|, then
+        index), and their exact costs; every row counts as evaluated.
+
+        Each row's Theta and M are estimated from one (rows, d) @ (d, d)
+        product per form.  That product and the exact evaluator are each
+        within g_2d A S^2 of the true value, S = |z|_1 and A the form's
+        largest |F_ij| (`screened_moves`), so the estimate is within
+        E = (4d + 2) u A S^2 of the exact evaluator, and `_screened_scores`
+        carries the bound to the score.  At least `count` rows score exactly
+        at most the count-th lowest upper bound s + b, so a row whose lower
+        bound s - b lies above it is not among the first `count`; the other
+        rows alone are scored exactly, and keep their grid order.  The
+        spare in the bound's 16 u term covers the roundings of s + b and
+        s - b.
+        """
+        self.evaluations += len(rows)
+        norms = np.sum(np.abs(rows), axis=1)
+        near = np.arange(len(rows))
+        if len(rows) > count:
+            theta, motional = (np.einsum("ij,ij->i", rows @ form[gate], rows)
+                               for form in (self.phase_quadratic, self.residual_quadratic))
+            reach = ((4 * rows.shape[1] + 2) * _ROUNDOFF) * norms**2
+            factor = self.factors(int(norms.max()))[norms.astype(int)]
+            estimate, error = _screened_scores(theta, self._magnitudes[gate, 0] * reach, motional,
+                                               self._magnitudes[gate, 1] * reach, factor)
+            upper = np.partition(estimate + error, count - 1)[count - 1]
+            near = np.flatnonzero(estimate - error <= upper)
+        costs = self._score(rows[near], gate)
+        kept = _lowest_rows(costs, norms[near], count)
+        return near[kept], costs[kept]
+
+
+def _screened_scores(theta, theta_error, motional, motional_error, factor):
+    """Estimates of the score 1 - f (1 - I), I = (2/3) (|Theta| - pi/4)^2
+    + M, from estimates Theta' and M' within E = `theta_error` and E_M =
+    `motional_error` of the exact evaluator's Theta and M, and bounds on
+    the estimates' errors; f is the pulse-error factor, the same float for
+    an estimate and its exact score, and at most 1 (`Stage1Config` holds
+    N_p epsilon below 1).
+
+    The two inputs move the score by at most f [(2/3) E (|Theta'| + |Theta|
+    + pi/2) + E_M] <= 1.4 E (|Theta'| + pi/4 + E) + E_M (1.4 covers the
+    rounded 2/3), and the seven roundings of each of the two scores add at
+    most u [f (8 I + 3) + 1] each, which 16 u (3 + |I'|) covers with the
+    exact I at most |I'| + 1 (the input errors are below 1e-10).
+    """
+    phase = np.abs(theta)
+    ideal = (2.0 / 3.0) * (phase - PHASE_TARGET) ** 2 + motional
+    error = (1.4 * theta_error) * phase + (16.0 * _ROUNDOFF) * np.abs(ideal)
+    error += 1.4 * theta_error * (PHASE_TARGET + theta_error) + motional_error + 48.0 * _ROUNDOFF
+    return _adjusted(ideal, factor), error
 
 
 @functools.lru_cache(maxsize=None)
-def _descent_moves(d: int):
+def _descent_moves(d: int) -> np.ndarray:
     """Single +-1/+-2 moves plus paired +-1 moves on adjacent coordinates,
-    in the fixed move order both stages search in.
-
-    Returned read-only: the (moves, d) delta matrix, and as (moves, 2)
-    arrays the two coordinates each move may touch, its step on each and
-    whether it touches each (a single move's second slot repeats its
-    coordinate with no step, untouched).
-    """
-    singles = [((i, i), (delta, 0)) for i in range(d) for delta in (1, -1, 2, -2)]
+    in the fixed move order both stages search in, as a read-only (moves,
+    d) delta matrix: coordinate by coordinate the singles +1, -1, +2, -2,
+    then pair by pair (+1, +1), (+1, -1), (-1, +1), (-1, -1)."""
+    singles = [((i,), (delta,)) for i in range(d) for delta in _STEPS]
     pairs = [((i, i + 1), (di, dj)) for i in range(d - 1) for di in (1, -1) for dj in (1, -1)]
-    coords, steps = (np.array(part) for part in zip(*(singles + pairs)))
-    deltas = np.zeros((len(coords), d))
-    np.add.at(deltas, (np.arange(len(coords))[:, None], coords), steps)
-    touched = np.column_stack([np.ones(len(coords), dtype=bool), coords[:, 0] != coords[:, 1]])
-    for part in (deltas, coords, steps, touched):
-        part.flags.writeable = False
-    return deltas, coords, steps, touched
+    deltas = np.zeros((len(singles) + len(pairs), d))
+    for move, (coords, steps) in enumerate(singles + pairs):
+        deltas[move, list(coords)] = steps
+    deltas.flags.writeable = False
+    return deltas
+
+
+_STEPS = np.array([1.0, -1.0, 2.0, -2.0])  # the single steps of `_descent_moves`, in move order
+
+
+@functools.lru_cache(maxsize=None)
+def _move_steps(d: int) -> np.ndarray:
+    """Which coordinate steps each move of `_descent_moves` takes, as a
+    read-only (4d, moves) 0/1 matrix: row 4i + k is coordinate i's step
+    `_STEPS[k]`."""
+    deltas = _descent_moves(d)
+    moves, coords = np.nonzero(deltas)
+    steps = np.zeros((4 * d, len(deltas)))
+    steps[[4 * i + _STEPS.tolist().index(v) for i, v in zip(coords, deltas[moves, coords])],
+          moves] = 1.0
+    steps.flags.writeable = False
+    return steps
 
 
 def _move_reach(z: np.ndarray, bound, cap_half: int):
     """Which trials z + delta of the `_descent_moves` deltas are feasible,
     and each trial's half-sum of |z|, as (lanes, moves) arrays for a
-    (lanes, d) stack of z, worked out from the coordinates each move touches
-    alone.  A trial is feasible when each coordinate the move touches stays
-    within `bound` (one for every lane, or one per lane) and the half-sum of
-    |z| stays within `cap_half`."""
-    _, coords, steps, touched = _descent_moves(z.shape[1])
-    before = z[:, coords]
-    after = np.abs(before + steps)
-    feasible = ~np.any(touched & (after > np.reshape(bound, (-1, 1, 1))), axis=-1)
-    # an untouched slot has no step, so it adds nothing to the norm
-    norms = np.sum(np.abs(z), axis=1)[:, None] + np.sum(after - np.abs(before), axis=-1)
-    return feasible & (norms <= cap_half), norms
+    (lanes, d) stack of z.  A trial is feasible when each coordinate the
+    move touches stays within `bound` (one for every lane, or one per lane)
+    and the half-sum of |z| stays within `cap_half`.  Both are worked out
+    from each coordinate's four steps (`_STEPS`), a (lanes, d, 4) array of
+    the change of |z_i| and of whether |z_i| leaves the bound, summed over
+    the steps of each move by one product with `_move_steps` (sums of at
+    most two small integers, so exact)."""
+    lanes, d = z.shape
+    size = np.abs(z)
+    after = np.abs(z[:, :, None] + _STEPS)
+    parts = np.concatenate([after - size[:, :, None], after > np.reshape(bound, (-1, 1, 1))])
+    growth, outside = (parts.reshape(2 * lanes, -1) @ _move_steps(d)).reshape(2, lanes, -1)
+    norms = np.sum(size, axis=1)[:, None] + growth
+    return (outside == 0.0) & (norms <= cap_half), norms
 
 
 def _coordinate_descent(model: CostModel, z0: np.ndarray, bound, max_passes: int = 400,
@@ -359,19 +433,25 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound, max_passes: int
     at most `_SCREEN_ROWS` trials (`_descent_pass`) and scores in two steps.  The
     screen (`CostModel.screened_moves`) estimates every trial at once, with
     feasibility and pulse counts from the touched coordinates alone
-    (`_move_reach`).  With exact scores e, estimates s and error bounds b,
-    the exact minimum j satisfies s_j - b_j <= e_j <= e_k <= s_k + b_k for
-    the lowest estimate k, and so does every trial tied with it; the trials
-    with s <= s_k + b_k + b alone are built and scored exactly, each lane's
-    in move order against the lane's forms.  Every decision and reported
-    cost uses the exact scores, so each lane moves as it would with every
-    trial scored exactly.  `model.evaluations` counts every feasible
-    trial.  Returns (z, cost) per lane.
+    (`_move_reach`) and pulse-error factors from a table by half-sum.
+    Each coordinate of a feasible trial stays within the larger of the
+    lane's bound and its start, and the half-sum within the cap, so the
+    table stops at the smaller of the cap and the largest sum of those
+    limits.  With exact scores e, estimates s and error bounds b, the exact
+    minimum j satisfies s_j - b_j <= e_j <= e_k <= s_k + b_k for the lowest
+    estimate k, and so does every trial tied with it; the trials with
+    s <= s_k + b_k + b alone are built and scored exactly, each lane's in
+    move order against the lane's forms.  Every decision and reported cost
+    uses the exact scores, so each lane moves as it would with every trial
+    scored exactly.  `model.evaluations` counts every feasible trial.
+    Returns (z, cost) per lane.
     """
     z = np.array(z0, dtype=float)
     gates = np.zeros(len(z), dtype=int) if gates is None else np.asarray(gates)
     bounds = np.broadcast_to(bound, len(z))
-    step = max(1, _SCREEN_ROWS // len(_descent_moves(z.shape[1])[0]))
+    step = max(1, _SCREEN_ROWS // len(_descent_moves(z.shape[1])))
+    reach = np.sum(np.maximum(np.abs(z), bounds[:, None]), axis=1).max(initial=0.0)
+    factors = model.factors(int(min(reach, model.max_sdk_half)))
 
     def blocks(lanes):
         return np.split(lanes, range(step, len(lanes), step))
@@ -381,32 +461,44 @@ def _coordinate_descent(model: CostModel, z0: np.ndarray, bound, max_passes: int
     for _ in range(max_passes):
         if not len(lanes):
             break
-        lanes = np.concatenate([b[_descent_pass(model, z, cost, b, gates[b], bounds[b])]
+        lanes = np.concatenate([b[_descent_pass(model, z, cost, b, gates[b], bounds[b], factors)]
                                 for b in blocks(lanes)])
     return z.astype(int), cost
 
 
-def _descent_pass(model, z, cost, lanes, gates, bounds):
+def _descent_pass(model, z, cost, lanes, gates, bounds, factors):
     """One pass of `_coordinate_descent` for the rows `lanes` of z, at
-    gate times `gates` and per-group bounds `bounds`: moves each lane that
-    has a strictly improving move, updating z and cost in place, and
-    returns which lanes moved."""
+    gate times `gates` and per-group bounds `bounds`, with the pulse-error
+    `factors` by half-sum: moves each lane that has a strictly improving
+    move, updating z and cost in place, and returns which lanes moved.  The
+    kept trials always hold the lane's lowest estimate, so when no lane
+    keeps more than one that is each lane's one pick."""
     here = z[lanes]
     feasible, norms = _move_reach(here, bounds, model.max_sdk_half)
     model.evaluations += int(np.count_nonzero(feasible))
-    estimate, error = model.screened_moves(here, gates, pulse_count_for(2 * norms, model.counting))
+    # an infeasible trial's half-sum may pass the table: its estimate is dropped
+    factor = factors.take(norms.astype(np.intp), mode="clip")
+    estimate, error = model.screened_moves(here, gates, factor)
     estimate[~feasible] = np.inf
     rows = np.arange(len(lanes))
     lead = np.argmin(estimate, axis=1)
-    keep = feasible & (estimate <= (estimate[rows, lead] + error[rows, lead])[:, None] + error)
-    # the kept moves of each lane in move order, padded with unkept ones
-    picks = np.argsort(~keep, axis=1, kind="stable")[:, : max(1, keep.sum(axis=1).max())]
-    trials = here[:, None, :] + _descent_moves(z.shape[1])[0][picks]
+    bar = estimate[rows, lead] + error[rows, lead]
+    live = np.isfinite(bar)  # the lanes with a feasible trial
+    keep = estimate <= np.where(live, bar, -np.inf)[:, None] + error
+    widest = keep.sum(axis=1).max()
+    if widest > 1:
+        # the kept moves of each lane in move order, padded with unkept ones
+        picks = np.argsort(~keep, axis=1, kind="stable")[:, :widest]
+    else:
+        picks = lead[:, None]
+    trials = here[:, None, :] + _descent_moves(z.shape[1])[picks]
     model.rescored += picks.size
-    costs = np.where(np.take_along_axis(keep, picks, axis=1), model._score(trials, gates), np.inf)
+    picked = rows[:, None], picks
+    costs = np.where(keep[picked], _adjusted(model.ideal_infidelity(trials, gates),
+                                             factor[picked]), np.inf)
     best = np.argmin(costs, axis=1)
     best_cost = costs[rows, best]
-    moved = feasible.any(axis=1) & ~(best_cost >= cost[lanes])
+    moved = live & ~(best_cost >= cost[lanes])
     z[lanes[moved]] = trials[moved, best[moved]]
     cost[lanes[moved]] = best_cost[moved]
     return moved
@@ -438,7 +530,7 @@ def _continuous_seeds(model: CostModel, bound: int, rngs, starts: int = 12):
     the continuous optimum (and rescalings of it that keep the entangling
     phase near target) lands the descent inside the right basin.  The
     `starts` fits of every gate time run as lanes of one `_box_least_squares`
-    stack.  Returns one list of seeds per gate time.
+    stack.  Returns one (seeds, d) array per gate time.
     """
     d = model.phase_quadratic.shape[-1]
     x0 = np.array([rng.uniform(-0.6 * bound, 0.6 * bound, size=d)
@@ -447,6 +539,7 @@ def _continuous_seeds(model: CostModel, bound: int, rngs, starts: int = 12):
     funs, xs = _box_least_squares(
         lambda x, lanes: model.residuals_and_jacobian(x, gates[lanes]), x0, -bound, bound, 200
     )
+    scales = np.linspace(0.75, 1.3, 8)[:, None]
     found = []
     for gate, rng in enumerate(rngs):
         span = slice(gate * starts, (gate + 1) * starts)
@@ -456,14 +549,11 @@ def _continuous_seeds(model: CostModel, bound: int, rngs, starts: int = 12):
         for _, zc in optima[:4]:
             theta = zc @ K @ zc
             if theta != 0.0:
-                scale_star = math.sqrt(PHASE_TARGET / abs(theta))
-                for s in np.linspace(0.75, 1.3, 8):
-                    seeds.append(np.rint(np.clip(zc * s * scale_star, -bound, bound)))
-            seeds.append(np.rint(np.clip(zc, -bound, bound)))
-            for _ in range(2):
-                dither = rng.uniform(-0.4, 0.4, size=d)
-                seeds.append(np.rint(np.clip(zc + dither, -bound, bound)))
-        found.append([s.astype(int) for s in seeds if np.any(s)])
+                seeds.append(zc * scales * math.sqrt(PHASE_TARGET / abs(theta)))
+            # one draw of both dithers takes the numbers of two draws of one
+            seeds += [zc[None], zc + rng.uniform(-0.4, 0.4, size=(2, d))]
+        seeds = np.rint(np.clip(np.concatenate(seeds), -bound, bound))
+        found.append(seeds[np.any(seeds, axis=1)].astype(int))
     return found
 
 
@@ -509,10 +599,12 @@ def _stage1_gate_times(chain, config, scan_indices, seed):
     all as lanes of one stack, each lane within its level's bound.  Phase 2
     walks the descended levels in order, each level's warm starts of every
     gate time as lanes of one stack, and records a level's finds in the
-    order warm starts, restarts, seeds.  Each gate time keeps its own rng, warm starts
-    and finds, so its candidates depend neither on which gate times share
-    its stacks nor on the phases.  Returns each gate time's candidate list
-    and the evaluations spent."""
+    order warm starts, restarts, seeds.  Each gate time keeps its own rng,
+    warm starts and finds, so its candidates depend neither on which gate
+    times share its stacks nor on the phases.  Only the candidates these
+    gate times would contribute to `stage1`'s picks (`_diverse`) are built;
+    returns them, best first, with the number of candidates of every gate
+    time (`_gate_time_candidates`) and the evaluations spent."""
     n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
     d = n_k // 2
     gate_times = [config.gate_time_scan[index] for index in scan_indices]
@@ -531,14 +623,12 @@ def _stage1_gate_times(chain, config, scan_indices, seed):
     for bound in enumerated:
         grid = _size_grid(d, bound)
         grid = grid[2 * np.sum(np.abs(grid), axis=1) <= config.max_sdks]
-        norms = np.sum(np.abs(grid), axis=1)
         for gate in gates:
-            costs = model.selection_cost(grid, gate)
-            kept = _lowest_rows(costs, norms, max(40, 3 * config.top_k))
-            found[gate].append((grid[kept].astype(int), costs[kept], bound))
+            kept, costs = model.lowest_rows(grid, gate, max(40, 3 * config.top_k))
+            found[gate].append((grid[kept].astype(int), costs, bound))
             warm[gate] = grid[kept[:4]].astype(int)
         # the grid is the search's largest array: free it before the descents
-        del grid, norms, costs
+        del grid
 
     # phase 1: the starts that wait on nothing, as (bound, gate, starts)
     # blocks; each gate time's rng draws its restarts level by level, then
@@ -546,7 +636,7 @@ def _stage1_gate_times(chain, config, scan_indices, seed):
     fresh = [(bound, gate, rngs[gate].integers(-bound, bound + 1, size=(config.restarts, d)))
              for bound in descended for gate in gates]
     if config.z_bound_max in descended:
-        fresh += [(config.z_bound_max, gate, np.reshape(seeds, (-1, d))) for gate, seeds
+        fresh += [(config.z_bound_max, gate, seeds) for gate, seeds
                   in enumerate(_continuous_seeds(model, config.z_bound_max, rngs))]
     counts = [len(z) for _, _, z in fresh]
     fresh_levels = np.repeat(np.array([bound for bound, _, _ in fresh], dtype=int), counts)
@@ -571,15 +661,36 @@ def _stage1_gate_times(chain, config, scan_indices, seed):
             found[gate].append((sizes, costs, bound))
             warm[gate] = sizes[np.lexsort((*sizes.T[::-1], costs))[:4]]
 
+    finds = [find for gate in gates for find in _gate_time_candidates(config, gate, found[gate],
+                                                                      gate_times[gate])]
     candidates = [
-        _gate_time_candidates(config, model, gate, found[gate], half_times[gate], gate_times[gate])
-        for gate in gates
+        Stage1Candidate(
+            sequence=PulseGroupSequence.from_half(
+                find.sizes.tolist(), half_times[find.gate], config.targets, gate_times[find.gate]
+            ).trimmed(),
+            ideal_infidelity=model.ideal_infidelity(find.sizes.astype(float), find.gate),
+            adjusted_infidelity=find.key[0], sdk_count=find.key[1],
+            design_gate_time=find.key[2], bound_found=find.bound,
+        )
+        for find in (finds[i] for i in _diverse([find.key for find in finds], config.top_k))
     ]
-    return candidates, model.evaluations
+    return candidates, len(finds), model.evaluations
 
 
-def _gate_time_candidates(config, model, gate, found, half_times, gate_time):
-    """The candidates one gate time contributes, best first.
+class _Find(NamedTuple):
+    """A stage-1 candidate before it is built: its sort key
+    (`Stage1Candidate.sort_key`, which needs no sequence), its half sizes,
+    the index of its gate time and the bound it was found at."""
+
+    key: tuple
+    sizes: np.ndarray
+    gate: int
+    bound: int
+
+
+def _gate_time_candidates(config, gate, found, gate_time):
+    """The candidates the gate time `gate` contributes, best first, as
+    `_Find`s.
 
     A size vector found more than once keeps its first cost and bound (one
     evaluator scores a row the same wherever it comes from).  The rest are
@@ -587,7 +698,11 @@ def _gate_time_candidates(config, model, gate, found, half_times, gate_time):
     """
     sizes, costs = (np.concatenate(parts) for parts in list(zip(*found))[:2])
     bounds = np.repeat([bound for _, _, bound in found], [len(z) for z, _, _ in found])
-    first = np.unique(sizes, axis=0, return_index=True)[1]
+    # each distinct row's first index: equal rows are neighbours in a stable
+    # lexicographic order, the first of them the earliest
+    order = np.lexsort(sizes.T[::-1])
+    rows = sizes[order]
+    first = order[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
     first = first[np.any(sizes[first], axis=1)]  # the kick-less vector is no gate
     sizes, costs, bounds = sizes[first], costs[first], bounds[first]
     norms = np.sum(np.abs(sizes), axis=1)
@@ -599,22 +714,31 @@ def _gate_time_candidates(config, model, gate, found, half_times, gate_time):
     small = [i for i in order if 2 * norms[i] <= 30]
     if small and small[0] not in selected:
         selected = selected[: max(1, config.top_k - 1)] + [small[0]]
-    candidates = []
+    finds = []
     for i in selected:
-        seq = PulseGroupSequence.from_half(
-            sizes[i].tolist(), half_times, config.targets, gate_time
-        ).trimmed()
-        candidates.append(
-            Stage1Candidate(
-                sequence=seq,
-                ideal_infidelity=model.ideal_infidelity(sizes[i].astype(float), gate),
-                adjusted_infidelity=float(costs[i]),
-                sdk_count=seq.total_sdks,
-                design_gate_time=gate_time,
-                bound_found=int(bounds[i]),
-            )
-        )
-    return candidates
+        half = sizes[i].tolist()
+        while half[-1] == 0:  # the trimmed sequence drops empty trailing groups
+            half.pop()
+        key = (float(costs[i]), int(2 * norms[i]), gate_time,
+               tuple(-v for v in reversed(half)) + tuple(half))
+        finds.append(_Find(key, sizes[i], gate, int(bounds[i])))
+    return finds
+
+
+def _diverse(keys, top_k):
+    """The indices of the `top_k` candidates stage 1 returns, in order,
+    from the candidates' sort keys (`Stage1Candidate.sort_key`).
+    Diversity: each gate time contributes its best candidate before any
+    contributes a second, so stage 2 explores more than one basin.  The
+    picks of a part of the candidates hold every pick of the whole that
+    comes from that part."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    leaders = {}
+    for i in order:
+        leaders.setdefault(keys[i][2], i)
+    chosen = sorted(leaders.values(), key=keys.__getitem__)[:top_k]
+    taken = set(chosen)
+    return chosen + [i for i in order if i not in taken][: top_k - len(chosen)]
 
 
 def _worker_count(threads: int, tasks: int) -> int:
@@ -657,26 +781,13 @@ def stage1(chain: ChainModel, config: Stage1Config, seed: int = 0, threads: int 
     tasks = [(chain, config, part.tolist(), seed) for part in parts]
     outputs = _map_ordered(_stage1_gate_times, tasks, threads)
 
-    merged: list[Stage1Candidate] = []
-    evaluations = 0
-    for per_gate_time, evals in outputs:
-        for candidates in per_gate_time:
-            merged.extend(candidates)
-        evaluations += evals
-    merged.sort(key=Stage1Candidate.sort_key)
+    merged = [candidate for candidates, _, _ in outputs for candidate in candidates]
     telemetry = {
-        "stage1_evaluations": evaluations,
-        "stage1_candidates": len(merged),
+        "stage1_evaluations": sum(evaluations for _, _, evaluations in outputs),
+        "stage1_candidates": sum(count for _, count, _ in outputs),
     }
-    # Diversity: each gate time contributes its best candidate before any
-    # contributes a second, so stage 2 explores more than one basin.
-    leaders: dict[float, Stage1Candidate] = {}
-    for cand in merged:
-        leaders.setdefault(cand.design_gate_time, cand)
-    chosen = sorted(leaders.values(), key=Stage1Candidate.sort_key)[: config.top_k]
-    # candidates compare by identity (eq=False)
-    chosen += [c for c in merged if c not in chosen][: config.top_k - len(chosen)]
-    return chosen, telemetry
+    chosen = _diverse([candidate.sort_key() for candidate in merged], config.top_k)
+    return [merged[i] for i in chosen], telemetry
 
 
 @dataclass(frozen=True, eq=False)
@@ -973,17 +1084,21 @@ class _Stage2:
     """What every step of one `stage2` call shares: the surrogate and the
     grid `rate`, the gap windows, the move limits (`bound` per group,
     `cap_half` on the half-sum of |z|), the lanes per batch of moves, the
-    pulse-error factor of each half-sum of |z| up to the larger of
-    `cap_half` and the seed's, and the memos of each z's moves (`trials`)
-    and of each snapped start's polish (`polishes`)."""
+    pulse-error factor of each half-sum of |z| a state can reach, and the
+    memos of each z's moves (`trials`) and of each snapped start's polish
+    (`polishes`).  A state's groups, one per window, start within `bound`
+    and a move keeps the groups it touches within it (`moves_of`), so a
+    state that moved holds at most the least of `cap_half` and d * `bound`;
+    a start holds at most the seed's half-sum."""
 
     def __init__(self, timing_cost, rate, gap_lo, gap_hi, bound, cap_half, epsilon, counting,
                  seed=()):
         self.timing_cost, self.rate, self.gap_lo, self.gap_hi = timing_cost, rate, gap_lo, gap_hi
         self.bound, self.cap_half = bound, cap_half
         self.lanes = max(1, _LANE_BUDGET // len(timing_cost.w))
+        top = max(min(cap_half, np.size(gap_lo) * bound), int(np.sum(np.abs(seed))))
         self.factors = np.array([pulse_error_factor(pulse_count_for(2 * norm, counting), epsilon)
-                                 for norm in range(max(cap_half, int(np.sum(np.abs(seed)))) + 1)])
+                                 for norm in range(top + 1)])
         self.trials, self.polishes = {}, {}
 
     def score(self, ideal, z):
@@ -998,7 +1113,7 @@ class _Stage2:
         grid.  Worked out once per z, and returned read-only."""
         key = z.tobytes()
         if key not in self.trials:
-            trials = z + _descent_moves(len(z))[0]
+            trials = z + _descent_moves(len(z))
             feasible, norms = (part[0] for part in _move_reach(z[None], self.bound, self.cap_half))
             feasible &= np.any(trials, axis=1) & ~np.any(
                 _burst_floors(np.abs(trials), self.timing_cost.period) > self.gap_hi, axis=1
@@ -1062,7 +1177,7 @@ class _JointPath:
             if lane is None:
                 return context.after(self.z, self.t, self.cost, self.passes, self.batch[-1] + 1,
                                      self.improved)
-            z = self.z + _descent_moves(len(self.z))[0][self.batch[lane]]
+            z = self.z + _descent_moves(len(self.z))[self.batch[lane]]
             return context.after(z, times[lane], context.score(float(costs[lane]), z),
                                  self.passes, self.batch[lane] + 1, True)
         ranked = _ranked(costs, times)
@@ -1136,11 +1251,14 @@ class _SolverPool:
         self.bar = np.zeros(0)                # per lane id: its request's bar
         self.first = np.zeros(0, dtype=int)   # per node: the id of its first lane
         self.cut = np.zeros(0, dtype=int)     # per node: its cut, or its lane count
+        self.bars = False                     # whether a request has a finite bar
 
     def run(self, states):
         """The value each path, from its state of `states`, ends with: the
         stack runs until no lane is running or queued, and then each path's
-        chain ends in a state with no request."""
+        chain ends in a state with no request.  A pool none of whose
+        requests has a finite bar, such as one of refinements alone, never
+        cuts, so it skips `_cut`."""
         paths = [self._start(state) for state in states]
         fits = self.fits
         while fits.joining or fits.lanes is not None and len(fits.lanes):
@@ -1150,8 +1268,9 @@ class _SolverPool:
             for index in set(owners.tolist()):
                 node, mine = self.nodes[index], owners == index
                 node.costs[lanes[mine]], node.times[lanes[mine]] = costs[mine], times[mine]
+            # with every bar at -inf no lane can cut, as in a pool of refinements
             moved = self._cut(np.concatenate([ids, fits.ids]),
-                              np.concatenate([costs, fits.lanes["cost"]]))
+                              np.concatenate([costs, fits.lanes["cost"]])) if self.bars else set()
             for index in sorted(moved.union(owners.tolist())):
                 if not self.nodes[index].dropped:
                     self._settle(self.nodes[index])
@@ -1177,6 +1296,7 @@ class _SolverPool:
             self.owner = np.append(self.owner, np.full(count, node.index))
             self.factor = np.append(self.factor, np.full(count, request.factors))
             self.bar = np.append(self.bar, np.full(count, request.bar))
+            self.bars |= request.bar > -math.inf
         self.first = np.append(self.first, first)
         self.cut = np.append(self.cut, count)
         return node

@@ -1,7 +1,7 @@
 """No private code that nothing in the package calls: every module-level
-function or class of `src/fastgate` whose name starts with `_`, and every
-method of a class there whose name starts with `_` (dunders aside), is
-referenced somewhere in the package outside its own body.  A reference is
+function, class or constant of `src/fastgate` whose name starts with `_`,
+and every method of a class there whose name starts with `_` (dunders
+aside), is referenced somewhere in the package outside its own body.  A reference is
 a name or attribute read, so an import alone, a docstring mention or a use
 only from the tests does not count.  Every field of a private dataclass or
 NamedTuple is also read as an attribute somewhere in the package: a field
@@ -21,20 +21,38 @@ def _private(nodes, kinds):
             and node.name.startswith("_") and not node.name.endswith("__")]
 
 
+def _private_constants(nodes):
+    """The module-level assignments among `nodes` to a name that starts with
+    `_`, dunders aside, each as (name, node)."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [(target.id, node) for target in targets if isinstance(target, ast.Name)
+                  and target.id.startswith("_") and not target.id.endswith("__")]
+    return found
+
+
 def private_definitions_and_references():
-    """The private module-level functions and classes of every module and
-    the private methods of its classes, each as (module, name, first line,
-    last line, whether a method), and every name read, as (module, name,
-    line)."""
+    """The private module-level functions, classes and constants of every
+    module and the private methods of its classes, each as (module, name,
+    first line, last line, kind: "module", "constant" or "method"), and
+    every name read, as (module, name, line)."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     definitions, references = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in _private(tree.body, functions + (ast.ClassDef,)):
-            definitions.append((path.name, node.name, node.lineno, node.end_lineno, False))
+            definitions.append((path.name, node.name, node.lineno, node.end_lineno, "module"))
+        for name, node in _private_constants(tree.body):
+            definitions.append((path.name, name, node.lineno, node.end_lineno, "constant"))
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for node in _private(cls.body, functions):
-                definitions.append((path.name, node.name, node.lineno, node.end_lineno, True))
+                definitions.append((path.name, node.name, node.lineno, node.end_lineno, "method"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.append((path.name, node.id, node.lineno))
@@ -54,16 +72,23 @@ def unreferenced(definitions, references):
 
 def test_every_private_definition_is_referenced_outside_its_body():
     definitions, references = private_definitions_and_references()
-    module_level = [d for d in definitions if not d[-1]]
+    module_level = [d for d in definitions if d[-1] == "module"]
     assert len(module_level) > 50
     assert unreferenced(module_level, references) == []
 
 
 def test_every_private_method_is_referenced_outside_its_body():
     definitions, references = private_definitions_and_references()
-    methods = [d for d in definitions if d[-1]]
+    methods = [d for d in definitions if d[-1] == "method"]
     assert len(methods) >= 9
     assert unreferenced(methods, references) == []
+
+
+def test_every_private_constant_is_read_outside_its_assignment():
+    definitions, references = private_definitions_and_references()
+    constants = [d for d in definitions if d[-1] == "constant"]
+    assert len(constants) >= 9
+    assert unreferenced(constants, references) == []
 
 
 def _record(cls):

@@ -15,6 +15,7 @@ from fastgate.optimize import (
     EXHAUSTIVE_LIMIT,
     CostModel,
     OptimizationResult,
+    Stage1Candidate,
     Stage1Config,
     Stage2Config,
     _GAP_UNIT,
@@ -388,7 +389,7 @@ class TestCoordinateDescent:
         # which needs the screen's error band (with a zero band some of
         # these lanes take the mirror).
         d, bound = 8, 3
-        deltas = _descent_moves(d)[0]
+        deltas = _descent_moves(d)
         starts = []
         for i, j in itertools.combinations(range(d), 2):
             z0 = np.zeros(d, dtype=int)
@@ -649,6 +650,40 @@ class TestJointRefine:
                 (c.hex(), t.tobytes()) for c, t in lone]
         assert rng.random() == draw_ref
 
+    def test_a_refit_pool_never_cuts(self, chain5, monkeypatch):
+        # every request of a pool of refits keeps its bar at -inf, so the
+        # pool skips the cut; a pool with batches of moves still cuts
+        from fastgate import optimize
+
+        cuts = []
+        cut = optimize._SolverPool._cut
+
+        def spy(pool, *args):
+            cuts.append(pool)
+            return cut(pool, *args)
+
+        monkeypatch.setattr(optimize._SolverPool, "_cut", spy)
+        surrogate = _TimingCost(chain5, (2, 3), NBAR, period=1.0 / 300e6)
+        times = np.cumsum(np.full(5, 1e-6 / 12))
+        gap_lo, gap_hi = 0.75 * _gaps(times), 1.25 * _gaps(times)
+        context = _Stage2(surrogate, 300e6, gap_lo, gap_hi, 4, 50, 1e-5, "pi_pulses")
+        sizes = [np.array(z, dtype=float) for z in ([2, -3, 1, 3, -1], [1, -1, 2, 0, 1])]
+        rng = np.random.default_rng(26)
+        alone = [_refine_alone(surrogate, z, times, gap_lo, gap_hi, budget=600, starts=3, rng=rng)
+                 for z in sizes]
+        rng = np.random.default_rng(26)
+        pooled = _SolverPool(context).run([
+            _JointPath(context, "refit", z, times,
+                       _refine_request(z, times, gap_lo, gap_hi, 600, 3, rng))
+            for z in sizes
+        ])
+        assert cuts == []
+        for mine, lone in zip(pooled, alone):
+            assert [(c.hex(), t.tobytes()) for c, t in mine] == [
+                (c.hex(), t.tobytes()) for c, t in lone]
+        _joint_refine_alone(context, sizes[0], times, np.random.default_rng(27))
+        assert cuts
+
     @staticmethod
     def one_batch(chain5):
         """A batch of moves fitted to the end of every lane, as (context,
@@ -660,7 +695,7 @@ class TestJointRefine:
         # about ideal + 1e-4 sum |z|
         context = _Stage2(surrogate, 300e6, gap_lo, gap_hi, 3, 50, 1.25e-5, "pi_pulses")
         z0 = np.array([1.0, -2.0, 1.0, 0.0, 1.0])
-        trials, feasible = z0 + _descent_moves(5)[0], _move_reach(z0[None], 3, 50)[0][0]
+        trials, feasible = z0 + _descent_moves(5), _move_reach(z0[None], 3, 50)[0][0]
         trials = trials[feasible & np.any(trials, axis=1)]
         # every lane fitted to its end, with no cut
         costs, times = _fit_gaps(surrogate, trials, np.tile(gaps, (len(trials), 1)),
@@ -730,7 +765,7 @@ class TestJointRefine:
         context = _Stage2(surrogate, 100e6, 0.75 * gaps, 1.25 * gaps, 6, 50, 0.0, "pi_pulses")
 
         z0 = np.array([3, -4, 4, -3])
-        trials, feasible = z0 + _descent_moves(4)[0], _move_reach(z0[None], 6, 50)[0][0]
+        trials, feasible = z0 + _descent_moves(4), _move_reach(z0[None], 6, 50)[0][0]
         too_wide = np.any(_burst_floors(np.abs(trials), surrogate.period) > 1.25 * gaps, axis=1)
         assert np.any(feasible & too_wide)
         outcomes = []
@@ -779,7 +814,7 @@ class TestJointRefine:
         gaps = np.diff(np.concatenate([[0.0], times]))
         context = _Stage2(surrogate, 300e6, 0.75 * gaps, 1.25 * gaps, 3, 50, 1.0 / 16.0, "sdks")
         z0 = np.array([3, -2, 0, 1, 2])
-        ties = [trial for trial in z0 + _descent_moves(5)[0] if np.max(np.abs(trial)) <= 3
+        ties = [trial for trial in z0 + _descent_moves(5) if np.max(np.abs(trial)) <= 3
                 and context.score(0.0, trial) == context.score(0.5, z0) == 1.0]
         assert ties
 
@@ -1208,8 +1243,10 @@ class TestStage1:
 def _serial_stage1_gate_times(chain, config, scan_indices, seed):
     """Stage 1 one bound level at a time, each level descending its warm
     starts, restarts and seeds in one stack, and each exhaustive level
-    sorting its whole grid.  Returns what `_stage1_gate_times` returns and
-    each gate time's rng."""
+    scoring and sorting its whole grid; every gate time's candidates are
+    built, and the picks made from all of them (`_reference_picks`).
+    Returns what `_stage1_gate_times` returns, each gate time's rng and
+    each gate time's built candidates."""
     n_k = config.group_count or default_group_count(chain.num_ions, config.targets)
     d = n_k // 2
     gate_times = [config.gate_time_scan[index] for index in scan_indices]
@@ -1237,7 +1274,7 @@ def _serial_stage1_gate_times(chain, config, scan_indices, seed):
                   for gate in gates]
         if bound == config.z_bound_max:
             for gate, seeds in enumerate(_continuous_seeds(model, bound, rngs)):
-                starts[gate] += seeds
+                starts[gate] += list(seeds)
         lane_gates = np.repeat(gates, [len(s) for s in starts])
         z, cost = _coordinate_descent(
             model, _clip_to_sdk_cap(np.concatenate(starts), model.max_sdk_half), bound,
@@ -1247,11 +1284,32 @@ def _serial_stage1_gate_times(chain, config, scan_indices, seed):
             mine = lane_gates == gate
             found[gate].append((z[mine], cost[mine], bound))
             warm[gate] = z[mine][np.lexsort((*z[mine].T[::-1], cost[mine]))[:4]]
-    candidates = [
-        _gate_time_candidates(config, model, gate, found[gate], half_times[gate], gate_times[gate])
+    built = [
+        [Stage1Candidate(
+            sequence=PulseGroupSequence.from_half(find.sizes.tolist(), half_times[gate],
+                                                  config.targets, gate_times[gate]).trimmed(),
+            ideal_infidelity=model.ideal_infidelity(find.sizes.astype(float), gate),
+            adjusted_infidelity=find.key[0],
+            sdk_count=int(2 * np.sum(np.abs(find.sizes))),
+            design_gate_time=gate_times[gate],
+            bound_found=find.bound,
+        ) for find in _gate_time_candidates(config, gate, found[gate], gate_times[gate])]
         for gate in gates
     ]
-    return candidates, model.evaluations, rngs
+    picks = _reference_picks([c for candidates in built for c in candidates], config.top_k)
+    return (picks, sum(map(len, built)), model.evaluations), rngs, built
+
+
+def _reference_picks(candidates, top_k):
+    """Stage 1's picks from every built candidate: all of them ranked by
+    `Stage1Candidate.sort_key`, each gate time's best first, then the best
+    of the rest."""
+    merged = sorted(candidates, key=Stage1Candidate.sort_key)
+    leaders = {}
+    for candidate in merged:
+        leaders.setdefault(candidate.design_gate_time, candidate)
+    chosen = sorted(leaders.values(), key=Stage1Candidate.sort_key)[:top_k]
+    return chosen + [c for c in merged if c not in chosen][: top_k - len(chosen)]
 
 
 def _stage1_fingerprint(candidates):
@@ -1286,22 +1344,32 @@ class TestStage1Schedule:
                       if (2 * b + 1) ** d <= EXHAUSTIVE_LIMIT]
         expected_enumerated = {"d4": [1, 2, 3, 4, 5], "d4-top-exhaustive": [1, 2, 3, 4]}
         assert enumerated == expected_enumerated.get(case, [1])
+        from fastgate import optimize
+
         scan = list(range(len(config.gate_time_scan)))
-        expected, expected_evaluations, expected_rngs = _serial_stage1_gate_times(
-            chain, config, scan, 11
-        )
-        made = []
+        expected, expected_rngs, built = _serial_stage1_gate_times(chain, config, scan, 11)
+        made, finds = [], []
         default_rng = np.random.default_rng
+        gate_time_candidates = optimize._gate_time_candidates
 
         def recording(*args, **kwargs):
             made.append(default_rng(*args, **kwargs))
             return made[-1]
 
+        def listing(*args):
+            finds.append(gate_time_candidates(*args))
+            return finds[-1]
+
         monkeypatch.setattr(np.random, "default_rng", recording)
-        candidates, evaluations = _stage1_gate_times(chain, config, scan, 11)
-        assert evaluations == expected_evaluations
-        assert [_stage1_fingerprint(c) for c in candidates] == [
-            _stage1_fingerprint(c) for c in expected
+        monkeypatch.setattr(optimize, "_gate_time_candidates", listing)
+        candidates, count, evaluations = _stage1_gate_times(chain, config, scan, 11)
+        assert (count, evaluations) == expected[1:]
+        assert _stage1_fingerprint(candidates) == _stage1_fingerprint(expected[0])
+        assert len(candidates) == min(config.top_k, count)
+        # every gate time's candidates, built or not, are the level-by-level
+        # search's, each sort key made without a sequence that of its build
+        assert [[(find.key, find.bound) for find in per_gate] for per_gate in finds] == [
+            [(c.sort_key(), c.bound_found) for c in per_gate] for per_gate in built
         ]
         # every gate time drew exactly what the level-by-level search drew
         assert len(made) == len(scan)
@@ -1314,7 +1382,7 @@ class TestStage1Schedule:
         runs = [stage1(chain, config, seed=11, threads=threads) for threads in (1, 2)]
 
         def serial(chain, config, scan_indices, seed):
-            return _serial_stage1_gate_times(chain, config, scan_indices, seed)[:2]
+            return _serial_stage1_gate_times(chain, config, scan_indices, seed)[0]
 
         monkeypatch.setattr(optimize, "_stage1_gate_times", serial)
         expected, expected_telemetry = stage1(chain, config, seed=11)
@@ -1367,6 +1435,96 @@ class TestLowestRows:
         order = np.lexsort((norms, costs))
         kept = _lowest_rows(costs, norms, 40)
         assert np.array_equal(kept, order[:40])
+
+
+class TestExhaustiveScreen:
+    """`CostModel.lowest_rows` against scoring every row of the grid exactly."""
+
+    # z and -z score the same bits, so the rows of each cost come in mirror
+    # pairs, but for the zero row: with it ahead of the cut, an even count
+    # cuts a pair (N=20), and with it behind, an odd one (N=5, d=4)
+    @pytest.mark.parametrize("num_ions, targets, d, bound, max_sdks, count, tie", [
+        (2, (0, 1), 8, 1, 100, 40, False),   # the N=2 edge grid at bound 1
+        (5, (2, 3), 9, 1, 100, 40, False),   # the N=5 benchmark's grid
+        (20, (0, 1), 8, 1, 100, 46, True),   # the N=20 scan's grid
+        (5, (2, 3), 4, 3, 20, 41, True),     # rows over the SDK cap dropped
+        (2, (0, 1), 2, 1, 100, 40, False),   # a kept set that is the whole grid (9 rows)
+        (2, (0, 1), 2, 2, 100, 25, False),   # a count equal to the grid's 25 rows
+    ])
+    def test_matches_scoring_every_row(self, chain2, chain5, chain20, num_ions, targets, d,
+                                       bound, max_sdks, count, tie):
+        chain = {2: chain2, 5: chain5, 20: chain20}[num_ions]
+        gate_times = (0.6e-6, 0.95e-6, 1.3e-6)
+        half_times = [[t * (j + 1) / (2 * d) for j in range(d)] for t in gate_times]
+        config = Stage1Config(targets=targets, max_sdks=max_sdks)
+        screened, full = (CostModel(chain, config, half_times) for _ in range(2))
+        grid = _size_grid(d, bound)
+        grid = grid[2 * np.sum(np.abs(grid), axis=1) <= max_sdks]
+        norms = np.sum(np.abs(grid), axis=1)
+        ties = 0
+        for gate in range(len(gate_times)):
+            kept, costs = screened.lowest_rows(grid, gate, count)
+            every = full.selection_cost(grid, gate)
+            order = np.lexsort((norms, every))
+            assert np.array_equal(kept, order[:count])
+            assert [c.hex() for c in costs] == [every[i].hex() for i in order[:count]]
+            if len(grid) > count:
+                ties += every[order[count - 1]] == every[order[count]]
+        assert screened.evaluations == full.evaluations == len(gate_times) * len(grid)
+        assert (ties > 0) == tie
+
+    def test_every_estimate_is_within_its_bound_of_the_exact_score(self, chain20, monkeypatch):
+        # on the N=20 scan's grid the estimates differ from the exact scores
+        # by rounding, so the screen needs its band: a zeroed one fails here
+        from fastgate import optimize
+
+        screened_scores, screens = optimize._screened_scores, []
+
+        def recording(*args):
+            screens.append(screened_scores(*args))
+            return screens[-1]
+
+        monkeypatch.setattr(optimize, "_screened_scores", recording)
+        gate_times = (0.6e-6, 0.95e-6, 1.3e-6)
+        half_times = [[t * (j + 1) / 16 for j in range(8)] for t in gate_times]
+        model = CostModel(chain20, Stage1Config(targets=(0, 1)), half_times)
+        grid = _size_grid(8, 1)
+        for gate in range(len(gate_times)):
+            model.lowest_rows(grid, gate, 40)
+            estimate, error = screens[-1]
+            exact = model.selection_cost(grid, gate)
+            assert np.all(np.abs(estimate - exact) <= error)
+            assert np.any(estimate != exact)
+        assert len(screens) == len(gate_times)
+
+    def test_benchmark_stage1_scores_few_grid_rows_exactly(self, chain5, monkeypatch):
+        # the benchmark's N=5 stage 1 enumerates 3^9 rows at bound 1 for each
+        # of its three gate times; at most 1 % of them reach the exact
+        # evaluator, which scores a row with two calls, one per form
+        from fastgate import optimize
+
+        grid_rows, exact_rows, inside = 0, 0, False
+        lowest_rows, quadratic_rows = optimize.CostModel.lowest_rows, optimize._quadratic_rows
+
+        def listing(model, rows, gate, count):
+            nonlocal grid_rows, inside
+            grid_rows, inside = grid_rows + len(rows), True
+            try:
+                return lowest_rows(model, rows, gate, count)
+            finally:
+                inside = False
+
+        def counting(rows, form):
+            nonlocal exact_rows
+            exact_rows += (np.size(rows) // rows.shape[-1]) if inside else 0
+            return quadratic_rows(rows, form)
+
+        monkeypatch.setattr(optimize.CostModel, "lowest_rows", listing)
+        monkeypatch.setattr(optimize, "_quadratic_rows", counting)
+        chain, config = _schedule_case("n5-middle", chain5, None)
+        stage1(chain, replace(config, top_k=1), seed=11)
+        assert grid_rows == 3 * 3**9
+        assert 3 * 40 <= exact_rows / 2 <= 0.01 * grid_rows
 
 
 def _gaps(half_times):
@@ -1594,6 +1752,32 @@ class TestStage2:
         assert _in_windows(result.sequence.half_times, 0.75 * _gaps(times),
                            1.25 * _gaps(times), 1.0 / rate)
 
+    def test_pulse_error_table_holds_the_reachable_half_sums(self, chain2, monkeypatch):
+        # epsilon 0 allows any max_sdks; a table sized by the cap would hold
+        # 5e8 entries here.  Every state's groups stay within the bound, so
+        # d * bound, or the seed's half-sum, is as far as any score reaches.
+        from fastgate import optimize
+
+        contexts = []
+        init = optimize._Stage2.__init__
+
+        def recording(context, *args, **kwargs):
+            init(context, *args, **kwargs)
+            contexts.append(context)
+
+        monkeypatch.setattr(optimize._Stage2, "__init__", recording)
+        config = small_stage1_config(epsilon=0.0, max_sdks=10**9, gate_time_scan=(1.0e-6,),
+                                     top_k=1)
+        (candidate,), _ = stage1(chain2, config, seed=0)
+        result = stage2(candidate, chain2, config, Stage2Config(local_restarts=1), seed=0)
+        assert result.report.sdk_count > 0
+        sizes0 = [z for z in candidate.sequence.trimmed().half_sizes if z != 0]
+        bound = max(max(map(abs, sizes0)), config.z_bound_max)
+        (context,) = contexts
+        assert len(context.factors) == max(min(10**9 // 2, len(sizes0) * bound),
+                                           sum(map(abs, sizes0))) + 1
+        assert np.all(context.factors == 1.0)
+
     def test_a_kick_less_candidate_is_refused(self, chain2):
         from fastgate.optimize import Stage1Candidate
 
@@ -1759,7 +1943,7 @@ class TestWorkerPool:
 
         def recording(chain, config, scan_indices, seed):
             parts.append(scan_indices)
-            return [[] for _ in scan_indices], 0
+            return [], 0, 0
 
         monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(optimize, "_stage1_gate_times", recording)
